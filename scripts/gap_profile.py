@@ -13,14 +13,10 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
-from acbott.bott import bott_index, build_B, measured_gap
-from acbott.bounds import coarse_gap, guaranteed_gap
-from acbott.errors import NoGuarantee, ThresholdExceeded
+from acbott.analysis import analyze
+from acbott.bounds import coarse_gap
+from acbott.errors import NoGuarantee
 from acbott.generators import cyclic_shift_pair, selfdual_doubling
-from acbott.selfdual import pfaffian_bott_index
-from acbott.winding import winding_number
 
 
 def main(argv=None):
@@ -40,28 +36,27 @@ def main(argv=None):
         pair = cyclic_shift_pair(n)
         if args.doubled:
             sd = selfdual_doubling(pair)
-            bm = build_B(sd.pair)
-            try:
-                tail = [pfaffian_bott_index(sd)]
-            except ThresholdExceeded:
-                tail = [""]
+            report = analyze(sd.pair, sd.structure)
+            indices = [report.kappa2]
         else:
-            bm = build_B(pair)
-            omega = winding_number(pair).omega
-            try:
-                tail = [omega, bott_index(pair)]
-            except ThresholdExceeded:
-                tail = [omega, ""]
-        try:
-            guar = f"{guaranteed_gap(pair.delta):.9g}"
-        except NoGuarantee:
-            guar = ""
+            report = analyze(pair)
+            indices = [report.omega, report.kappa]
+        if not report.kappa_certified:
+            indices[-1] = ""  # blank where the report carries no certificate
+        guar = report.gap_guaranteed
         try:
             coarse = f"{coarse_gap(pair.delta):.9g}"
         except NoGuarantee:
             coarse = ""
         writer.writerow(
-            [n, f"{pair.delta:.9g}", f"{measured_gap(bm):.9g}", guar, coarse] + tail
+            [
+                n,
+                f"{pair.delta:.9g}",
+                f"{report.gap_measured:.9g}",
+                "" if guar is None else f"{guar:.9g}",
+                coarse,
+            ]
+            + indices
         )
     if args.out:
         fh.close()

@@ -55,7 +55,6 @@ from .bott import (
     eval_g,
     eval_h,
     fourier_coefficients_h,
-    measured_gap,
     signature,
     standard_triple,
 )
@@ -73,6 +72,7 @@ from .selfdual import (
     selfdual_distance_bounds,
 )
 from .logmethod import PrincipalLog, build_BL, kappa2_log, principal_log
+from .analysis import IndexReport, analyze
 from .bounds import (
     BoundEnvelope,
     BoundLine,

@@ -1,0 +1,111 @@
+"""Every invariant of a pair from one W and one block matrix.
+
+``analyze`` diagonalizes W = VUV*U* once, which gives omega and the distance
+bound, and builds B(U, V) or B_L(U, V) once.  The single hermitian spectrum
+of that matrix gives kappa and the measured gap; for self-dual pairs kappa2
+is the sign of the modified Pfaffian of the same matrix.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+from .bott import build_B
+from .bounds import guaranteed_gap
+from .config import KAPPA_THRESHOLD, LOG_THRESHOLD
+from .errors import GapClosed, NoGuarantee, NumericalInconsistency
+from .linalg import UnitaryPair
+from .logmethod import build_BL
+from .selfdual import DualStructure, _pfaffian_sign
+from .winding import winding_number
+
+
+@dataclass
+class IndexReport:
+    delta: float
+    dim: int
+    omega: Optional[int] = None
+    kappa: Optional[int] = None
+    kappa2: Optional[int] = None
+    omega_valid: bool = False
+    kappa_certified: bool = False
+    log_certified: bool = False
+    gap_measured: Optional[float] = None
+    gap_guaranteed: Optional[float] = None
+    distance_commuting: Optional[float] = None
+
+    def items(self):
+        def fmt(v):
+            if v is None:
+                return ""
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            if isinstance(v, float):
+                return f"{v:.9g}"
+            return str(v)
+
+        return [
+            ("dim", fmt(self.dim)),
+            ("delta", fmt(self.delta)),
+            ("omega", fmt(self.omega)),
+            ("kappa", fmt(self.kappa)),
+            ("kappa2", fmt(self.kappa2)),
+            ("omega_valid", fmt(self.omega_valid)),
+            ("kappa_certified", fmt(self.kappa_certified)),
+            ("log_certified", fmt(self.log_certified)),
+            ("gap_measured", fmt(self.gap_measured)),
+            ("gap_guaranteed", fmt(self.gap_guaranteed)),
+            ("distance_commuting", fmt(self.distance_commuting)),
+        ]
+
+
+def analyze(
+    pair: UnitaryPair,
+    structure: Optional[DualStructure] = None,
+    method: str = "trig",
+) -> IndexReport:
+    """All indices of the pair, computed whatever delta is, with their status.
+
+    ``method`` is "trig" for B(U, V) or "log" for B_L(U, V); on the log route
+    kappa is certified only up to LOG_THRESHOLD.  With a dual structure the
+    pair is treated as self-dual and kappa2 is filled in.  A closed gap
+    leaves kappa empty; a certified kappa that disagrees with omega raises
+    NumericalInconsistency.
+    """
+    report = IndexReport(delta=pair.delta, dim=pair.dim)
+    report.omega_valid = pair.delta < 2.0
+    report.log_certified = pair.delta <= LOG_THRESHOLD
+    report.kappa_certified = pair.delta <= KAPPA_THRESHOLD and (
+        method != "log" or report.log_certified
+    )
+
+    winding = winding_number(pair) if report.omega_valid else None
+    if winding is not None:
+        report.omega = winding.omega
+
+    bm = build_BL(pair, structure) if method == "log" else build_B(pair)
+    report.gap_measured = bm.gap
+    try:
+        report.kappa = bm.signature() // 2
+    except GapClosed:
+        pass
+    try:
+        report.gap_guaranteed = guaranteed_gap(pair.delta)
+    except NoGuarantee:
+        pass
+    if structure is not None:
+        report.kappa2 = _pfaffian_sign(bm.B, bm.gap, structure)
+    if winding is not None and winding.omega != 0:
+        report.distance_commuting = winding.distance_bound()
+
+    if (
+        report.kappa is not None
+        and report.omega is not None
+        and report.kappa_certified
+        and report.kappa != report.omega
+    ):
+        raise NumericalInconsistency(
+            f"certified kappa = {report.kappa} disagrees with omega = {report.omega}"
+        )
+    return report

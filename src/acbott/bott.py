@@ -27,9 +27,9 @@ from .errors import (
 from .linalg import (
     TrigPoly,
     UnitaryPair,
-    apply_periodic,
     apply_trigpoly,
     hermitian_eig,
+    unitary_eig,
 )
 
 # sine amplitudes of f: (150 sin x + 25 sin 3x + 3 sin 5x) / 128
@@ -145,10 +145,24 @@ def standard_triple() -> StandardTriple:
 
 @dataclass(frozen=True)
 class BottMatrix:
+    """Hermitian block matrix together with its ascending spectrum."""
+
     B: np.ndarray
     delta: float
-    gap: float
+    eigs: np.ndarray
     method: str  # "trig" or "log"
+
+    @classmethod
+    def of(cls, B: np.ndarray, delta: float, method: str) -> "BottMatrix":
+        return cls(B, delta, np.linalg.eigvalsh(B), method)
+
+    @property
+    def gap(self) -> float:
+        """Spectral gap of B at zero."""
+        return float(np.min(np.abs(self.eigs)))
+
+    def signature(self) -> int:
+        return _count_signature(self.eigs)
 
 
 def assemble_blocks(fV, gV, hV, U) -> np.ndarray:
@@ -157,12 +171,14 @@ def assemble_blocks(fV, gV, hV, U) -> np.ndarray:
     Corner orientation is fixed so that the full matrix has signature -2 on
     the shift/clock pair with V U V* U* = exp(-2 pi i / n) I, matching the
     winding invariant of that pair.  The commuting anchors (diagonal blocks
-    +-fV, corners hV at U = I) are insensitive to this choice.
+    +-fV, corners hV at U = I) are insensitive to this choice.  The result
+    is symmetrized to exact hermiticity.
     """
     Ustar = U.conj().T
     top = gV + 0.5 * (hV @ Ustar + Ustar @ hV)
     bot = gV + 0.5 * (hV @ U + U @ hV)
-    return np.block([[fV, top], [bot, -fV]])
+    B = np.block([[fV, top], [bot, -fV]])
+    return (B + B.conj().T) / 2
 
 
 def build_B(
@@ -170,35 +186,47 @@ def build_B(
     triple: Optional[StandardTriple] = None,
     use_trigpoly: bool = False,
 ) -> BottMatrix:
-    """Assemble B(U, V) and record its spectral gap at zero.
+    """Assemble B(U, V) and its spectrum.
 
-    With ``use_trigpoly`` the degree-5 approximants replace the exact
-    closed-form functions.
+    One eigendecomposition of V serves f, g and h.  With ``use_trigpoly``
+    the degree-5 approximants replace the exact closed-form functions.
     """
     t = triple or standard_triple()
     if use_trigpoly:
-        fV = apply_trigpoly(t.f5, pair.V, tol=pair.unitary_tol)
-        gV = apply_trigpoly(t.g5, pair.V, tol=pair.unitary_tol)
-        hV = apply_trigpoly(t.h5, pair.V, tol=pair.unitary_tol)
+        fV, gV, hV = (
+            apply_trigpoly(p, pair.V, tol=pair.unitary_tol) for p in (t.f5, t.g5, t.h5)
+        )
     else:
-        fV = apply_periodic(t.f, pair.V, tol=pair.unitary_tol)
-        gV = apply_periodic(t.g, pair.V, tol=pair.unitary_tol)
-        hV = apply_periodic(t.h, pair.V, tol=pair.unitary_tol)
+        angles, Q = unitary_eig(pair.V, tol=pair.unitary_tol)
+        Qstar = Q.conj().T
+        fV, gV, hV = (
+            (Q * np.asarray(fn(angles), dtype=complex)) @ Qstar
+            for fn in (t.f, t.g, t.h)
+        )
     B = assemble_blocks(fV, gV, hV, pair.U)
-    eigs = np.linalg.eigvalsh((B + B.conj().T) / 2)
-    gap = float(np.min(np.abs(eigs)))
-    return BottMatrix(B, pair.delta, gap, "trig")
+    return BottMatrix.of(B, pair.delta, "trig")
 
 
-def signature(H, gap_tol: Optional[float] = None) -> int:
-    """Number of positive minus number of negative eigenvalues."""
-    eigs = hermitian_eig(H)
+def _count_signature(eigs: np.ndarray, gap_tol: Optional[float] = None) -> int:
     tol = DEFAULT_TOL.gap_per_dim * len(eigs) if gap_tol is None else gap_tol
     if np.min(np.abs(eigs)) <= tol:
         raise GapClosed(
             f"eigenvalue at {np.min(np.abs(eigs)):.3e} inside gap tolerance {tol:.1e}"
         )
     return int(np.sum(eigs > 0) - np.sum(eigs < 0))
+
+
+def signature(H, gap_tol: Optional[float] = None) -> int:
+    """Number of positive minus number of negative eigenvalues."""
+    return _count_signature(hermitian_eig(H), gap_tol)
+
+
+def require_certified(delta: float, allow_uncertified: bool = False) -> None:
+    """Refuse delta above KAPPA_THRESHOLD unless the caller opts in."""
+    if delta > KAPPA_THRESHOLD and not allow_uncertified:
+        raise ThresholdExceeded(
+            f"delta = {delta:.6f} exceeds certified threshold {KAPPA_THRESHOLD}"
+        )
 
 
 def bott_index(
@@ -213,19 +241,11 @@ def bott_index(
     unless the caller opts in, in which case the value is still computed but
     carries no guarantee.
     """
-    if pair.delta > KAPPA_THRESHOLD and not allow_uncertified:
-        raise ThresholdExceeded(
-            f"delta = {pair.delta:.6f} exceeds certified threshold {KAPPA_THRESHOLD}"
-        )
-    bm = build_B(pair, triple, use_trigpoly)
-    sig = signature(bm.B)
+    require_certified(pair.delta, allow_uncertified)
+    sig = build_B(pair, triple, use_trigpoly).signature()
     if sig % 2 != 0:
         raise NumericalInconsistency(f"signature {sig} is odd")
     return sig // 2
-
-
-def measured_gap(bm: BottMatrix) -> float:
-    return bm.gap
 
 
 def threshold_consistency() -> dict:

@@ -11,80 +11,34 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .bott import build_B, fourier_coefficients_h, signature, F_AMPLITUDES
+from .analysis import IndexReport, analyze
+from .bott import fourier_coefficients_h, F_AMPLITUDES
 from .bounds import (
     beta,
     certify_log_path,
     coarse_gap,
     eta_envelope_f,
     eta_envelope_h,
-    guaranteed_gap,
 )
-from .config import KAPPA_THRESHOLD, LOG_THRESHOLD, DEFAULT_TOL
+from .config import DEFAULT_TOL
 from .errors import (
     AlmostCommutingError,
     CertificationFailed,
-    LogMethodUncertified,
-    NoGuarantee,
-    NoObstruction,
     NumericalInconsistency,
 )
 from .generators import PairSpec, build_pair
 from .linalg import make_pair, unitary_part
-from .logmethod import build_BL, kappa2_log
 from .matrixio import (
     read_matrix,
     read_selfdual_header,
     write_matrix,
     write_selfdual_header,
 )
-from .selfdual import SelfDualPair, make_selfdual_pair, pfaffian_bott_index
-from .winding import distance_bound_commuting, winding_number
-
-
-@dataclass
-class IndexReport:
-    delta: float
-    dim: int
-    omega: Optional[int] = None
-    kappa: Optional[int] = None
-    kappa2: Optional[int] = None
-    omega_valid: bool = False
-    kappa_certified: bool = False
-    log_certified: bool = False
-    gap_measured: Optional[float] = None
-    gap_guaranteed: Optional[float] = None
-    distance_commuting: Optional[float] = None
-
-    def items(self):
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, float):
-                return f"{v:.9g}"
-            return str(v)
-
-        return [
-            ("dim", fmt(self.dim)),
-            ("delta", fmt(self.delta)),
-            ("omega", fmt(self.omega)),
-            ("kappa", fmt(self.kappa)),
-            ("kappa2", fmt(self.kappa2)),
-            ("omega_valid", fmt(self.omega_valid)),
-            ("kappa_certified", fmt(self.kappa_certified)),
-            ("log_certified", fmt(self.log_certified)),
-            ("gap_measured", fmt(self.gap_measured)),
-            ("gap_guaranteed", fmt(self.gap_guaranteed)),
-            ("distance_commuting", fmt(self.distance_commuting)),
-        ]
+from .selfdual import SelfDualPair, make_selfdual_pair
+from .winding import winding_number  # noqa: F401  (perfbench tests reach it here)
 
 
 def _emit_report(report: IndexReport, fmt: str, out=None):
@@ -134,7 +88,7 @@ def cmd_index(args) -> int:
     if args.polar:
         U = unitary_part(U)
         V = unitary_part(V)
-    sd: Optional[SelfDualPair] = None
+    structure = None
     if args.self_dual:
         if args.header:
             n_declared = read_selfdual_header(args.header)
@@ -143,57 +97,11 @@ def cmd_index(args) -> int:
                     f"header says N = {n_declared}, matrices have dim {U.shape[0]}"
                 )
         sd = make_selfdual_pair(U, V, unitary_tol=args.unitary_tol)
-        pair = sd.pair
+        pair, structure = sd.pair, sd.structure
     else:
         pair = make_pair(U, V, unitary_tol=args.unitary_tol)
 
-    report = IndexReport(delta=pair.delta, dim=pair.dim)
-    report.omega_valid = pair.delta < 2.0
-    report.kappa_certified = pair.delta <= KAPPA_THRESHOLD
-    report.log_certified = pair.delta <= LOG_THRESHOLD
-
-    if report.omega_valid:
-        report.omega = winding_number(pair).omega
-
-    if args.method == "log":
-        bm = build_BL(pair, sd.structure if sd else None)
-        report.kappa_certified = report.kappa_certified and report.log_certified
-    else:
-        bm = build_B(pair)
-    report.gap_measured = bm.gap
-    try:
-        report.kappa = signature(bm.B) // 2
-    except AlmostCommutingError:
-        report.kappa = None
-    try:
-        report.gap_guaranteed = guaranteed_gap(pair.delta)
-    except NoGuarantee:
-        report.gap_guaranteed = None
-
-    if sd is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LogMethodUncertified)
-            if args.method == "log":
-                report.kappa2 = kappa2_log(sd, allow_uncertified=True)
-            else:
-                report.kappa2 = pfaffian_bott_index(sd, allow_uncertified=True)
-
-    if report.omega is not None and report.omega != 0:
-        try:
-            report.distance_commuting = distance_bound_commuting(pair)
-        except NoObstruction:
-            pass
-
-    if (
-        report.kappa is not None
-        and report.omega is not None
-        and report.kappa_certified
-        and report.kappa != report.omega
-    ):
-        raise NumericalInconsistency(
-            f"certified kappa = {report.kappa} disagrees with omega = {report.omega}"
-        )
-
+    report = analyze(pair, structure, args.method)
     _emit_report(report, args.format)
     uncertified = (report.kappa is not None and not report.kappa_certified) or (
         report.kappa2 is not None
@@ -229,20 +137,20 @@ def cmd_bounds(args) -> int:
     deltas = np.linspace(args.start, args.stop, args.points)
     out = _open_out(args.out)
     try:
-        if args.curve == "beta":
-            print("delta,beta,gap_guaranteed,gap_coarse", file=out)
+        if args.curve in ("beta", "gap"):
+            cols = ["delta", "beta", "gap_guaranteed", "gap_coarse"]
+            if args.curve == "gap":
+                cols.remove("beta")
+            print(",".join(cols), file=out)
             for d in deltas:
                 b = beta(d)
-                g = f"{np.sqrt(1 - b):.9g}" if b < 1 else ""
-                c = f"{coarse_gap(d):.9g}" if d <= 0.2 else ""
-                print(f"{d:.9g},{b:.9g},{g},{c}", file=out)
-        elif args.curve == "gap":
-            print("delta,gap_guaranteed,gap_coarse", file=out)
-            for d in deltas:
-                b = beta(d)
-                g = f"{np.sqrt(1 - b):.9g}" if b < 1 else ""
-                c = f"{coarse_gap(d):.9g}" if d <= 0.2 else ""
-                print(f"{d:.9g},{g},{c}", file=out)
+                row = {
+                    "delta": f"{d:.9g}",
+                    "beta": f"{b:.9g}",
+                    "gap_guaranteed": f"{np.sqrt(1 - b):.9g}" if b < 1 else "",
+                    "gap_coarse": f"{coarse_gap(d):.9g}" if d <= 0.2 else "",
+                }
+                print(",".join(row[c] for c in cols), file=out)
         else:
             env = eta_envelope_f() if args.curve == "eta-f" else eta_envelope_h()
             heads = ",".join(f"line{i}" for i in range(len(env.lines)))

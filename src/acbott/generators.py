@@ -10,7 +10,7 @@ so equal parameters give bitwise-equal matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -194,29 +194,3 @@ def build_pair(spec: PairSpec) -> Union[UnitaryPair, SelfDualPair]:
         return sd
     raise ValueError(f"unknown pair kind {spec.kind!r}")
 
-
-def search_negative_sign(
-    n: int = 8,
-    seed: int = 0,
-    attempts: int = 20,
-    radius: float = 0.3,
-) -> Optional[SelfDualPair]:
-    """Experimental random search for an uncertified sign flip.
-
-    The doubled cyclic pair already carries sign index -1 inside the
-    certified window (n >= 31), so negative signs as such need no search.
-    This hook instead perturbs a doubled commuting pair (sign +1) with
-    radius large enough to leave the certified region and looks for a flip
-    there, which would have to cross a gap closing.  Expect None.
-    """
-    from .selfdual import pfaffian_bott_index
-
-    base = selfdual_doubling(commuting_random(n, seed))
-    for trial in range(attempts):
-        sd = perturb_selfdual(base, radius, seed + trial)
-        try:
-            if pfaffian_bott_index(sd, allow_uncertified=True) == -1:
-                return sd
-        except Exception:
-            continue
-    return None

@@ -24,8 +24,6 @@ from .errors import (
     SingularMatrix,
 )
 
-_SVD_CUTOVER = 512  # full SVD below, power iteration above
-
 
 def as_matrix(X) -> np.ndarray:
     """Validate and return a finite square complex matrix."""
@@ -43,29 +41,8 @@ def require_same_dim(A: np.ndarray, B: np.ndarray) -> None:
 
 
 def operator_norm(X) -> float:
-    """Largest singular value of ``X``.
-
-    Full SVD at moderate sizes; above the cutover a power iteration on
-    ``X*X`` with relative tolerance 1e-12 takes over.
-    """
-    A = as_matrix(X)
-    d = A.shape[0]
-    if d <= _SVD_CUTOVER:
-        return float(np.linalg.svd(A, compute_uv=False)[0])
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(10_000):
-        w = A.conj().T @ (A @ v)
-        cur = float(np.linalg.norm(w))
-        if cur == 0.0:
-            return 0.0
-        v = w / cur
-        if abs(cur - prev) <= 1e-12 * cur:
-            break
-        prev = cur
-    return float(np.sqrt(cur))
+    """Largest singular value of ``X``, from a full SVD."""
+    return float(np.linalg.svd(as_matrix(X), compute_uv=False)[0])
 
 
 def commutator_norm(U, V) -> float:

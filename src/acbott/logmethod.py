@@ -15,13 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bott import BottMatrix, assemble_blocks
+from .bott import BottMatrix, assemble_blocks, require_certified
 from .config import DEFAULT_TOL, KAPPA_THRESHOLD, LOG_THRESHOLD
-from .errors import (
-    LogMethodUncertified,
-    SelfDualityLost,
-    ThresholdExceeded,
-)
+from .errors import LogMethodUncertified, SelfDualityLost
 from .linalg import UnitaryPair, as_matrix, operator_norm, unitary_eig
 from .selfdual import (
     DualStructure,
@@ -96,19 +92,14 @@ def build_BL(
     fV = plog.K / np.pi
     zero = np.zeros_like(fV)
     B = assemble_blocks(fV, zero, hV, pair.U)
-    eigs = np.linalg.eigvalsh((B + B.conj().T) / 2)
-    gap = float(np.min(np.abs(eigs)))
-    return BottMatrix(B, pair.delta, gap, "log")
+    return BottMatrix.of(B, pair.delta, "log")
 
 
 def kappa2_log(sd: SelfDualPair, allow_uncertified: bool = False) -> int:
     """Sign index from B_L; certified to agree with the trig method for
     delta <= 1/8, soft-flagged up to the trig threshold, refused beyond it
     unless the caller opts in."""
-    if sd.delta > KAPPA_THRESHOLD and not allow_uncertified:
-        raise ThresholdExceeded(
-            f"delta = {sd.delta:.6f} exceeds certified threshold {KAPPA_THRESHOLD}"
-        )
+    require_certified(sd.delta, allow_uncertified)
     if LOG_THRESHOLD < sd.delta <= KAPPA_THRESHOLD:
         warnings.warn(
             f"delta = {sd.delta:.6f} is above the log-method threshold "

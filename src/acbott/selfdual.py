@@ -17,7 +17,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_TOL, KAPPA_THRESHOLD
+from .bott import build_B, require_certified
+from .config import DEFAULT_TOL
 from .errors import (
     DimensionMismatch,
     IllConditionedSign,
@@ -28,7 +29,6 @@ from .errors import (
     NotSkewSymmetric,
     NumericalInconsistency,
     OddDimension,
-    ThresholdExceeded,
 )
 from .linalg import (
     UnitaryPair,
@@ -237,11 +237,12 @@ def pfaffian(X, tol: float = DEFAULT_TOL.skew) -> complex:
 def _modified_pfaffian_sign_log(
     X: np.ndarray, s: DualStructure, tol: float
 ) -> Tuple[complex, float]:
-    drift = operator_norm(X + dual_tensor(X, s))
+    Xd = dual_tensor(X, s)
+    drift = operator_norm(X + Xd)
     scale = max(1.0, operator_norm(X))
     if drift > tol * scale:
         raise NotAntiSelfDual(f"anti-self-duality violated by {drift:.3e}")
-    Xa = (X - dual_tensor(X, s)) / 2
+    Xa = (X - Xd) / 2
     S = s.Q.conj().T @ Xa @ s.Q
     S = (S - S.T) / 2
     return _pfaffian_sign_log(S)
@@ -301,12 +302,7 @@ def pfaffian_bott_index(
 
     Certified for delta <= KAPPA_THRESHOLD.
     """
-    from .bott import build_B
-
-    if sd.delta > KAPPA_THRESHOLD and not allow_uncertified:
-        raise ThresholdExceeded(
-            f"delta = {sd.delta:.6f} exceeds certified threshold {KAPPA_THRESHOLD}"
-        )
+    require_certified(sd.delta, allow_uncertified)
     bm = build_B(sd.pair, use_trigpoly=use_trigpoly)
     return _pfaffian_sign(bm.B, bm.gap, sd.structure)
 
@@ -325,10 +321,7 @@ def selfdual_distance_bounds(
     recomputing them.
     """
     for sd in (sdA, sdB):
-        if sd.delta > KAPPA_THRESHOLD:
-            raise ThresholdExceeded(
-                f"delta = {sd.delta:.6f} exceeds certified threshold"
-            )
+        require_certified(sd.delta)
     ka = pfaffian_bott_index(sdA) if kappa2_a is None else int(kappa2_a)
     kb = pfaffian_bott_index(sdB) if kappa2_b is None else int(kappa2_b)
     if ka == kb:

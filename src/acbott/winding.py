@@ -33,6 +33,16 @@ class WindingResult:
     min_angle_gap_at_pi: float  # distance of the spectrum of VUV*U* to -1
     raw: float                  # pre-rounding trace value
 
+    def distance_bound(self) -> float:
+        """Lower bound on the distance from the pair to any commuting unitary pair.
+
+        Valid whenever the winding invariant is nonzero; the distance is
+        measured as ||U - U1|| + ||V - V1||.
+        """
+        if self.omega == 0:
+            raise NoObstruction("winding invariant is zero; no distance bound claimed")
+        return 1.0 + float(np.sqrt(max(0.0, 1.0 - self.delta ** 2 / 4.0)))
+
 
 def _multiplicative_commutator(pair: UnitaryPair) -> np.ndarray:
     U, V = pair.U, pair.V
@@ -88,15 +98,8 @@ def winding_via_path(pair: UnitaryPair, steps: int = 1024) -> int:
 
 
 def distance_bound_commuting(pair: UnitaryPair) -> float:
-    """Lower bound on the distance from the pair to any commuting unitary pair.
-
-    Valid whenever the winding invariant is nonzero; the distance is measured
-    as ||U - U1|| + ||V - V1||.
-    """
-    result = winding_number(pair)
-    if result.omega == 0:
-        raise NoObstruction("winding invariant is zero; no distance bound claimed")
-    return 1.0 + float(np.sqrt(max(0.0, 1.0 - pair.delta ** 2 / 4.0)))
+    """:meth:`WindingResult.distance_bound` of the pair."""
+    return winding_number(pair).distance_bound()
 
 
 def distance_bound_index_change(pairA: UnitaryPair, pairB: UnitaryPair) -> float:

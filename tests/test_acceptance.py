@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from acbott.bott import bott_index, build_B, measured_gap, standard_triple
+from acbott.bott import bott_index, build_B, standard_triple
 from acbott.bounds import beta, beta_root, coarse_gap, eta_envelope_f, eta_envelope_h
 from acbott.cli import main
 from acbott.config import KAPPA_THRESHOLD, LOG_THRESHOLD
@@ -85,7 +85,7 @@ def certified_sample():
         assert pair.dim <= 128
         omega = winding_number(pair).omega
         kappa = bott_index(pair)
-        gap = measured_gap(build_B(pair))
+        gap = build_B(pair).gap
         records.append((pair.delta, omega, kappa, gap))
     return records, time.perf_counter() - t0
 

@@ -14,7 +14,6 @@ from acbott.bott import (
     eval_g,
     eval_h,
     fourier_coefficients_h,
-    measured_gap,
     signature,
     standard_triple,
     threshold_consistency,
@@ -213,9 +212,8 @@ def test_gap_exceeds_guarantee_at_small_delta(rng):
     pair = perturb(base, 0.05, seed=3)
     bm = build_B(pair)
     assert bm.gap >= np.sqrt(1 - beta(pair.delta))
-    assert measured_gap(bm) == pytest.approx(bm.gap)
     eigs = np.linalg.eigvalsh(bm.B)
-    assert measured_gap(bm) == pytest.approx(float(np.min(np.abs(eigs))))
+    assert bm.gap == pytest.approx(float(np.min(np.abs(eigs))))
 
 
 def test_signature_basics():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from acbott.cli import main
 from acbott.generators import cyclic_shift_pair
@@ -86,6 +87,31 @@ def test_index_selfdual_log_uncertified_above_eighth(tmp_path, capsys):
     assert "kappa2 = -1 (NOT certified)" in out
 
 
+@pytest.mark.parametrize(
+    "kind, flags", [("cyclic_shift", ()), ("selfdual_doubling", ("--self-dual",))]
+)
+def test_index_factorizes_V_and_W_once(tmp_path, capsys, monkeypatch, kind, flags):
+    prefix = str(tmp_path / "p31")
+    run(capsys, "generate", "--kind", kind, "--n", "31", "--out", prefix)
+    counts = {"schur": 0, "eigh": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    rc, _, _ = run(capsys, "index", f"{prefix}_U.txt", f"{prefix}_V.txt",
+                   "--method", "trig", *flags)
+    assert rc == 0
+    # one Schur of V, one of W = VUV*U*, one hermitian eig of B
+    assert counts == {"schur": 2, "eigh": 1}
+
+
 def test_index_header_mismatch(tmp_path, capsys):
     prefix = str(tmp_path / "d31")
     run(capsys, "generate", "--kind", "selfdual_doubling", "--n", "31",
@@ -134,6 +160,18 @@ def test_bounds_beta_csv(tmp_path, capsys):
     assert float(first[1]) == 0.0
     assert float(first[2]) == 1.0
     assert float(first[3]) == pytest.approx(0.95)
+
+
+def test_bounds_gap_csv_is_beta_csv_without_beta(capsys):
+    # the range runs past both blank-cell cutoffs (beta >= 1, delta > 0.2)
+    span = ("--from", "0", "--to", "0.25", "--points", "6")
+    rc, beta_out, _ = run(capsys, "bounds", "--curve", "beta", *span)
+    assert rc == 0
+    rc, gap_out, _ = run(capsys, "bounds", "--curve", "gap", *span)
+    assert rc == 0
+    rows = [ln.split(",") for ln in beta_out.splitlines()]
+    assert gap_out.splitlines() == [",".join(r[:1] + r[2:]) for r in rows]
+    assert rows[-1][2] == ""
 
 
 def test_bounds_envelope_csv(capsys):

@@ -12,7 +12,6 @@ from acbott.generators import (
     perturb,
     perturb_selfdual,
     powered_pair,
-    search_negative_sign,
     selfdual_doubling,
 )
 from acbott.linalg import commutator_norm, operator_norm
@@ -128,7 +127,3 @@ def test_build_pair_dispatch():
     assert isinstance(sd, SelfDualPair)
     with pytest.raises(ValueError):
         build_pair(PairSpec("unknown", 4))
-
-
-def test_search_negative_sign_finds_nothing():
-    assert search_negative_sign(n=8, seed=0, attempts=3, radius=0.3) is None

@@ -54,10 +54,26 @@ def test_operator_norm_matches_svd(rng):
 
 
 def test_operator_norm_large_power_iteration(rng):
-    # d > 512 switches to power iteration
+    # a large input still gets the exact dense-SVD norm
     d = 600
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     assert operator_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-6)
+
+
+def test_operator_norm_exact_where_power_iteration_reads_low():
+    # the top singular vector u is orthogonal to the start vector of a power
+    # iteration seeded with default_rng(0), which would stall at 1e-9
+    d = 600
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    u = np.ones(d, dtype=complex)
+    u -= (start.conj() @ u) / (start.conj() @ start) * start
+    u /= np.linalg.norm(u)
+    A = 2e-8 * np.outer(u, u.conj()) + 1e-9 * np.eye(d)
+    assert operator_norm(A) == pytest.approx(2.1e-8, rel=1e-9)
+    # ||H - H*|| = 4.2e-8 is above the 1e-8 hermiticity gate
+    with pytest.raises(NotHermitian):
+        hermitian_eig(np.eye(d) + 1j * A)
 
 
 def test_operator_norm_zero():
