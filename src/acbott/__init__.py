@@ -83,7 +83,7 @@ from .bounds import (
     coarse_gap,
     eta_envelope_f,
     eta_envelope_h,
-    eta_line,
+    eta_lines,
     guaranteed_gap,
     variation_bound,
 )

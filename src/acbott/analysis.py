@@ -95,7 +95,7 @@ def analyze(
     except NoGuarantee:
         pass
     if structure is not None:
-        report.kappa2 = _pfaffian_sign(bm.B, bm.gap, structure)
+        report.kappa2 = _pfaffian_sign(bm, structure)
     if winding is not None and winding.omega != 0:
         report.distance_commuting = winding.distance_bound()
 

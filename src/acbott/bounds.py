@@ -29,9 +29,10 @@ from scipy.optimize import brentq, linprog
 from .bott import F_AMPLITUDES, eval_f, eval_h, standard_triple
 from .config import (
     DEFAULT_CERTIFY,
-    DEFAULT_ENVELOPE,
+    ENVELOPE_GRID,
+    F_LIPSCHITZ,
+    H_LIPSCHITZ,
     CertifyConfig,
-    EnvelopeConfig,
 )
 from .errors import (
     CertificationFailed,
@@ -86,39 +87,36 @@ class BoundEnvelope:
         return min(line(delta) for line in self.lines)
 
 
-def eta_line(
+def eta_lines(
     fn: Callable,
-    approx: TrigPoly,
-    fn_lipschitz: Optional[float] = None,
-    fn_sqrt_lipschitz: Optional[float] = None,
-    grid_points: Optional[int] = None,
-    config: EnvelopeConfig = DEFAULT_ENVELOPE,
-) -> BoundLine:
-    """Bound line for fn against one trig-poly approximant.
+    series: TrigPoly,
+    degrees: Sequence[int],
+    fn_lipschitz: float,
+) -> Tuple[BoundLine, ...]:
+    """Bound lines for fn against the truncations of a real series.
 
-    The offset is the grid diameter of fn - approx plus a certified budget
-    for what a uniform grid can miss: each of max and min can be off by the
-    deviation over half a spacing, bounded through a Lipschitz constant for
-    fn (or a sqrt-modulus constant L2 with |fn(x)-fn(y)| <= sqrt(L2|x-y|))
-    plus the approximant's own derivative mass.  Defaults cover the standard
-    triple; pass explicit constants for anything else.
+    fn is evaluated once on a uniform grid and one running partial sum of
+    ``series`` is walked.  At each requested degree n, in ascending order,
+    the slope is the derivative mass of the degree-n truncation and the
+    offset is the grid diameter of fn minus that truncation plus a certified
+    budget for what the grid can miss: max and min can each be off by the
+    deviation over half a spacing, bounded by fn_lipschitz plus the slope.
     """
-    if not approx.is_real_valued():
+    if not series.is_real_valued():
         raise InvalidPolynomial("approximant must be real-valued")
-    n = grid_points or config.grid
-    xs = np.linspace(-np.pi, np.pi, n + 1)
-    spacing = 2 * np.pi / n
-    m = approx.derivative_l1()
-    resid = np.asarray(fn(xs), dtype=float) - approx.real_values(xs)
-    diam = float(resid.max() - resid.min())
-    if fn_lipschitz is None and fn_sqrt_lipschitz is None:
-        fn_lipschitz = config.f_lipschitz
-    dev = m * spacing / 2
-    if fn_lipschitz is not None:
-        dev += fn_lipschitz * spacing / 2
-    if fn_sqrt_lipschitz is not None:
-        dev += float(np.sqrt(fn_sqrt_lipschitz * spacing / 2))
-    return BoundLine(m, diam + 2 * dev)
+    xs = np.linspace(-np.pi, np.pi, ENVELOPE_GRID + 1)
+    spacing = 2 * np.pi / ENVELOPE_GRID
+    vals = np.asarray(fn(xs), dtype=float)
+    rows = []
+    for n, partial in zip(range(max(degrees) + 1), series.partial_sums(xs)):
+        if n not in degrees:
+            continue
+        top = series.coeffs[series.degree - n : series.degree + n + 1]
+        m = TrigPoly(n, top).derivative_l1()
+        diam = float(np.ptp(vals - np.real(partial)))
+        dev = m * spacing / 2 + fn_lipschitz * spacing / 2
+        rows.append(BoundLine(m, diam + 2 * dev))
+    return tuple(rows)
 
 
 def _drift_gate(rows: Sequence[BoundLine], reference, label: str) -> None:
@@ -137,16 +135,12 @@ def eta_envelope_f() -> BoundEnvelope:
     Rows come from truncating the degree-5 sine polynomial after 0, 1, 2 and
     3 terms.  The final truncation is f itself, so its offset is exactly 0.
     """
-    rows = []
-    for top in (0, 1, 3):
-        amps = tuple(a if k + 1 <= top else 0.0 for k, a in enumerate(F_AMPLITUDES))
-        p = TrigPoly.from_sin_series(amps)
-        rows.append(eta_line(eval_f, p, fn_lipschitz=DEFAULT_ENVELOPE.f_lipschitz))
-    full = TrigPoly.from_sin_series(F_AMPLITUDES)
+    f5 = TrigPoly.from_sin_series(F_AMPLITUDES)
+    rows = list(eta_lines(eval_f, f5, (0, 1, 3), F_LIPSCHITZ))
     xs = np.linspace(-np.pi, np.pi, 4097)
-    if float(np.max(np.abs(eval_f(xs) - full.real_values(xs)))) > 1e-12:
+    if float(np.max(np.abs(eval_f(xs) - f5.real_values(xs)))) > 1e-12:
         raise NumericalInconsistency("degree-5 polynomial does not reproduce f")
-    rows.append(BoundLine(full.derivative_l1(), 0.0))
+    rows.append(BoundLine(f5.derivative_l1(), 0.0))
     _drift_gate(rows, _REFERENCE_F, "eta_f")
     return BoundEnvelope(tuple(rows))
 
@@ -161,13 +155,7 @@ def eta_envelope_h() -> BoundEnvelope:
     """
     from .bott import fourier_coefficients_h
 
-    c = standard_triple().coefficients
-    rows = []
-    for n in range(6):
-        p = TrigPoly.from_cos_series(c[0], [2 * c[k] for k in range(1, n + 1)])
-        rows.append(
-            eta_line(eval_h, p, fn_lipschitz=DEFAULT_ENVELOPE.h_lipschitz)
-        )
+    rows = list(eta_lines(eval_h, standard_triple().h5, range(6), H_LIPSCHITZ))
     c16 = fourier_coefficients_h(16)
     mass = 2 * float(np.sum(np.arange(17) * np.abs(c16)))
     if mass > _HPRIME_MASS_CAP:
@@ -406,9 +394,6 @@ def certify_log_path(
             )
         ts = np.linspace(0.0, 1.0, 2 * len(ts) - 1)
 
-    lip_h = DEFAULT_ENVELOPE.h_lipschitz
-    lip_f = DEFAULT_ENVELOPE.f_lipschitz
-
     # stage 1: h, h^2 and q = f h are constant along the stage
     def h1_fn(u):
         return eval_h(u)
@@ -420,7 +405,7 @@ def certify_log_path(
         return eval_f(u) * eval_h(u)
 
     eta_h1 = _eta_opt(
-        h1_fn, x, h_std, spacing, "even", delta, lip_h * spacing / 2, config
+        h1_fn, x, h_std, spacing, "even", delta, H_LIPSCHITZ * spacing / 2, config
     )
     eta_h1sq = _eta_opt(
         h1sq_fn, x, h_std**2, spacing, "even", delta,
@@ -455,7 +440,7 @@ def certify_log_path(
         def q_fn(u, t=t):
             return f_fn(u) * h_fn(u)
 
-        lf_t = (1 - t) * lip_f + t / np.pi
+        lf_t = (1 - t) * F_LIPSCHITZ + t / np.pi
         l2_t = 2 * lf_t
         dev_sqrt = float(np.sqrt(l2_t * spacing / 2))
         eta_h = _eta_opt(h_fn, x, ht, spacing, "even", delta, dev_sqrt, config)

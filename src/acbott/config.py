@@ -1,8 +1,9 @@
 """Numerical configuration shared across modules.
 
 All tolerances live here so that contracts stay testable with one documented
-set of defaults.  Every knob can be overridden per call; these are the values
-used by the test suite and the CLI unless flags say otherwise.
+set of defaults.  The gate tolerances are the defaults of keyword arguments
+and the certification parameters a ``CertifyConfig`` passed per call; the
+thresholds and the envelope constants are fixed.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ class Tolerances:
     hermitian: float = 1e-8        # ||H - H*|| gate
     skew: float = 1e-8             # ||X + X^T|| gate (relative to scale)
     selfdual: float = 1e-9         # ||X - X^sharp|| gate for validated inputs
-    reconstruction: float = 1e-8   # ||exp(iK) - V|| gate
     singular: float = 1e-12        # smallest singular value gate for polar part
-    rounding_soft: float = 1e-6    # expected integer residue for winding sums
     rounding_hard: float = 0.01    # residue beyond which the input is broken
     gap_per_dim: float = 1e-8      # signature gap tolerance = gap_per_dim * dim
     branch: float = 1e-12          # half-width of the eigenvalue cluster at -1
@@ -35,23 +34,14 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-@dataclass(frozen=True)
-class EnvelopeConfig:
-    """Grid accounting for slope/offset bound lines.
-
-    Offsets are measured on a uniform grid; the between-sample error is folded
-    into the offset using a Lipschitz budget.  ``h_lipschitz`` is a verified
-    ceiling for the bump function's derivative (true sup is about 1.1928),
-    ``f_lipschitz`` is exact for the degree-5 sine polynomial.
-    """
-
-    grid: int = 2 ** 20
-    h_lipschitz: float = 1.2
-    f_lipschitz: float = 1.875
-    drift_gate: float = 1e-3
-
-
-DEFAULT_ENVELOPE = EnvelopeConfig()
+# Envelope offsets are measured on a uniform grid of ENVELOPE_GRID spacings
+# over one period; the between-sample error is folded into the offset using a
+# Lipschitz budget.  H_LIPSCHITZ is a verified ceiling for the bump
+# function's derivative (true sup is about 1.1928), F_LIPSCHITZ is exact for
+# the degree-5 sine polynomial.
+ENVELOPE_GRID = 2 ** 20
+H_LIPSCHITZ = 1.2
+F_LIPSCHITZ = 1.875
 
 
 @dataclass(frozen=True)

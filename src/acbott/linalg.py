@@ -179,13 +179,24 @@ class TrigPoly:
             return 0.0 + 0.0j
         return complex(self.coeffs[k + self.degree])
 
-    def __call__(self, x):
+    def partial_sums(self, x):
+        """Yield the values at x of the truncations at degree 0, 1, ..., degree.
+
+        One array is updated in place from each value to the next, so a
+        caller that keeps a value past the next step must copy it.
+        """
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape, self.coeffs[self.degree], dtype=complex)
+        yield out
         for k in range(1, self.degree + 1):
             e = np.exp(1j * k * x)
             out += self.coeffs[self.degree + k] * e
             out += self.coeffs[self.degree - k] * np.conj(e)
+            yield out
+
+    def __call__(self, x):
+        for out in self.partial_sums(x):
+            pass
         return out
 
     def real_values(self, x) -> np.ndarray:

@@ -30,10 +30,12 @@ from .selfdual import (
 
 @dataclass(frozen=True)
 class PrincipalLog:
-    """Hermitian K with e^{iK} = V, eigenvalues in [-pi, pi]."""
+    """Hermitian K = Q diag(angles) Q* with e^{iK} = V, eigenvalues in [-pi, pi]."""
 
     K: np.ndarray
     branch_margin: float  # distance of the spectrum of V to -1
+    angles: np.ndarray
+    Q: np.ndarray
 
 
 def principal_log(
@@ -63,9 +65,9 @@ def principal_log(
             gaps = np.diff(np.append(order, order[0] + 2.0 * np.pi))
             widest = int(np.argmax(gaps))
             shift = order[widest] + gaps[widest] / 2.0 - np.pi
-            angles2, Q2 = unitary_eig(V * np.exp(-1j * shift), tol=tol)
-            wrapped = np.angle(np.exp(1j * (angles2 + shift)))
-            K = (Q2 * wrapped) @ Q2.conj().T
+            angles2, Q = unitary_eig(V * np.exp(-1j * shift), tol=tol)
+            angles = np.angle(np.exp(1j * (angles2 + shift)))
+            K = (Q * angles) @ Q.conj().T
             K = (K + K.conj().T) / 2
             drift = operator_norm(K - dual(K, structure))
         if drift > 1e-6:
@@ -75,7 +77,7 @@ def principal_log(
             )
         K = selfdual_part(K, structure)
         K = (K + K.conj().T) / 2
-    return PrincipalLog(K, margin)
+    return PrincipalLog(K, margin, angles, Q)
 
 
 def build_BL(
@@ -84,11 +86,13 @@ def build_BL(
 ) -> BottMatrix:
     """Assemble B_L(U, V); diagonal blocks are exactly +-K/pi."""
     plog = principal_log(pair.V, structure, tol=pair.unitary_tol)
-    lam, W = np.linalg.eigh(plog.K)
-    lam = np.clip(lam, -np.pi, np.pi)
-    hvals = np.sqrt(1.0 - (lam / np.pi) ** 2)
-    hV = (W * hvals) @ W.conj().T
+    # h1(K) on the eigenbasis K was built from, symmetrized as K is
+    hvals = np.sqrt(1.0 - (plog.angles / np.pi) ** 2)
+    hV = (plog.Q * hvals) @ plog.Q.conj().T
     hV = (hV + hV.conj().T) / 2
+    if structure is not None:
+        hV = selfdual_part(hV, structure)
+        hV = (hV + hV.conj().T) / 2
     fV = plog.K / np.pi
     zero = np.zeros_like(fV)
     B = assemble_blocks(fV, zero, hV, pair.U)
@@ -107,5 +111,4 @@ def kappa2_log(sd: SelfDualPair, allow_uncertified: bool = False) -> int:
             "to agree here",
             LogMethodUncertified,
         )
-    bm = build_BL(sd.pair, sd.structure)
-    return _pfaffian_sign(bm.B, bm.gap, sd.structure)
+    return _pfaffian_sign(build_BL(sd.pair, sd.structure), sd.structure)

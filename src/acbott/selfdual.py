@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bott import build_B, require_certified
+from .bott import BottMatrix, build_B, require_certified
 from .config import DEFAULT_TOL
 from .errors import (
     DimensionMismatch,
@@ -235,12 +235,11 @@ def pfaffian(X, tol: float = DEFAULT_TOL.skew) -> complex:
 
 
 def _modified_pfaffian_sign_log(
-    X: np.ndarray, s: DualStructure, tol: float
+    X: np.ndarray, s: DualStructure, tol: float, norm: float
 ) -> Tuple[complex, float]:
     Xd = dual_tensor(X, s)
     drift = operator_norm(X + Xd)
-    scale = max(1.0, operator_norm(X))
-    if drift > tol * scale:
+    if drift > tol * max(1.0, norm):
         raise NotAntiSelfDual(f"anti-self-duality violated by {drift:.3e}")
     Xa = (X - Xd) / 2
     S = s.Q.conj().T @ Xa @ s.Q
@@ -257,7 +256,7 @@ def modified_pfaffian(
     if dim % 4 != 0:
         raise DimensionMismatch(f"modified Pfaffian needs dimension 4N, got {dim}")
     s = _structure_for(dim // 2, structure)
-    phase, log_mag = _modified_pfaffian_sign_log(X, s, tol)
+    phase, log_mag = _modified_pfaffian_sign_log(X, s, tol, operator_norm(X))
     if log_mag == -math.inf:
         return 0j
     return phase * math.exp(log_mag)
@@ -268,22 +267,23 @@ def modified_pfaffian(
 # ---------------------------------------------------------------------------
 
 
-def _pfaffian_sign(B: np.ndarray, gap: float, structure: DualStructure) -> int:
-    """Sign of the modified Pfaffian, with the magnitude-floor check.
+def _pfaffian_sign(bm: BottMatrix, structure: DualStructure) -> int:
+    """Sign of the modified Pfaffian of bm.B, with the magnitude-floor check.
 
     The Pfaffian of an invertible hermitian anti-self-dual matrix is real and
     bounded below in magnitude by gap^(dim/2), so a computed magnitude under
-    that floor is flagged.
+    that floor is flagged.  B is hermitian, so ||B|| = max |eigenvalue|.
     """
-    phase, log_mag = _modified_pfaffian_sign_log(B, structure, tol=1e-7)
+    norm = float(np.max(np.abs(bm.eigs)))
+    phase, log_mag = _modified_pfaffian_sign_log(bm.B, structure, 1e-7, norm)
     if log_mag == -math.inf:
         raise NumericalInconsistency("modified Pfaffian vanished")
     if abs(phase.imag) > 1e-6:
         raise NumericalInconsistency(
             f"modified Pfaffian phase {phase:.3e} is not real"
         )
-    if gap > 0:
-        floor = (B.shape[0] / 2) * math.log(gap)
+    if bm.gap > 0:
+        floor = (bm.B.shape[0] / 2) * math.log(bm.gap)
         if log_mag < floor - 1e-9:
             warnings.warn(
                 "Pfaffian magnitude below the gap-certified floor; "
@@ -303,8 +303,7 @@ def pfaffian_bott_index(
     Certified for delta <= KAPPA_THRESHOLD.
     """
     require_certified(sd.delta, allow_uncertified)
-    bm = build_B(sd.pair, use_trigpoly=use_trigpoly)
-    return _pfaffian_sign(bm.B, bm.gap, sd.structure)
+    return _pfaffian_sign(build_B(sd.pair, use_trigpoly=use_trigpoly), sd.structure)
 
 
 def selfdual_distance_bounds(

@@ -12,7 +12,7 @@ from acbott.bounds import (
     coarse_gap,
     eta_envelope_f,
     eta_envelope_h,
-    eta_line,
+    eta_lines,
     guaranteed_gap,
     variation_bound,
 )
@@ -66,7 +66,36 @@ def test_envelope_is_pointwise_minimum():
 def test_eta_line_rejects_complex_polynomial():
     p = TrigPoly(1, [0.0, 0.0, 1.0 + 0.5j])  # a_1 without conjugate partner
     with pytest.raises(InvalidPolynomial):
-        eta_line(np.sin, p)
+        eta_lines(np.sin, p, (0, 1), fn_lipschitz=1.0)
+
+
+@pytest.fixture
+def fresh_envelopes():
+    eta_envelope_f.cache_clear()
+    eta_envelope_h.cache_clear()
+    yield
+    eta_envelope_f.cache_clear()
+    eta_envelope_h.cache_clear()
+
+
+def test_envelopes_evaluate_each_function_once(fresh_envelopes, monkeypatch):
+    import acbott.bounds as bounds
+
+    counts = {"f": 0, "h": 0}
+
+    def counted(key, fn):
+        def wrapper(x):
+            counts[key] += 1
+            return fn(x)
+
+        return wrapper
+
+    monkeypatch.setattr(bounds, "eval_f", counted("f", bounds.eval_f))
+    monkeypatch.setattr(bounds, "eval_h", counted("h", bounds.eval_h))
+    eta_envelope_f()
+    eta_envelope_h()
+    # f: the offset grid and the degree-5 reproduction check; h: the grid
+    assert counts == {"f": 2, "h": 1}
 
 
 def test_drift_gate_raises_on_drift():

@@ -88,7 +88,12 @@ def test_index_selfdual_log_uncertified_above_eighth(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "kind, flags", [("cyclic_shift", ()), ("selfdual_doubling", ("--self-dual",))]
+    "kind, flags",
+    [
+        ("cyclic_shift", ()),
+        ("selfdual_doubling", ("--self-dual",)),
+        ("commuting_random", ("--method", "log")),
+    ],
 )
 def test_index_factorizes_V_and_W_once(tmp_path, capsys, monkeypatch, kind, flags):
     prefix = str(tmp_path / "p31")
@@ -108,7 +113,7 @@ def test_index_factorizes_V_and_W_once(tmp_path, capsys, monkeypatch, kind, flag
     rc, _, _ = run(capsys, "index", f"{prefix}_U.txt", f"{prefix}_V.txt",
                    "--method", "trig", *flags)
     assert rc == 0
-    # one Schur of V, one of W = VUV*U*, one hermitian eig of B
+    # one Schur of V, one of W = VUV*U*, one hermitian eig of B or B_L
     assert counts == {"schur": 2, "eigh": 1}
 
 

@@ -178,6 +178,17 @@ def test_trigpoly_cos_series_values(a0, a):
     assert np.max(np.abs(p.real_values(x) - direct)) < 1e-12
 
 
+def test_trigpoly_partial_sums_are_the_truncations(rng):
+    n = 4
+    p = TrigPoly(n, rng.normal(size=2 * n + 1) + 1j * rng.normal(size=2 * n + 1))
+    x = np.linspace(-np.pi, np.pi, 257)
+    for k, value in enumerate(p.partial_sums(x)):
+        truncated = TrigPoly(k, p.coeffs[n - k : n + k + 1])
+        assert np.array_equal(value, truncated(x))
+    assert k == n
+    assert np.array_equal(value, p(x))
+
+
 def test_trigpoly_derivative_l1_exact():
     # dyadic amplitudes make this equality exact in floating point
     f5 = TrigPoly.from_sin_series([150 / 128, 0.0, 25 / 128, 0.0, 3 / 128])
