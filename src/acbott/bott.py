@@ -129,18 +129,26 @@ class StandardTriple:
     f5: TrigPoly
     g5: TrigPoly
     h5: TrigPoly
-    coefficients: np.ndarray  # c_0..c_5 of h
+    coefficients16: np.ndarray  # c_0..c_16 of h; the envelope's mass cap reads all
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """c_0..c_5 of h, the coefficients of h5."""
+        return self.coefficients16[:6]
 
 
 @functools.lru_cache(maxsize=1)
 def standard_triple() -> StandardTriple:
-    c = fourier_coefficients_h(5)
+    # one quadrature pass for every coefficient the process needs: each c_n
+    # is integrated on its own, so c_0..c_5 are the same as from max_n = 5
+    c16 = fourier_coefficients_h(16)
+    c = c16[:6]
     f5 = TrigPoly.from_sin_series(F_AMPLITUDES)
     h5 = TrigPoly.from_cos_series(c[0], [2 * c[k] for k in range(1, 6)])
     # g is h shifted by pi, so its cosine coefficients alternate in sign
     b = [(-1.0) ** k * c[k] for k in range(6)]
     g5 = TrigPoly.from_cos_series(b[0], [2 * b[k] for k in range(1, 6)])
-    return StandardTriple(eval_f, eval_g, eval_h, f5, g5, h5, c)
+    return StandardTriple(eval_f, eval_g, eval_h, f5, g5, h5, c16)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.fft import dct, dst
 from scipy.optimize import brentq, linprog
 
 from .bott import F_AMPLITUDES, eval_f, eval_h, standard_triple
@@ -153,10 +154,9 @@ def eta_envelope_h() -> BoundEnvelope:
     slope-only row is the stored analytic derivative-mass bound, cross
     checked against partial Fourier masses which may never exceed it.
     """
-    from .bott import fourier_coefficients_h
-
-    rows = list(eta_lines(eval_h, standard_triple().h5, range(6), H_LIPSCHITZ))
-    c16 = fourier_coefficients_h(16)
+    triple = standard_triple()
+    rows = list(eta_lines(eval_h, triple.h5, range(6), H_LIPSCHITZ))
+    c16 = triple.coefficients16
     mass = 2 * float(np.sum(np.arange(17) * np.abs(c16)))
     if mass > _HPRIME_MASS_CAP:
         raise TableDrift(
@@ -248,11 +248,26 @@ def _lp_line(vals, xs, parity, degree, delta):
     return res.x[:nc], ks
 
 
-def _eval_half_series(coeffs, ks, parity, x):
-    out = np.zeros_like(x)
-    trig = np.cos if parity == "even" else np.sin
-    for c, k in zip(coeffs, ks):
-        out += c * trig(k * x)
+def _eval_half_series(coeffs, parity, n):
+    """Half-range series on the uniform grid x_j = j pi / n, j = 0..n.
+
+    Even parity sums c_k cos(k x) over k = 0..len(coeffs)-1 as one DCT-I of
+    the zero-padded coefficients (k >= 1 halved, since the transform doubles
+    interior terms); odd parity sums c_k sin(k x) over k = 1..len(coeffs) as
+    one DST-I on the n - 1 interior points, and both endpoints are exactly 0.
+    The grid has n + 1 points and must resolve every degree: the largest k
+    must stay below n, or the transform aliases it onto a lower one.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if parity == "even":
+        padded = np.zeros(n + 1)
+        padded[: len(coeffs)] = coeffs
+        padded[1:] /= 2
+        return dct(padded, type=1)
+    padded = np.zeros(n - 1)
+    padded[: len(coeffs)] = coeffs / 2
+    out = np.zeros(n + 1)
+    out[1:-1] = dst(padded, type=1)
     return out
 
 
@@ -268,7 +283,7 @@ def _eta_opt(fn, fine_x, fine_vals, spacing, parity, delta, dev_fn, cfg):
     vs = np.asarray(fn(xs), dtype=float)
 
     def certified(coeffs, ks):
-        resid = fine_vals - _eval_half_series(coeffs, ks, parity, fine_x)
+        resid = fine_vals - _eval_half_series(coeffs, parity, cfg.fine_grid)
         m = float(np.sum(ks * np.abs(coeffs)))
         diam = float(resid.max() - resid.min())
         eta = m * delta + diam + 2 * (dev_fn + m * spacing / 2)
@@ -359,6 +374,11 @@ def certify_log_path(
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
+    if config.max_degree >= config.fine_grid:
+        raise ValueError(
+            f"max_degree {config.max_degree} must stay below fine_grid "
+            f"{config.fine_grid}: a grid of fine_grid + 1 points aliases it"
+        )
     auto = mesh is None
     ts = (
         np.linspace(0.0, 1.0, config.mesh_per_stage)

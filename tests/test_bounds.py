@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import acbott.bott as bott
 from acbott.bounds import (
     BoundLine,
     _drift_gate,
+    _eval_half_series,
     beta,
     beta_root,
     certify_log_path,
@@ -96,6 +98,24 @@ def test_envelopes_evaluate_each_function_once(fresh_envelopes, monkeypatch):
     eta_envelope_h()
     # f: the offset grid and the degree-5 reproduction check; h: the grid
     assert counts == {"f": 2, "h": 1}
+
+
+def test_standard_triple_and_h_envelope_share_one_quadrature(fresh_envelopes, monkeypatch):
+    reference = eta_envelope_h().lines
+    quadrature = bott.fourier_coefficients_h
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(bott, "fourier_coefficients_h", counted)
+    bott.standard_triple.cache_clear()
+    eta_envelope_h.cache_clear()
+    triple = bott.standard_triple()
+    assert eta_envelope_h().lines == reference
+    assert len(calls) == 1
+    assert np.array_equal(triple.coefficients, quadrature(5))
 
 
 def test_drift_gate_raises_on_drift():
@@ -211,3 +231,53 @@ def test_certify_accepts_fine_user_mesh():
 def test_certify_negative_delta():
     with pytest.raises(ValueError):
         certify_log_path(-0.01, config=CHEAP)
+
+
+def test_certify_rejects_degree_the_grid_aliases():
+    tiny = CertifyConfig(fine_grid=8, max_degree=16, coarse_points=16)
+    with pytest.raises(ValueError, match="max_degree"):
+        certify_log_path(0.02, config=tiny)
+
+
+def _half_series_loop(coeffs, parity, n):
+    # the direct sum, independent of the transform under test
+    x = np.linspace(0.0, np.pi, n + 1)
+    out = np.zeros_like(x)
+    if parity == "even":
+        for k, c in enumerate(coeffs):
+            out += c * np.cos(k * x)
+    else:
+        for k, c in enumerate(coeffs, start=1):
+            out += c * np.sin(k * x)
+    return out
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("n", [2**13, 3000])
+@pytest.mark.parametrize("top", ["lowest", "largest"])
+def test_half_series_transform_matches_direct_sum(parity, n, top):
+    # lowest: degree 0 alone (odd: degree 1); largest: degree n - 1
+    count = 1 if top == "lowest" else (n if parity == "even" else n - 1)
+    rng = np.random.default_rng(n + count)
+    coeffs = rng.standard_normal(count)
+    # unit coefficient mass, so 1e-13 is relative to the size of the sum
+    coeffs /= np.abs(coeffs).sum()
+    got = _eval_half_series(coeffs, parity, n)
+    want = _half_series_loop(coeffs, parity, n)
+    assert got.shape == (n + 1,)
+    assert np.max(np.abs(got - want)) < 1e-13
+    if parity == "odd":
+        assert got[0] == 0.0 and got[-1] == 0.0
+
+
+def test_certify_same_with_direct_series_sum(monkeypatch):
+    import acbott.bounds as bounds
+
+    fast = certify_log_path(0.02, config=CHEAP)
+    monkeypatch.setattr(bounds, "_eval_half_series", _half_series_loop)
+    slow = certify_log_path(0.02, config=CHEAP)
+    assert [r[:2] for r in fast.rows()] == [r[:2] for r in slow.rows()]
+    np.testing.assert_allclose(
+        [r[2] for r in fast.rows()], [r[2] for r in slow.rows()], rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(fast.stage1_etas, slow.stage1_etas, rtol=0, atol=1e-12)
