@@ -69,7 +69,8 @@ class OddDimension(AlmostCommutingError):
 
 
 class IllConditionedSign(UserWarning):
-    """A sign was extracted from a value below its certified magnitude floor."""
+    """A sign was extracted from a value whose magnitude disagrees with its
+    spectral value, or whose error bound reaches the spectral gap."""
 
 
 class NotSkewSymmetric(AlmostCommutingError):

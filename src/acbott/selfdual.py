@@ -6,6 +6,12 @@ doubling.  For a self-dual almost-commuting pair the signature index always
 vanishes, and the finer invariant is the sign of a modified Pfaffian of the
 same block matrix, computed here through a basis rotation Q that turns
 anti-self-dual matrices into skew-symmetric ones.
+
+Two Pfaffian routes serve general complex skew input: Householder
+congruences in complex arithmetic, cross-checked against pivoted LTL^T
+elimination.  The sign index takes a third, real route: for the hermitian
+block matrix, Q* B Q is i times a real skew matrix, whose Pfaffian comes from
+one LAPACK Hessenberg reduction and is checked against the spectrum of B.
 """
 
 from __future__ import annotations
@@ -188,6 +194,33 @@ def _pfaffian_sign_log(X: np.ndarray) -> Tuple[complex, float]:
     return phase_acc, log_mag
 
 
+def _real_pfaffian_sign_log(R: np.ndarray) -> Tuple[int, float]:
+    """(sign, log magnitude) of the Pfaffian of an exactly skew real R.
+
+    One blocked LAPACK Hessenberg reduction (dgehrd) gives H = O^T R O with
+    O a product of elementary reflectors.  For a real O the similarity is
+    also a congruence, so H is skew tridiagonal up to rounding and
+    Pf(R) = det(O) prod_j H[2j, 2j+1], where each reflector with nonzero tau
+    contributes det = -1.
+    """
+    from scipy.linalg.lapack import dgehrd, dgehrd_lwork
+
+    n = R.shape[0]
+    work, info = dgehrd_lwork(n)
+    if info != 0:
+        raise NumericalInconsistency(f"dgehrd workspace query failed: info {info}")
+    H, tau, info = dgehrd(
+        np.array(R, dtype=float, order="F"), lwork=int(work), overwrite_a=True
+    )
+    if info != 0:
+        raise NumericalInconsistency(f"dgehrd failed: info {info}")
+    b = np.diagonal(H, 1)[::2]
+    if np.any(b == 0.0):
+        return 0, -math.inf
+    flips = np.count_nonzero(tau) + np.count_nonzero(b < 0.0)
+    return (-1 if flips % 2 else 1), float(np.sum(np.log(np.abs(b))))
+
+
 def _pfaffian_parlett_reid(X: np.ndarray) -> complex:
     """Pivoted LTL^T elimination, kept as an independent cross-check."""
     T = np.array(X, dtype=complex)
@@ -234,17 +267,27 @@ def pfaffian(X, tol: float = DEFAULT_TOL.skew) -> complex:
     return value
 
 
-def _modified_pfaffian_sign_log(
+def _rotated_anti_selfdual(
     X: np.ndarray, s: DualStructure, tol: float, norm: float
-) -> Tuple[complex, float]:
+) -> Tuple[np.ndarray, float]:
+    """(Q* X_a Q made exactly skew, an upper bound on ||X + X^#||).
+
+    X_a = (X - X^#)/2 is the anti-self-dual part of X.  The gate tries the
+    Frobenius norm of X + X^# first, an upper bound on its operator norm, and
+    takes the SVD only when that bound does not clear tol * max(1, norm), so
+    no decision is looser than the exact norm.
+    """
     Xd = dual_tensor(X, s)
-    drift = operator_norm(X + Xd)
-    if drift > tol * max(1.0, norm):
-        raise NotAntiSelfDual(f"anti-self-duality violated by {drift:.3e}")
+    limit = tol * max(1.0, norm)
+    defect = X + Xd
+    drift = float(np.linalg.norm(defect))
+    if drift > limit:
+        drift = operator_norm(defect)
+        if drift > limit:
+            raise NotAntiSelfDual(f"anti-self-duality violated by {drift:.3e}")
     Xa = (X - Xd) / 2
     S = s.Q.conj().T @ Xa @ s.Q
-    S = (S - S.T) / 2
-    return _pfaffian_sign_log(S)
+    return (S - S.T) / 2, drift
 
 
 def modified_pfaffian(
@@ -256,7 +299,8 @@ def modified_pfaffian(
     if dim % 4 != 0:
         raise DimensionMismatch(f"modified Pfaffian needs dimension 4N, got {dim}")
     s = _structure_for(dim // 2, structure)
-    phase, log_mag = _modified_pfaffian_sign_log(X, s, tol, operator_norm(X))
+    S, _ = _rotated_anti_selfdual(X, s, tol, operator_norm(X))
+    phase, log_mag = _pfaffian_sign_log(S)
     if log_mag == -math.inf:
         return 0j
     return phase * math.exp(log_mag)
@@ -268,29 +312,51 @@ def modified_pfaffian(
 
 
 def _pfaffian_sign(bm: BottMatrix, structure: DualStructure) -> int:
-    """Sign of the modified Pfaffian of bm.B, with the magnitude-floor check.
+    """Sign of the modified Pfaffian of bm.B, with the magnitude cross-check.
 
-    The Pfaffian of an invertible hermitian anti-self-dual matrix is real and
-    bounded below in magnitude by gap^(dim/2), so a computed magnitude under
-    that floor is flagged.  B is hermitian, so ||B|| = max |eigenvalue|.
+    B is hermitian and anti-self-dual, so S = Q* B Q is hermitian and skew:
+    S = iR with R = Im S real skew.  A non-hermitian B would leave a real part
+    in S; ||Re S||_F above 1e-7 * max(1, ||B||) raises NumericalInconsistency.
+    The Pfaffian is then real, Pf(S) = i^(dim/2) Pf(R) = (-1)^N Pf(R), and
+    Pf(R) comes from one real Hessenberg reduction.  B is hermitian, so
+    ||B|| = max |eigenvalue|.
+
+    S has the spectrum of B up to eta = ||B + B^#|| / 2 + ||Re S||_F plus the
+    rounding of the reductions, counted as dim * 1e-13 * max(1, ||B||).  Its
+    eigenvalues come in +- pairs, so |Pf(S)| = prod |lambda_i|^(1/2), and
+    when eta < gap the computed log |Pf| must lie within
+    (dim/2) * eta / (gap - eta) of (1/2) sum log |lambda_i| over bm.eigs.
+    Outside that window, or when eta reaches the gap, IllConditionedSign is
+    warned: the sign may be unreliable.
     """
     norm = float(np.max(np.abs(bm.eigs)))
-    phase, log_mag = _modified_pfaffian_sign_log(bm.B, structure, 1e-7, norm)
+    scale = max(1.0, norm)
+    S, drift = _rotated_anti_selfdual(bm.B, structure, 1e-7, norm)
+    real_part = float(np.linalg.norm(S.real))
+    if real_part > 1e-7 * scale:
+        raise NumericalInconsistency(
+            f"Q* B Q has a real part of Frobenius norm {real_part:.3e}; "
+            "B is not hermitian"
+        )
+    sign, log_mag = _real_pfaffian_sign_log(S.imag)
     if log_mag == -math.inf:
         raise NumericalInconsistency("modified Pfaffian vanished")
-    if abs(phase.imag) > 1e-6:
-        raise NumericalInconsistency(
-            f"modified Pfaffian phase {phase:.3e} is not real"
+    if structure.N % 2:
+        sign = -sign
+    dim = bm.B.shape[0]
+    eta = drift / 2 + real_part + dim * 1e-13 * scale
+    if eta < bm.gap:
+        spectral = 0.5 * float(np.sum(np.log(np.abs(bm.eigs))))
+        reliable = abs(log_mag - spectral) <= (dim / 2) * eta / (bm.gap - eta)
+    else:
+        reliable = False
+    if not reliable:
+        warnings.warn(
+            "Pfaffian magnitude disagrees with the spectrum of B; "
+            "sign may be unreliable",
+            IllConditionedSign,
         )
-    if bm.gap > 0:
-        floor = (bm.B.shape[0] / 2) * math.log(bm.gap)
-        if log_mag < floor - 1e-9:
-            warnings.warn(
-                "Pfaffian magnitude below the gap-certified floor; "
-                "sign may be unreliable",
-                IllConditionedSign,
-            )
-    return 1 if phase.real > 0 else -1
+    return sign
 
 
 def pfaffian_bott_index(

@@ -178,8 +178,15 @@ def test_variation_bound():
 # ---------------------------------------------------------------------------
 
 
-def test_certify_passes_at_small_delta():
-    report = certify_log_path(0.02, config=CHEAP)
+@pytest.fixture(scope="module")
+def cheap_report():
+    # one CHEAP certification at delta 0.02, shared by the tests that only
+    # read it
+    return certify_log_path(0.02, config=CHEAP)
+
+
+def test_certify_passes_at_small_delta(cheap_report):
+    report = cheap_report
     assert report.passed
     assert report.max_bound < CHEAP.threshold
     assert max(report.step_sums) <= CHEAP.step_budget
@@ -199,8 +206,8 @@ def test_certify_fails_at_large_delta():
     assert report.max_bound >= CHEAP.threshold
 
 
-def test_certify_auto_refines_default_mesh():
-    report = certify_log_path(0.02, config=CHEAP)
+def test_certify_auto_refines_default_mesh(cheap_report):
+    report = cheap_report
     # nine points violate the step rule; doubling lands at 65
     assert len(report.stage1_t) == 65
     assert max(report.step_sums) <= CHEAP.step_budget
@@ -270,10 +277,10 @@ def test_half_series_transform_matches_direct_sum(parity, n, top):
         assert got[0] == 0.0 and got[-1] == 0.0
 
 
-def test_certify_same_with_direct_series_sum(monkeypatch):
+def test_certify_same_with_direct_series_sum(cheap_report, monkeypatch):
     import acbott.bounds as bounds
 
-    fast = certify_log_path(0.02, config=CHEAP)
+    fast = cheap_report
     monkeypatch.setattr(bounds, "_eval_half_series", _half_series_loop)
     slow = certify_log_path(0.02, config=CHEAP)
     assert [r[:2] for r in fast.rows()] == [r[:2] for r in slow.rows()]

@@ -1,18 +1,24 @@
 """Dual operation, Pfaffians, and the sign index kappa_2."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acbott.bott import build_B
+import acbott.selfdual as selfdual
+from acbott.analysis import analyze
+from acbott.bott import BottMatrix, build_B
 from acbott.errors import (
     DimensionMismatch,
+    IllConditionedSign,
     NoObstruction,
     NotAntiSelfDual,
     NotHermitian,
     NotSelfDual,
     NotSkewSymmetric,
+    NumericalInconsistency,
     OddDimension,
     ThresholdExceeded,
 )
@@ -22,7 +28,12 @@ from acbott.generators import (
     perturb_selfdual,
     selfdual_doubling,
 )
+from acbott.logmethod import build_BL, kappa2_log
 from acbott.selfdual import (
+    _pfaffian_sign,
+    _pfaffian_sign_log,
+    _real_pfaffian_sign_log,
+    _rotated_anti_selfdual,
     check_kramers,
     dual,
     dual_structure,
@@ -233,3 +244,141 @@ def test_selfdual_distance_bound_threshold_gate():
     b = selfdual_doubling(commuting_random(8, seed=0))
     with pytest.raises(ThresholdExceeded):
         selfdual_distance_bounds(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the real Hessenberg route behind kappa2
+# ---------------------------------------------------------------------------
+
+
+def _both_routes(B, structure):
+    """(complex phase, log|Pf|) and (sign, log|Pf|) of Pf(Q* B Q)."""
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(B))))
+    S, _ = _rotated_anti_selfdual(B, structure, 1e-7, norm)
+    assert np.linalg.norm(S.real) <= 1e-12 * max(1.0, norm)
+    sign, log_mag = _real_pfaffian_sign_log(S.imag)
+    # Pf(iR) = i^(dim/2) Pf(R) = (-1)^N Pf(R)
+    sign = -sign if structure.N % 2 else sign
+    return _pfaffian_sign_log(S), (sign, log_mag)
+
+
+def _random_hermitian_anti_selfdual(N, rng):
+    H = random_hermitian(4 * N, rng)
+    H = (H - dual_tensor(H, dual_structure(N))) / 2
+    return (H + H.conj().T) / 2
+
+
+def _kappa2_test_pairs():
+    yield selfdual_doubling(cyclic_shift_pair(64))
+    yield selfdual_doubling(cyclic_shift_pair(31))
+    for seed in range(3):
+        yield selfdual_doubling(commuting_random(6, seed=seed))
+    sd = selfdual_doubling(cyclic_shift_pair(64))
+    for seed in (0, 1):
+        yield perturb_selfdual(sd, 0.05, seed=seed)
+
+
+def test_real_route_matches_householder_on_kappa2_pairs():
+    for sd in _kappa2_test_pairs():
+        for bm in (build_B(sd.pair), build_BL(sd.pair, sd.structure)):
+            (phase, log_c), (sign, log_r) = _both_routes(bm.B, sd.structure)
+            assert abs(phase.imag) <= 1e-9
+            assert sign == (1 if phase.real > 0 else -1)
+            assert log_r == pytest.approx(log_c, abs=1e-10)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 32, 128])
+def test_real_route_matches_householder_on_random_matrices(N):
+    rng = np.random.default_rng(1000 + N)
+    for _ in range(3 if N <= 32 else 1):
+        B = _random_hermitian_anti_selfdual(N, rng)
+        s = dual_structure(N)
+        (phase, log_c), (sign, log_r) = _both_routes(B, s)
+        assert abs(phase.imag) <= 1e-9
+        assert sign == (1 if phase.real > 0 else -1)
+        assert log_r == pytest.approx(log_c, abs=1e-9 * 4 * N)
+        # magnitude is the spectral one: |Pf|^2 = |det B|
+        spectral = 0.5 * np.sum(np.log(np.abs(np.linalg.eigvalsh(B))))
+        assert log_r == pytest.approx(spectral, abs=1e-9 * 4 * N)
+
+
+def test_real_route_standard_blocks():
+    # same anchors as the complex route: ((0,I),(I,0)) has Pfaffian +1
+    for N in (1, 2, 3):
+        I = np.eye(2 * N)
+        O = np.zeros((2 * N, 2 * N))
+        bm = BottMatrix.of(np.block([[O, I], [I, O]]), 0.0, "trig")
+        assert _pfaffian_sign(bm, dual_structure(N)) == 1
+
+
+def test_kappa2_selfdual_N256():
+    # B has dim 1024; the magnitude cross-check must pass without warning
+    sd = selfdual_doubling(cyclic_shift_pair(256))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IllConditionedSign)
+        report = analyze(sd.pair, sd.structure)
+    assert report.kappa2 == -1
+    assert report.kappa == 0
+    assert report.kappa_certified
+
+
+def test_pfaffian_sign_rejects_non_hermitian_B():
+    sd = selfdual_doubling(cyclic_shift_pair(12))
+    bm = build_B(sd.pair)
+    rng = np.random.default_rng(5)
+    # i times a hermitian anti-self-dual matrix keeps anti-self-duality but
+    # adds an anti-hermitian part, which lands in Re(Q* B Q)
+    A = _random_hermitian_anti_selfdual(sd.N, rng)
+    bad = BottMatrix(bm.B + 1e-3j * A, bm.delta, bm.eigs, bm.method)
+    with pytest.raises(NumericalInconsistency, match="real part"):
+        _pfaffian_sign(bad, sd.structure)
+
+
+def test_pfaffian_sign_warns_on_magnitude_mismatch(monkeypatch):
+    sd = selfdual_doubling(cyclic_shift_pair(12))
+    bm = build_B(sd.pair)
+    real_route = selfdual._real_pfaffian_sign_log
+
+    def off_by_one_percent(R):
+        sign, log_mag = real_route(R)
+        return sign, log_mag + 0.01
+
+    monkeypatch.setattr(selfdual, "_real_pfaffian_sign_log", off_by_one_percent)
+    with pytest.warns(IllConditionedSign):
+        assert _pfaffian_sign(bm, sd.structure) == -1
+
+
+def test_kappa2_callers_never_take_the_complex_loop(monkeypatch):
+    sd = selfdual_doubling(cyclic_shift_pair(64))
+    calls = {"complex": 0, "real": 0, "svd": 0}
+    complex_route = selfdual._pfaffian_sign_log
+    real_route = selfdual._real_pfaffian_sign_log
+    norm = selfdual.operator_norm
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(selfdual, "_pfaffian_sign_log", counted("complex", complex_route))
+    monkeypatch.setattr(selfdual, "_real_pfaffian_sign_log", counted("real", real_route))
+    monkeypatch.setattr(selfdual, "operator_norm", counted("svd", norm))
+    for method in ("trig", "log"):
+        assert analyze(sd.pair, sd.structure, method=method).kappa2 == -1
+    assert pfaffian_bott_index(sd) == -1
+    assert kappa2_log(sd) == -1
+    # the Frobenius bound clears the anti-self-duality gate: no SVD either
+    assert calls == {"complex": 0, "real": 4, "svd": 0}
+
+
+def test_anti_selfduality_gate_falls_back_to_exact_norm():
+    # X + eps I has defect X + X^# = 2 eps I: operator norm 2 eps, Frobenius
+    # norm 2 eps sqrt(8); the decision follows the operator norm
+    I = np.eye(4)
+    O = np.zeros((4, 4))
+    X = np.block([[O, I], [I, O]])
+    assert modified_pfaffian(X + 0.4e-7 * np.eye(8)) == pytest.approx(1.0, rel=1e-6)
+    with pytest.raises(NotAntiSelfDual):
+        modified_pfaffian(X + 0.6e-7 * np.eye(8))
