@@ -137,11 +137,33 @@ class StandardTriple:
         return self.coefficients16[:6]
 
 
+# c_0..c_16 of h as fourier_coefficients_h(16) computes them (each c_n is
+# integrated on its own, so c_0..c_5 equal those of max_n = 5); the test
+# suite recomputes them and requires equality
+_H_COEFFICIENTS16 = (
+    0.20204721666342668,
+    0.17994001948259783,
+    0.1256551641641235,
+    0.06600953853608497,
+    0.023444820911186822,
+    0.003885617521058475,
+    -0.00042012268094608873,
+    0.00017595201124724375,
+    0.00041012917587456455,
+    -1.150820534530477e-05,
+    -0.00016413435035963076,
+    4.122627976746971e-07,
+    7.653627445525553e-05,
+    1.7675400359065974e-08,
+    -4.0648848491763417e-05,
+    -2.8896068234916094e-09,
+    2.3625764701359684e-05,
+)
+
+
 @functools.lru_cache(maxsize=1)
 def standard_triple() -> StandardTriple:
-    # one quadrature pass for every coefficient the process needs: each c_n
-    # is integrated on its own, so c_0..c_5 are the same as from max_n = 5
-    c16 = fourier_coefficients_h(16)
+    c16 = np.array(_H_COEFFICIENTS16)
     c = c16[:6]
     f5 = TrigPoly.from_sin_series(F_AMPLITUDES)
     h5 = TrigPoly.from_cos_series(c[0], [2 * c[k] for k in range(1, 6)])

@@ -15,6 +15,14 @@ The same machinery certifies the homotopy connecting the trigonometric block
 matrix to its log-method variant: along the two-stage path of function
 triples, optimal approximants are found by linear programming at each mesh
 point and the resulting bound must stay below the certification threshold.
+
+The envelope rows and the cosine coefficients of h are fixed constants of the
+construction, so they are stored as exact float literals and a process only
+reads them.  ``_eta_f_rows`` and ``_eta_h_rows`` re-derive the rows on the
+offset grid together with the degree-5 reproduction check, the c_0..c_16
+mass cap and the drift gates against the published rows; the test suite runs
+them and requires the stored rows to match bit for bit.  scipy.optimize and
+scipy.fft are imported by the certification on first use only.
 """
 
 from __future__ import annotations
@@ -24,8 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.fft import dct, dst
-from scipy.optimize import brentq, linprog
 
 from .bott import F_AMPLITUDES, eval_f, eval_h, standard_triple
 from .config import (
@@ -65,6 +71,23 @@ _REFERENCE_H = (
 # slope-only reference row
 _HPRIME_MASS_CAP = 2.992076
 
+# (m, b) rows as _eta_f_rows and _eta_h_rows compute them, less h's
+# slope-only row
+_ETA_F_ROWS = (
+    (0.0, 2.0000112352108492),
+    (1.171875, 0.4190156584543723),
+    (1.7578125, 0.04689676822101949),
+    (1.875, 0.0),
+)
+_ETA_H_ROWS = (
+    (0.0, 1.0000071905349432),
+    (0.35988003896519566, 0.7322456079477796),
+    (0.8625006956216896, 0.3501520240209381),
+    (1.2585579268381994, 0.10663418345538332),
+    (1.446116494127694, 0.017523154960116694),
+    (1.4849726693382788, 0.004125682084212452),
+)
+
 
 @dataclass(frozen=True)
 class BoundLine:
@@ -86,6 +109,10 @@ class BoundEnvelope:
 
     def __call__(self, delta: float) -> float:
         return min(line(delta) for line in self.lines)
+
+
+# h's slope-only row: the analytic derivative-mass bound, offset exactly 0
+_H_SLOPE_ROW = BoundLine(_REFERENCE_H[-1][0], 0.0, provenance="stored")
 
 
 def eta_lines(
@@ -135,7 +162,25 @@ def eta_envelope_f() -> BoundEnvelope:
 
     Rows come from truncating the degree-5 sine polynomial after 0, 1, 2 and
     3 terms.  The final truncation is f itself, so its offset is exactly 0.
+    The rows are the stored output of ``_eta_f_rows``.
     """
+    return BoundEnvelope(tuple(BoundLine(m, b) for m, b in _ETA_F_ROWS))
+
+
+@functools.lru_cache(maxsize=1)
+def eta_envelope_h() -> BoundEnvelope:
+    """Envelope for the commutator of h[V] with U.
+
+    Rows n = 0..5 come from the cosine coefficients of h; the slope-only row
+    is the stored analytic derivative-mass bound.  The rows are the stored
+    output of ``_eta_h_rows``.
+    """
+    rows = tuple(BoundLine(m, b) for m, b in _ETA_H_ROWS)
+    return BoundEnvelope(rows + (_H_SLOPE_ROW,))
+
+
+def _eta_f_rows() -> Tuple[BoundLine, ...]:
+    """Recompute the rows of eta_envelope_f, with every check on them."""
     f5 = TrigPoly.from_sin_series(F_AMPLITUDES)
     rows = list(eta_lines(eval_f, f5, (0, 1, 3), F_LIPSCHITZ))
     xs = np.linspace(-np.pi, np.pi, 4097)
@@ -143,16 +188,14 @@ def eta_envelope_f() -> BoundEnvelope:
         raise NumericalInconsistency("degree-5 polynomial does not reproduce f")
     rows.append(BoundLine(f5.derivative_l1(), 0.0))
     _drift_gate(rows, _REFERENCE_F, "eta_f")
-    return BoundEnvelope(tuple(rows))
+    return tuple(rows)
 
 
-@functools.lru_cache(maxsize=1)
-def eta_envelope_h() -> BoundEnvelope:
-    """Envelope for the commutator of h[V] with U.
+def _eta_h_rows() -> Tuple[BoundLine, ...]:
+    """Recompute the rows of eta_envelope_h, with every check on them.
 
-    Rows n = 0..5 are recomputed from the cosine coefficients of h; the
-    slope-only row is the stored analytic derivative-mass bound, cross
-    checked against partial Fourier masses which may never exceed it.
+    The slope-only row is cross checked against the partial Fourier masses
+    of c_0..c_16, which may never exceed it.
     """
     triple = standard_triple()
     rows = list(eta_lines(eval_h, triple.h5, range(6), H_LIPSCHITZ))
@@ -162,9 +205,9 @@ def eta_envelope_h() -> BoundEnvelope:
         raise TableDrift(
             f"partial derivative mass {mass:.6f} exceeds cap {_HPRIME_MASS_CAP}"
         )
-    rows.append(BoundLine(_REFERENCE_H[-1][0], 0.0, provenance="stored"))
+    rows.append(_H_SLOPE_ROW)
     _drift_gate(rows, _REFERENCE_H, "eta_h")
-    return BoundEnvelope(tuple(rows))
+    return tuple(rows)
 
 
 def beta(delta: float) -> float:
@@ -177,6 +220,8 @@ def beta(delta: float) -> float:
 @functools.lru_cache(maxsize=1)
 def beta_root() -> float:
     """The delta at which beta reaches 1 (the index loses its guarantee)."""
+    from scipy.optimize import brentq
+
     return float(brentq(lambda d: beta(d) - 1.0, 0.05, 0.5, xtol=1e-12))
 
 
@@ -215,6 +260,18 @@ def variation_bound(dU: float, dV: float) -> float:
 def _clamped_f(x: np.ndarray) -> np.ndarray:
     # f pinned to +-1 outside [-pi/2, pi/2]
     return np.where(np.abs(x) <= np.pi / 2, eval_f(x), np.sign(x))
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call.
+
+    Only the certification solves LPs, so nothing else pays for importing
+    scipy.optimize.  This stays a module attribute, where the benchmark's
+    tracer finds it.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _lp_line(vals, xs, parity, degree, delta):
@@ -258,6 +315,8 @@ def _eval_half_series(coeffs, parity, n):
     The grid has n + 1 points and must resolve every degree: the largest k
     must stay below n, or the transform aliases it onto a lower one.
     """
+    from scipy.fft import dct, dst
+
     coeffs = np.asarray(coeffs, dtype=float)
     if parity == "even":
         padded = np.zeros(n + 1)

@@ -18,7 +18,7 @@ import numpy as np
 from .bott import BottMatrix, assemble_blocks, require_certified
 from .config import DEFAULT_TOL, KAPPA_THRESHOLD, LOG_THRESHOLD
 from .errors import LogMethodUncertified, SelfDualityLost
-from .linalg import UnitaryPair, as_matrix, operator_norm, unitary_eig
+from .linalg import UnitaryPair, as_matrix, gate_norm, unitary_eig
 from .selfdual import (
     DualStructure,
     SelfDualPair,
@@ -56,7 +56,7 @@ def principal_log(
     K = (Q * angles) @ Q.conj().T
     K = (K + K.conj().T) / 2
     if structure is not None:
-        drift = operator_norm(K - dual(K, structure))
+        drift = gate_norm(K - dual(K, structure), 1e-6)
         if drift > 1e-6:
             # a degenerate pair at -1 can come out of the eigensolver with
             # angles on opposite sides of the cut; recompute with the cut
@@ -69,7 +69,7 @@ def principal_log(
             angles = np.angle(np.exp(1j * (angles2 + shift)))
             K = (Q * angles) @ Q.conj().T
             K = (K + K.conj().T) / 2
-            drift = operator_norm(K - dual(K, structure))
+            drift = gate_norm(K - dual(K, structure), 1e-6)
         if drift > 1e-6:
             raise SelfDualityLost(
                 f"self-duality drift {drift:.3e} in the logarithm; "

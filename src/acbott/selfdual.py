@@ -39,6 +39,7 @@ from .errors import (
 from .linalg import (
     UnitaryPair,
     as_matrix,
+    gate_norm,
     hermitian_eig,
     make_pair,
     operator_norm,
@@ -47,11 +48,14 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class DualStructure:
-    """Fixed basis data for half-dimension N: the 2N form Z and 4N rotation Q."""
+    """Fixed basis data for half-dimension N: the 2N form Z.
+
+    The 4N rotation Q = ((I, -iZ), (iZ, I)) / sqrt(2) of the modified
+    Pfaffian is applied by slicing (see ``_rotated_anti_selfdual``).
+    """
 
     N: int
     Z: np.ndarray
-    Q: np.ndarray
 
 
 def dual_structure(N: int) -> DualStructure:
@@ -60,28 +64,34 @@ def dual_structure(N: int) -> DualStructure:
     eye = np.eye(N)
     zero = np.zeros((N, N))
     Z = np.block([[zero, eye], [-eye, zero]]).astype(complex)
-    eye2 = np.eye(2 * N)
-    Q = np.block([[eye2, -1j * Z], [1j * Z, eye2]]) / np.sqrt(2.0)
-    return DualStructure(N, Z, Q)
+    return DualStructure(N, Z)
 
 
-def _structure_for(dim: int, structure: Optional[DualStructure]) -> DualStructure:
+def _half_dim(dim: int, structure: Optional[DualStructure]) -> int:
     if dim % 2 != 0:
         raise DimensionMismatch(f"dual needs even dimension, got {dim}")
-    if structure is None:
-        return dual_structure(dim // 2)
-    if 2 * structure.N != dim:
+    if structure is not None and 2 * structure.N != dim:
         raise DimensionMismatch(
             f"structure is for dimension {2 * structure.N}, matrix has {dim}"
         )
-    return structure
+    return dim // 2
+
+
+def _structure_for(dim: int, structure: Optional[DualStructure]) -> DualStructure:
+    N = _half_dim(dim, structure)
+    return dual_structure(N) if structure is None else structure
 
 
 def dual(X, structure: Optional[DualStructure] = None) -> np.ndarray:
-    """X^# = -Z X^T Z.  Involutive and anti-multiplicative."""
+    """X^# = -Z X^T Z.  Involutive and anti-multiplicative.
+
+    Z is a signed permutation, so with X = ((A, B), (C, D)) in N-blocks the
+    dual is ((D^T, -B^T), (-C^T, A^T)), read off by slicing.
+    """
     X = as_matrix(X)
-    s = _structure_for(X.shape[0], structure)
-    return -s.Z @ X.T @ s.Z
+    N = _half_dim(X.shape[0], structure)
+    A, B, C, D = X[:N, :N], X[:N, N:], X[N:, :N], X[N:, N:]
+    return np.block([[D.T, -B.T], [-C.T, A.T]])
 
 
 def selfdual_part(X, structure: Optional[DualStructure] = None) -> np.ndarray:
@@ -132,7 +142,7 @@ def make_selfdual_pair(
         raise DimensionMismatch("self-dual pair needs even dimension")
     s = dual_structure(pair.dim // 2)
     for name, M in (("U", pair.U), ("V", pair.V)):
-        drift = operator_norm(M - dual(M, s))
+        drift = gate_norm(M - dual(M, s), selfdual_tol)
         if drift > selfdual_tol:
             raise NotSelfDual(f"{name} fails self-duality by {drift:.3e}")
     return SelfDualPair(pair, s)
@@ -272,21 +282,25 @@ def _rotated_anti_selfdual(
 ) -> Tuple[np.ndarray, float]:
     """(Q* X_a Q made exactly skew, an upper bound on ||X + X^#||).
 
-    X_a = (X - X^#)/2 is the anti-self-dual part of X.  The gate tries the
-    Frobenius norm of X + X^# first, an upper bound on its operator norm, and
-    takes the SVD only when that bound does not clear tol * max(1, norm), so
-    no decision is looser than the exact norm.
+    X_a = (X - X^#)/2 is the anti-self-dual part of X.  The gate against
+    tol * max(1, norm) reads ``gate_norm``, so it is decided as by the exact
+    norm and takes an SVD only when the Frobenius bound does not clear it.
     """
     Xd = dual_tensor(X, s)
     limit = tol * max(1.0, norm)
-    defect = X + Xd
-    drift = float(np.linalg.norm(defect))
+    drift = gate_norm(X + Xd, limit)
     if drift > limit:
-        drift = operator_norm(defect)
-        if drift > limit:
-            raise NotAntiSelfDual(f"anti-self-duality violated by {drift:.3e}")
+        raise NotAntiSelfDual(f"anti-self-duality violated by {drift:.3e}")
     Xa = (X - Xd) / 2
-    S = s.Q.conj().T @ Xa @ s.Q
+    # Q = (I + iK)/sqrt(2) with K = ((0, -Z), (Z, 0)) a symmetric signed
+    # permutation, K^2 = I: Q* Xa Q = (Xa + K Xa K + i (Xa K - K Xa)) / 2.
+    # In N-blocks K reverses the block order and negates the outer blocks.
+    N = s.N
+    perm = np.arange(4 * N).reshape(4, N)[::-1].ravel()
+    sign = np.repeat([-1.0, 1.0, 1.0, -1.0], N)
+    KX = sign[:, None] * Xa[perm]
+    XK = Xa[:, perm] * sign
+    S = (Xa + KX[:, perm] * sign + 1j * (XK - KX)) / 2
     return (S - S.T) / 2, drift
 
 

@@ -7,6 +7,8 @@ import acbott.bott as bott
 from acbott.bounds import (
     BoundLine,
     _drift_gate,
+    _eta_f_rows,
+    _eta_h_rows,
     _eval_half_series,
     beta,
     beta_root,
@@ -71,16 +73,19 @@ def test_eta_line_rejects_complex_polynomial():
         eta_lines(np.sin, p, (0, 1), fn_lipschitz=1.0)
 
 
-@pytest.fixture
-def fresh_envelopes():
-    eta_envelope_f.cache_clear()
-    eta_envelope_h.cache_clear()
-    yield
-    eta_envelope_f.cache_clear()
-    eta_envelope_h.cache_clear()
+def test_stored_envelope_rows_match_recomputation():
+    # the recomputation runs the reproduction check, the mass cap and the
+    # drift gates; the stored rows must equal its output bit for bit
+    for stored, recompute in (
+        (eta_envelope_f, _eta_f_rows),
+        (eta_envelope_h, _eta_h_rows),
+    ):
+        assert [repr(line) for line in stored().lines] == [
+            repr(line) for line in recompute()
+        ]
 
 
-def test_envelopes_evaluate_each_function_once(fresh_envelopes, monkeypatch):
+def test_envelopes_evaluate_each_function_once(monkeypatch):
     import acbott.bounds as bounds
 
     counts = {"f": 0, "h": 0}
@@ -94,14 +99,13 @@ def test_envelopes_evaluate_each_function_once(fresh_envelopes, monkeypatch):
 
     monkeypatch.setattr(bounds, "eval_f", counted("f", bounds.eval_f))
     monkeypatch.setattr(bounds, "eval_h", counted("h", bounds.eval_h))
-    eta_envelope_f()
-    eta_envelope_h()
+    _eta_f_rows()
+    _eta_h_rows()
     # f: the offset grid and the degree-5 reproduction check; h: the grid
     assert counts == {"f": 2, "h": 1}
 
 
-def test_standard_triple_and_h_envelope_share_one_quadrature(fresh_envelopes, monkeypatch):
-    reference = eta_envelope_h().lines
+def test_standard_triple_reads_stored_coefficients(monkeypatch):
     quadrature = bott.fourier_coefficients_h
     calls = []
 
@@ -111,10 +115,9 @@ def test_standard_triple_and_h_envelope_share_one_quadrature(fresh_envelopes, mo
 
     monkeypatch.setattr(bott, "fourier_coefficients_h", counted)
     bott.standard_triple.cache_clear()
-    eta_envelope_h.cache_clear()
     triple = bott.standard_triple()
-    assert eta_envelope_h().lines == reference
-    assert len(calls) == 1
+    assert calls == []
+    assert np.array_equal(triple.coefficients16, quadrature(16))
     assert np.array_equal(triple.coefficients, quadrature(5))
 
 

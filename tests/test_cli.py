@@ -1,11 +1,17 @@
 """End-to-end command line tests: round trips, formats, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import acbott
 from acbott.cli import main
-from acbott.generators import cyclic_shift_pair
+from acbott.generators import cyclic_shift_pair, selfdual_doubling
 from acbott.matrixio import write_matrix
 
 
@@ -220,3 +226,44 @@ def test_missing_input_file(tmp_path, capsys):
                      str(tmp_path / "no_V.txt"))
     assert rc == 1
     assert "error" in err
+
+
+_GUARD = """
+import sys
+import acbott.cli
+import acbott.bounds
+
+plain, selfdual = sys.argv[1], sys.argv[2]
+assert acbott.cli.main(["index", plain + "_U.txt", plain + "_V.txt"]) == 0
+assert acbott.cli.main(
+    ["index", selfdual + "_U.txt", selfdual + "_V.txt", "--self-dual"]
+) == 0
+heavy = ("scipy.optimize", "scipy.fft", "scipy.integrate", "scipy.special")
+print("loaded:", [name for name in heavy if name in sys.modules])
+print("linprog attribute:", callable(vars(acbott.bounds).get("linprog")))
+"""
+
+
+def test_index_process_never_imports_the_certification_stack(tmp_path):
+    # a cold index reads stored tables: no quadrature, LP, root finder or FFT
+    for name, pair in (
+        ("plain", cyclic_shift_pair(31)),
+        ("selfdual", selfdual_doubling(cyclic_shift_pair(31)).pair),
+    ):
+        write_matrix(str(tmp_path / f"{name}_U.txt"), pair.U)
+        write_matrix(str(tmp_path / f"{name}_V.txt"), pair.V)
+    src = str(Path(acbott.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _GUARD, str(tmp_path / "plain"), str(tmp_path / "selfdual")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "loaded: []" in done.stdout
+    assert "linprog attribute: True" in done.stdout

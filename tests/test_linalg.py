@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from acbott.analysis import analyze
 from acbott.errors import (
     DimensionMismatch,
     InvalidMatrix,
@@ -18,12 +19,15 @@ from acbott.linalg import (
     apply_trigpoly,
     as_matrix,
     commutator_norm,
+    gate_norm,
     hermitian_eig,
     make_pair,
     operator_norm,
     unitary_eig,
     unitary_part,
 )
+from acbott.generators import cyclic_shift_pair, perturb, selfdual_doubling
+from acbott.selfdual import make_selfdual_pair
 from support import haar_unitary, random_hermitian
 
 
@@ -216,3 +220,53 @@ def test_make_pair_validates(rng):
         make_pair(U, haar_unitary(4, rng))
     with pytest.raises(NotUnitary):
         make_pair(1.1 * U, V)
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_valid_request_takes_one_svd(monkeypatch):
+    # the unitarity and self-duality gates clear on the Frobenius bound, so
+    # the only SVD of a request is the one delta needs
+    plain = perturb(cyclic_shift_pair(24), 0.01, seed=3)
+    sd = selfdual_doubling(cyclic_shift_pair(12))
+    svds = _count_svds(monkeypatch)
+    for method in ("trig", "log"):
+        analyze(make_pair(plain.U, plain.V), method=method)
+        assert len(svds) == 1
+        svds.clear()
+        made = make_selfdual_pair(sd.pair.U, sd.pair.V)
+        assert analyze(made.pair, made.structure, method=method).kappa2 == -1
+        assert len(svds) == 1
+        svds.clear()
+
+
+def test_unitarity_gate_decides_by_the_exact_norm(rng, monkeypatch):
+    # (1 + e) U has defect ((1 + e)^2 - 1) I: operator norm about 2e, but
+    # Frobenius norm 4 times that at d = 16
+    U = haar_unitary(16, rng)
+    tol = 1e-8
+    svds = _count_svds(monkeypatch)
+    pair = make_pair(U, (1 + 0.25e-8) * U, unitary_tol=tol)
+    assert pair.dim == 16
+    assert len(svds) == 2  # the exact norm of the defect, then delta
+    with pytest.raises(NotUnitary, match="1.500e-08"):
+        make_pair(U, (1 + 0.75e-8) * U, unitary_tol=tol)
+
+
+def test_gate_norm_is_exact_unless_frobenius_clears(rng):
+    X = random_hermitian(12, rng)
+    exact = operator_norm(X)
+    frobenius = float(np.linalg.norm(X))
+    assert gate_norm(X, frobenius) == frobenius
+    assert gate_norm(X, 0.5 * (exact + frobenius)) == exact
+    assert gate_norm(X, 0.5 * exact) == exact
