@@ -1,9 +1,11 @@
 """Every invariant of a pair from one W and one block matrix.
 
-``analyze`` diagonalizes W = VUV*U* once, which gives omega and the distance
-bound, and builds B(U, V) or B_L(U, V) once.  The single hermitian spectrum
-of that matrix gives kappa and the measured gap; for self-dual pairs kappa2
-is the sign of the modified Pfaffian of the same matrix.
+``analyze`` reads the eigenangles of W = VUV*U*, which give omega and the
+distance bound, and builds B(U, V) or B_L(U, V) once from the eigenbasis of
+V; both factorizations are made once per pair and cached on it, so library
+calls on the same pair share them.  The single hermitian spectrum of B gives
+kappa and the measured gap; for self-dual pairs kappa2 is the sign of the
+modified Pfaffian of the same matrix.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from .linalg import (
     UnitaryPair,
     apply_trigpoly,
     hermitian_eig,
-    unitary_eig,
 )
 
 # sine amplitudes of f: (150 sin x + 25 sin 3x + 3 sin 5x) / 128
@@ -218,8 +217,9 @@ def build_B(
 ) -> BottMatrix:
     """Assemble B(U, V) and its spectrum.
 
-    One eigendecomposition of V serves f, g and h.  With ``use_trigpoly``
-    the degree-5 approximants replace the exact closed-form functions.
+    The pair's cached eigendecomposition of V serves f, g and h.  With
+    ``use_trigpoly`` the degree-5 approximants replace the exact closed-form
+    functions.
     """
     t = triple or standard_triple()
     if use_trigpoly:
@@ -227,7 +227,7 @@ def build_B(
             apply_trigpoly(p, pair.V, tol=pair.unitary_tol) for p in (t.f5, t.g5, t.h5)
         )
     else:
-        angles, Q = unitary_eig(pair.V, tol=pair.unitary_tol)
+        angles, Q = pair.v_eig
         Qstar = Q.conj().T
         fV, gV, hV = (
             (Q * np.asarray(fn(angles), dtype=complex)) @ Qstar

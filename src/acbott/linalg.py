@@ -11,7 +11,8 @@ assume well-formed input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,9 +227,23 @@ class TrigPoly:
         return float(np.sum(np.abs(ks * self.coeffs)))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class UnitaryPair:
-    """Validated pair of same-size unitaries with cached commutator norm."""
+    """Validated pair of same-size unitaries with cached commutator norm.
+
+    The pair also caches its two factorizations, each made on first use:
+    ``v_eig`` is the :func:`unitary_eig` of V (one Schur) and ``w_angles``
+    the eigenangles of W = VUV*U*, gated for unitarity at 10 * unitary_tol.
+    Every library call on the pair reads these, so a pair pays one
+    factorization of each matrix however many invariants are asked of it.
+    U and V must therefore not be mutated after ``make_pair``, which delta
+    already relies on; the cached arrays are read-only.
+    """
 
     U: np.ndarray
     V: np.ndarray
@@ -238,6 +253,25 @@ class UnitaryPair:
     @property
     def dim(self) -> int:
         return self.U.shape[0]
+
+    def multiplicative_commutator(self) -> np.ndarray:
+        """W = VUV*U*."""
+        U, V = self.U, self.V
+        return V @ U @ V.conj().T @ U.conj().T
+
+    @functools.cached_property
+    def v_eig(self):
+        """``(angles, Q)`` of V as :func:`unitary_eig` gives them."""
+        angles, Q = unitary_eig(self.V, tol=self.unitary_tol)
+        return _read_only(angles), _read_only(Q)
+
+    @functools.cached_property
+    def w_angles(self) -> np.ndarray:
+        """Eigenangles of W in (-pi, pi], with unitary_eig's branch rule."""
+        angles, _ = unitary_eig(
+            self.multiplicative_commutator(), tol=10 * self.unitary_tol
+        )
+        return _read_only(angles)
 
 
 def make_pair(U, V, unitary_tol: float = DEFAULT_TOL.unitary) -> UnitaryPair:

@@ -51,7 +51,17 @@ def principal_log(
     logarithm exists; that case is refused rather than silently averaged.
     """
     V = as_matrix(V)
-    angles, Q = unitary_eig(V, tol=tol)
+    return _principal_log(V, unitary_eig(V, tol=tol), structure, tol)
+
+
+def _principal_log(
+    V: np.ndarray,
+    eig,
+    structure: Optional[DualStructure],
+    tol: float,
+) -> PrincipalLog:
+    """:func:`principal_log` from ``eig = unitary_eig(V, tol)`` already made."""
+    angles, Q = eig
     margin = float(np.min(np.abs(np.exp(1j * angles) + 1.0)))
     K = (Q * angles) @ Q.conj().T
     K = (K + K.conj().T) / 2
@@ -84,8 +94,11 @@ def build_BL(
     pair: UnitaryPair,
     structure: Optional[DualStructure] = None,
 ) -> BottMatrix:
-    """Assemble B_L(U, V); diagonal blocks are exactly +-K/pi."""
-    plog = principal_log(pair.V, structure, tol=pair.unitary_tol)
+    """Assemble B_L(U, V); diagonal blocks are exactly +-K/pi.
+
+    The logarithm starts from the pair's cached eigendecomposition of V.
+    """
+    plog = _principal_log(pair.V, pair.v_eig, structure, pair.unitary_tol)
     # h1(K) on the eigenbasis K was built from, symmetrized as K is
     hvals = np.sqrt(1.0 - (plog.angles / np.pi) ** 2)
     hV = (plog.Q * hvals) @ plog.Q.conj().T

@@ -44,6 +44,21 @@ def parse_matrix(text: str) -> np.ndarray:
         raise InvalidMatrix(f"dimension must be positive, got {d}")
     if len(lines) != d + 1:
         raise InvalidMatrix(f"expected {d} rows, found {len(lines) - 1}")
+    # Fast path: complex() accepts a j only as the last character or before a
+    # closing parenthesis, so on text without parentheses, turning every i
+    # into j and making one complex() call per entry gives _parse_entry's
+    # value wherever that succeeds.  Anything it does not accept takes the
+    # entry-by-entry route below, which raises the errors.
+    if "(" not in text and ")" not in text:
+        try:
+            rows = [
+                list(map(complex, ln.replace("i", "j").split())) for ln in lines[1:]
+            ]
+        except ValueError:
+            pass
+        else:
+            if all(len(row) == d for row in rows):
+                return as_matrix(np.array(rows, dtype=complex))
     rows = []
     for ln in lines[1:]:
         tokens = ln.split()

@@ -291,17 +291,34 @@ def _rotated_anti_selfdual(
     drift = gate_norm(X + Xd, limit)
     if drift > limit:
         raise NotAntiSelfDual(f"anti-self-duality violated by {drift:.3e}")
-    Xa = (X - Xd) / 2
+    Xa = X - Xd
+    del Xd
+    Xa /= 2
     # Q = (I + iK)/sqrt(2) with K = ((0, -Z), (Z, 0)) a symmetric signed
     # permutation, K^2 = I: Q* Xa Q = (Xa + K Xa K + i (Xa K - K Xa)) / 2.
     # In N-blocks K reverses the block order and negates the outer blocks.
+    # The terms are formed in place and dropped once used: these arrays are
+    # the largest of a self-dual request and set its peak memory.
     N = s.N
     perm = np.arange(4 * N).reshape(4, N)[::-1].ravel()
     sign = np.repeat([-1.0, 1.0, 1.0, -1.0], N)
-    KX = sign[:, None] * Xa[perm]
-    XK = Xa[:, perm] * sign
-    S = (Xa + KX[:, perm] * sign + 1j * (XK - KX)) / 2
-    return (S - S.T) / 2, drift
+    KX = Xa[perm]
+    KX *= sign[:, None]
+    S = KX[:, perm]
+    S *= sign
+    S += Xa
+    XK = Xa[:, perm]
+    del Xa
+    XK *= sign
+    XK -= KX
+    del KX
+    XK *= 1j
+    S += XK
+    del XK
+    S /= 2
+    R = S - S.T
+    R /= 2
+    return R, drift
 
 
 def modified_pfaffian(

@@ -2,8 +2,10 @@
 
 The multiplicative commutator W = VUV*U* of a pair with ||[U,V]|| < 2 has
 spectrum bounded away from -1, so the principal logarithm of W is defined and
-omega = Tr((1/2pi i) log W) is an integer.  A determinant-path method serves
-as an independent oracle for the same number.
+omega = Tr((1/2pi i) log W) is an integer.  Only the eigenangles of W enter
+omega and the distance bounds; the pair factorizes W once and caches them.
+A determinant-path method serves as an independent oracle for the same
+number.
 """
 
 from __future__ import annotations
@@ -44,19 +46,17 @@ class WindingResult:
         return 1.0 + float(np.sqrt(max(0.0, 1.0 - self.delta ** 2 / 4.0)))
 
 
-def _multiplicative_commutator(pair: UnitaryPair) -> np.ndarray:
-    U, V = pair.U, pair.V
-    return V @ U @ V.conj().T @ U.conj().T
-
-
 def winding_number(pair: UnitaryPair) -> WindingResult:
-    """Integer winding invariant via the trace of the principal logarithm."""
+    """Integer winding invariant via the trace of the principal logarithm.
+
+    Reads the pair's cached eigenangles of W, so repeated calls on one pair,
+    and the distance bounds built on them, factorize W once.
+    """
     if pair.delta > DELTA_GATE:
         raise InvariantUndefined(
             f"delta = {pair.delta:.6f} is not < 2; winding invariant undefined"
         )
-    W = _multiplicative_commutator(pair)
-    angles, _ = unitary_eig(W, tol=10 * pair.unitary_tol)
+    angles = pair.w_angles
     margin = float(np.min(np.abs(np.exp(1j * angles) + 1.0)))
     raw = float(np.sum(angles) / (2 * np.pi))
     nearest = round(raw)
@@ -70,7 +70,8 @@ def winding_number(pair: UnitaryPair) -> WindingResult:
 def winding_via_path(pair: UnitaryPair, steps: int = 1024) -> int:
     """Winding of t -> det(W^t) by stepwise phase unwrapping.
 
-    Determinants are computed by LU factorization at each step, so the only
+    Determinants are computed by LU factorization at each step, and W gets
+    its own factorization here, not the pair's cached one, so the only
     shared ingredient with :func:`winding_number` is the matrix W itself.
     Steps double automatically until every per-step phase change is below
     pi/2.
@@ -81,7 +82,7 @@ def winding_via_path(pair: UnitaryPair, steps: int = 1024) -> int:
         )
     if steps < 64:
         raise MeshTooCoarse("need at least 64 path steps")
-    W = _multiplicative_commutator(pair)
+    W = pair.multiplicative_commutator()
     angles, Q = unitary_eig(W, tol=10 * pair.unitary_tol)
     for _ in range(8):
         ts = np.linspace(0.0, 1.0, steps + 1)

@@ -3,11 +3,11 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import acbott
 from acbott.cli import main
@@ -101,26 +101,15 @@ def test_index_selfdual_log_uncertified_above_eighth(tmp_path, capsys):
         ("commuting_random", ("--method", "log")),
     ],
 )
-def test_index_factorizes_V_and_W_once(tmp_path, capsys, monkeypatch, kind, flags):
+def test_index_factorizes_V_and_W_once(tmp_path, capsys, factorizations, kind, flags):
     prefix = str(tmp_path / "p31")
     run(capsys, "generate", "--kind", kind, "--n", "31", "--out", prefix)
-    counts = {"schur": 0, "eigh": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigh", np.linalg.eigvalsh))
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    factorizations.clear()
     rc, _, _ = run(capsys, "index", f"{prefix}_U.txt", f"{prefix}_V.txt",
                    "--method", "trig", *flags)
     assert rc == 0
-    # one Schur of V, one of W = VUV*U*, one hermitian eig of B or B_L
-    assert counts == {"schur": 2, "eigh": 1}
+    # one Schur of V, one of W = VUV*U*, one hermitian spectrum of B or B_L
+    assert factorizations == Counter(schur=2, eigvalsh=1)
 
 
 def test_index_header_mismatch(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Unit tests for the dense matrix kernel."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,8 +15,10 @@ from acbott.errors import (
     NotUnitary,
     SingularMatrix,
 )
+from acbott.bott import bott_index
 from acbott.linalg import (
     TrigPoly,
+    UnitaryPair,
     apply_periodic,
     apply_trigpoly,
     as_matrix,
@@ -27,8 +31,10 @@ from acbott.linalg import (
     unitary_part,
 )
 from acbott.generators import cyclic_shift_pair, perturb, selfdual_doubling
-from acbott.selfdual import make_selfdual_pair
-from support import haar_unitary, random_hermitian
+from acbott.logmethod import kappa2_log
+from acbott.selfdual import make_selfdual_pair, pfaffian_bott_index
+from acbott.winding import distance_bound_commuting, winding_number, winding_via_path
+from support import haar_unitary, random_hermitian, shift_matrix
 
 
 def test_as_matrix_rejects_nonsquare():
@@ -270,3 +276,76 @@ def test_gate_norm_is_exact_unless_frobenius_clears(rng):
     assert gate_norm(X, frobenius) == frobenius
     assert gate_norm(X, 0.5 * (exact + frobenius)) == exact
     assert gate_norm(X, 0.5 * exact) == exact
+
+
+# ---------------------------------------------------------------------------
+# factorizations cached on the pair
+# ---------------------------------------------------------------------------
+
+
+def test_plain_calls_share_one_factorization_per_matrix(factorizations):
+    base = perturb(cyclic_shift_pair(40), 0.002, seed=5)
+    pair = make_pair(base.U, base.V)
+    factorizations.clear()
+    calls = (winding_number, bott_index, distance_bound_commuting)
+    results = [call(pair) for call in calls]
+    # one Schur of V, one of W, one hermitian spectrum of B
+    assert factorizations == Counter(schur=2, eigvalsh=1)
+    assert results[0] == winding_number(pair) and results[0].omega == -1
+    assert factorizations["schur"] == 2
+    for call, result in zip(calls, results):
+        assert call(make_pair(base.U, base.V)) == result
+
+
+def test_selfdual_calls_share_one_factorization_per_matrix(factorizations):
+    base = selfdual_doubling(cyclic_shift_pair(64))
+    sd = make_selfdual_pair(base.pair.U, base.pair.V)
+    factorizations.clear()
+    calls = (
+        lambda s: winding_number(s.pair),
+        pfaffian_bott_index,
+        kappa2_log,
+    )
+    results = [call(sd) for call in calls]
+    assert results[1:] == [-1, -1]
+    # one Schur of V shared by B and B_L, one of W, the spectra of B and B_L
+    assert factorizations == Counter(schur=2, eigvalsh=2)
+    for call, result in zip(calls, results):
+        assert call(make_selfdual_pair(base.pair.U, base.pair.V)) == result
+
+
+def test_cached_factorizations_are_read_only():
+    pair = cyclic_shift_pair(8)
+    angles, Q = pair.v_eig
+    for a in (angles, Q, pair.w_angles):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_w_angles_follow_the_branch_rule_at_minus_one(rotate):
+    # V = diag(d), U the cyclic shift: W = VUV*U* = diag(d_j conj(d_{j-1})),
+    # which here is exactly -1, within 1e-13 of -1, then three times -i and
+    # once exp(-i(pi/2 + eps)).  Both values at the cut count as +pi, so the
+    # angles sum to -eps and omega is 0; -pi for the near one would give -1.
+    eps = 5e-14
+    phases = np.array(
+        [0.0, np.pi, eps, eps - 0.5 * np.pi, eps - np.pi, eps - 1.5 * np.pi]
+    )
+    V = np.diag(np.exp(1j * phases))
+    V[1, 1] = -1.0
+    U = shift_matrix(6)
+    if rotate:
+        R = haar_unitary(6, np.random.default_rng(11))
+        U, V = R @ U @ R.conj().T, R @ V @ R.conj().T
+    # every W with -1 in its spectrum has delta = 2; the delta is understated
+    # so the winding gate lets both routes meet at the cut
+    pair = UnitaryPair(U, V, delta=1.0)
+    W = V @ U @ V.conj().T @ U.conj().T
+    assert np.abs(np.linalg.eigvals(W) + 1).min() <= (1e-14 if rotate else 0.0)
+    reference, _ = unitary_eig(W, tol=1e-7)
+    assert np.allclose(np.sort(pair.w_angles), np.sort(reference), rtol=0, atol=1e-12)
+    assert np.sum(pair.w_angles == np.pi) == 2
+    result = winding_number(pair)
+    assert result.omega == winding_via_path(pair) == 0
+    assert result.min_angle_gap_at_pi <= 1e-13
