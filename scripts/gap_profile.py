@@ -36,7 +36,7 @@ def main(argv=None):
         pair = cyclic_shift_pair(n)
         if args.doubled:
             sd = selfdual_doubling(pair)
-            report = analyze(sd.pair, sd.structure)
+            report = analyze(sd.pair, self_dual=True)
             indices = [report.kappa2]
         else:
             report = analyze(pair)

@@ -59,11 +59,9 @@ from .bott import (
     standard_triple,
 )
 from .selfdual import (
-    DualStructure,
     SelfDualPair,
     check_kramers,
     dual,
-    dual_structure,
     dual_tensor,
     make_selfdual_pair,
     modified_pfaffian,

@@ -4,8 +4,9 @@
 distance bound, and builds B(U, V) or B_L(U, V) once from the eigenbasis of
 V; both factorizations are made once per pair and cached on it, so library
 calls on the same pair share them.  The single hermitian spectrum of B gives
-kappa and the measured gap; for self-dual pairs kappa2 is the sign of the
-modified Pfaffian of the same matrix.
+kappa and the measured gap; for a self-dual pair (``self_dual=True``, the
+dual fixed by the dimension) kappa2 is the sign of the modified Pfaffian of
+the same matrix.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .config import KAPPA_THRESHOLD, LOG_THRESHOLD
 from .errors import GapClosed, NoGuarantee, NumericalInconsistency
 from .linalg import UnitaryPair
 from .logmethod import build_BL
-from .selfdual import DualStructure, _pfaffian_sign
-from .winding import winding_number
+from .selfdual import _pfaffian_sign
+from .winding import DELTA_GATE, winding_number
 
 
 @dataclass
@@ -36,6 +37,11 @@ class IndexReport:
     gap_measured: Optional[float] = None
     gap_guaranteed: Optional[float] = None
     distance_commuting: Optional[float] = None
+
+    @property
+    def kappa2_certified(self) -> bool:
+        """kappa2 holds up to the trig threshold, or on the log route's own."""
+        return self.kappa_certified or self.log_certified
 
     def items(self):
         def fmt(v):
@@ -64,19 +70,20 @@ class IndexReport:
 
 def analyze(
     pair: UnitaryPair,
-    structure: Optional[DualStructure] = None,
+    self_dual: bool = False,
     method: str = "trig",
 ) -> IndexReport:
     """All indices of the pair, computed whatever delta is, with their status.
 
     ``method`` is "trig" for B(U, V) or "log" for B_L(U, V); on the log route
-    kappa is certified only up to LOG_THRESHOLD.  With a dual structure the
-    pair is treated as self-dual and kappa2 is filled in.  A closed gap
-    leaves kappa empty; a certified kappa that disagrees with omega raises
-    NumericalInconsistency.
+    kappa is certified only up to LOG_THRESHOLD.  With ``self_dual`` the pair
+    is treated as self-dual (its dimension fixes the dual) and kappa2 is
+    filled in.  Above the winding gate DELTA_GATE omega is left empty and
+    ``omega_valid`` is false.  A closed gap leaves kappa empty; a certified
+    kappa that disagrees with omega raises NumericalInconsistency.
     """
     report = IndexReport(delta=pair.delta, dim=pair.dim)
-    report.omega_valid = pair.delta < 2.0
+    report.omega_valid = pair.delta <= DELTA_GATE
     report.log_certified = pair.delta <= LOG_THRESHOLD
     report.kappa_certified = pair.delta <= KAPPA_THRESHOLD and (
         method != "log" or report.log_certified
@@ -86,7 +93,7 @@ def analyze(
     if winding is not None:
         report.omega = winding.omega
 
-    bm = build_BL(pair, structure) if method == "log" else build_B(pair)
+    bm = build_BL(pair, self_dual) if method == "log" else build_B(pair)
     report.gap_measured = bm.gap
     try:
         report.kappa = bm.signature() // 2
@@ -96,8 +103,8 @@ def analyze(
         report.gap_guaranteed = guaranteed_gap(pair.delta)
     except NoGuarantee:
         pass
-    if structure is not None:
-        report.kappa2 = _pfaffian_sign(bm, structure)
+    if self_dual:
+        report.kappa2 = _pfaffian_sign(bm)
     if winding is not None and winding.omega != 0:
         report.distance_commuting = winding.distance_bound()
 

@@ -21,7 +21,6 @@ from .config import DEFAULT_TOL, KAPPA_THRESHOLD
 from .errors import (
     AccuracyNotCertified,
     GapClosed,
-    NumericalInconsistency,
     ThresholdExceeded,
 )
 from .linalg import (
@@ -210,18 +209,14 @@ def assemble_blocks(fV, gV, hV, U) -> np.ndarray:
     return (B + B.conj().T) / 2
 
 
-def build_B(
-    pair: UnitaryPair,
-    triple: Optional[StandardTriple] = None,
-    use_trigpoly: bool = False,
-) -> BottMatrix:
+def build_B(pair: UnitaryPair, use_trigpoly: bool = False) -> BottMatrix:
     """Assemble B(U, V) and its spectrum.
 
     The pair's cached eigendecomposition of V serves f, g and h.  With
     ``use_trigpoly`` the degree-5 approximants replace the exact closed-form
     functions.
     """
-    t = triple or standard_triple()
+    t = standard_triple()
     if use_trigpoly:
         fV, gV, hV = (
             apply_trigpoly(p, pair.V, tol=pair.unitary_tol) for p in (t.f5, t.g5, t.h5)
@@ -261,7 +256,6 @@ def require_certified(delta: float, allow_uncertified: bool = False) -> None:
 
 def bott_index(
     pair: UnitaryPair,
-    triple: Optional[StandardTriple] = None,
     use_trigpoly: bool = False,
     allow_uncertified: bool = False,
 ) -> int:
@@ -272,10 +266,7 @@ def bott_index(
     carries no guarantee.
     """
     require_certified(pair.delta, allow_uncertified)
-    sig = build_B(pair, triple, use_trigpoly).signature()
-    if sig % 2 != 0:
-        raise NumericalInconsistency(f"signature {sig} is odd")
-    return sig // 2
+    return build_B(pair, use_trigpoly).signature() // 2
 
 
 def threshold_consistency() -> dict:

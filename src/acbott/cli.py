@@ -49,20 +49,12 @@ def _emit_report(report: IndexReport, fmt: str, out=None):
         print(f"dim = {report.dim}", file=out)
         print(f"delta = {report.delta:.9g}", file=out)
         if report.omega is not None:
-            print(
-                f"omega = {report.omega}"
-                + ("" if report.omega_valid else " (delta >= 2: undefined)"),
-                file=out,
-            )
+            print(f"omega = {report.omega}", file=out)
         if report.kappa is not None:
             tag = "certified" if report.kappa_certified else "NOT certified"
             print(f"kappa = {report.kappa} ({tag})", file=out)
         if report.kappa2 is not None:
-            tag = (
-                "certified"
-                if (report.kappa_certified or report.log_certified)
-                else "NOT certified"
-            )
+            tag = "certified" if report.kappa2_certified else "NOT certified"
             print(f"kappa2 = {report.kappa2:+d} ({tag})", file=out)
         if report.gap_measured is not None:
             print(f"gap_measured = {report.gap_measured:.9g}", file=out)
@@ -88,7 +80,6 @@ def cmd_index(args) -> int:
     if args.polar:
         U = unitary_part(U)
         V = unitary_part(V)
-    structure = None
     if args.self_dual:
         if args.header:
             n_declared = read_selfdual_header(args.header)
@@ -96,16 +87,14 @@ def cmd_index(args) -> int:
                 raise NumericalInconsistency(
                     f"header says N = {n_declared}, matrices have dim {U.shape[0]}"
                 )
-        sd = make_selfdual_pair(U, V, unitary_tol=args.unitary_tol)
-        pair, structure = sd.pair, sd.structure
+        pair = make_selfdual_pair(U, V, unitary_tol=args.unitary_tol).pair
     else:
         pair = make_pair(U, V, unitary_tol=args.unitary_tol)
 
-    report = analyze(pair, structure, args.method)
+    report = analyze(pair, args.self_dual, args.method)
     _emit_report(report, args.format)
     uncertified = (report.kappa is not None and not report.kappa_certified) or (
-        report.kappa2 is not None
-        and not (report.kappa_certified or report.log_certified)
+        report.kappa2 is not None and not report.kappa2_certified
     )
     return 2 if uncertified else 0
 
@@ -179,33 +168,25 @@ def cmd_certify_log(args) -> int:
                 print(f"{stage},{t:.9g},{v:.9g}", file=fh)
         print(f"wrote {args.out}")
 
+    verdict = "PASS"
     try:
         report = certify_log_path(args.delta, mesh=mesh)
     except CertificationFailed as exc:
         report = exc.report
-        if report is not None:
-            write_csv(report)
-            print(
-                f"FAIL delta={args.delta:.9g} max_bound={report.max_bound:.6f} "
-                f"threshold={report.threshold}"
-            )
-            print(
-                f"step_sums stage1={report.step_sums[0]:.4f} "
-                f"stage2={report.step_sums[1]:.4f}"
-            )
-        else:
+        if report is None:
             print(f"FAIL {exc}")
-        return 2
+            return 2
+        verdict = "FAIL"
     write_csv(report)
     print(
-        f"PASS delta={args.delta:.9g} max_bound={report.max_bound:.6f} "
+        f"{verdict} delta={args.delta:.9g} max_bound={report.max_bound:.6f} "
         f"threshold={report.threshold}"
     )
     print(
         f"step_sums stage1={report.step_sums[0]:.4f} "
         f"stage2={report.step_sums[1]:.4f}"
     )
-    return 0
+    return 0 if verdict == "PASS" else 2
 
 
 def cmd_fourier(args) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import UnitaryPair, make_pair, operator_norm
-from .selfdual import SelfDualPair, dual, make_selfdual_pair
+from .selfdual import SelfDualPair, _hermitian_part, make_selfdual_pair
 
 
 def cyclic_shift_pair(n: int) -> UnitaryPair:
@@ -122,13 +122,11 @@ def selfdual_doubling(pair: UnitaryPair) -> SelfDualPair:
     return make_selfdual_pair(Ud, Vd)
 
 
-def _selfdual_hermitian(sd_dim: int, structure, rng: np.random.Generator):
+def _selfdual_hermitian(sd_dim: int, rng: np.random.Generator):
     G = rng.standard_normal((sd_dim, sd_dim)) + 1j * rng.standard_normal(
         (sd_dim, sd_dim)
     )
-    H = (G + G.conj().T) / 2
-    H = (H + dual(H, structure)) / 2
-    H = (H + H.conj().T) / 2
+    H = _hermitian_part(G, self_dual=True)
     return H / operator_norm(H)
 
 
@@ -146,8 +144,8 @@ def perturb_selfdual(sd: SelfDualPair, r: float, seed: int = 0) -> SelfDualPair:
         return sd
     rng = np.random.default_rng(seed)
     dim = sd.pair.dim
-    HU = _selfdual_hermitian(dim, sd.structure, rng)
-    HV = _selfdual_hermitian(dim, sd.structure, rng)
+    HU = _selfdual_hermitian(dim, rng)
+    HV = _selfdual_hermitian(dim, rng)
 
     def moved(M, H, amount):
         half = _unit_rotation(H, amount / 2)

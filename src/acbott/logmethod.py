@@ -11,21 +11,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .bott import BottMatrix, assemble_blocks, require_certified
 from .config import DEFAULT_TOL, KAPPA_THRESHOLD, LOG_THRESHOLD
 from .errors import LogMethodUncertified, SelfDualityLost
 from .linalg import UnitaryPair, as_matrix, gate_norm, unitary_eig
-from .selfdual import (
-    DualStructure,
-    SelfDualPair,
-    _pfaffian_sign,
-    dual,
-    selfdual_part,
-)
+from .selfdual import SelfDualPair, _hermitian_part, _pfaffian_sign, dual
 
 
 @dataclass(frozen=True)
@@ -40,33 +32,32 @@ class PrincipalLog:
 
 def principal_log(
     V,
-    structure: Optional[DualStructure] = None,
+    self_dual: bool = False,
     tol: float = DEFAULT_TOL.unitary,
 ) -> PrincipalLog:
     """Principal logarithm of a unitary: angles taken in (-pi, pi], -1 -> +pi.
 
-    With a structure given, K is symmetrized to exact self-duality.  A large
+    With ``self_dual``, K is symmetrized to exact self-duality.  A large
     symmetrization drift means an eigenvalue pair straddles the branch cut
     (one angle near +pi, its partner near -pi), where no continuous self-dual
     logarithm exists; that case is refused rather than silently averaged.
     """
     V = as_matrix(V)
-    return _principal_log(V, unitary_eig(V, tol=tol), structure, tol)
+    return _principal_log(V, unitary_eig(V, tol=tol), self_dual, tol)
 
 
 def _principal_log(
     V: np.ndarray,
     eig,
-    structure: Optional[DualStructure],
+    self_dual: bool,
     tol: float,
 ) -> PrincipalLog:
     """:func:`principal_log` from ``eig = unitary_eig(V, tol)`` already made."""
     angles, Q = eig
     margin = float(np.min(np.abs(np.exp(1j * angles) + 1.0)))
-    K = (Q * angles) @ Q.conj().T
-    K = (K + K.conj().T) / 2
-    if structure is not None:
-        drift = gate_norm(K - dual(K, structure), 1e-6)
+    K = _hermitian_part((Q * angles) @ Q.conj().T)
+    if self_dual:
+        drift = gate_norm(K - dual(K), 1e-6)
         if drift > 1e-6:
             # a degenerate pair at -1 can come out of the eigensolver with
             # angles on opposite sides of the cut; recompute with the cut
@@ -77,35 +68,27 @@ def _principal_log(
             shift = order[widest] + gaps[widest] / 2.0 - np.pi
             angles2, Q = unitary_eig(V * np.exp(-1j * shift), tol=tol)
             angles = np.angle(np.exp(1j * (angles2 + shift)))
-            K = (Q * angles) @ Q.conj().T
-            K = (K + K.conj().T) / 2
-            drift = gate_norm(K - dual(K, structure), 1e-6)
+            K = _hermitian_part((Q * angles) @ Q.conj().T)
+            drift = gate_norm(K - dual(K), 1e-6)
         if drift > 1e-6:
             raise SelfDualityLost(
                 f"self-duality drift {drift:.3e} in the logarithm; "
                 "spectrum splits across the branch cut"
             )
-        K = selfdual_part(K, structure)
-        K = (K + K.conj().T) / 2
+        K = _hermitian_part(K, self_dual=True)
     return PrincipalLog(K, margin, angles, Q)
 
 
-def build_BL(
-    pair: UnitaryPair,
-    structure: Optional[DualStructure] = None,
-) -> BottMatrix:
+def build_BL(pair: UnitaryPair, self_dual: bool = False) -> BottMatrix:
     """Assemble B_L(U, V); diagonal blocks are exactly +-K/pi.
 
     The logarithm starts from the pair's cached eigendecomposition of V.
+    With ``self_dual`` the blocks are symmetrized to exact self-duality.
     """
-    plog = _principal_log(pair.V, pair.v_eig, structure, pair.unitary_tol)
+    plog = _principal_log(pair.V, pair.v_eig, self_dual, pair.unitary_tol)
     # h1(K) on the eigenbasis K was built from, symmetrized as K is
     hvals = np.sqrt(1.0 - (plog.angles / np.pi) ** 2)
-    hV = (plog.Q * hvals) @ plog.Q.conj().T
-    hV = (hV + hV.conj().T) / 2
-    if structure is not None:
-        hV = selfdual_part(hV, structure)
-        hV = (hV + hV.conj().T) / 2
+    hV = _hermitian_part((plog.Q * hvals) @ plog.Q.conj().T, self_dual)
     fV = plog.K / np.pi
     zero = np.zeros_like(fV)
     B = assemble_blocks(fV, zero, hV, pair.U)
@@ -124,4 +107,4 @@ def kappa2_log(sd: SelfDualPair, allow_uncertified: bool = False) -> int:
             "to agree here",
             LogMethodUncertified,
         )
-    return _pfaffian_sign(build_BL(sd.pair, sd.structure), sd.structure)
+    return _pfaffian_sign(build_BL(sd.pair, self_dual=True))

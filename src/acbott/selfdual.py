@@ -1,10 +1,12 @@
-"""Self-dual structure, Pfaffians, and the sign-valued index.
+"""The dual, Pfaffians, and the sign-valued index.
 
-The dual of X is X^# = -Z X^T Z with Z = ((0, I), (-I, 0)).  Matrices fixed
-by the dual form the quaternionic symmetry class; their spectra show Kramers
-doubling.  For a self-dual almost-commuting pair the signature index always
-vanishes, and the finer invariant is the sign of a modified Pfaffian of the
-same block matrix, computed here through a basis rotation Q that turns
+The dual of X is X^# = -Z X^T Z with Z = ((0, I), (-I, 0)), whose blocks are
+N x N for a matrix of even dimension 2N: the dimension alone fixes the dual,
+so no function here takes it as an argument.  Matrices fixed by the dual form
+the quaternionic symmetry class; their spectra show Kramers doubling.  For a
+self-dual almost-commuting pair the signature index always vanishes, and the
+finer invariant is the sign of a modified Pfaffian of the same block matrix
+(dimension 4N), computed here through a basis rotation Q that turns
 anti-self-dual matrices into skew-symmetric ones.
 
 Two Pfaffian routes serve general complex skew input: Householder
@@ -46,73 +48,49 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class DualStructure:
-    """Fixed basis data for half-dimension N: the 2N form Z.
-
-    The 4N rotation Q = ((I, -iZ), (iZ, I)) / sqrt(2) of the modified
-    Pfaffian is applied by slicing (see ``_rotated_anti_selfdual``).
-    """
-
-    N: int
-    Z: np.ndarray
-
-
-def dual_structure(N: int) -> DualStructure:
-    if N < 1:
-        raise DimensionMismatch("half-dimension must be positive")
-    eye = np.eye(N)
-    zero = np.zeros((N, N))
-    Z = np.block([[zero, eye], [-eye, zero]]).astype(complex)
-    return DualStructure(N, Z)
-
-
-def _half_dim(dim: int, structure: Optional[DualStructure]) -> int:
+def _half_dim(dim: int) -> int:
     if dim % 2 != 0:
         raise DimensionMismatch(f"dual needs even dimension, got {dim}")
-    if structure is not None and 2 * structure.N != dim:
-        raise DimensionMismatch(
-            f"structure is for dimension {2 * structure.N}, matrix has {dim}"
-        )
     return dim // 2
 
 
-def _structure_for(dim: int, structure: Optional[DualStructure]) -> DualStructure:
-    N = _half_dim(dim, structure)
-    return dual_structure(N) if structure is None else structure
-
-
-def dual(X, structure: Optional[DualStructure] = None) -> np.ndarray:
+def dual(X) -> np.ndarray:
     """X^# = -Z X^T Z.  Involutive and anti-multiplicative.
 
-    Z is a signed permutation, so with X = ((A, B), (C, D)) in N-blocks the
-    dual is ((D^T, -B^T), (-C^T, A^T)), read off by slicing.
+    Z is a signed permutation, so with X = ((A, B), (C, D)) in N-blocks,
+    N = dim / 2, the dual is ((D^T, -B^T), (-C^T, A^T)), read off by slicing.
     """
     X = as_matrix(X)
-    N = _half_dim(X.shape[0], structure)
+    N = _half_dim(X.shape[0])
     A, B, C, D = X[:N, :N], X[:N, N:], X[N:, :N], X[N:, N:]
     return np.block([[D.T, -B.T], [-C.T, A.T]])
 
 
-def selfdual_part(X, structure: Optional[DualStructure] = None) -> np.ndarray:
-    return (as_matrix(X) + dual(X, structure)) / 2
+def selfdual_part(X) -> np.ndarray:
+    return (as_matrix(X) + dual(X)) / 2
 
 
-def dual_tensor(X, structure: Optional[DualStructure] = None) -> np.ndarray:
+def _hermitian_part(X: np.ndarray, self_dual: bool = False) -> np.ndarray:
+    """(X + X*)/2; with ``self_dual``, its self-dual part made hermitian again."""
+    H = (X + X.conj().T) / 2
+    if self_dual:
+        H = selfdual_part(H)
+        H = (H + H.conj().T) / 2
+    return H
+
+
+def dual_tensor(X) -> np.ndarray:
     """Blockwise dual of a 4N-dim matrix: ((A,B),(C,D)) -> ((D#,-B#),(-C#,A#))."""
     X = as_matrix(X)
     dim = X.shape[0]
     if dim % 4 != 0:
         raise DimensionMismatch(f"block dual needs dimension 4N, got {dim}")
     half = dim // 2
-    s = _structure_for(half, structure)
     A = X[:half, :half]
     B = X[:half, half:]
     C = X[half:, :half]
     D = X[half:, half:]
-    return np.block(
-        [[dual(D, s), -dual(B, s)], [-dual(C, s), dual(A, s)]]
-    )
+    return np.block([[dual(D), -dual(B)], [-dual(C), dual(A)]])
 
 
 @dataclass(frozen=True)
@@ -120,11 +98,10 @@ class SelfDualPair:
     """Validated almost-commuting pair with U^# = U and V^# = V."""
 
     pair: UnitaryPair
-    structure: DualStructure
 
     @property
     def N(self) -> int:
-        return self.structure.N
+        return self.pair.dim // 2
 
     @property
     def delta(self) -> float:
@@ -140,12 +117,11 @@ def make_selfdual_pair(
     pair = make_pair(U, V, unitary_tol=unitary_tol)
     if pair.dim % 2 != 0:
         raise DimensionMismatch("self-dual pair needs even dimension")
-    s = dual_structure(pair.dim // 2)
     for name, M in (("U", pair.U), ("V", pair.V)):
-        drift = gate_norm(M - dual(M, s), selfdual_tol)
+        drift = gate_norm(M - dual(M), selfdual_tol)
         if drift > selfdual_tol:
             raise NotSelfDual(f"{name} fails self-duality by {drift:.3e}")
-    return SelfDualPair(pair, s)
+    return SelfDualPair(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +254,7 @@ def pfaffian(X, tol: float = DEFAULT_TOL.skew) -> complex:
 
 
 def _rotated_anti_selfdual(
-    X: np.ndarray, s: DualStructure, tol: float, norm: float
+    X: np.ndarray, tol: float, norm: float
 ) -> Tuple[np.ndarray, float]:
     """(Q* X_a Q made exactly skew, an upper bound on ||X + X^#||).
 
@@ -286,7 +262,7 @@ def _rotated_anti_selfdual(
     tol * max(1, norm) reads ``gate_norm``, so it is decided as by the exact
     norm and takes an SVD only when the Frobenius bound does not clear it.
     """
-    Xd = dual_tensor(X, s)
+    Xd = dual_tensor(X)
     limit = tol * max(1.0, norm)
     drift = gate_norm(X + Xd, limit)
     if drift > limit:
@@ -299,7 +275,7 @@ def _rotated_anti_selfdual(
     # In N-blocks K reverses the block order and negates the outer blocks.
     # The terms are formed in place and dropped once used: these arrays are
     # the largest of a self-dual request and set its peak memory.
-    N = s.N
+    N = X.shape[0] // 4
     perm = np.arange(4 * N).reshape(4, N)[::-1].ravel()
     sign = np.repeat([-1.0, 1.0, 1.0, -1.0], N)
     KX = Xa[perm]
@@ -321,16 +297,13 @@ def _rotated_anti_selfdual(
     return R, drift
 
 
-def modified_pfaffian(
-    X, structure: Optional[DualStructure] = None, tol: float = 1e-7
-) -> complex:
+def modified_pfaffian(X, tol: float = 1e-7) -> complex:
     """Pf(Q* X Q) for anti-self-dual X; squares to det(X)."""
     X = as_matrix(X)
     dim = X.shape[0]
     if dim % 4 != 0:
         raise DimensionMismatch(f"modified Pfaffian needs dimension 4N, got {dim}")
-    s = _structure_for(dim // 2, structure)
-    S, _ = _rotated_anti_selfdual(X, s, tol, operator_norm(X))
+    S, _ = _rotated_anti_selfdual(X, tol, operator_norm(X))
     phase, log_mag = _pfaffian_sign_log(S)
     if log_mag == -math.inf:
         return 0j
@@ -342,7 +315,7 @@ def modified_pfaffian(
 # ---------------------------------------------------------------------------
 
 
-def _pfaffian_sign(bm: BottMatrix, structure: DualStructure) -> int:
+def _pfaffian_sign(bm: BottMatrix) -> int:
     """Sign of the modified Pfaffian of bm.B, with the magnitude cross-check.
 
     B is hermitian and anti-self-dual, so S = Q* B Q is hermitian and skew:
@@ -362,7 +335,7 @@ def _pfaffian_sign(bm: BottMatrix, structure: DualStructure) -> int:
     """
     norm = float(np.max(np.abs(bm.eigs)))
     scale = max(1.0, norm)
-    S, drift = _rotated_anti_selfdual(bm.B, structure, 1e-7, norm)
+    S, drift = _rotated_anti_selfdual(bm.B, 1e-7, norm)
     real_part = float(np.linalg.norm(S.real))
     if real_part > 1e-7 * scale:
         raise NumericalInconsistency(
@@ -372,9 +345,9 @@ def _pfaffian_sign(bm: BottMatrix, structure: DualStructure) -> int:
     sign, log_mag = _real_pfaffian_sign_log(S.imag)
     if log_mag == -math.inf:
         raise NumericalInconsistency("modified Pfaffian vanished")
-    if structure.N % 2:
-        sign = -sign
     dim = bm.B.shape[0]
+    if (dim // 4) % 2:
+        sign = -sign
     eta = drift / 2 + real_part + dim * 1e-13 * scale
     if eta < bm.gap:
         spectral = 0.5 * float(np.sum(np.log(np.abs(bm.eigs))))
@@ -400,7 +373,7 @@ def pfaffian_bott_index(
     Certified for delta <= KAPPA_THRESHOLD.
     """
     require_certified(sd.delta, allow_uncertified)
-    return _pfaffian_sign(build_B(sd.pair, use_trigpoly=use_trigpoly), sd.structure)
+    return _pfaffian_sign(build_B(sd.pair, use_trigpoly=use_trigpoly))
 
 
 def selfdual_distance_bounds(
@@ -427,19 +400,15 @@ def selfdual_distance_bounds(
     ) / 5
 
 
-def check_kramers(
-    H,
-    structure: Optional[DualStructure] = None,
-    pair_tol: float = 1e-7,
-) -> bool:
+def check_kramers(H, pair_tol: float = 1e-7) -> bool:
     """True when the spectrum is doubly degenerate (Kramers pairing)."""
     H = as_matrix(H)
-    s = _structure_for(H.shape[0], structure)
+    Hd = dual(H)
     if operator_norm(H - H.conj().T) > DEFAULT_TOL.hermitian * max(
         1.0, float(np.max(np.abs(H)))
     ):
         raise NotHermitian("Kramers check needs a hermitian matrix")
-    drift = operator_norm(H - dual(H, s))
+    drift = operator_norm(H - Hd)
     if drift > 1e-7 * max(1.0, operator_norm(H)):
         raise NotSelfDual(f"self-duality violated by {drift:.3e}")
     eigs = hermitian_eig(H)

@@ -31,7 +31,6 @@ DELTA_GATE = 2.0 - 1e-9
 class WindingResult:
     omega: int
     delta: float
-    valid: bool
     min_angle_gap_at_pi: float  # distance of the spectrum of VUV*U* to -1
     raw: float                  # pre-rounding trace value
 
@@ -46,16 +45,21 @@ class WindingResult:
         return 1.0 + float(np.sqrt(max(0.0, 1.0 - self.delta ** 2 / 4.0)))
 
 
+def _require_gate(delta: float) -> None:
+    if delta > DELTA_GATE:
+        raise InvariantUndefined(
+            f"delta = {delta:.15g} is above the gate {DELTA_GATE:.15g}; "
+            "winding invariant undefined"
+        )
+
+
 def winding_number(pair: UnitaryPair) -> WindingResult:
     """Integer winding invariant via the trace of the principal logarithm.
 
     Reads the pair's cached eigenangles of W, so repeated calls on one pair,
     and the distance bounds built on them, factorize W once.
     """
-    if pair.delta > DELTA_GATE:
-        raise InvariantUndefined(
-            f"delta = {pair.delta:.6f} is not < 2; winding invariant undefined"
-        )
+    _require_gate(pair.delta)
     angles = pair.w_angles
     margin = float(np.min(np.abs(np.exp(1j * angles) + 1.0)))
     raw = float(np.sum(angles) / (2 * np.pi))
@@ -64,7 +68,7 @@ def winding_number(pair: UnitaryPair) -> WindingResult:
         raise NumericalInconsistency(
             f"winding trace {raw:.6f} is {abs(raw - nearest):.2e} from an integer"
         )
-    return WindingResult(int(nearest), pair.delta, True, margin, raw)
+    return WindingResult(int(nearest), pair.delta, margin, raw)
 
 
 def winding_via_path(pair: UnitaryPair, steps: int = 1024) -> int:
@@ -76,10 +80,7 @@ def winding_via_path(pair: UnitaryPair, steps: int = 1024) -> int:
     Steps double automatically until every per-step phase change is below
     pi/2.
     """
-    if pair.delta > DELTA_GATE:
-        raise InvariantUndefined(
-            f"delta = {pair.delta:.6f} is not < 2; winding invariant undefined"
-        )
+    _require_gate(pair.delta)
     if steps < 64:
         raise MeshTooCoarse("need at least 64 path steps")
     W = pair.multiplicative_commutator()

@@ -54,3 +54,10 @@ def pfaffian_cofactor(X: np.ndarray) -> complex:
         minor = X[np.ix_(keep, keep)]
         total += (-1.0) ** (j + 1) * X[0, j] * pfaffian_cofactor(minor)
     return total
+
+
+def standard_form(N: int) -> np.ndarray:
+    """Dense Z = ((0, I), (-I, 0)) of dimension 2N, the form behind X^# = -Z X^T Z."""
+    eye = np.eye(N)
+    zero = np.zeros((N, N))
+    return np.block([[zero, eye], [-eye, zero]]).astype(complex)

@@ -28,7 +28,6 @@ from acbott.logmethod import build_BL, kappa2_log, principal_log
 from acbott.selfdual import (
     check_kramers,
     dual,
-    dual_structure,
     make_selfdual_pair,
     modified_pfaffian,
     pfaffian,
@@ -227,10 +226,9 @@ def test_criterion_08_kappa2_properties(rng):
         assert pfaffian_bott_index(perturb_selfdual(trivial, 0.05, seed=seed)) == 1
     for trial in range(25):
         N = 2 + trial % 5
-        s = dual_structure(N)
         H0 = random_hermitian(2 * N, rng)
-        H = (H0 + dual(H0, s)) / 2
-        assert check_kramers(H, s)
+        H = (H0 + dual(H0)) / 2
+        assert check_kramers(H)
 
 
 def test_criterion_09_log_method_agreement():

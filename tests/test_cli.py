@@ -12,7 +12,9 @@ import pytest
 import acbott
 from acbott.cli import main
 from acbott.generators import cyclic_shift_pair, selfdual_doubling
+from acbott.linalg import make_pair
 from acbott.matrixio import write_matrix
+from acbott.winding import DELTA_GATE
 
 
 def run(capsys, *argv):
@@ -110,6 +112,22 @@ def test_index_factorizes_V_and_W_once(tmp_path, capsys, factorizations, kind, f
     assert rc == 0
     # one Schur of V, one of W = VUV*U*, one hermitian spectrum of B or B_L
     assert factorizations == Counter(schur=2, eigvalsh=1)
+
+
+def test_index_reports_just_below_delta_two(tmp_path, capsys):
+    # delta = 1.999999999775 lies between the winding gate 2 - 1e-9 and 2:
+    # omega is undefined there, but the report must still come out
+    U = np.diag([1.0, np.exp(1j * (np.pi - 3e-5))])
+    V = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    write_matrix(str(tmp_path / "U.txt"), U)
+    write_matrix(str(tmp_path / "V.txt"), V)
+    rc, out, err = run(capsys, "index", str(tmp_path / "U.txt"),
+                       str(tmp_path / "V.txt"), "--format", "kv")
+    assert rc != 1, err
+    assert DELTA_GATE < make_pair(U, V).delta < 2.0
+    lines = out.splitlines()
+    assert "omega_valid=false" in lines
+    assert "omega=" in lines
 
 
 def test_index_header_mismatch(tmp_path, capsys):

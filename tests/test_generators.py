@@ -97,7 +97,7 @@ def test_selfdual_doubling_blocks():
     assert np.array_equal(sd.pair.V[d:, d:], base.V.T)
     assert sd.delta == pytest.approx(base.delta, abs=1e-12)
     for M in (sd.pair.U, sd.pair.V):
-        assert operator_norm(M - dual(M, sd.structure)) <= 1e-14
+        assert operator_norm(M - dual(M)) <= 1e-14
 
 
 def test_perturb_selfdual_stays_selfdual_at_distance():
@@ -107,7 +107,7 @@ def test_perturb_selfdual_stays_selfdual_at_distance():
     for before, after in ((sd.pair.U, moved.pair.U), (sd.pair.V, moved.pair.V)):
         got = operator_norm(before - after)
         assert abs(got - r / 2) <= 0.005 * (r / 2)
-        assert operator_norm(after - dual(after, sd.structure)) <= 1e-9
+        assert operator_norm(after - dual(after)) <= 1e-9
     assert perturb_selfdual(sd, 0.0) is sd
     with pytest.raises(ValueError):
         perturb_selfdual(sd, -1.0)

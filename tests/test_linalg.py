@@ -251,7 +251,7 @@ def test_valid_request_takes_one_svd(monkeypatch):
         assert len(svds) == 1
         svds.clear()
         made = make_selfdual_pair(sd.pair.U, sd.pair.V)
-        assert analyze(made.pair, made.structure, method=method).kappa2 == -1
+        assert analyze(made.pair, self_dual=True, method=method).kappa2 == -1
         assert len(svds) == 1
         svds.clear()
 

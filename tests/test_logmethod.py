@@ -20,7 +20,6 @@ from acbott.linalg import make_pair, operator_norm
 from acbott.logmethod import build_BL, kappa2_log, principal_log
 from acbott.selfdual import (
     dual,
-    dual_structure,
     dual_tensor,
     make_selfdual_pair,
     pfaffian_bott_index,
@@ -33,13 +32,13 @@ def reconstruct(K):
     return (W * np.exp(1j * lam)) @ W.conj().T
 
 
-def structure_preserving_unitary(structure, dim, seed):
+def structure_preserving_unitary(dim, seed):
     """exp(iA) with A hermitian and anti-self-dual commutes with the dual:
     conjugating by it keeps self-dual matrices self-dual."""
     gen = np.random.default_rng(seed)
     M = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     M = (M + M.conj().T) / 2
-    A = M - dual(M, structure)
+    A = M - dual(M)
     return expm(1j * A / max(1.0, operator_norm(A)))
 
 
@@ -80,8 +79,8 @@ def test_log_rejects_nonunitary():
 
 def test_log_of_selfdual_is_selfdual():
     sd = selfdual_doubling(cyclic_shift_pair(8))
-    plog = principal_log(sd.pair.V, sd.structure)
-    assert operator_norm(plog.K - dual(plog.K, sd.structure)) <= 1e-12
+    plog = principal_log(sd.pair.V, self_dual=True)
+    assert operator_norm(plog.K - dual(plog.K)) <= 1e-12
     assert operator_norm(reconstruct(plog.K) - sd.pair.V) <= 1e-8
 
 
@@ -90,7 +89,7 @@ def test_log_refuses_split_kramers():
     theta = np.pi - 1e-4
     V = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
     with pytest.raises(SelfDualityLost):
-        principal_log(V, dual_structure(1))
+        principal_log(V, self_dual=True)
 
 
 def test_log_repairs_branch_split(monkeypatch):
@@ -108,9 +107,9 @@ def test_log_repairs_branch_split(monkeypatch):
         return real(V, tol=tol)
 
     monkeypatch.setattr(lm, "unitary_eig", split_first)
-    plog = lm.principal_log(-np.eye(2), dual_structure(1))
+    plog = lm.principal_log(-np.eye(2), self_dual=True)
     assert calls["n"] == 2
-    assert operator_norm(plog.K - dual(plog.K, dual_structure(1))) <= 1e-12
+    assert operator_norm(plog.K - dual(plog.K)) <= 1e-12
     assert operator_norm(reconstruct(plog.K) + np.eye(2)) <= 1e-8
 
 
@@ -146,9 +145,9 @@ def test_BL_diagonal_blocks_are_scaled_log():
 
 def test_BL_hermitian_and_anti_selfdual():
     sd = selfdual_doubling(cyclic_shift_pair(6))
-    bm = build_BL(sd.pair, sd.structure)
+    bm = build_BL(sd.pair, self_dual=True)
     assert operator_norm(bm.B - bm.B.conj().T) <= 1e-12
-    assert operator_norm(dual_tensor(bm.B, sd.structure) + bm.B) <= 1e-9
+    assert operator_norm(dual_tensor(bm.B) + bm.B) <= 1e-9
 
 
 def test_BL_commuting_squares_to_identity():
@@ -223,7 +222,7 @@ def test_kappa2_log_threshold_gate():
 def test_kappa2_log_invariant_under_structure_conjugation():
     sd = selfdual_doubling(cyclic_shift_pair(64))
     for seed in (0, 1):
-        W = structure_preserving_unitary(sd.structure, sd.pair.dim, seed)
+        W = structure_preserving_unitary(sd.pair.dim, seed)
         moved = make_selfdual_pair(
             W @ sd.pair.U @ W.conj().T, W @ sd.pair.V @ W.conj().T
         )

@@ -1,0 +1,48 @@
+"""The scripts under scripts/ run end to end against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import acbott
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    src = str(Path(acbott.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, header",
+    [
+        ((), "n,delta,gap_measured,gap_guaranteed,gap_coarse,omega,kappa"),
+        (("--doubled",), "n,delta,gap_measured,gap_guaranteed,gap_coarse,kappa2"),
+    ],
+)
+def test_gap_profile_runs(flags, header):
+    done = run_script("gap_profile.py", "--n-min", "3", "--n-max", "8", *flags)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + 6
+
+
+def test_bound_curves_runs():
+    done = run_script("bound_curves.py", "--points", "5")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "delta,eta_f,eta_h,beta,gap_guaranteed,gap_coarse"
+    assert len(lines) == 1 + 5

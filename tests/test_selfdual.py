@@ -36,7 +36,6 @@ from acbott.selfdual import (
     _rotated_anti_selfdual,
     check_kramers,
     dual,
-    dual_structure,
     dual_tensor,
     make_selfdual_pair,
     modified_pfaffian,
@@ -45,7 +44,13 @@ from acbott.selfdual import (
     selfdual_distance_bounds,
     selfdual_part,
 )
-from support import haar_unitary, pfaffian_cofactor, random_hermitian, random_skew
+from support import (
+    haar_unitary,
+    pfaffian_cofactor,
+    random_hermitian,
+    random_skew,
+    standard_form,
+)
 
 
 def _rand(seed):
@@ -55,31 +60,30 @@ def _rand(seed):
 @pytest.mark.parametrize("N", [1, 2, 5, 32])
 def test_dual_slicing_matches_dense_product(N):
     rng = _rand(N)
-    s = dual_structure(N)
+    Z = standard_form(N)
     X = rng.normal(size=(2 * N, 2 * N)) + 1j * rng.normal(size=(2 * N, 2 * N))
-    dense = -s.Z @ X.T @ s.Z
+    dense = -Z @ X.T @ Z
     assert np.array_equal(dual(X), dense)
-    assert np.array_equal(dual(X, s), dense)
 
 
 @pytest.mark.parametrize("N", [1, 3, 16, 64])
 def test_rotation_by_slicing_matches_dense_product(N):
     rng = _rand(100 + N)
-    s = dual_structure(N)
+    Z = standard_form(N)
     Y = rng.normal(size=(4 * N, 4 * N)) + 1j * rng.normal(size=(4 * N, 4 * N))
-    X = 3.0 * (Y - dual_tensor(Y, s)) / 2  # exactly anti-self-dual
-    S, drift = _rotated_anti_selfdual(X, s, 1e-7, 1.0)
+    X = 3.0 * (Y - dual_tensor(Y)) / 2  # exactly anti-self-dual
+    S, drift = _rotated_anti_selfdual(X, 1e-7, 1.0)
     assert drift == 0.0
     eye = np.eye(2 * N)
-    Q = np.block([[eye, -1j * s.Z], [1j * s.Z, eye]]) / np.sqrt(2.0)
+    Q = np.block([[eye, -1j * Z], [1j * Z, eye]]) / np.sqrt(2.0)
     dense = Q.conj().T @ X @ Q
     dense = (dense - dense.T) / 2
     assert np.max(np.abs(S - dense)) <= 1e-14 * max(1.0, np.linalg.norm(X, 2))
 
 
 def test_dual_of_structure_matrix():
-    s = dual_structure(3)
-    assert np.array_equal(dual(s.Z), -s.Z)
+    Z = standard_form(3)
+    assert np.array_equal(dual(Z), -Z)
     assert np.array_equal(dual(np.eye(6)), np.eye(6))
 
 
@@ -121,7 +125,7 @@ def test_dual_tensor_block_formula(rng):
 def test_block_matrix_is_anti_selfdual_on_selfdual_pair():
     sd = selfdual_doubling(cyclic_shift_pair(12))
     B = build_B(sd.pair).B
-    assert np.linalg.norm(dual_tensor(B, sd.structure) + B, 2) < 1e-9
+    assert np.linalg.norm(dual_tensor(B) + B, 2) < 1e-9
 
 
 def test_make_selfdual_pair_gates(rng):
@@ -276,20 +280,20 @@ def test_selfdual_distance_bound_threshold_gate():
 # ---------------------------------------------------------------------------
 
 
-def _both_routes(B, structure):
+def _both_routes(B):
     """(complex phase, log|Pf|) and (sign, log|Pf|) of Pf(Q* B Q)."""
     norm = float(np.max(np.abs(np.linalg.eigvalsh(B))))
-    S, _ = _rotated_anti_selfdual(B, structure, 1e-7, norm)
+    S, _ = _rotated_anti_selfdual(B, 1e-7, norm)
     assert np.linalg.norm(S.real) <= 1e-12 * max(1.0, norm)
     sign, log_mag = _real_pfaffian_sign_log(S.imag)
     # Pf(iR) = i^(dim/2) Pf(R) = (-1)^N Pf(R)
-    sign = -sign if structure.N % 2 else sign
+    sign = -sign if (B.shape[0] // 4) % 2 else sign
     return _pfaffian_sign_log(S), (sign, log_mag)
 
 
 def _random_hermitian_anti_selfdual(N, rng):
     H = random_hermitian(4 * N, rng)
-    H = (H - dual_tensor(H, dual_structure(N))) / 2
+    H = (H - dual_tensor(H)) / 2
     return (H + H.conj().T) / 2
 
 
@@ -305,8 +309,8 @@ def _kappa2_test_pairs():
 
 def test_real_route_matches_householder_on_kappa2_pairs():
     for sd in _kappa2_test_pairs():
-        for bm in (build_B(sd.pair), build_BL(sd.pair, sd.structure)):
-            (phase, log_c), (sign, log_r) = _both_routes(bm.B, sd.structure)
+        for bm in (build_B(sd.pair), build_BL(sd.pair, self_dual=True)):
+            (phase, log_c), (sign, log_r) = _both_routes(bm.B)
             assert abs(phase.imag) <= 1e-9
             assert sign == (1 if phase.real > 0 else -1)
             assert log_r == pytest.approx(log_c, abs=1e-10)
@@ -317,8 +321,7 @@ def test_real_route_matches_householder_on_random_matrices(N):
     rng = np.random.default_rng(1000 + N)
     for _ in range(3 if N <= 32 else 1):
         B = _random_hermitian_anti_selfdual(N, rng)
-        s = dual_structure(N)
-        (phase, log_c), (sign, log_r) = _both_routes(B, s)
+        (phase, log_c), (sign, log_r) = _both_routes(B)
         assert abs(phase.imag) <= 1e-9
         assert sign == (1 if phase.real > 0 else -1)
         assert log_r == pytest.approx(log_c, abs=1e-9 * 4 * N)
@@ -333,7 +336,7 @@ def test_real_route_standard_blocks():
         I = np.eye(2 * N)
         O = np.zeros((2 * N, 2 * N))
         bm = BottMatrix.of(np.block([[O, I], [I, O]]), 0.0, "trig")
-        assert _pfaffian_sign(bm, dual_structure(N)) == 1
+        assert _pfaffian_sign(bm) == 1
 
 
 def test_kappa2_selfdual_N256():
@@ -341,7 +344,7 @@ def test_kappa2_selfdual_N256():
     sd = selfdual_doubling(cyclic_shift_pair(256))
     with warnings.catch_warnings():
         warnings.simplefilter("error", IllConditionedSign)
-        report = analyze(sd.pair, sd.structure)
+        report = analyze(sd.pair, self_dual=True)
     assert report.kappa2 == -1
     assert report.kappa == 0
     assert report.kappa_certified
@@ -356,7 +359,7 @@ def test_pfaffian_sign_rejects_non_hermitian_B():
     A = _random_hermitian_anti_selfdual(sd.N, rng)
     bad = BottMatrix(bm.B + 1e-3j * A, bm.delta, bm.eigs, bm.method)
     with pytest.raises(NumericalInconsistency, match="real part"):
-        _pfaffian_sign(bad, sd.structure)
+        _pfaffian_sign(bad)
 
 
 def test_pfaffian_sign_warns_on_magnitude_mismatch(monkeypatch):
@@ -370,7 +373,7 @@ def test_pfaffian_sign_warns_on_magnitude_mismatch(monkeypatch):
 
     monkeypatch.setattr(selfdual, "_real_pfaffian_sign_log", off_by_one_percent)
     with pytest.warns(IllConditionedSign):
-        assert _pfaffian_sign(bm, sd.structure) == -1
+        assert _pfaffian_sign(bm) == -1
 
 
 def test_kappa2_callers_never_take_the_complex_loop(monkeypatch):
@@ -390,7 +393,7 @@ def test_kappa2_callers_never_take_the_complex_loop(monkeypatch):
     monkeypatch.setattr(selfdual, "_real_pfaffian_sign_log", counted("real", real_route))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     for method in ("trig", "log"):
-        assert analyze(sd.pair, sd.structure, method=method).kappa2 == -1
+        assert analyze(sd.pair, self_dual=True, method=method).kappa2 == -1
     assert pfaffian_bott_index(sd) == -1
     assert kappa2_log(sd) == -1
     # the Frobenius bound clears every gate on the way: no SVD either

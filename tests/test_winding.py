@@ -23,7 +23,6 @@ def test_cyclic_family_is_minus_one(n):
     pair = cyclic_shift_pair(n)
     res = winding_number(pair)
     assert res.omega == -1
-    assert res.valid
     assert abs(res.raw - (-1.0)) < 1e-9
     assert res.min_angle_gap_at_pi > 0.5
     assert winding_via_path(pair) == -1
@@ -76,7 +75,7 @@ def test_delta_two_is_out_of_range():
     V = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     pair = make_pair(U, V)
     assert pair.delta == pytest.approx(2.0)
-    with pytest.raises(InvariantUndefined):
+    with pytest.raises(InvariantUndefined, match="gate 1.999999999"):
         winding_number(pair)
     with pytest.raises(InvariantUndefined):
         winding_via_path(pair)
