@@ -247,7 +247,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cl = sub.add_parser("certify-log", help="certify the log-method homotopy")
     cl.add_argument("--delta", type=float, required=True)
-    cl.add_argument("--mesh", type=int, help="mesh points per stage")
+    cl.add_argument(
+        "--mesh", type=int,
+        help="uniform mesh points per stage (default: a Chebyshev-Lobatto mesh "
+        "refined until the step rule holds)",
+    )
     cl.add_argument("--out", help="CSV of per-point bound values")
     cl.set_defaults(func=cmd_certify_log)
 

@@ -50,7 +50,9 @@ class CertifyConfig:
 
     threshold: float = 0.95
     step_budget: float = math.sqrt(0.05)   # max allowed ||df|| + ||dg|| + ||dh||
-    mesh_per_stage: int = 65
+    # the default mesh starts at this many Chebyshev-Lobatto points and is
+    # refined from M to 2M - 1 points until the step rule holds
+    mesh_per_stage: int = 17
     max_degree: int = 48                   # degree cap for optimized approximants
     fine_grid: int = 2 ** 18               # half-period samples for offsets
     coarse_points: int = 512               # initial support of the line optimizer

@@ -211,9 +211,12 @@ def test_certify_fails_at_large_delta():
 
 def test_certify_auto_refines_default_mesh(cheap_report):
     report = cheap_report
-    # nine points violate the step rule; doubling lands at 65
-    assert len(report.stage1_t) == 65
+    # nine Chebyshev-Lobatto points violate the step rule; one refinement
+    # lands at 17 and keeps the nine
+    assert len(report.stage1_t) == 17
     assert max(report.step_sums) <= CHEAP.step_budget
+    nine = (1 - np.cos(np.pi * np.linspace(0.0, 1.0, 9))) / 2
+    assert np.isin(nine, report.stage1_t).all()
 
 
 def test_certify_rejects_incomplete_user_mesh():
@@ -223,6 +226,40 @@ def test_certify_rejects_incomplete_user_mesh():
         certify_log_path(0.02, mesh=[0.0, 0.5, 0.9], config=CHEAP)
     with pytest.raises(MeshViolation):
         certify_log_path(0.02, mesh=[0.0], config=CHEAP)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_certify_rejects_nonfinite_mesh_point(bad, monkeypatch):
+    import acbott.bounds as bounds
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran on a mesh with a non-finite point")
+
+    monkeypatch.setattr(bounds, "linprog", no_lp)
+    mesh = np.linspace(0.0, 1.0, 65)
+    mesh[30] = bad
+    with pytest.raises(MeshViolation, match="finite"):
+        certify_log_path(0.02, mesh=mesh, config=CHEAP)
+
+
+def test_certify_working_set_stays_small(cheap_report):
+    # at 2**16 + 1 samples the fine-grid arrays dominate what the
+    # certification allocates.  The bound is 11.5 of them: this code peaks at
+    # 10.1, in the step-rule check, and a version that allocated fresh arrays
+    # for every residual, transform and sample set peaked at 13.3
+    import tracemalloc
+
+    config = CertifyConfig(
+        mesh_per_stage=9, max_degree=16, fine_grid=2**16, coarse_points=96
+    )
+    # cheap_report has imported scipy outside the trace
+    tracemalloc.start()
+    try:
+        certify_log_path(0.02, config=config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11.5 * 8 * (config.fine_grid + 1)
 
 
 def test_certify_rejects_coarse_user_mesh():
@@ -262,22 +299,52 @@ def _half_series_loop(coeffs, parity, n):
     return out
 
 
-@pytest.mark.parametrize("parity", ["even", "odd"])
-@pytest.mark.parametrize("n", [2**13, 3000])
-@pytest.mark.parametrize("top", ["lowest", "largest"])
-def test_half_series_transform_matches_direct_sum(parity, n, top):
+def _half_series_fresh(coeffs, parity, n):
+    # the same transforms, each on its own freshly allocated zero-padded copy
+    from scipy.fft import dct, dst
+
+    if parity == "even":
+        padded = np.zeros(n + 1)
+        padded[: len(coeffs)] = coeffs
+        padded[1:] /= 2
+        return dct(padded, type=1)
+    padded = np.zeros(n - 1)
+    padded[: len(coeffs)] = coeffs / 2
+    out = np.zeros(n + 1)
+    out[1:-1] = dst(padded, type=1)
+    return out
+
+
+def _unit_mass_coeffs(parity, n, top):
     # lowest: degree 0 alone (odd: degree 1); largest: degree n - 1
     count = 1 if top == "lowest" else (n if parity == "even" else n - 1)
     rng = np.random.default_rng(n + count)
     coeffs = rng.standard_normal(count)
     # unit coefficient mass, so 1e-13 is relative to the size of the sum
-    coeffs /= np.abs(coeffs).sum()
+    return coeffs / np.abs(coeffs).sum()
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("n", [2**13, 3000])
+@pytest.mark.parametrize("top", ["lowest", "largest"])
+def test_half_series_transform_matches_direct_sum(parity, n, top):
+    coeffs = _unit_mass_coeffs(parity, n, top)
     got = _eval_half_series(coeffs, parity, n)
     want = _half_series_loop(coeffs, parity, n)
     assert got.shape == (n + 1,)
     assert np.max(np.abs(got - want)) < 1e-13
     if parity == "odd":
         assert got[0] == 0.0 and got[-1] == 0.0
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("top", ["lowest", "largest"])
+def test_half_series_in_place_equals_fresh_transform(parity, top):
+    # working in the output array changes no bit of the transform
+    n = 2**13
+    coeffs = _unit_mass_coeffs(parity, n, top)
+    got = _eval_half_series(coeffs, parity, n)
+    assert np.array_equal(got, _half_series_fresh(coeffs, parity, n))
 
 
 def test_certify_same_with_direct_series_sum(cheap_report, monkeypatch):
