@@ -3,8 +3,9 @@
 For each delta on the grid, run the two-stage path certification and record
 whether it passes, the worst mesh bound, and the refined mesh size.  The
 default settings use a reduced search budget so a full sweep finishes in
-minutes; pass --production for the full-accuracy configuration (about 20 s
-per delta on a 2-CPU machine, measured at delta 0.2 and 0.125).
+minutes; pass --production for the full-accuracy configuration (11-22 s
+per delta on a 2-CPU machine, depending on its load; delta 0.125 itself
+reads the stored certificate and takes about 1 s).
 
     python scripts/certification_sweep.py --to 0.21 --points 9 --out sweep.csv
 """

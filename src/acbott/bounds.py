@@ -15,6 +15,12 @@ The same machinery certifies the homotopy connecting the trigonometric block
 matrix to its log-method variant: along the two-stage path of function
 triples, optimal approximants are found by linear programming at each mesh
 point and the resulting bound must stay below the certification threshold.
+The LPs only search; each bound is certified from the approximant's
+coefficients with one DCT-I or DST-I.  At delta = 1/8 under the default
+search settings, the winning coefficients of the default mesh are stored in
+``log_certificate`` and certified without an LP; other deltas and settings
+search.  ``scripts/regenerate_log_certificate.py`` rewrites the store, and
+the test suite requires it to match a fresh search byte for byte.
 
 The envelope rows and the cosine coefficients of h are fixed constants of the
 construction, so they are stored as exact float literals and a process only
@@ -22,12 +28,14 @@ reads them.  ``_eta_f_rows`` and ``_eta_h_rows`` re-derive the rows on the
 offset grid together with the degree-5 reproduction check, the c_0..c_16
 mass cap and the drift gates against the published rows; the test suite runs
 them and requires the stored rows to match bit for bit.  scipy.optimize and
-scipy.fft are imported by the certification on first use only.
+scipy.fft are imported by the certification on first use only, and the
+stored certificate when a certification first runs.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -274,18 +282,20 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
+def _half_range_ks(parity, degree):
+    """Degrees of the half-range basis: cos k x for k = 0..degree, or
+    sin k x for k = 1..degree."""
+    return np.arange(0 if parity == "even" else 1, degree + 1)
+
+
 def _lp_line(vals, xs, parity, degree, delta):
     """Best (m, diam) line at given delta: minimize delta * m + diam by LP.
 
     Variables are the half-range basis coefficients, their absolute-value
     majorants, and the residual's upper/lower envelope levels.
     """
-    if parity == "even":
-        ks = np.arange(degree + 1)
-        basis = np.cos(np.outer(xs, ks))
-    else:
-        ks = np.arange(1, degree + 1)
-        basis = np.sin(np.outer(xs, ks))
+    ks = _half_range_ks(parity, degree)
+    basis = (np.cos if parity == "even" else np.sin)(np.outer(xs, ks))
     nc = len(ks)
     npt = len(xs)
     cost = np.concatenate([np.zeros(nc), delta * ks, [1.0, -1.0]])
@@ -331,17 +341,17 @@ def _eval_half_series(coeffs, parity, n):
     return out
 
 
-def _eta_opt(fn, fine_x, fine_vals, spacing, parity, delta, dev_fn, cfg):
+def _eta_opt(fn, fine_x, fine_vals, spacing, parity, delta, dev_fn, cfg, stored=None):
     """Optimal eta value for one path function at one delta.
 
-    Solves the LP on a cosine-clustered coarse set, then re-solves with the
-    fine-grid residual extrema adjoined (a cheap exchange step) and keeps the
-    best certified value.  Each residual is formed in the buffer its series
-    was evaluated in, and the extrema are found in one scratch array.
+    Returns the certified eta, the coefficients it certifies and the number
+    of LPs solved.  Stored coefficients are certified as they are, with one
+    transform and no LP.  Otherwise it solves the LP on a cosine-clustered
+    coarse set, then re-solves with the fine-grid residual extrema adjoined
+    (a cheap exchange step) and keeps the best certified value.  Each
+    residual is formed in the buffer its series was evaluated in, and the
+    extrema are found in one scratch array.
     """
-    theta = np.linspace(0.0, np.pi, cfg.coarse_points)
-    xs = (np.pi / 2) * (1 - np.cos(theta))
-    vs = np.asarray(fn(xs), dtype=float)
 
     def certified(coeffs, ks):
         resid = _eval_half_series(coeffs, parity, cfg.fine_grid)
@@ -351,8 +361,18 @@ def _eta_opt(fn, fine_x, fine_vals, spacing, parity, delta, dev_fn, cfg):
         eta = m * delta + diam + 2 * (dev_fn + m * spacing / 2)
         return eta, resid
 
+    if stored is not None:
+        coeffs = np.asarray(stored, dtype=float)
+        ks = _half_range_ks(parity, cfg.max_degree)
+        return certified(coeffs, ks)[0], coeffs, 0
+
+    theta = np.linspace(0.0, np.pi, cfg.coarse_points)
+    xs = (np.pi / 2) * (1 - np.cos(theta))
+    vs = np.asarray(fn(xs), dtype=float)
     coeffs, ks = _lp_line(vs, xs, parity, cfg.max_degree, delta)
+    lps = 1
     best, resid = certified(coeffs, ks)
+    best_coeffs = coeffs
     for _ in range(cfg.exchange_rounds):
         # interior extrema: consecutive differences of opposite sign
         turn = np.subtract(resid[1:], resid[:-1])
@@ -369,10 +389,11 @@ def _eta_opt(fn, fine_x, fine_vals, spacing, parity, delta, dev_fn, cfg):
         coeffs, ks = _lp_line(
             np.asarray(fn(xs), dtype=float), xs, parity, cfg.max_degree, delta
         )
+        lps += 1
         eta, resid = certified(coeffs, ks)
         if eta < best:
-            best = eta
-    return best
+            best, best_coeffs = eta, coeffs
+    return best, best_coeffs, lps
 
 
 @dataclass(frozen=True)
@@ -387,6 +408,8 @@ class CertificationReport:
     step_sums: Tuple[float, float]
     max_bound: float
     passed: bool
+    lp_solves: int  # LPs the eta searches solved
+    stored_etas: int  # etas certified from stored coefficients, with no LP
 
     def rows(self):
         """(stage, t, bound) triples for CSV emission."""
@@ -407,18 +430,36 @@ def _stage2_triple(t, x, f_clamped):
     return ft, 0.0, ht
 
 
+def _sup_step(c, p, scratch):
+    """sup |c - p| for one component of two triples, formed in scratch."""
+    if c is p:
+        # a component the stage keeps fixed steps by exactly 0
+        return 0.0
+    np.subtract(c, p, out=scratch)
+    np.abs(scratch, out=scratch)
+    return float(scratch.max())
+
+
 def _step_sums(ts, make_triple):
+    """Largest step sum ||df|| + ||dg|| + ||dh|| over consecutive mesh
+    points, and the sup of g at every point.
+
+    Only the previous triple is held while the next one is made, and one
+    scratch array while the two are compared.
+    """
     worst = 0.0
+    gsups = []
     prev = None
     for t in ts:
         cur = make_triple(t)
+        gsups.append(float(np.max(cur[1])))
         if prev is not None:
-            worst = max(
-                worst,
-                sum(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev)),
-            )
+            scratch = np.empty_like(cur[0])
+            step = sum(_sup_step(c, p, scratch) for c, p in zip(cur, prev))
+            worst = max(worst, step)
+            del scratch
         prev = cur
-    return worst
+    return worst, gsups
 
 
 def _lobatto_mesh(points: int) -> np.ndarray:
@@ -429,6 +470,29 @@ def _lobatto_mesh(points: int) -> np.ndarray:
     them.
     """
     return (1 - np.cos(np.pi * np.linspace(0.0, 1.0, points))) / 2
+
+
+def _stored_approximants(delta, config: CertifyConfig) -> dict:
+    """The stored certificate's coefficients when delta and every config
+    field the eta searches depend on are the ones it was searched at, and
+    an empty map otherwise."""
+    from . import log_certificate as stored
+
+    searched_at = (
+        stored.DELTA,
+        stored.MAX_DEGREE,
+        stored.FINE_GRID,
+        stored.COARSE_POINTS,
+        stored.EXCHANGE_ROUNDS,
+    )
+    asked = (
+        delta,
+        config.max_degree,
+        config.fine_grid,
+        config.coarse_points,
+        config.exchange_rounds,
+    )
+    return stored.APPROXIMANTS if asked == searched_at else {}
 
 
 def certify_log_path(
@@ -449,11 +513,32 @@ def certify_log_path(
     from M to 2M - 1 points, which keeps every earlier point, until the step
     rule holds.
 
+    Each eta bound comes from one coefficient vector and one transform of
+    it; the LPs only search for the vector.  At delta = 1/8 with the default
+    search settings, the winning vectors of the default mesh are stored
+    (``log_certificate``), so stage 1 and every stage-2 point of the stored
+    mesh are certified without an LP, each to the value the search gives bit
+    for bit.  Any other delta or search setting searches every eta: stored
+    vectors would still give valid bounds below 1/8, but looser ones.
+
     Returns the report on success and raises CertificationFailed (with the
     report attached) when any bound reaches the threshold.
     """
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
+    return _certify(delta, mesh, config, _stored_approximants(delta, config))[0]
+
+
+def _certify(delta, mesh, config, stored):
+    """``certify_log_path`` with the stored coefficients given as a map.
+
+    ``stored`` maps "h1", "h1sq" and "q1" (stage 1) and (t, "h"),
+    (t, "hsq") and (t, "q") (stage 2 at mesh point t) to coefficient
+    vectors; an eta without an entry is searched.  Returns the report and
+    the map of the coefficients every eta was certified with.
+    """
     if config.max_degree >= config.fine_grid:
         raise ValueError(
             f"max_degree {config.max_degree} must stay below fine_grid "
@@ -486,8 +571,8 @@ def certify_log_path(
         return _stage2_triple(t, x, f_clamped)
 
     while True:
-        step1 = _step_sums(ts, triple1)
-        step2 = _step_sums(ts, triple2)
+        step1, gnorms = _step_sums(ts, triple1)
+        step2, _ = _step_sums(ts, triple2)
         if max(step1, step2) <= config.step_budget:
             break
         if not auto:
@@ -496,6 +581,20 @@ def certify_log_path(
                 f"{config.step_budget:.4f}"
             )
         ts = _lobatto_mesh(2 * len(ts) - 1)
+    del triple1, outside
+
+    winners = {}
+    lp_solves = stored_etas = 0
+
+    def eta(key, fn, vals, parity, dev_fn):
+        nonlocal lp_solves, stored_etas
+        coeffs = stored.get(key)
+        value, winners[key], lps = _eta_opt(
+            fn, x, vals, spacing, parity, delta, dev_fn, config, coeffs
+        )
+        lp_solves += lps
+        stored_etas += coeffs is not None
+        return value
 
     # stage 1: h, h^2 and q = f h are constant along the stage
     def h1_fn(u):
@@ -507,22 +606,12 @@ def certify_log_path(
     def q1_fn(u):
         return eval_f(u) * eval_h(u)
 
-    gnorms = [float(triple1(s)[1].max()) for s in ts]
-    del triple1, outside
-    eta_h1 = _eta_opt(
-        h1_fn, x, h_std, spacing, "even", delta, H_LIPSCHITZ * spacing / 2, config
-    )
+    eta_h1 = eta("h1", h1_fn, h_std, "even", H_LIPSCHITZ * spacing / 2)
     # the samples of f h and h^2 overwrite those of f and h
     np.multiply(f_std, h_std, out=f_std)
     np.square(h_std, out=h_std)
-    eta_h1sq = _eta_opt(
-        h1sq_fn, x, h_std, spacing, "even", delta,
-        _HSQ_LIPSCHITZ * spacing / 2, config,
-    )
-    eta_q1 = _eta_opt(
-        q1_fn, x, f_std, spacing, "odd", delta,
-        _Q_LIPSCHITZ * spacing / 2, config,
-    )
+    eta_h1sq = eta("h1sq", h1sq_fn, h_std, "even", _HSQ_LIPSCHITZ * spacing / 2)
+    eta_q1 = eta("q1", q1_fn, f_std, "odd", _Q_LIPSCHITZ * spacing / 2)
     del f_std, h_std
     stage1_bounds = np.asarray([
         (gnorm + 1) * eta_h1 + 0.25 * eta_h1**2 + 0.5 * eta_h1sq + eta_q1
@@ -549,19 +638,13 @@ def certify_log_path(
         lf_t = (1 - t) * F_LIPSCHITZ + t / np.pi
         l2_t = 2 * lf_t
         dev_sqrt = float(np.sqrt(l2_t * spacing / 2))
-        eta_h = _eta_opt(h_fn, x, ht, spacing, "even", delta, dev_sqrt, config)
+        eta_h = eta((float(t), "h"), h_fn, ht, "even", dev_sqrt)
         # the samples of f_t h_t and 1 - f_t^2 overwrite those of h_t and f_t
         np.multiply(ft, ht, out=ht)
         np.square(ft, out=ft)
         np.subtract(1, ft, out=ft)
-        eta_hsq = _eta_opt(
-            hsq_fn, x, ft, spacing, "even", delta,
-            l2_t * spacing / 2, config,
-        )
-        eta_q = _eta_opt(
-            q_fn, x, ht, spacing, "odd", delta,
-            dev_sqrt + lf_t * spacing / 2, config,
-        )
+        eta_hsq = eta((float(t), "hsq"), hsq_fn, ft, "even", l2_t * spacing / 2)
+        eta_q = eta((float(t), "q"), q_fn, ht, "odd", dev_sqrt + lf_t * spacing / 2)
         stage2_bounds.append(eta_h + 0.25 * eta_h**2 + 0.5 * eta_hsq + eta_q)
     stage2_bounds = np.asarray(stage2_bounds)
 
@@ -578,6 +661,8 @@ def certify_log_path(
         step_sums=(step1, step2),
         max_bound=max_bound,
         passed=passed,
+        lp_solves=lp_solves,
+        stored_etas=stored_etas,
     )
     if not passed:
         raise CertificationFailed(
@@ -585,4 +670,4 @@ def certify_log_path(
             f"at delta = {delta}",
             report=report,
         )
-    return report
+    return report, winners

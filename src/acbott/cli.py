@@ -171,6 +171,10 @@ def cmd_certify_log(args) -> int:
     verdict = "PASS"
     try:
         report = certify_log_path(args.delta, mesh=mesh)
+    except ValueError as exc:
+        # a delta the certification rejects: NaN, infinite or negative
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except CertificationFailed as exc:
         report = exc.report
         if report is None:

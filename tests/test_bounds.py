@@ -1,8 +1,16 @@
 """Bound envelopes, the guarantee threshold, and homotopy certification."""
 
+import dataclasses
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import acbott
 import acbott.bott as bott
 from acbott.bounds import (
     BoundLine,
@@ -29,6 +37,8 @@ from acbott.errors import (
     TableDrift,
 )
 from acbott.linalg import TrigPoly
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # small certification budget for behavioral tests; the full-budget runs live
 # in the acceptance suite
@@ -209,6 +219,13 @@ def test_certify_fails_at_large_delta():
     assert report.max_bound >= CHEAP.threshold
 
 
+def test_certify_off_the_store_searches_every_eta(cheap_report):
+    # three stage-1 etas and three at each of 17 points, one LP and one
+    # exchange LP each
+    assert cheap_report.stored_etas == 0
+    assert cheap_report.lp_solves == 2 * (3 + 3 * 17)
+
+
 def test_certify_auto_refines_default_mesh(cheap_report):
     report = cheap_report
     # nine Chebyshev-Lobatto points violate the step rule; one refinement
@@ -244,9 +261,10 @@ def test_certify_rejects_nonfinite_mesh_point(bad, monkeypatch):
 
 def test_certify_working_set_stays_small(cheap_report):
     # at 2**16 + 1 samples the fine-grid arrays dominate what the
-    # certification allocates.  The bound is 11.5 of them: this code peaks at
-    # 10.1, in the step-rule check, and a version that allocated fresh arrays
-    # for every residual, transform and sample set peaked at 13.3
+    # certification allocates.  The bound is 9.5 of them: this code peaks at
+    # 9.1, in the step-rule check; holding two whole triples and two
+    # temporaries there peaked at 10.1, and allocating fresh arrays for every
+    # residual, transform and sample set at 13.3
     import tracemalloc
 
     config = CertifyConfig(
@@ -259,7 +277,7 @@ def test_certify_working_set_stays_small(cheap_report):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 11.5 * 8 * (config.fine_grid + 1)
+    assert peak < 9.5 * 8 * (config.fine_grid + 1)
 
 
 def test_certify_rejects_coarse_user_mesh():
@@ -278,6 +296,19 @@ def test_certify_accepts_fine_user_mesh():
 def test_certify_negative_delta():
     with pytest.raises(ValueError):
         certify_log_path(-0.01, config=CHEAP)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_certify_rejects_nonfinite_delta(bad, monkeypatch):
+    import acbott.bounds as bounds
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the certification ran on a non-finite delta")
+
+    monkeypatch.setattr(bounds, "linprog", no_work)
+    monkeypatch.setattr(bounds, "_step_sums", no_work)
+    with pytest.raises(ValueError, match="finite"):
+        certify_log_path(bad)
 
 
 def test_certify_rejects_degree_the_grid_aliases():
@@ -358,3 +389,109 @@ def test_certify_same_with_direct_series_sum(cheap_report, monkeypatch):
         [r[2] for r in fast.rows()], [r[2] for r in slow.rows()], rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(fast.stage1_etas, slow.stage1_etas, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the stored delta = 1/8 certificate
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def regenerator():
+    path = ROOT / "scripts" / "regenerate_log_certificate.py"
+    spec = importlib.util.spec_from_file_location("regenerate_log_certificate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def searched(regenerator):
+    # one search of the default certification at 1/8 with the store
+    # bypassed (108 LPs), shared by the tests that hold the store to it
+    return regenerator.search()
+
+
+def test_stored_certificate_matches_regeneration(regenerator, searched, tmp_path):
+    # the committed module is the generator's output for a fresh search,
+    # byte for byte
+    out = tmp_path / "log_certificate.py"
+    regenerator.write(searched[1], out)
+    assert out.read_bytes() == regenerator.MODULE.read_bytes()
+
+
+def _report_bits(report):
+    # every field but the counters: arrays by their bytes, the rest by repr
+    return {
+        field.name: (value.tobytes() if isinstance(value, np.ndarray) else repr(value))
+        for field in dataclasses.fields(report)
+        if field.name not in ("lp_solves", "stored_etas")
+        for value in [getattr(report, field.name)]
+    }
+
+
+def test_stored_certificate_reproduces_the_search(searched):
+    search = searched[0]
+    stored = certify_log_path(0.125)
+    assert (search.lp_solves, search.stored_etas) == (108, 0)
+    assert (stored.lp_solves, stored.stored_etas) == (0, 54)
+    assert _report_bits(stored) == _report_bits(search)
+
+
+def test_stored_certificate_covers_shared_mesh_points():
+    # the benchmark's 15-point Lobatto mesh shares t = 0, 0.49999999999999994
+    # and 1 with the stored 17-point mesh: stage 1 and those three points
+    # come from the store, the other 12 points are searched
+    mesh = (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 15))) / 2.0
+    mesh[0], mesh[-1] = 0.0, 1.0
+    report = certify_log_path(0.125, mesh=mesh)
+    assert (report.lp_solves, report.stored_etas) == (72, 12)
+
+
+def test_store_applies_only_at_its_delta_and_search_settings():
+    from acbott.bounds import _stored_approximants
+    from acbott.config import DEFAULT_CERTIFY
+
+    store = _stored_approximants(0.125, DEFAULT_CERTIFY)
+    assert len(store) == 54
+    # threshold, step budget and mesh do not enter an eta
+    unsearched = dataclasses.replace(
+        DEFAULT_CERTIFY, threshold=0.9, step_budget=0.2, mesh_per_stage=9
+    )
+    assert _stored_approximants(0.125, unsearched) is store
+    assert _stored_approximants(np.nextafter(0.125, 0.0), DEFAULT_CERTIFY) == {}
+    for field in ("max_degree", "fine_grid", "coarse_points", "exchange_rounds"):
+        other = dataclasses.replace(
+            DEFAULT_CERTIFY, **{field: getattr(DEFAULT_CERTIFY, field) + 1}
+        )
+        assert _stored_approximants(0.125, other) == {}, field
+
+
+_LP_FREE = """
+import sys
+import acbott.bounds as bounds
+
+def no_lp(*args, **kwargs):
+    raise AssertionError("an LP ran on the stored path")
+
+bounds.linprog = no_lp
+report = bounds.certify_log_path(0.125)
+print("passed:", report.passed, report.lp_solves, report.stored_etas)
+print("scipy.optimize loaded:", "scipy.optimize" in sys.modules)
+"""
+
+
+def test_stored_certificate_runs_no_lp_in_a_fresh_process():
+    src = str(Path(acbott.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _LP_FREE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "passed: True 0 54" in done.stdout
+    assert "scipy.optimize loaded: False" in done.stdout

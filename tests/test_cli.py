@@ -228,6 +228,14 @@ def test_certify_log_mesh_violations(capsys):
     assert "MeshViolation" in err
 
 
+@pytest.mark.parametrize("delta", ["-0.1", "nan"])
+def test_certify_log_rejects_bad_delta(delta, capsys):
+    rc, out, err = run(capsys, "certify-log", f"--delta={delta}")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and "delta" in err
+
+
 def test_missing_input_file(tmp_path, capsys):
     rc, _, err = run(capsys, "index", str(tmp_path / "no_U.txt"),
                      str(tmp_path / "no_V.txt"))
@@ -248,6 +256,7 @@ assert acbott.cli.main(
 heavy = ("scipy.optimize", "scipy.fft", "scipy.integrate", "scipy.special")
 print("loaded:", [name for name in heavy if name in sys.modules])
 print("linprog attribute:", callable(vars(acbott.bounds).get("linprog")))
+print("stored certificate loaded:", "acbott.log_certificate" in sys.modules)
 """
 
 
@@ -274,3 +283,4 @@ def test_index_process_never_imports_the_certification_stack(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "loaded: []" in done.stdout
     assert "linprog attribute: True" in done.stdout
+    assert "stored certificate loaded: False" in done.stdout
