@@ -13,8 +13,23 @@ import sys
 
 import numpy as np
 
-from acbott.bounds import beta, beta_root, coarse_gap, eta_envelope_f, eta_envelope_h
+from acbott.bounds import (
+    beta,
+    beta_root,
+    coarse_gap,
+    eta_envelope_f,
+    eta_envelope_h,
+    guaranteed_gap,
+)
 from acbott.errors import NoGuarantee
+
+
+def gap_cell(gap, delta) -> str:
+    """A gap guarantee at delta as a CSV cell, empty where it does not hold."""
+    try:
+        return f"{gap(delta):.9g}"
+    except NoGuarantee:
+        return ""
 
 
 def main(argv=None):
@@ -34,15 +49,14 @@ def main(argv=None):
     writer.writerow(["delta", "eta_f", "eta_h", "beta", "gap_guaranteed", "gap_coarse"])
     for d in np.linspace(args.lo, args.hi, args.points):
         d = float(d)
-        b = beta(d)
-        gap = f"{np.sqrt(1.0 - b):.9g}" if b < 1.0 else ""
-        try:
-            coarse = f"{coarse_gap(d):.9g}"
-        except NoGuarantee:
-            coarse = ""
-        writer.writerow(
-            [f"{d:.9g}", f"{env_f(d):.9g}", f"{env_h(d):.9g}", f"{b:.9g}", gap, coarse]
-        )
+        writer.writerow([
+            f"{d:.9g}",
+            f"{env_f(d):.9g}",
+            f"{env_h(d):.9g}",
+            f"{beta(d):.9g}",
+            gap_cell(guaranteed_gap, d),
+            gap_cell(coarse_gap, d),
+        ])
     if args.out:
         fh.close()
         print(f"wrote {args.out}  (beta root at delta = {root:.9g})")

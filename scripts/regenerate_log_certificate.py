@@ -3,10 +3,11 @@
 Runs the default certification at delta = LOG_THRESHOLD = 1/8 with the store
 bypassed, so every eta is searched by LP, and writes the winning coefficient
 vector of each search as exact float literals to
-``src/acbott/log_certificate.py`` (or to --out).  The search makes 108 LPs,
-about 22 s on a 2-CPU machine.  Run it after any change to the search: the
-test suite requires the committed module to equal this script's output byte
-for byte.
+``src/acbott/log_certificate.py`` (or to --out), together with delta and the
+three CertifyConfig fields the search depends on (max_degree, fine_grid,
+coarse_points).  The search makes 108 LPs, about 22 s on a 2-CPU machine.
+Run it after any change to the search: the test suite requires the committed
+module to equal this script's output byte for byte.
 
     PYTHONPATH=src python scripts/regenerate_log_certificate.py
 """
@@ -52,7 +53,6 @@ def render(winners) -> str:
         f"MAX_DEGREE = {cfg.max_degree!r}",
         f"FINE_GRID = {cfg.fine_grid!r}",
         f"COARSE_POINTS = {cfg.coarse_points!r}",
-        f"EXCHANGE_ROUNDS = {cfg.exchange_rounds!r}",
         "",
         "APPROXIMANTS = {",
     ]

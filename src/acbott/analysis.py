@@ -38,11 +38,6 @@ class IndexReport:
     gap_guaranteed: Optional[float] = None
     distance_commuting: Optional[float] = None
 
-    @property
-    def kappa2_certified(self) -> bool:
-        """kappa2 holds up to the trig threshold, or on the log route's own."""
-        return self.kappa_certified or self.log_certified
-
     def items(self):
         def fmt(v):
             if v is None:
@@ -78,9 +73,10 @@ def analyze(
     ``method`` is "trig" for B(U, V) or "log" for B_L(U, V); on the log route
     kappa is certified only up to LOG_THRESHOLD.  With ``self_dual`` the pair
     is treated as self-dual (its dimension fixes the dual) and kappa2 is
-    filled in.  Above the winding gate DELTA_GATE omega is left empty and
-    ``omega_valid`` is false.  A closed gap leaves kappa empty; a certified
-    kappa that disagrees with omega raises NumericalInconsistency.
+    filled in, certified exactly when kappa is.  Above the winding gate
+    DELTA_GATE omega is left empty and ``omega_valid`` is false.  A closed
+    gap leaves kappa empty; a certified kappa that disagrees with omega
+    raises NumericalInconsistency.
     """
     report = IndexReport(delta=pair.delta, dim=pair.dim)
     report.omega_valid = pair.delta <= DELTA_GATE

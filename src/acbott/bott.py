@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -23,12 +23,7 @@ from .errors import (
     GapClosed,
     ThresholdExceeded,
 )
-from .linalg import (
-    TrigPoly,
-    UnitaryPair,
-    apply_trigpoly,
-    hermitian_eig,
-)
+from .linalg import TrigPoly, UnitaryPair, hermitian_eig
 
 # sine amplitudes of f: (150 sin x + 25 sin 3x + 3 sin 5x) / 128
 F_AMPLITUDES = (150.0 / 128.0, 0.0, 25.0 / 128.0, 0.0, 3.0 / 128.0)
@@ -200,7 +195,8 @@ def assemble_blocks(fV, gV, hV, U) -> np.ndarray:
     the shift/clock pair with V U V* U* = exp(-2 pi i / n) I, matching the
     winding invariant of that pair.  The commuting anchors (diagonal blocks
     +-fV, corners hV at U = I) are insensitive to this choice.  The result
-    is symmetrized to exact hermiticity.
+    is symmetrized to exact hermiticity.  gV may be a scalar, 0.0 for a
+    triple whose g vanishes.
     """
     Ustar = U.conj().T
     top = gV + 0.5 * (hV @ Ustar + Ustar @ hV)
@@ -209,31 +205,23 @@ def assemble_blocks(fV, gV, hV, U) -> np.ndarray:
     return (B + B.conj().T) / 2
 
 
-def build_B(pair: UnitaryPair, use_trigpoly: bool = False) -> BottMatrix:
+def build_B(pair: UnitaryPair) -> BottMatrix:
     """Assemble B(U, V) and its spectrum.
 
-    The pair's cached eigendecomposition of V serves f, g and h.  With
-    ``use_trigpoly`` the degree-5 approximants replace the exact closed-form
-    functions.
+    The pair's cached eigendecomposition of V serves f, g and h.
     """
     t = standard_triple()
-    if use_trigpoly:
-        fV, gV, hV = (
-            apply_trigpoly(p, pair.V, tol=pair.unitary_tol) for p in (t.f5, t.g5, t.h5)
-        )
-    else:
-        angles, Q = pair.v_eig
-        Qstar = Q.conj().T
-        fV, gV, hV = (
-            (Q * np.asarray(fn(angles), dtype=complex)) @ Qstar
-            for fn in (t.f, t.g, t.h)
-        )
+    angles, Q = pair.v_eig
+    Qstar = Q.conj().T
+    fV, gV, hV = (
+        (Q * np.asarray(fn(angles), dtype=complex)) @ Qstar for fn in (t.f, t.g, t.h)
+    )
     B = assemble_blocks(fV, gV, hV, pair.U)
     return BottMatrix.of(B, pair.delta, "trig")
 
 
-def _count_signature(eigs: np.ndarray, gap_tol: Optional[float] = None) -> int:
-    tol = DEFAULT_TOL.gap_per_dim * len(eigs) if gap_tol is None else gap_tol
+def _count_signature(eigs: np.ndarray) -> int:
+    tol = DEFAULT_TOL.gap_per_dim * len(eigs)
     if np.min(np.abs(eigs)) <= tol:
         raise GapClosed(
             f"eigenvalue at {np.min(np.abs(eigs)):.3e} inside gap tolerance {tol:.1e}"
@@ -241,32 +229,28 @@ def _count_signature(eigs: np.ndarray, gap_tol: Optional[float] = None) -> int:
     return int(np.sum(eigs > 0) - np.sum(eigs < 0))
 
 
-def signature(H, gap_tol: Optional[float] = None) -> int:
+def signature(H) -> int:
     """Number of positive minus number of negative eigenvalues."""
-    return _count_signature(hermitian_eig(H), gap_tol)
+    return _count_signature(hermitian_eig(H))
 
 
-def require_certified(delta: float, allow_uncertified: bool = False) -> None:
-    """Refuse delta above KAPPA_THRESHOLD unless the caller opts in."""
-    if delta > KAPPA_THRESHOLD and not allow_uncertified:
+def require_certified(delta: float) -> None:
+    """Refuse delta above KAPPA_THRESHOLD."""
+    if delta > KAPPA_THRESHOLD:
         raise ThresholdExceeded(
             f"delta = {delta:.6f} exceeds certified threshold {KAPPA_THRESHOLD}"
         )
 
 
-def bott_index(
-    pair: UnitaryPair,
-    use_trigpoly: bool = False,
-    allow_uncertified: bool = False,
-) -> int:
+def bott_index(pair: UnitaryPair) -> int:
     """Half the signature of B(U, V).
 
-    Certified for delta <= KAPPA_THRESHOLD; beyond that the gate raises
-    unless the caller opts in, in which case the value is still computed but
-    carries no guarantee.
+    Certified for delta <= KAPPA_THRESHOLD; beyond that ThresholdExceeded is
+    raised.  ``analysis.analyze`` computes kappa at any delta and reports
+    whether it is certified.
     """
-    require_certified(pair.delta, allow_uncertified)
-    return build_B(pair, use_trigpoly).signature() // 2
+    require_certified(pair.delta)
+    return build_B(pair).signature() // 2
 
 
 def threshold_consistency() -> dict:

@@ -43,10 +43,12 @@ import numpy as np
 
 from .bott import F_AMPLITUDES, eval_f, eval_h, standard_triple
 from .config import (
+    CERTIFY_THRESHOLD,
     DEFAULT_CERTIFY,
     ENVELOPE_GRID,
     F_LIPSCHITZ,
     H_LIPSCHITZ,
+    STEP_BUDGET,
     CertifyConfig,
 )
 from .errors import (
@@ -347,8 +349,8 @@ def _eta_opt(fn, fine_x, fine_vals, spacing, parity, delta, dev_fn, cfg, stored=
     Returns the certified eta, the coefficients it certifies and the number
     of LPs solved.  Stored coefficients are certified as they are, with one
     transform and no LP.  Otherwise it solves the LP on a cosine-clustered
-    coarse set, then re-solves with the fine-grid residual extrema adjoined
-    (a cheap exchange step) and keeps the best certified value.  Each
+    coarse set, then re-solves once with up to 64 fine-grid residual extrema
+    adjoined (one exchange step) and keeps the better certified value.  Each
     residual is formed in the buffer its series was evaluated in, and the
     extrema are found in one scratch array.
     """
@@ -370,30 +372,26 @@ def _eta_opt(fn, fine_x, fine_vals, spacing, parity, delta, dev_fn, cfg, stored=
     xs = (np.pi / 2) * (1 - np.cos(theta))
     vs = np.asarray(fn(xs), dtype=float)
     coeffs, ks = _lp_line(vs, xs, parity, cfg.max_degree, delta)
-    lps = 1
     best, resid = certified(coeffs, ks)
-    best_coeffs = coeffs
-    for _ in range(cfg.exchange_rounds):
-        # interior extrema: consecutive differences of opposite sign
-        turn = np.subtract(resid[1:], resid[:-1])
-        np.sign(turn, out=turn)
-        np.multiply(turn[:-1], turn[1:], out=turn[:-1])
-        ex = np.flatnonzero(turn[:-1] < 0) + 1
-        if len(ex) == 0:
-            break
-        mid = (resid.max() + resid.min()) / 2
-        take = ex[np.argsort(-np.abs(resid[ex] - mid))[:64]]
-        # the fine arrays are not needed while the next LP is solved
-        del resid, turn
-        xs = np.unique(np.concatenate([xs, fine_x[take], [0.0, np.pi]]))
-        coeffs, ks = _lp_line(
-            np.asarray(fn(xs), dtype=float), xs, parity, cfg.max_degree, delta
-        )
-        lps += 1
-        eta, resid = certified(coeffs, ks)
-        if eta < best:
-            best, best_coeffs = eta, coeffs
-    return best, best_coeffs, lps
+    # interior extrema: consecutive differences of opposite sign
+    turn = np.subtract(resid[1:], resid[:-1])
+    np.sign(turn, out=turn)
+    np.multiply(turn[:-1], turn[1:], out=turn[:-1])
+    ex = np.flatnonzero(turn[:-1] < 0) + 1
+    if len(ex) == 0:
+        return best, coeffs, 1
+    mid = (resid.max() + resid.min()) / 2
+    take = ex[np.argsort(-np.abs(resid[ex] - mid))[:64]]
+    # the fine arrays are not needed while the next LP is solved
+    del resid, turn
+    xs = np.unique(np.concatenate([xs, fine_x[take], [0.0, np.pi]]))
+    second, ks = _lp_line(
+        np.asarray(fn(xs), dtype=float), xs, parity, cfg.max_degree, delta
+    )
+    eta = certified(second, ks)[0]
+    if eta < best:
+        return eta, second, 2
+    return best, coeffs, 2
 
 
 @dataclass(frozen=True)
@@ -479,19 +477,9 @@ def _stored_approximants(delta, config: CertifyConfig) -> dict:
     from . import log_certificate as stored
 
     searched_at = (
-        stored.DELTA,
-        stored.MAX_DEGREE,
-        stored.FINE_GRID,
-        stored.COARSE_POINTS,
-        stored.EXCHANGE_ROUNDS,
+        stored.DELTA, stored.MAX_DEGREE, stored.FINE_GRID, stored.COARSE_POINTS
     )
-    asked = (
-        delta,
-        config.max_degree,
-        config.fine_grid,
-        config.coarse_points,
-        config.exchange_rounds,
-    )
+    asked = (delta, config.max_degree, config.fine_grid, config.coarse_points)
     return stored.APPROXIMANTS if asked == searched_at else {}
 
 
@@ -506,20 +494,20 @@ def certify_log_path(
     to keep f^2 + g^2 = 1 there; h does not move, so its approximants are
     computed once and only the sup of g varies along the stage.  Stage 2
     interpolates the clamped f to x/pi with h = sqrt(1 - f^2) and g = 0.
-    Every mesh point must give a squared-deviation bound below the threshold
-    and consecutive triples must obey the step rule; a user-supplied mesh
-    that breaks the step rule is rejected.  The default mesh is
-    ``config.mesh_per_stage`` Chebyshev-Lobatto points and refines itself
-    from M to 2M - 1 points, which keeps every earlier point, until the step
-    rule holds.
+    Every mesh point must give a squared-deviation bound below
+    CERTIFY_THRESHOLD and consecutive triples must obey the step rule (step
+    sums at most STEP_BUDGET); a user-supplied mesh that breaks the step rule
+    is rejected.  The default mesh is ``config.mesh_per_stage``
+    Chebyshev-Lobatto points and refines itself from M to 2M - 1 points,
+    which keeps every earlier point, until the step rule holds.
 
     Each eta bound comes from one coefficient vector and one transform of
     it; the LPs only search for the vector.  At delta = 1/8 with the default
-    search settings, the winning vectors of the default mesh are stored
-    (``log_certificate``), so stage 1 and every stage-2 point of the stored
-    mesh are certified without an LP, each to the value the search gives bit
-    for bit.  Any other delta or search setting searches every eta: stored
-    vectors would still give valid bounds below 1/8, but looser ones.
+    search settings (``max_degree``, ``fine_grid``, ``coarse_points``), the
+    winning vectors of the default mesh are stored (``log_certificate``), so
+    stage 1 and every stage-2 point of the stored mesh are certified without
+    an LP, each to the value the search gives bit for bit.  Any other delta
+    or search setting searches every eta.
 
     Returns the report on success and raises CertificationFailed (with the
     report attached) when any bound reaches the threshold.
@@ -573,12 +561,12 @@ def _certify(delta, mesh, config, stored):
     while True:
         step1, gnorms = _step_sums(ts, triple1)
         step2, _ = _step_sums(ts, triple2)
-        if max(step1, step2) <= config.step_budget:
+        if max(step1, step2) <= STEP_BUDGET:
             break
         if not auto:
             raise MeshViolation(
                 f"mesh step sum {max(step1, step2):.4f} exceeds budget "
-                f"{config.step_budget:.4f}"
+                f"{STEP_BUDGET:.4f}"
             )
         ts = _lobatto_mesh(2 * len(ts) - 1)
     del triple1, outside
@@ -649,10 +637,10 @@ def _certify(delta, mesh, config, stored):
     stage2_bounds = np.asarray(stage2_bounds)
 
     max_bound = float(max(stage1_bounds.max(), stage2_bounds.max()))
-    passed = max_bound < config.threshold
+    passed = max_bound < CERTIFY_THRESHOLD
     report = CertificationReport(
         delta=float(delta),
-        threshold=config.threshold,
+        threshold=CERTIFY_THRESHOLD,
         stage1_t=ts.copy(),
         stage1_bounds=stage1_bounds,
         stage2_t=ts.copy(),
@@ -666,7 +654,7 @@ def _certify(delta, mesh, config, stored):
     )
     if not passed:
         raise CertificationFailed(
-            f"bound reaches {max_bound:.6f} >= {config.threshold} "
+            f"bound reaches {max_bound:.6f} >= {CERTIFY_THRESHOLD} "
             f"at delta = {delta}",
             report=report,
         )

@@ -22,11 +22,13 @@ from .bounds import (
     coarse_gap,
     eta_envelope_f,
     eta_envelope_h,
+    guaranteed_gap,
 )
 from .config import DEFAULT_TOL
 from .errors import (
     AlmostCommutingError,
     CertificationFailed,
+    NoGuarantee,
     NumericalInconsistency,
 )
 from .generators import PairSpec, build_pair
@@ -54,7 +56,7 @@ def _emit_report(report: IndexReport, fmt: str, out=None):
             tag = "certified" if report.kappa_certified else "NOT certified"
             print(f"kappa = {report.kappa} ({tag})", file=out)
         if report.kappa2 is not None:
-            tag = "certified" if report.kappa2_certified else "NOT certified"
+            tag = "certified" if report.kappa_certified else "NOT certified"
             print(f"kappa2 = {report.kappa2:+d} ({tag})", file=out)
         if report.gap_measured is not None:
             print(f"gap_measured = {report.gap_measured:.9g}", file=out)
@@ -93,10 +95,8 @@ def cmd_index(args) -> int:
 
     report = analyze(pair, args.self_dual, args.method)
     _emit_report(report, args.format)
-    uncertified = (report.kappa is not None and not report.kappa_certified) or (
-        report.kappa2 is not None and not report.kappa2_certified
-    )
-    return 2 if uncertified else 0
+    computed = report.kappa is not None or report.kappa2 is not None
+    return 2 if computed and not report.kappa_certified else 0
 
 
 def cmd_generate(args) -> int:
@@ -122,6 +122,14 @@ def _open_out(path):
     return open(path, "w") if path else sys.stdout
 
 
+def _gap_cell(gap, delta) -> str:
+    """A gap guarantee at delta as a CSV cell, empty where it does not hold."""
+    try:
+        return f"{gap(delta):.9g}"
+    except NoGuarantee:
+        return ""
+
+
 def cmd_bounds(args) -> int:
     deltas = np.linspace(args.start, args.stop, args.points)
     out = _open_out(args.out)
@@ -132,12 +140,11 @@ def cmd_bounds(args) -> int:
                 cols.remove("beta")
             print(",".join(cols), file=out)
             for d in deltas:
-                b = beta(d)
                 row = {
                     "delta": f"{d:.9g}",
-                    "beta": f"{b:.9g}",
-                    "gap_guaranteed": f"{np.sqrt(1 - b):.9g}" if b < 1 else "",
-                    "gap_coarse": f"{coarse_gap(d):.9g}" if d <= 0.2 else "",
+                    "beta": f"{beta(d):.9g}",
+                    "gap_guaranteed": _gap_cell(guaranteed_gap, d),
+                    "gap_coarse": _gap_cell(coarse_gap, d),
                 }
                 print(",".join(row[c] for c in cols), file=out)
         else:

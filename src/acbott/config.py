@@ -1,9 +1,11 @@
 """Numerical configuration shared across modules.
 
-All tolerances live here so that contracts stay testable with one documented
-set of defaults.  The gate tolerances are the defaults of keyword arguments
-and the certification parameters a ``CertifyConfig`` passed per call; the
-thresholds and the envelope constants are fixed.
+Gate tolerances read by more than one check live in ``Tolerances``; callers
+set only the unitarity gate (``unitary_tol``).  Limits that one check owns
+stay beside it: 1e-7 in the anti-self-duality and Kramers checks of
+``selfdual``, 1e-6 for the logarithm's self-duality drift in ``logmethod``.
+The thresholds, the step budget and the envelope constants are fixed; a
+``CertifyConfig`` holds the certification's mesh and search sizes.
 """
 
 from __future__ import annotations
@@ -44,19 +46,23 @@ H_LIPSCHITZ = 1.2
 F_LIPSCHITZ = 1.875
 
 
+# The homotopy certification passes when every mesh point's bound stays
+# below CERTIFY_THRESHOLD, on a mesh whose consecutive triples obey the step
+# rule ||df|| + ||dg|| + ||dh|| <= STEP_BUDGET.
+CERTIFY_THRESHOLD = 0.95
+STEP_BUDGET = math.sqrt(0.05)
+
+
 @dataclass(frozen=True)
 class CertifyConfig:
-    """Parameters for the homotopy certification sweep."""
+    """Mesh and search sizes of the homotopy certification."""
 
-    threshold: float = 0.95
-    step_budget: float = math.sqrt(0.05)   # max allowed ||df|| + ||dg|| + ||dh||
     # the default mesh starts at this many Chebyshev-Lobatto points and is
     # refined from M to 2M - 1 points until the step rule holds
     mesh_per_stage: int = 17
     max_degree: int = 48                   # degree cap for optimized approximants
     fine_grid: int = 2 ** 18               # half-period samples for offsets
     coarse_points: int = 512               # initial support of the line optimizer
-    exchange_rounds: int = 1               # extrema re-insertion passes
 
 
 DEFAULT_CERTIFY = CertifyConfig()

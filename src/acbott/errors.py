@@ -1,10 +1,11 @@
 """Error taxonomy shared by every module.
 
 Hard errors signal that a requested quantity is undefined or that the
-computation cannot be trusted.  Two soft conditions (threshold overruns on
-otherwise well-defined indices) are exceptions as well, but callers may
-explicitly opt into computing past them; the CLI then marks the result
-uncertified instead of aborting.
+computation cannot be trusted.  A threshold overrun on an otherwise
+well-defined index is an exception as well: the index functions return only
+certified values.  ``analysis.analyze`` computes every index past its
+threshold and reports whether it is certified; the CLI prints that report
+and marks the result uncertified instead of aborting.
 """
 
 
@@ -55,8 +56,8 @@ class GapClosed(AlmostCommutingError):
 class ThresholdExceeded(AlmostCommutingError):
     """delta exceeds the certified threshold for this index.
 
-    Soft: pass ``allow_uncertified=True`` to compute anyway; the result is
-    then flagged as uncertified by the callers that surface it.
+    ``analysis.analyze`` computes the index anyway and reports it as not
+    certified.
     """
 
 

@@ -80,10 +80,15 @@ def unitary_eig(V, tol: float = DEFAULT_TOL.unitary):
     live in (-pi, pi]; an eigenvalue numerically at -1 maps to +pi, which
     makes the branch deterministic at the cut.
     """
-    from scipy.linalg import schur
-
     A = as_matrix(V)
     _check_unitary(A, tol)
+    return _schur_angles(A)
+
+
+def _schur_angles(A: np.ndarray):
+    """:func:`unitary_eig` of an A whose unitarity is already checked."""
+    from scipy.linalg import schur
+
     T, Q = schur(A, output="complex")
     lam = np.diag(T)
     angles = np.angle(lam)
@@ -93,14 +98,14 @@ def unitary_eig(V, tol: float = DEFAULT_TOL.unitary):
     return angles, Q
 
 
-def apply_periodic(fn, V, tol: float = DEFAULT_TOL.unitary) -> np.ndarray:
+def apply_periodic(fn, V) -> np.ndarray:
     """Apply a 2pi-periodic scalar function to the eigenangles of unitary V."""
-    angles, Q = unitary_eig(V, tol)
+    angles, Q = unitary_eig(V)
     vals = np.asarray(fn(angles), dtype=complex)
     return (Q * vals) @ Q.conj().T
 
 
-def apply_trigpoly(p: "TrigPoly", V, tol: float = DEFAULT_TOL.unitary) -> np.ndarray:
+def apply_trigpoly(p: "TrigPoly", V) -> np.ndarray:
     """Evaluate a trigonometric polynomial at a unitary matrix.
 
     Horner accumulation in V for the nonnegative powers and in V* for the
@@ -108,7 +113,7 @@ def apply_trigpoly(p: "TrigPoly", V, tol: float = DEFAULT_TOL.unitary) -> np.nda
     independent route to the functional calculus.
     """
     A = as_matrix(V)
-    _check_unitary(A, tol)
+    _check_unitary(A, DEFAULT_TOL.unitary)
     d = A.shape[0]
     n = p.degree
     I = np.eye(d, dtype=complex)
@@ -126,22 +131,22 @@ def apply_trigpoly(p: "TrigPoly", V, tol: float = DEFAULT_TOL.unitary) -> np.nda
     return pos + neg + p.coeff(0) * I
 
 
-def unitary_part(A, singular_tol: float = DEFAULT_TOL.singular) -> np.ndarray:
+def unitary_part(A) -> np.ndarray:
     """Unitary factor of the polar decomposition, A (A*A)^(-1/2)."""
     M = as_matrix(A)
     P, s, Qh = np.linalg.svd(M)
-    if s[-1] <= singular_tol * max(s[0], 1.0):
+    if s[-1] <= DEFAULT_TOL.singular * max(s[0], 1.0):
         raise SingularMatrix(
             f"smallest singular value {s[-1]:.3e} below gate; polar part unreliable"
         )
     return P @ Qh
 
 
-def hermitian_eig(H, tol: float = DEFAULT_TOL.hermitian) -> np.ndarray:
+def hermitian_eig(H) -> np.ndarray:
     """Real spectrum of a hermitian matrix, ascending."""
     A = as_matrix(H)
     err = operator_norm(A - A.conj().T)
-    if err > tol * max(1.0, operator_norm(A)):
+    if err > DEFAULT_TOL.hermitian * max(1.0, operator_norm(A)):
         raise NotHermitian(f"||H - H*|| = {err:.3e} exceeds tolerance")
     return np.linalg.eigvalsh(A)
 
@@ -217,9 +222,10 @@ class TrigPoly:
         """Evaluate a real-valued series, returning float values."""
         return np.real(self(x))
 
-    def is_real_valued(self, tol: float = 1e-12) -> bool:
+    def is_real_valued(self) -> bool:
+        """a_{-k} = conj(a_k) for every k, to 1e-12."""
         flipped = np.conj(self.coeffs[::-1])
-        return bool(np.max(np.abs(self.coeffs - flipped)) <= tol)
+        return bool(np.max(np.abs(self.coeffs - flipped)) <= 1e-12)
 
     def derivative_l1(self) -> float:
         """sum |k a_k|, the slope constant attached to this polynomial."""
@@ -237,8 +243,9 @@ class UnitaryPair:
     """Validated pair of same-size unitaries with cached commutator norm.
 
     The pair also caches its two factorizations, each made on first use:
-    ``v_eig`` is the :func:`unitary_eig` of V (one Schur) and ``w_angles``
-    the eigenangles of W = VUV*U*, gated for unitarity at 10 * unitary_tol.
+    ``v_eig`` is the :func:`unitary_eig` of V (one Schur; ``make_pair``
+    has already checked V's unitarity) and ``w_angles`` the eigenangles of
+    W = VUV*U*, gated for unitarity at 10 * unitary_tol.
     Every library call on the pair reads these, so a pair pays one
     factorization of each matrix however many invariants are asked of it.
     U and V must therefore not be mutated after ``make_pair``, which delta
@@ -262,7 +269,7 @@ class UnitaryPair:
     @functools.cached_property
     def v_eig(self):
         """``(angles, Q)`` of V as :func:`unitary_eig` gives them."""
-        angles, Q = unitary_eig(self.V, tol=self.unitary_tol)
+        angles, Q = _schur_angles(self.V)
         return _read_only(angles), _read_only(Q)
 
     @functools.cached_property

@@ -30,11 +30,7 @@ class PrincipalLog:
     Q: np.ndarray
 
 
-def principal_log(
-    V,
-    self_dual: bool = False,
-    tol: float = DEFAULT_TOL.unitary,
-) -> PrincipalLog:
+def principal_log(V, self_dual: bool = False) -> PrincipalLog:
     """Principal logarithm of a unitary: angles taken in (-pi, pi], -1 -> +pi.
 
     With ``self_dual``, K is symmetrized to exact self-duality.  A large
@@ -43,7 +39,7 @@ def principal_log(
     logarithm exists; that case is refused rather than silently averaged.
     """
     V = as_matrix(V)
-    return _principal_log(V, unitary_eig(V, tol=tol), self_dual, tol)
+    return _principal_log(V, unitary_eig(V), self_dual, DEFAULT_TOL.unitary)
 
 
 def _principal_log(
@@ -52,7 +48,11 @@ def _principal_log(
     self_dual: bool,
     tol: float,
 ) -> PrincipalLog:
-    """:func:`principal_log` from ``eig = unitary_eig(V, tol)`` already made."""
+    """:func:`principal_log` from ``eig``, V's ``(angles, Q)`` already made.
+
+    ``tol`` gates V's unitarity when the branch cut has to be moved and V is
+    factorized again, so a pair keeps the tolerance it was made with.
+    """
     angles, Q = eig
     margin = float(np.min(np.abs(np.exp(1j * angles) + 1.0)))
     K = _hermitian_part((Q * angles) @ Q.conj().T)
@@ -89,17 +89,16 @@ def build_BL(pair: UnitaryPair, self_dual: bool = False) -> BottMatrix:
     # h1(K) on the eigenbasis K was built from, symmetrized as K is
     hvals = np.sqrt(1.0 - (plog.angles / np.pi) ** 2)
     hV = _hermitian_part((plog.Q * hvals) @ plog.Q.conj().T, self_dual)
-    fV = plog.K / np.pi
-    zero = np.zeros_like(fV)
-    B = assemble_blocks(fV, zero, hV, pair.U)
+    # g1 = 0, and adding the scalar 0.0 gives the blocks a zero matrix would
+    B = assemble_blocks(plog.K / np.pi, 0.0, hV, pair.U)
     return BottMatrix.of(B, pair.delta, "log")
 
 
-def kappa2_log(sd: SelfDualPair, allow_uncertified: bool = False) -> int:
+def kappa2_log(sd: SelfDualPair) -> int:
     """Sign index from B_L; certified to agree with the trig method for
     delta <= 1/8, soft-flagged up to the trig threshold, refused beyond it
-    unless the caller opts in."""
-    require_certified(sd.delta, allow_uncertified)
+    (``analysis.analyze(..., method="log")`` computes it at any delta)."""
+    require_certified(sd.delta)
     if LOG_THRESHOLD < sd.delta <= KAPPA_THRESHOLD:
         warnings.warn(
             f"delta = {sd.delta:.6f} is above the log-method threshold "

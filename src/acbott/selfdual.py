@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -108,18 +108,14 @@ class SelfDualPair:
         return self.pair.delta
 
 
-def make_selfdual_pair(
-    U,
-    V,
-    unitary_tol: float = DEFAULT_TOL.unitary,
-    selfdual_tol: float = DEFAULT_TOL.selfdual,
-) -> SelfDualPair:
+def make_selfdual_pair(U, V, unitary_tol: float = DEFAULT_TOL.unitary) -> SelfDualPair:
     pair = make_pair(U, V, unitary_tol=unitary_tol)
     if pair.dim % 2 != 0:
         raise DimensionMismatch("self-dual pair needs even dimension")
+    tol = DEFAULT_TOL.selfdual
     for name, M in (("U", pair.U), ("V", pair.V)):
-        drift = gate_norm(M - dual(M), selfdual_tol)
-        if drift > selfdual_tol:
+        drift = gate_norm(M - dual(M), tol)
+        if drift > tol:
             raise NotSelfDual(f"{name} fails self-duality by {drift:.3e}")
     return SelfDualPair(pair)
 
@@ -129,13 +125,13 @@ def make_selfdual_pair(
 # ---------------------------------------------------------------------------
 
 
-def _check_skew(X, tol: float) -> np.ndarray:
+def _check_skew(X) -> np.ndarray:
     dim = X.shape[0]
     if dim % 2 != 0:
         raise OddDimension(f"Pfaffian needs even dimension, got {dim}")
     scale = max(1.0, float(np.max(np.abs(X))))
     drift = operator_norm(X + X.T)
-    if drift > tol * scale:
+    if drift > DEFAULT_TOL.skew * scale:
         raise NotSkewSymmetric(f"skew-symmetry violated by {drift:.3e}")
     return (X - X.T) / 2
 
@@ -230,14 +226,14 @@ def _pfaffian_parlett_reid(X: np.ndarray) -> complex:
     return out
 
 
-def pfaffian(X, tol: float = DEFAULT_TOL.skew) -> complex:
+def pfaffian(X) -> complex:
     """Pfaffian of a complex skew-symmetric matrix; Pf(X)^2 = det(X).
 
     Below dimension 65 the Householder value is cross-checked against the
     pivoted LTL^T elimination; disagreement raises NumericalInconsistency.
     """
     X = as_matrix(X)
-    S = _check_skew(X, tol)
+    S = _check_skew(X)
     phase, log_mag = _pfaffian_sign_log(S)
     if log_mag == -math.inf:
         return 0j
@@ -297,13 +293,16 @@ def _rotated_anti_selfdual(
     return R, drift
 
 
-def modified_pfaffian(X, tol: float = 1e-7) -> complex:
-    """Pf(Q* X Q) for anti-self-dual X; squares to det(X)."""
+def modified_pfaffian(X) -> complex:
+    """Pf(Q* X Q) for anti-self-dual X; squares to det(X).
+
+    X must be anti-self-dual to 1e-7 * max(1, ||X||).
+    """
     X = as_matrix(X)
     dim = X.shape[0]
     if dim % 4 != 0:
         raise DimensionMismatch(f"modified Pfaffian needs dimension 4N, got {dim}")
-    S, _ = _rotated_anti_selfdual(X, tol, operator_norm(X))
+    S, _ = _rotated_anti_selfdual(X, 1e-7, operator_norm(X))
     phase, log_mag = _pfaffian_sign_log(S)
     if log_mag == -math.inf:
         return 0j
@@ -363,45 +362,35 @@ def _pfaffian_sign(bm: BottMatrix) -> int:
     return sign
 
 
-def pfaffian_bott_index(
-    sd: SelfDualPair,
-    use_trigpoly: bool = False,
-    allow_uncertified: bool = False,
-) -> int:
+def pfaffian_bott_index(sd: SelfDualPair) -> int:
     """Sign of the modified Pfaffian of the block matrix of the pair.
 
-    Certified for delta <= KAPPA_THRESHOLD.
+    Certified for delta <= KAPPA_THRESHOLD; beyond that ThresholdExceeded is
+    raised.  ``analysis.analyze`` computes kappa2 at any delta and reports
+    whether it is certified.
     """
-    require_certified(sd.delta, allow_uncertified)
-    return _pfaffian_sign(build_B(sd.pair, use_trigpoly=use_trigpoly))
+    require_certified(sd.delta)
+    return _pfaffian_sign(build_B(sd.pair))
 
 
-def selfdual_distance_bounds(
-    sdA: SelfDualPair,
-    sdB: SelfDualPair,
-    kappa2_a: Optional[int] = None,
-    kappa2_b: Optional[int] = None,
-) -> float:
+def selfdual_distance_bounds(sdA: SelfDualPair, sdB: SelfDualPair) -> float:
     """Lower bound on ||U_A - U_B|| + ||V_A - V_B|| when the signs differ.
 
     A commuting second pair always carries sign +1, which recovers the
-    commuting-target form 1/5 + (1/5) sqrt(1 - 5 delta^2).  The sign
-    arguments let callers supply externally known values instead of
-    recomputing them.
+    commuting-target form 1/5 + (1/5) sqrt(1 - 5 delta^2).
     """
     for sd in (sdA, sdB):
         require_certified(sd.delta)
-    ka = pfaffian_bott_index(sdA) if kappa2_a is None else int(kappa2_a)
-    kb = pfaffian_bott_index(sdB) if kappa2_b is None else int(kappa2_b)
-    if ka == kb:
+    if pfaffian_bott_index(sdA) == pfaffian_bott_index(sdB):
         raise NoObstruction("equal signs carry no distance obstruction")
     return (
         math.sqrt(1 - 5 * sdA.delta**2) + math.sqrt(1 - 5 * sdB.delta**2)
     ) / 5
 
 
-def check_kramers(H, pair_tol: float = 1e-7) -> bool:
-    """True when the spectrum is doubly degenerate (Kramers pairing)."""
+def check_kramers(H) -> bool:
+    """True when the spectrum is doubly degenerate (Kramers pairing): each
+    ascending pair of eigenvalues agrees to 1e-7 * max(1, max |eigenvalue|)."""
     H = as_matrix(H)
     Hd = dual(H)
     if operator_norm(H - H.conj().T) > DEFAULT_TOL.hermitian * max(
@@ -414,4 +403,4 @@ def check_kramers(H, pair_tol: float = 1e-7) -> bool:
     eigs = hermitian_eig(H)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     gaps = eigs[1::2] - eigs[0::2]
-    return bool(np.all(np.abs(gaps) <= pair_tol * scale))
+    return bool(np.all(np.abs(gaps) <= 1e-7 * scale))

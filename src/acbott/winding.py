@@ -71,18 +71,17 @@ def winding_number(pair: UnitaryPair) -> WindingResult:
     return WindingResult(int(nearest), pair.delta, margin, raw)
 
 
-def winding_via_path(pair: UnitaryPair, steps: int = 1024) -> int:
+def winding_via_path(pair: UnitaryPair) -> int:
     """Winding of t -> det(W^t) by stepwise phase unwrapping.
 
     Determinants are computed by LU factorization at each step, and W gets
     its own factorization here, not the pair's cached one, so the only
     shared ingredient with :func:`winding_number` is the matrix W itself.
-    Steps double automatically until every per-step phase change is below
-    pi/2.
+    The path starts at 1024 steps, which double until every per-step phase
+    change is below pi/2.
     """
     _require_gate(pair.delta)
-    if steps < 64:
-        raise MeshTooCoarse("need at least 64 path steps")
+    steps = 1024
     W = pair.multiplicative_commutator()
     angles, Q = unitary_eig(W, tol=10 * pair.unitary_tol)
     for _ in range(8):

@@ -6,6 +6,9 @@ that module have something to check against.
 
 import numpy as np
 
+from acbott.bott import BottMatrix, assemble_blocks, standard_triple
+from acbott.linalg import apply_trigpoly
+
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -54,6 +57,18 @@ def pfaffian_cofactor(X: np.ndarray) -> complex:
         minor = X[np.ix_(keep, keep)]
         total += (-1.0) ** (j + 1) * X[0, j] * pfaffian_cofactor(minor)
     return total
+
+
+def horner_B(pair) -> BottMatrix:
+    """B(U, V) from the degree-5 approximants f5, g5, h5 of the triple.
+
+    Each is evaluated at V by Horner accumulation (``apply_trigpoly``), with
+    no eigendecomposition, so this is a route to B independent of
+    ``build_B``'s Schur form of V.
+    """
+    t = standard_triple()
+    fV, gV, hV = (apply_trigpoly(p, pair.V) for p in (t.f5, t.g5, t.h5))
+    return BottMatrix.of(assemble_blocks(fV, gV, hV, pair.U), pair.delta, "trig")
 
 
 def standard_form(N: int) -> np.ndarray:

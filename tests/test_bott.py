@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from acbott.analysis import analyze
 from acbott.bott import (
     F_AMPLITUDES,
     bott_index,
@@ -27,7 +28,7 @@ from acbott.errors import (
 from acbott.generators import commuting_random, cyclic_shift_pair, perturb
 from acbott.linalg import make_pair
 from acbott.winding import winding_number
-from support import haar_unitary
+from support import haar_unitary, horner_B
 
 # quadrature oracle, 30-digit arithmetic, frozen
 C_ORACLE = (
@@ -161,14 +162,18 @@ def test_kappa_threshold_gate():
     pair = cyclic_shift_pair(8)  # delta ~ 0.765
     with pytest.raises(ThresholdExceeded):
         bott_index(pair)
-    assert bott_index(pair, allow_uncertified=True) == -1
+    # analyze computes past the threshold and says so
+    report = analyze(pair)
+    assert report.kappa == -1
+    assert not report.kappa_certified
 
 
 def test_kappa_trigpoly_route_agrees():
     pair = cyclic_shift_pair(31)
-    assert bott_index(pair, use_trigpoly=True) == -1
+    poly = horner_B(pair)
+    assert poly.signature() // 2 == -1
     g_exact = build_B(pair).gap
-    g_poly = build_B(pair, use_trigpoly=True).gap
+    g_poly = poly.gap
     # routes differ by at most a few multiples of sup|h - h5|
     assert abs(g_exact - g_poly) < 0.02
 
@@ -202,7 +207,7 @@ def test_kappa_stable_below_distance_bound():
         total = 0.15  # ||U-U'|| + ||V-V'|| by construction
         floor = (np.sqrt(1 - 5 * base.delta**2) + np.sqrt(1 - 5 * moved.delta**2)) / 5
         assert total < floor
-        assert bott_index(moved, allow_uncertified=True) == -1
+        assert analyze(moved).kappa == -1
 
 
 def test_gap_exceeds_guarantee_at_small_delta(rng):

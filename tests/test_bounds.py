@@ -28,7 +28,7 @@ from acbott.bounds import (
     guaranteed_gap,
     variation_bound,
 )
-from acbott.config import CertifyConfig
+from acbott.config import CERTIFY_THRESHOLD, STEP_BUDGET, CertifyConfig
 from acbott.errors import (
     CertificationFailed,
     InvalidPolynomial,
@@ -201,13 +201,13 @@ def cheap_report():
 def test_certify_passes_at_small_delta(cheap_report):
     report = cheap_report
     assert report.passed
-    assert report.max_bound < CHEAP.threshold
-    assert max(report.step_sums) <= CHEAP.step_budget
+    assert report.max_bound < CERTIFY_THRESHOLD
+    assert max(report.step_sums) <= STEP_BUDGET
     assert len(report.stage1_t) == len(report.stage1_bounds)
     assert len(report.stage2_t) == len(report.stage2_bounds)
     rows = report.rows()
     assert rows[0][0] == 1 and rows[-1][0] == 2
-    assert all(v < CHEAP.threshold for _, _, v in rows)
+    assert all(v < CERTIFY_THRESHOLD for _, _, v in rows)
 
 
 def test_certify_fails_at_large_delta():
@@ -216,7 +216,7 @@ def test_certify_fails_at_large_delta():
     report = exc.value.report
     assert report is not None
     assert not report.passed
-    assert report.max_bound >= CHEAP.threshold
+    assert report.max_bound >= CERTIFY_THRESHOLD
 
 
 def test_certify_off_the_store_searches_every_eta(cheap_report):
@@ -231,7 +231,7 @@ def test_certify_auto_refines_default_mesh(cheap_report):
     # nine Chebyshev-Lobatto points violate the step rule; one refinement
     # lands at 17 and keeps the nine
     assert len(report.stage1_t) == 17
-    assert max(report.step_sums) <= CHEAP.step_budget
+    assert max(report.step_sums) <= STEP_BUDGET
     nine = (1 - np.cos(np.pi * np.linspace(0.0, 1.0, 9))) / 2
     assert np.isin(nine, report.stage1_t).all()
 
@@ -454,13 +454,11 @@ def test_store_applies_only_at_its_delta_and_search_settings():
 
     store = _stored_approximants(0.125, DEFAULT_CERTIFY)
     assert len(store) == 54
-    # threshold, step budget and mesh do not enter an eta
-    unsearched = dataclasses.replace(
-        DEFAULT_CERTIFY, threshold=0.9, step_budget=0.2, mesh_per_stage=9
-    )
+    # the mesh does not enter an eta
+    unsearched = dataclasses.replace(DEFAULT_CERTIFY, mesh_per_stage=9)
     assert _stored_approximants(0.125, unsearched) is store
     assert _stored_approximants(np.nextafter(0.125, 0.0), DEFAULT_CERTIFY) == {}
-    for field in ("max_degree", "fine_grid", "coarse_points", "exchange_rounds"):
+    for field in ("max_degree", "fine_grid", "coarse_points"):
         other = dataclasses.replace(
             DEFAULT_CERTIFY, **{field: getattr(DEFAULT_CERTIFY, field) + 1}
         )

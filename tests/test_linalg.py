@@ -256,6 +256,30 @@ def test_valid_request_takes_one_svd(monkeypatch):
         svds.clear()
 
 
+@pytest.mark.parametrize("self_dual", [False, True])
+@pytest.mark.parametrize("method", ["trig", "log"])
+def test_request_checks_each_unitarity_once(monkeypatch, self_dual, method):
+    # make_pair checks U and V and W is checked where it is factorized; the
+    # pair's Schur of V does not check V again
+    import acbott.linalg as linalg
+
+    base = selfdual_doubling(cyclic_shift_pair(12)).pair
+    checked = []
+    check = linalg._check_unitary
+
+    def counted(A, tol):
+        checked.append(A.shape)
+        check(A, tol)
+
+    monkeypatch.setattr(linalg, "_check_unitary", counted)
+    if self_dual:
+        pair = make_selfdual_pair(base.U, base.V).pair
+    else:
+        pair = make_pair(base.U, base.V)
+    analyze(pair, self_dual=self_dual, method=method)
+    assert len(checked) == 3
+
+
 def test_unitarity_gate_decides_by_the_exact_norm(rng, monkeypatch):
     # (1 + e) U has defect ((1 + e)^2 - 1) I: operator norm about 2e, but
     # Frobenius norm 4 times that at d = 16

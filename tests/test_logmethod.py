@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from acbott.analysis import analyze
 from acbott.errors import (
     LogMethodUncertified,
     NotUnitary,
@@ -216,7 +217,9 @@ def test_kappa2_log_threshold_gate():
     sd = selfdual_doubling(cyclic_shift_pair(8))
     with pytest.raises(ThresholdExceeded):
         kappa2_log(sd)
-    assert kappa2_log(sd, allow_uncertified=True) in (-1, 1)
+    report = analyze(sd.pair, self_dual=True, method="log")
+    assert report.kappa2 in (-1, 1)
+    assert not report.kappa_certified
 
 
 def test_kappa2_log_invariant_under_structure_conjugation():

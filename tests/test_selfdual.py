@@ -46,6 +46,7 @@ from acbott.selfdual import (
 )
 from support import (
     haar_unitary,
+    horner_B,
     pfaffian_cofactor,
     random_hermitian,
     random_skew,
@@ -241,14 +242,16 @@ def test_kappa2_doubled_cyclic_64():
     # the log route in test_logmethod confirms the same value
     sd = selfdual_doubling(cyclic_shift_pair(64))
     assert pfaffian_bott_index(sd) == -1
-    assert pfaffian_bott_index(sd, use_trigpoly=True) == -1
+    assert _pfaffian_sign(horner_B(sd.pair)) == -1
 
 
 def test_kappa2_threshold_gate():
     sd = selfdual_doubling(cyclic_shift_pair(8))
     with pytest.raises(ThresholdExceeded):
         pfaffian_bott_index(sd)
-    assert pfaffian_bott_index(sd, allow_uncertified=True) in (-1, 1)
+    report = analyze(sd.pair, self_dual=True)
+    assert report.kappa2 in (-1, 1)
+    assert not report.kappa_certified
 
 
 def test_kappa2_stable_under_selfdual_perturbation():

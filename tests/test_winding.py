@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from acbott.errors import InvariantUndefined, MeshTooCoarse, NoObstruction
+from acbott.errors import InvariantUndefined, NoObstruction
 from acbott.generators import commuting_random, cyclic_shift_pair, powered_pair
 from acbott.linalg import make_pair
 from acbott.winding import (
@@ -87,8 +87,3 @@ def test_winding_invariant_under_joint_conjugation(seed):
     W = haar_unitary(8, np.random.default_rng(seed))
     conj = make_pair(W @ pair.U @ W.conj().T, W @ pair.V @ W.conj().T)
     assert winding_number(conj).omega == -1
-
-
-def test_path_method_step_floor():
-    with pytest.raises(MeshTooCoarse):
-        winding_via_path(cyclic_shift_pair(8), steps=16)
