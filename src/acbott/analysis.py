@@ -1,12 +1,15 @@
 """Every invariant of a pair from one W and one block matrix.
 
-``analyze`` reads the eigenangles of W = VUV*U*, which give omega and the
-distance bound, and builds B(U, V) or B_L(U, V) once from the eigenbasis of
-V; both factorizations are made once per pair and cached on it, so library
-calls on the same pair share them.  The single hermitian spectrum of B gives
-kappa and the measured gap; for a self-dual pair (``self_dual=True``, the
-dual fixed by the dimension) kappa2 is the sign of the modified Pfaffian of
-the same matrix.
+``analyze`` reads the eigenangles of W = VUV*U* (one Schur form), which
+give omega and the distance bound, and the eigendecomposition of V (one
+hermitian ``eigh`` of a Cayley transform); both are made once per pair and
+cached on it, so library calls on the same pair share them.  The single
+hermitian spectrum of B(U, V) or B_L(U, V) gives kappa and the measured gap.
+For a plain pair that spectrum is read from the matrix in V's eigenbasis,
+which needs no product with Q beyond Q*UQ.  For a self-dual pair
+(``self_dual=True``, the dual fixed by the dimension) B is built in the
+standard basis, where the dual acts, and kappa2 is the sign of the modified
+Pfaffian of the same matrix.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bott import build_B
+import numpy as np
+
+from .bott import _count_signature, _plain_spectrum, build_B
 from .bounds import guaranteed_gap
 from .config import KAPPA_THRESHOLD, LOG_THRESHOLD
 from .errors import GapClosed, NoGuarantee, NumericalInconsistency
 from .linalg import UnitaryPair
-from .logmethod import build_BL
+from .logmethod import _plain_log_spectrum, build_BL
 from .selfdual import _pfaffian_sign
 from .winding import DELTA_GATE, winding_number
 
@@ -89,10 +94,14 @@ def analyze(
     if winding is not None:
         report.omega = winding.omega
 
-    bm = build_BL(pair, self_dual) if method == "log" else build_B(pair)
-    report.gap_measured = bm.gap
+    if self_dual:
+        bm = build_BL(pair, self_dual=True) if method == "log" else build_B(pair)
+        eigs = bm.eigs
+    else:
+        eigs = (_plain_log_spectrum if method == "log" else _plain_spectrum)(pair)
+    report.gap_measured = float(np.min(np.abs(eigs)))
     try:
-        report.kappa = bm.signature() // 2
+        report.kappa = _count_signature(eigs) // 2
     except GapClosed:
         pass
     try:

@@ -194,30 +194,80 @@ def assemble_blocks(fV, gV, hV, U) -> np.ndarray:
     Corner orientation is fixed so that the full matrix has signature -2 on
     the shift/clock pair with V U V* U* = exp(-2 pi i / n) I, matching the
     winding invariant of that pair.  The commuting anchors (diagonal blocks
-    +-fV, corners hV at U = I) are insensitive to this choice.  The result
-    is symmetrized to exact hermiticity.  gV may be a scalar, 0.0 for a
-    triple whose g vanishes.
+    +-fV, corners hV at U = I) are insensitive to this choice.  The lower
+    corner is gV + (hV U + U hV)/2, the upper one its adjoint and the
+    diagonal blocks +-(fV + fV*)/2, so the result is exactly hermitian.
+    gV may be a scalar, 0.0 for a triple whose g vanishes.
     """
-    Ustar = U.conj().T
-    top = gV + 0.5 * (hV @ Ustar + Ustar @ hV)
-    bot = gV + 0.5 * (hV @ U + U @ hV)
-    B = np.block([[fV, top], [bot, -fV]])
-    return (B + B.conj().T) / 2
+    n = U.shape[0]
+    lower = hV @ U
+    lower += U @ hV
+    lower *= 0.5
+    lower += gV
+    B = np.empty((2 * n, 2 * n), dtype=complex)
+    B[:n, :n] = fV
+    B[:n, :n] += fV.conj().T
+    B[:n, :n] *= 0.5
+    np.negative(B[:n, :n], out=B[n:, n:])
+    B[n:, :n] = lower
+    B[:n, n:] = lower.conj().T
+    return B
 
 
 def build_B(pair: UnitaryPair) -> BottMatrix:
-    """Assemble B(U, V) and its spectrum.
+    """Assemble B(U, V) in the standard basis, and its spectrum.
 
-    The pair's cached eigendecomposition of V serves f, g and h.
+    The pair's cached eigendecomposition of V serves f, g and h.  g and h
+    vanish on disjoint sets of angles (gh = 0), so g(V) and h(V) are summed
+    over disjoint columns of Q: the two take one product's worth of work.
     """
     t = standard_triple()
     angles, Q = pair.v_eig
-    Qstar = Q.conj().T
-    fV, gV, hV = (
-        (Q * np.asarray(fn(angles), dtype=complex)) @ Qstar for fn in (t.f, t.g, t.h)
+
+    def at_V(vals, cols=slice(None)):
+        Qc = Q[:, cols]
+        return (Qc * vals[cols]) @ Qc.conj().T
+
+    gvals, hvals = t.g(angles), t.h(angles)
+    B = assemble_blocks(
+        at_V(t.f(angles)),
+        at_V(gvals, np.flatnonzero(gvals)),
+        at_V(hvals, np.flatnonzero(hvals)),
+        pair.U,
     )
-    B = assemble_blocks(fV, gV, hV, pair.U)
     return BottMatrix.of(B, pair.delta, "trig")
+
+
+def _spectrum_in_eigenbasis(pair: UnitaryPair, fvals, gvals, hvals) -> np.ndarray:
+    """Spectrum of the block matrix of f, g, h (values at V's angles) and U.
+
+    With V = Q diag(e^{i theta}) Q* and U~ = Q* U Q, the matrix
+    diag(Q, Q)* B diag(Q, Q) has diagonal blocks +-diag(f), lower corner
+    diag(g) + (h_i + h_j) U~_ij / 2 and upper corner its adjoint: two
+    products and O(n^2) assembly instead of seven products.  It is unitarily
+    similar to the standard-basis B, so its spectrum is B's.
+    """
+    angles, Q = pair.v_eig
+    n = angles.shape[0]
+    lower = Q.conj().T @ pair.U @ Q
+    lower *= np.add.outer(hvals, hvals)
+    lower *= 0.5
+    lower[np.diag_indices(n)] += gvals
+    B = np.zeros((2 * n, 2 * n), dtype=complex)
+    d = np.arange(n)
+    B[d, d] = fvals
+    B[d + n, d + n] = -fvals
+    B[n:, :n] = lower
+    B[:n, n:] = lower.conj().T
+    del lower
+    return np.linalg.eigvalsh(B)
+
+
+def _plain_spectrum(pair: UnitaryPair) -> np.ndarray:
+    """Ascending spectrum of B(U, V), read in V's eigenbasis."""
+    t = standard_triple()
+    angles, _ = pair.v_eig
+    return _spectrum_in_eigenbasis(pair, t.f(angles), t.g(angles), t.h(angles))
 
 
 def _count_signature(eigs: np.ndarray) -> int:
@@ -250,7 +300,7 @@ def bott_index(pair: UnitaryPair) -> int:
     whether it is certified.
     """
     require_certified(pair.delta)
-    return build_B(pair).signature() // 2
+    return _count_signature(_plain_spectrum(pair)) // 2
 
 
 def threshold_consistency() -> dict:

@@ -3,6 +3,9 @@
 Everything downstream consumes these few primitives: operator norms,
 commutators, unitary eigendecomposition with a fixed branch convention,
 periodic functional calculus, polar parts, and trigonometric polynomials.
+A unitary is diagonalized by its complex Schur form, except V of a pair,
+which takes one hermitian ``eigh`` of a Cayley transform of V and keeps the
+Schur form as its fallback.
 
 Matrices are plain ``numpy.ndarray`` objects with complex entries; helpers
 here validate shape and finiteness at the boundary so the index modules can
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -59,6 +63,23 @@ def gate_norm(X: np.ndarray, limit: float) -> float:
     return bound if bound <= limit else operator_norm(X)
 
 
+def gate_relative(X: np.ndarray, A: np.ndarray, tol: float) -> Optional[float]:
+    """The exact ||X||_2 when it exceeds tol * max(1, ||A||_2), else None.
+
+    Decided as the exact norms would, with the cheap bounds first: ||X||
+    through :func:`gate_norm` against the scale's lower bound max|a_ij|;
+    a failure there against the upper bound ||A||_F; only in between does
+    ||A|| take an SVD.  A valid input costs no SVD.
+    """
+    low = tol * max(1.0, float(np.max(np.abs(A))))
+    err = gate_norm(X, low)
+    if err <= low:
+        return None
+    if err > tol * max(1.0, float(np.linalg.norm(A))):
+        return err
+    return err if err > tol * max(1.0, operator_norm(A)) else None
+
+
 def commutator_norm(U, V) -> float:
     """Operator norm of the commutator UV - VU."""
     A, B = as_matrix(U), as_matrix(V)
@@ -95,6 +116,56 @@ def _schur_angles(A: np.ndarray):
     # at the cut: -1 (from either side) goes to +pi
     angles[np.abs(lam + 1.0) <= DEFAULT_TOL.branch] = np.pi
     angles[angles <= -np.pi] = np.pi
+    return angles, Q
+
+
+def _cayley_angles(A: np.ndarray, tol: float):
+    """:func:`unitary_eig` of a checked unitary A by one hermitian ``eigh``.
+
+    The eigenvalues of (A + A*)/2 are the cosines of A's angles, so their
+    arccos values +-t_k include every angle; the cut psi is the midpoint of
+    the widest gap between these 2n points, at least pi/(2n) from every
+    eigenvalue.  With phi = psi - pi the rotated A_phi = e^{-i phi} A has -1
+    at the cut, and its Cayley transform H = i(I + A_phi)^{-1}(I - A_phi) is
+    hermitian with eigenvalues tan((theta - phi)/2) (one LU solve, made in
+    place).  The angles follow as phi + 2 arctan(lambda), wrapped to
+    (-pi, pi] with the branch rule of :func:`_schur_angles`.  When the
+    residual ||AQ - Q e^{i Theta}||_F exceeds tol, the Schur route is taken
+    instead.
+    """
+    from scipy.linalg.lapack import zgesv
+
+    d = A.shape[0]
+    half = np.arccos(np.clip(np.linalg.eigvalsh((A + A.conj().T) / 2), -1.0, 1.0))
+    points = np.sort(np.concatenate((-half, half)))
+    gaps = np.diff(points, append=points[0] + 2.0 * np.pi)
+    widest = int(np.argmax(gaps))
+    phi = points[widest] + gaps[widest] / 2.0 - np.pi
+    # M = I + A_phi and R = i(I - A_phi) = i(2I - M); R M^{-1} = H as the two
+    # commute, and solving M^T X = R^T on the transposed (Fortran-ordered)
+    # views overwrites R with X = H^T
+    M = A * np.exp(-1j * phi)
+    M[np.diag_indices(d)] += 1.0
+    R = M * -1j
+    R[np.diag_indices(d)] += 2j
+    _, _, X, info = zgesv(M.T, R.T, overwrite_a=1, overwrite_b=1)
+    del M
+    if info != 0:
+        return _schur_angles(A)
+    H = X.T + X.conj()
+    del X, R
+    H *= 0.5
+    lam, Q = np.linalg.eigh(H)
+    del H
+    angles = phi + 2.0 * np.arctan(lam)
+    angles[angles > np.pi] -= 2.0 * np.pi
+    angles[angles <= -np.pi] += 2.0 * np.pi
+    # |e^{i theta} + 1| = 2 |cos(theta / 2)|, the Schur route's distance to -1
+    angles[2.0 * np.abs(np.cos(angles / 2.0)) <= DEFAULT_TOL.branch] = np.pi
+    residual = A @ Q
+    residual -= Q * np.exp(1j * angles)
+    if float(np.linalg.norm(residual)) > tol:
+        return _schur_angles(A)
     return angles, Q
 
 
@@ -145,8 +216,8 @@ def unitary_part(A) -> np.ndarray:
 def hermitian_eig(H) -> np.ndarray:
     """Real spectrum of a hermitian matrix, ascending."""
     A = as_matrix(H)
-    err = operator_norm(A - A.conj().T)
-    if err > DEFAULT_TOL.hermitian * max(1.0, operator_norm(A)):
+    err = gate_relative(A - A.conj().T, A, DEFAULT_TOL.hermitian)
+    if err is not None:
         raise NotHermitian(f"||H - H*|| = {err:.3e} exceeds tolerance")
     return np.linalg.eigvalsh(A)
 
@@ -243,9 +314,11 @@ class UnitaryPair:
     """Validated pair of same-size unitaries with cached commutator norm.
 
     The pair also caches its two factorizations, each made on first use:
-    ``v_eig`` is the :func:`unitary_eig` of V (one Schur; ``make_pair``
-    has already checked V's unitarity) and ``w_angles`` the eigenangles of
-    W = VUV*U*, gated for unitarity at 10 * unitary_tol.
+    ``v_eig`` is V's ``(angles, Q)`` with :func:`unitary_eig`'s conventions
+    (one ``eigvalsh`` to place a cut and one ``eigh`` of a Cayley transform,
+    see :func:`_cayley_angles`; ``make_pair`` has already checked V's
+    unitarity) and ``w_angles`` the eigenangles of W = VUV*U* from its
+    Schur form, gated for unitarity at 10 * unitary_tol.
     Every library call on the pair reads these, so a pair pays one
     factorization of each matrix however many invariants are asked of it.
     U and V must therefore not be mutated after ``make_pair``, which delta
@@ -268,8 +341,12 @@ class UnitaryPair:
 
     @functools.cached_property
     def v_eig(self):
-        """``(angles, Q)`` of V as :func:`unitary_eig` gives them."""
-        angles, Q = _schur_angles(self.V)
+        """``(angles, Q)`` of V with :func:`unitary_eig`'s conventions.
+
+        Made by one ``eigh`` of a Cayley transform of V, or by the Schur
+        form when that leaves a residual above ``unitary_tol``.
+        """
+        angles, Q = _cayley_angles(self.V, self.unitary_tol)
         return _read_only(angles), _read_only(Q)
 
     @functools.cached_property

@@ -13,7 +13,12 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 
-from .bott import BottMatrix, assemble_blocks, require_certified
+from .bott import (
+    BottMatrix,
+    _spectrum_in_eigenbasis,
+    assemble_blocks,
+    require_certified,
+)
 from .config import DEFAULT_TOL, KAPPA_THRESHOLD, LOG_THRESHOLD
 from .errors import LogMethodUncertified, SelfDualityLost
 from .linalg import UnitaryPair, as_matrix, gate_norm, unitary_eig
@@ -92,6 +97,17 @@ def build_BL(pair: UnitaryPair, self_dual: bool = False) -> BottMatrix:
     # g1 = 0, and adding the scalar 0.0 gives the blocks a zero matrix would
     B = assemble_blocks(plog.K / np.pi, 0.0, hV, pair.U)
     return BottMatrix.of(B, pair.delta, "log")
+
+
+def _plain_log_spectrum(pair: UnitaryPair) -> np.ndarray:
+    """Ascending spectrum of B_L(U, V), read in V's eigenbasis.
+
+    f1 = theta/pi, g1 = 0 and h1 = sqrt(1 - theta^2/pi^2) at V's angles, the
+    values that K/pi and h1(K) of :func:`build_BL` take in the same basis.
+    """
+    angles, _ = pair.v_eig
+    x = angles / np.pi
+    return _spectrum_in_eigenbasis(pair, x, 0.0, np.sqrt(1.0 - x**2))
 
 
 def kappa2_log(sd: SelfDualPair) -> int:

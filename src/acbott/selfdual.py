@@ -42,7 +42,7 @@ from .linalg import (
     UnitaryPair,
     as_matrix,
     gate_norm,
-    hermitian_eig,
+    gate_relative,
     make_pair,
     operator_norm,
 )
@@ -129,9 +129,9 @@ def _check_skew(X) -> np.ndarray:
     dim = X.shape[0]
     if dim % 2 != 0:
         raise OddDimension(f"Pfaffian needs even dimension, got {dim}")
-    scale = max(1.0, float(np.max(np.abs(X))))
-    drift = operator_norm(X + X.T)
-    if drift > DEFAULT_TOL.skew * scale:
+    limit = DEFAULT_TOL.skew * max(1.0, float(np.max(np.abs(X))))
+    drift = gate_norm(X + X.T, limit)
+    if drift > limit:
         raise NotSkewSymmetric(f"skew-symmetry violated by {drift:.3e}")
     return (X - X.T) / 2
 
@@ -392,15 +392,15 @@ def check_kramers(H) -> bool:
     """True when the spectrum is doubly degenerate (Kramers pairing): each
     ascending pair of eigenvalues agrees to 1e-7 * max(1, max |eigenvalue|)."""
     H = as_matrix(H)
-    Hd = dual(H)
-    if operator_norm(H - H.conj().T) > DEFAULT_TOL.hermitian * max(
-        1.0, float(np.max(np.abs(H)))
-    ):
+    limit = DEFAULT_TOL.hermitian * max(1.0, float(np.max(np.abs(H))))
+    if gate_norm(H - H.conj().T, limit) > limit:
         raise NotHermitian("Kramers check needs a hermitian matrix")
-    drift = operator_norm(H - Hd)
-    if drift > 1e-7 * max(1.0, operator_norm(H)):
+    drift = gate_relative(H - dual(H), H, 1e-7)
+    if drift is not None:
         raise NotSelfDual(f"self-duality violated by {drift:.3e}")
-    eigs = hermitian_eig(H)
+    # the hermiticity gate above, scaled by max |h_ij| <= ||H||, is stricter
+    # than hermitian_eig's, which is therefore not run again
+    eigs = np.linalg.eigvalsh(H)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     gaps = eigs[1::2] - eigs[0::2]
     return bool(np.all(np.abs(gaps) <= 1e-7 * scale))

@@ -78,18 +78,24 @@ def winding_via_path(pair: UnitaryPair) -> int:
     its own factorization here, not the pair's cached one, so the only
     shared ingredient with :func:`winding_number` is the matrix W itself.
     The path starts at 1024 steps, which double until every per-step phase
-    change is below pi/2.
+    change is below pi/2.  The W^t of up to 64 steps are formed as one stack
+    (at most about 8 MB) and go to one batched determinant call.
     """
     _require_gate(pair.delta)
     steps = 1024
     W = pair.multiplicative_commutator()
     angles, Q = unitary_eig(W, tol=10 * pair.unitary_tol)
+    Qstar = Q.conj().T
+    chunk = max(1, min(64, 2**19 // Q.size))
     for _ in range(8):
         ts = np.linspace(0.0, 1.0, steps + 1)
         args = np.empty(steps + 1)
-        for i, t in enumerate(ts):
-            Wt = (Q * np.exp(1j * t * angles)) @ Q.conj().T
-            args[i] = np.angle(np.linalg.det(Wt))
+        for i in range(0, steps + 1, chunk):
+            phases = np.exp(1j * np.outer(ts[i : i + chunk], angles))
+            # the rows of the stacked Q diag(e^{it theta}) times Q*: one product
+            Wt = Q * phases[:, None, :]
+            Wt = (Wt.reshape(-1, Q.shape[0]) @ Qstar).reshape(Wt.shape)
+            args[i : i + chunk] = np.angle(np.linalg.det(Wt))
         jumps = np.angle(np.exp(1j * np.diff(args)))  # wrapped to (-pi, pi]
         if np.max(np.abs(jumps)) < np.pi / 2:
             total = float(np.sum(jumps))

@@ -64,7 +64,7 @@ def horner_B(pair) -> BottMatrix:
 
     Each is evaluated at V by Horner accumulation (``apply_trigpoly``), with
     no eigendecomposition, so this is a route to B independent of
-    ``build_B``'s Schur form of V.
+    ``build_B``'s eigendecomposition of V.
     """
     t = standard_triple()
     fV, gV, hV = (apply_trigpoly(p, pair.V) for p in (t.f5, t.g5, t.h5))

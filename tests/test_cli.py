@@ -110,8 +110,9 @@ def test_index_factorizes_V_and_W_once(tmp_path, capsys, factorizations, kind, f
     rc, _, _ = run(capsys, "index", f"{prefix}_U.txt", f"{prefix}_V.txt",
                    "--method", "trig", *flags)
     assert rc == 0
-    # one Schur of V, one of W = VUV*U*, one hermitian spectrum of B or B_L
-    assert factorizations == Counter(schur=2, eigvalsh=1)
+    # one Schur of W = VUV*U*; V by the eigvalsh that places its cut and one
+    # eigh of its Cayley transform; one hermitian spectrum of B or B_L
+    assert factorizations == Counter(schur=1, eigh=1, eigvalsh=2)
 
 
 def test_index_reports_just_below_delta_two(tmp_path, capsys):

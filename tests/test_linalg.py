@@ -15,10 +15,12 @@ from acbott.errors import (
     NotUnitary,
     SingularMatrix,
 )
-from acbott.bott import bott_index
+from acbott.bott import bott_index, standard_triple
 from acbott.linalg import (
     TrigPoly,
     UnitaryPair,
+    _cayley_angles,
+    _schur_angles,
     apply_periodic,
     apply_trigpoly,
     as_matrix,
@@ -30,11 +32,22 @@ from acbott.linalg import (
     unitary_eig,
     unitary_part,
 )
-from acbott.generators import cyclic_shift_pair, perturb, selfdual_doubling
+from acbott.generators import (
+    cyclic_shift_pair,
+    perturb,
+    perturb_selfdual,
+    selfdual_doubling,
+)
 from acbott.logmethod import kappa2_log
-from acbott.selfdual import make_selfdual_pair, pfaffian_bott_index
+from acbott.selfdual import (
+    check_kramers,
+    dual,
+    make_selfdual_pair,
+    pfaffian,
+    pfaffian_bott_index,
+)
 from acbott.winding import distance_bound_commuting, winding_number, winding_via_path
-from support import haar_unitary, random_hermitian, shift_matrix
+from support import haar_unitary, random_hermitian, random_skew, shift_matrix
 
 
 def test_as_matrix_rejects_nonsquare():
@@ -166,6 +179,30 @@ def test_hermitian_eig_gate(rng):
         hermitian_eig(H + 0.01j * np.eye(5))
 
 
+def test_structure_gates_take_an_svd_only_when_the_bounds_do_not_decide(
+    rng, monkeypatch
+):
+    # ||A|| = ||A||_F = 32 but max |a_ij| = 2; a defect 2e I has operator norm
+    # 2e and Frobenius norm 8e
+    d = 16
+    A = 2.0 * np.ones((d, d), dtype=complex)
+    svds = _count_svds(monkeypatch)
+    H = random_hermitian(d, rng)
+    assert np.array_equal(hermitian_eig(H), np.linalg.eigvalsh(H))
+    K = (H + dual(H)) / 2
+    assert check_kramers((K + K.conj().T) / 2)
+    pfaffian(random_skew(d, rng))
+    assert svds == []  # the parent took 2, 5 and 1
+    # 1e-7 is above 1e-8 * max|a_ij| but not above 1e-8 * ||A||: passes
+    hermitian_eig(A + 5e-8j * np.eye(d))
+    assert len(svds) == 2  # the exact defect, then ||A||
+    svds.clear()
+    # 4e-7 is above 1e-8 * ||A||_F: fails without an SVD of A
+    with pytest.raises(NotHermitian, match="4.000e-07"):
+        hermitian_eig(A + 2e-7j * np.eye(d))
+    assert len(svds) == 1
+
+
 amps = st.lists(
     st.floats(-2, 2, allow_nan=False, allow_infinity=False), min_size=1, max_size=6
 )
@@ -260,7 +297,7 @@ def test_valid_request_takes_one_svd(monkeypatch):
 @pytest.mark.parametrize("method", ["trig", "log"])
 def test_request_checks_each_unitarity_once(monkeypatch, self_dual, method):
     # make_pair checks U and V and W is checked where it is factorized; the
-    # pair's Schur of V does not check V again
+    # pair's factorization of V does not check V again
     import acbott.linalg as linalg
 
     base = selfdual_doubling(cyclic_shift_pair(12)).pair
@@ -313,10 +350,11 @@ def test_plain_calls_share_one_factorization_per_matrix(factorizations):
     factorizations.clear()
     calls = (winding_number, bott_index, distance_bound_commuting)
     results = [call(pair) for call in calls]
-    # one Schur of V, one of W, one hermitian spectrum of B
-    assert factorizations == Counter(schur=2, eigvalsh=1)
+    # one Schur of W; V by the eigvalsh that places its cut and one eigh of
+    # its Cayley transform; one hermitian spectrum of B
+    assert factorizations == Counter(schur=1, eigh=1, eigvalsh=2)
     assert results[0] == winding_number(pair) and results[0].omega == -1
-    assert factorizations["schur"] == 2
+    assert factorizations["schur"] == 1
     for call, result in zip(calls, results):
         assert call(make_pair(base.U, base.V)) == result
 
@@ -332,10 +370,74 @@ def test_selfdual_calls_share_one_factorization_per_matrix(factorizations):
     )
     results = [call(sd) for call in calls]
     assert results[1:] == [-1, -1]
-    # one Schur of V shared by B and B_L, one of W, the spectra of B and B_L
-    assert factorizations == Counter(schur=2, eigvalsh=2)
+    # one Schur of W; V's cut eigvalsh and Cayley eigh, shared by B and B_L;
+    # the spectra of B and B_L
+    assert factorizations == Counter(schur=1, eigh=1, eigvalsh=3)
     for call, result in zip(calls, results):
         assert call(make_selfdual_pair(base.pair.U, base.pair.V)) == result
+
+
+def test_v_eig_falls_back_to_the_schur_form(factorizations, monkeypatch):
+    # eigenvectors handed back in the wrong order leave a residual of order 1,
+    # so the pair takes V's Schur form and every answer stays right
+    base = perturb(cyclic_shift_pair(40), 0.002, seed=5)
+    expected = analyze(make_pair(base.U, base.V))
+    eigh = np.linalg.eigh
+
+    def misordered(H):
+        lam, Q = eigh(H)
+        return lam, Q[:, ::-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", misordered)
+    pair = make_pair(base.U, base.V)
+    factorizations.clear()
+    assert bott_index(pair) == winding_number(pair).omega == -1
+    assert factorizations == Counter(schur=2, eigh=1, eigvalsh=2)
+    angles, Q = _schur_angles(pair.V)
+    assert np.array_equal(pair.v_eig[0], angles)
+    assert np.array_equal(pair.v_eig[1], Q)
+    report = vars(analyze(pair))
+    assert report.pop("gap_measured") == pytest.approx(expected.gap_measured, abs=1e-12)
+    assert report == {k: v for k, v in vars(expected).items() if k != "gap_measured"}
+
+
+def _kramers_v():
+    sd = selfdual_doubling(cyclic_shift_pair(12))
+    return perturb_selfdual(sd, 0.004, seed=2).pair.V
+
+
+def _v_at_minus_one():
+    V = np.diag(np.exp(1j * np.array([0.3, -2.0, 1.0, 2.5, -0.7, 0.0])))
+    V[1, 1] = -1.0
+    R = haar_unitary(6, np.random.default_rng(4))
+    return R @ V @ R.conj().T
+
+
+@pytest.mark.parametrize(
+    "make_v",
+    [
+        lambda: np.eye(8, dtype=complex),
+        lambda: -np.eye(8, dtype=complex),
+        lambda: np.diag([1.0, -1.0, 1j, -1j]).astype(complex),
+        _v_at_minus_one,
+        _kramers_v,
+        lambda: perturb(cyclic_shift_pair(256), 0.004, seed=7).V,
+    ],
+    ids=["identity", "minus_identity", "exactly_minus_one", "rotated_minus_one",
+         "kramers_selfdual", "perturbed_cyclic_256"],
+)
+def test_cayley_and_schur_routes_agree(factorizations, make_v):
+    V = make_v()
+    angles, Q = _cayley_angles(V, 1e-8)
+    assert factorizations["schur"] == 0  # the residual cleared
+    ref_angles, ref_Q = _schur_angles(V)
+    assert np.max(np.abs(np.sort(angles) - np.sort(ref_angles))) <= 1e-12
+    assert np.sum(angles == np.pi) == np.sum(ref_angles == np.pi)
+    t = standard_triple()
+    for fn in (t.f, t.g, t.h):
+        fV = (Q * fn(angles)) @ Q.conj().T
+        ref = (ref_Q * fn(ref_angles)) @ ref_Q.conj().T
+        assert np.max(np.abs(fV - ref)) <= 1e-12
 
 
 def test_cached_factorizations_are_read_only():

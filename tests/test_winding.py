@@ -18,7 +18,8 @@ from acbott.winding import (
 from support import haar_unitary
 
 
-@pytest.mark.parametrize("n", [3, 8, 31, 64])
+# at n = 100 winding_via_path stacks 52 path steps per determinant call
+@pytest.mark.parametrize("n", [3, 8, 31, 64, 100])
 def test_cyclic_family_is_minus_one(n):
     pair = cyclic_shift_pair(n)
     res = winding_number(pair)
