@@ -5,11 +5,13 @@ give omega and the distance bound, and the eigendecomposition of V (one
 hermitian ``eigh`` of a Cayley transform); both are made once per pair and
 cached on it, so library calls on the same pair share them.  The single
 hermitian spectrum of B(U, V) or B_L(U, V) gives kappa and the measured gap.
-For a plain pair that spectrum is read from the matrix in V's eigenbasis,
-which needs no product with Q beyond Q*UQ.  For a self-dual pair
-(``self_dual=True``, the dual fixed by the dimension) B is built in the
-standard basis, where the dual acts, and kappa2 is the sign of the modified
-Pfaffian of the same matrix.
+The two differ only in the triple's values at V's angles (the bump triple
+or the log triple) and share one assembly per basis.  For a plain pair the
+spectrum is read from the matrix in V's eigenbasis, which needs no product
+with Q beyond Q*UQ.  For a self-dual pair (``self_dual=True``, the dual
+fixed by the dimension) B is built in the standard basis, where the dual
+acts, and kappa2 is the sign of the modified Pfaffian of the same matrix;
+its anti-self-duality gate is the one self-duality check on either route.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from .bott import _count_signature, _plain_spectrum, build_B
+from .bott import _count_signature, _spectrum_in_eigenbasis, _trig_values, build_B
 from .bounds import guaranteed_gap
 from .config import KAPPA_THRESHOLD, LOG_THRESHOLD
 from .errors import GapClosed, NoGuarantee, NumericalInconsistency
 from .linalg import UnitaryPair
-from .logmethod import _plain_log_spectrum, build_BL
+from .logmethod import _log_values, build_BL
 from .selfdual import _pfaffian_sign
 from .winding import DELTA_GATE, winding_number
 
@@ -94,11 +96,12 @@ def analyze(
     if winding is not None:
         report.omega = winding.omega
 
+    log = method == "log"
     if self_dual:
-        bm = build_BL(pair, self_dual=True) if method == "log" else build_B(pair)
+        bm = (build_BL if log else build_B)(pair)
         eigs = bm.eigs
     else:
-        eigs = (_plain_log_spectrum if method == "log" else _plain_spectrum)(pair)
+        eigs = _spectrum_in_eigenbasis(pair, _log_values if log else _trig_values)
     report.gap_measured = float(np.min(np.abs(eigs)))
     try:
         report.kappa = _count_signature(eigs) // 2

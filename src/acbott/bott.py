@@ -214,40 +214,52 @@ def assemble_blocks(fV, gV, hV, U) -> np.ndarray:
     return B
 
 
-def build_B(pair: UnitaryPair) -> BottMatrix:
-    """Assemble B(U, V) in the standard basis, and its spectrum.
-
-    The pair's cached eigendecomposition of V serves f, g and h.  g and h
-    vanish on disjoint sets of angles (gh = 0), so g(V) and h(V) are summed
-    over disjoint columns of Q: the two take one product's worth of work.
-    """
+def _trig_values(angles):
+    """The bump triple's (f, g, h) at V's angles."""
     t = standard_triple()
+    return t.f(angles), t.g(angles), t.h(angles)
+
+
+def _assemble(pair: UnitaryPair, values, method: str) -> BottMatrix:
+    """The block matrix of a triple in the standard basis, and its spectrum.
+
+    ``values`` maps V's angles to the triple's (f, g, h) there, and the
+    pair's cached eigendecomposition of V serves all three.  g and h vanish
+    on disjoint sets of angles (gh = 0), so g(V) and h(V) are summed over
+    disjoint columns of Q: the two take one product's worth of work.  A
+    scalar g (0.0 for the log triple) is passed through.
+    """
     angles, Q = pair.v_eig
+    fvals, gvals, hvals = values(angles)
 
     def at_V(vals, cols=slice(None)):
         Qc = Q[:, cols]
         return (Qc * vals[cols]) @ Qc.conj().T
 
-    gvals, hvals = t.g(angles), t.h(angles)
-    B = assemble_blocks(
-        at_V(t.f(angles)),
-        at_V(gvals, np.flatnonzero(gvals)),
-        at_V(hvals, np.flatnonzero(hvals)),
-        pair.U,
-    )
-    return BottMatrix.of(B, pair.delta, "trig")
+    def on_support(vals):
+        return vals if np.isscalar(vals) else at_V(vals, np.flatnonzero(vals))
+
+    B = assemble_blocks(at_V(fvals), on_support(gvals), on_support(hvals), pair.U)
+    return BottMatrix.of(B, pair.delta, method)
 
 
-def _spectrum_in_eigenbasis(pair: UnitaryPair, fvals, gvals, hvals) -> np.ndarray:
-    """Spectrum of the block matrix of f, g, h (values at V's angles) and U.
+def build_B(pair: UnitaryPair) -> BottMatrix:
+    """Assemble B(U, V) in the standard basis, and its spectrum."""
+    return _assemble(pair, _trig_values, "trig")
 
-    With V = Q diag(e^{i theta}) Q* and U~ = Q* U Q, the matrix
+
+def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> np.ndarray:
+    """Ascending spectrum of the block matrix of a triple and U.
+
+    ``values`` maps V's angles to the triple's (f, g, h) there.  With
+    V = Q diag(e^{i theta}) Q* and U~ = Q* U Q, the matrix
     diag(Q, Q)* B diag(Q, Q) has diagonal blocks +-diag(f), lower corner
     diag(g) + (h_i + h_j) U~_ij / 2 and upper corner its adjoint: two
     products and O(n^2) assembly instead of seven products.  It is unitarily
     similar to the standard-basis B, so its spectrum is B's.
     """
     angles, Q = pair.v_eig
+    fvals, gvals, hvals = values(angles)
     n = angles.shape[0]
     lower = Q.conj().T @ pair.U @ Q
     lower *= np.add.outer(hvals, hvals)
@@ -261,13 +273,6 @@ def _spectrum_in_eigenbasis(pair: UnitaryPair, fvals, gvals, hvals) -> np.ndarra
     B[:n, n:] = lower.conj().T
     del lower
     return np.linalg.eigvalsh(B)
-
-
-def _plain_spectrum(pair: UnitaryPair) -> np.ndarray:
-    """Ascending spectrum of B(U, V), read in V's eigenbasis."""
-    t = standard_triple()
-    angles, _ = pair.v_eig
-    return _spectrum_in_eigenbasis(pair, t.f(angles), t.g(angles), t.h(angles))
 
 
 def _count_signature(eigs: np.ndarray) -> int:
@@ -300,7 +305,7 @@ def bott_index(pair: UnitaryPair) -> int:
     whether it is certified.
     """
     require_certified(pair.delta)
-    return _count_signature(_plain_spectrum(pair)) // 2
+    return _count_signature(_spectrum_in_eigenbasis(pair, _trig_values)) // 2
 
 
 def threshold_consistency() -> dict:

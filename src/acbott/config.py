@@ -3,7 +3,7 @@
 Gate tolerances read by more than one check live in ``Tolerances``; callers
 set only the unitarity gate (``unitary_tol``).  Limits that one check owns
 stay beside it: 1e-7 in the anti-self-duality and Kramers checks of
-``selfdual``, 1e-6 for the logarithm's self-duality drift in ``logmethod``.
+``selfdual``.
 The thresholds, the step budget and the envelope constants are fixed; a
 ``CertifyConfig`` holds the certification's mesh and search sizes.
 """

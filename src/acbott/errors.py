@@ -86,10 +86,6 @@ class NotSelfDual(AlmostCommutingError):
     """Matrix is not self-dual under the dual operation."""
 
 
-class SelfDualityLost(AlmostCommutingError):
-    """A matrix-function step broke self-duality beyond repairable drift."""
-
-
 class LogMethodUncertified(UserWarning):
     """Log-method index computed outside its certified delta range."""
 

@@ -130,8 +130,10 @@ def _cayley_angles(A: np.ndarray, tol: float):
     hermitian with eigenvalues tan((theta - phi)/2) (one LU solve, made in
     place).  The angles follow as phi + 2 arctan(lambda), wrapped to
     (-pi, pi] with the branch rule of :func:`_schur_angles`.  When the
-    residual ||AQ - Q e^{i Theta}||_F exceeds tol, the Schur route is taken
-    instead.
+    residual ||AQ - Q e^{i Theta}||_F exceeds tol * sqrt(n), the Schur route
+    is taken instead: a unitarity defect eps spread over n eigenvalues leaves
+    a residual of about eps * sqrt(n), which a bound of tol would refuse for
+    inputs that the unitarity gate at tol admits.
     """
     from scipy.linalg.lapack import zgesv
 
@@ -164,7 +166,7 @@ def _cayley_angles(A: np.ndarray, tol: float):
     angles[2.0 * np.abs(np.cos(angles / 2.0)) <= DEFAULT_TOL.branch] = np.pi
     residual = A @ Q
     residual -= Q * np.exp(1j * angles)
-    if float(np.linalg.norm(residual)) > tol:
+    if float(np.linalg.norm(residual)) > tol * np.sqrt(d):
         return _schur_angles(A)
     return angles, Q
 
@@ -344,7 +346,7 @@ class UnitaryPair:
         """``(angles, Q)`` of V with :func:`unitary_eig`'s conventions.
 
         Made by one ``eigh`` of a Cayley transform of V, or by the Schur
-        form when that leaves a residual above ``unitary_tol``.
+        form when that leaves a residual above ``unitary_tol`` * sqrt(dim).
         """
         angles, Q = _cayley_angles(self.V, self.unitary_tol)
         return _read_only(angles), _read_only(Q)

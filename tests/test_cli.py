@@ -115,6 +115,24 @@ def test_index_factorizes_V_and_W_once(tmp_path, capsys, factorizations, kind, f
     assert factorizations == Counter(schur=1, eigh=1, eigvalsh=2)
 
 
+def test_index_refuses_split_kramers_pair_on_the_log_route(tmp_path, capsys):
+    # V's Kramers pair e^{i(pi -+ a)} straddles the log's branch cut, so B_L
+    # is not anti-self-dual; the trig route has no cut and reports kappa2
+    a = 2e-10
+    write_matrix(str(tmp_path / "U.txt"), np.eye(2, dtype=complex))
+    write_matrix(str(tmp_path / "V.txt"),
+                 np.diag(np.exp(1j * np.array([np.pi - a, np.pi + a]))))
+    args = ("index", str(tmp_path / "U.txt"), str(tmp_path / "V.txt"),
+            "--self-dual")
+    rc, out, err = run(capsys, *args, "--method", "log")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: NotAntiSelfDual:")
+    rc, out, _ = run(capsys, *args)
+    assert rc == 0
+    assert "kappa2 = +1 (certified)" in out
+
+
 def test_index_reports_just_below_delta_two(tmp_path, capsys):
     # delta = 1.999999999775 lies between the winding gate 2 - 1e-9 and 2:
     # omega is undefined there, but the report must still come out

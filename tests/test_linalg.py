@@ -440,6 +440,22 @@ def test_cayley_and_schur_routes_agree(factorizations, make_v):
         assert np.max(np.abs(fV - ref)) <= 1e-12
 
 
+def test_cayley_residual_bound_scales_with_the_dimension(factorizations):
+    # V scaled by 1 + 4.9e-9 has a unitarity defect of 9.8e-9, inside the
+    # gate at 1e-8, and a Frobenius residual of about 4e-8 at n = 64: above
+    # the gate's own width, but within its sqrt(n) scaling, so V keeps the
+    # Cayley route and no Schur form is made
+    base = perturb(cyclic_shift_pair(64), 0.004, seed=1)
+    pair = make_pair(base.U, base.V * (1 + 4.9e-9))
+    factorizations.clear()
+    angles, Q = pair.v_eig
+    assert factorizations == Counter(eigh=1, eigvalsh=1)
+    residual = np.linalg.norm(pair.V @ Q - Q * np.exp(1j * angles))
+    assert pair.unitary_tol < residual <= pair.unitary_tol * np.sqrt(pair.dim)
+    ref_angles, _ = _schur_angles(pair.V)
+    assert np.max(np.abs(np.sort(angles) - np.sort(ref_angles))) <= 1e-12
+
+
 def test_cached_factorizations_are_read_only():
     pair = cyclic_shift_pair(8)
     angles, Q = pair.v_eig

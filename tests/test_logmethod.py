@@ -1,5 +1,8 @@
 """Log-method block matrix: principal logarithm, B_L assembly, sign index."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,8 +10,8 @@ from scipy.linalg import expm
 from acbott.analysis import analyze
 from acbott.errors import (
     LogMethodUncertified,
+    NotAntiSelfDual,
     NotUnitary,
-    SelfDualityLost,
     ThresholdExceeded,
 )
 from acbott.generators import (
@@ -80,38 +83,9 @@ def test_log_rejects_nonunitary():
 
 def test_log_of_selfdual_is_selfdual():
     sd = selfdual_doubling(cyclic_shift_pair(8))
-    plog = principal_log(sd.pair.V, self_dual=True)
+    plog = principal_log(sd.pair.V)
     assert operator_norm(plog.K - dual(plog.K)) <= 1e-12
     assert operator_norm(reconstruct(plog.K) - sd.pair.V) <= 1e-8
-
-
-def test_log_refuses_split_kramers():
-    # conjugate eigenvalues straddling the cut admit no self-dual logarithm
-    theta = np.pi - 1e-4
-    V = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
-    with pytest.raises(SelfDualityLost):
-        principal_log(V, self_dual=True)
-
-
-def test_log_repairs_branch_split(monkeypatch):
-    # simulate the eigensolver splitting a doubled angle across the cut;
-    # the retry with a rotated cut must restore self-duality
-    import acbott.logmethod as lm
-
-    real = lm.unitary_eig
-    calls = {"n": 0}
-
-    def split_first(V, tol=1e-8):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            return np.array([np.pi, -np.pi]), np.eye(2, dtype=complex)
-        return real(V, tol=tol)
-
-    monkeypatch.setattr(lm, "unitary_eig", split_first)
-    plog = lm.principal_log(-np.eye(2), self_dual=True)
-    assert calls["n"] == 2
-    assert operator_norm(plog.K - dual(plog.K)) <= 1e-12
-    assert operator_norm(reconstruct(plog.K) + np.eye(2)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +120,7 @@ def test_BL_diagonal_blocks_are_scaled_log():
 
 def test_BL_hermitian_and_anti_selfdual():
     sd = selfdual_doubling(cyclic_shift_pair(6))
-    bm = build_BL(sd.pair, self_dual=True)
+    bm = build_BL(sd.pair)
     assert operator_norm(bm.B - bm.B.conj().T) <= 1e-12
     assert operator_norm(dual_tensor(bm.B) + bm.B) <= 1e-9
 
@@ -240,3 +214,41 @@ def test_log_and_trig_signs_agree_after_perturbation():
         moved = perturb_selfdual(base, 0.02, seed=seed)
         assert moved.delta <= 0.125
         assert kappa2_log(moved) == pfaffian_bott_index(moved)
+
+
+def test_kappa2_log_reuses_V_and_gates_self_duality_once(factorizations, monkeypatch):
+    # B_L is assembled from the pair's cached factorization of V, and the
+    # Pfaffian's anti-self-duality gate is the log route's one structure gate
+    sd = selfdual_doubling(cyclic_shift_pair(64))
+    sd.pair.v_eig  # V's factorization, made before counting
+    gates = []
+    for name, module in list(sys.modules.items()):
+        real = getattr(module, "gate_norm", None) if name.startswith("acbott") else None
+        if real is not None:
+            def counted(X, limit, _real=real):
+                gates.append(limit)
+                return _real(X, limit)
+
+            monkeypatch.setattr(module, "gate_norm", counted)
+    factorizations.clear()
+    assert kappa2_log(sd) == -1
+    assert factorizations == Counter(eigvalsh=1)  # the spectrum of B_L
+    assert len(gates) == 1
+
+
+def test_split_kramers_pair_is_refused_on_the_log_route(factorizations):
+    # a Kramers pair at e^{i(pi -+ a)}: V passes the self-duality gate, but
+    # its angles pi - a and -pi + a sit on opposite sides of the cut
+    a = 2e-10
+    V = np.diag(np.exp(1j * np.array([np.pi - a, np.pi + a])))
+    sd = make_selfdual_pair(np.eye(2), V)
+    assert operator_norm(sd.pair.V - dual(sd.pair.V)) <= 1e-9
+    factorizations.clear()
+    with pytest.raises(NotAntiSelfDual):
+        kappa2_log(sd)
+    # V's cut eigvalsh and Cayley eigh, once; the spectrum of B_L
+    assert factorizations == Counter(eigvalsh=2, eigh=1)
+    with pytest.raises(NotAntiSelfDual):
+        analyze(sd.pair, self_dual=True, method="log")
+    assert pfaffian_bott_index(sd) == 1
+    assert analyze(sd.pair, self_dual=True).kappa2 == 1

@@ -27,7 +27,8 @@ RETIRED = [
     (selfdual.modified_pfaffian, {"tol"}),
     (selfdual.check_kramers, {"pair_tol"}),
     (logmethod.kappa2_log, {"allow_uncertified"}),
-    (logmethod.principal_log, {"tol"}),
+    (logmethod.principal_log, {"tol", "self_dual"}),
+    (logmethod.build_BL, {"self_dual"}),
     (linalg.unitary_part, {"singular_tol"}),
     (linalg.hermitian_eig, {"tol"}),
     (linalg.apply_periodic, {"tol"}),

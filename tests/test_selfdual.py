@@ -312,7 +312,7 @@ def _kappa2_test_pairs():
 
 def test_real_route_matches_householder_on_kappa2_pairs():
     for sd in _kappa2_test_pairs():
-        for bm in (build_B(sd.pair), build_BL(sd.pair, self_dual=True)):
+        for bm in (build_B(sd.pair), build_BL(sd.pair)):
             (phase, log_c), (sign, log_r) = _both_routes(bm.B)
             assert abs(phase.imag) <= 1e-9
             assert sign == (1 if phase.real > 0 else -1)
