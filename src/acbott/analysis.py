@@ -27,7 +27,7 @@ from .config import KAPPA_THRESHOLD, LOG_THRESHOLD
 from .errors import GapClosed, NoGuarantee, NumericalInconsistency
 from .linalg import UnitaryPair
 from .logmethod import _log_values, build_BL
-from .selfdual import _pfaffian_sign
+from .selfdual import SelfDualPair, _pfaffian_sign
 from .winding import DELTA_GATE, winding_number
 
 
@@ -98,7 +98,7 @@ def analyze(
 
     log = method == "log"
     if self_dual:
-        bm = (build_BL if log else build_B)(pair)
+        bm = build_BL(SelfDualPair(pair)) if log else build_B(pair)
         eigs = bm.eigs
     else:
         eigs = _spectrum_in_eigenbasis(pair, _log_values if log else _trig_values)

@@ -197,7 +197,6 @@ def assemble_blocks(fV, gV, hV, U) -> np.ndarray:
     +-fV, corners hV at U = I) are insensitive to this choice.  The lower
     corner is gV + (hV U + U hV)/2, the upper one its adjoint and the
     diagonal blocks +-(fV + fV*)/2, so the result is exactly hermitian.
-    gV may be a scalar, 0.0 for a triple whose g vanishes.
     """
     n = U.shape[0]
     lower = hV @ U
@@ -220,14 +219,14 @@ def _trig_values(angles):
     return t.f(angles), t.g(angles), t.h(angles)
 
 
-def _assemble(pair: UnitaryPair, values, method: str) -> BottMatrix:
+def _assemble(pair: UnitaryPair, values, method: str, h_part=None) -> BottMatrix:
     """The block matrix of a triple in the standard basis, and its spectrum.
 
     ``values`` maps V's angles to the triple's (f, g, h) there, and the
     pair's cached eigendecomposition of V serves all three.  g and h vanish
     on disjoint sets of angles (gh = 0), so g(V) and h(V) are summed over
-    disjoint columns of Q: the two take one product's worth of work.  A
-    scalar g (0.0 for the log triple) is passed through.
+    disjoint columns of Q: the two take one product's worth of work.
+    ``h_part``, when given, maps h(V) to the matrix that enters B.
     """
     angles, Q = pair.v_eig
     fvals, gvals, hvals = values(angles)
@@ -236,10 +235,10 @@ def _assemble(pair: UnitaryPair, values, method: str) -> BottMatrix:
         Qc = Q[:, cols]
         return (Qc * vals[cols]) @ Qc.conj().T
 
-    def on_support(vals):
-        return vals if np.isscalar(vals) else at_V(vals, np.flatnonzero(vals))
-
-    B = assemble_blocks(at_V(fvals), on_support(gvals), on_support(hvals), pair.U)
+    hV = at_V(hvals, np.flatnonzero(hvals))
+    if h_part is not None:
+        hV = h_part(hV)
+    B = assemble_blocks(at_V(fvals), at_V(gvals, np.flatnonzero(gvals)), hV, pair.U)
     return BottMatrix.of(B, pair.delta, method)
 
 

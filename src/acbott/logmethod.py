@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Union
+
 import numpy as np
 
 from .bott import BottMatrix, _assemble, require_certified
@@ -41,11 +43,23 @@ def principal_log(V) -> PrincipalLog:
 def _log_values(angles):
     """The log triple's (f1, g1, h1) at V's angles."""
     x = angles / np.pi
-    return x, 0.0, np.sqrt(1.0 - x**2)
+    return x, np.zeros_like(x), np.sqrt(1.0 - x**2)
 
 
-def build_BL(pair: UnitaryPair) -> BottMatrix:
-    """Assemble B_L(U, V) in the standard basis; diagonal blocks are +-K/pi."""
+def build_BL(pair: Union[UnitaryPair, SelfDualPair]) -> BottMatrix:
+    """Assemble B_L(U, V) in the standard basis; diagonal blocks are +-K/pi.
+
+    For a SelfDualPair, h1(V) enters B_L as its self-dual part.  h1 grows
+    like sqrt(pi - |theta|) at the cut, so a Kramers pair just inside it,
+    split by eps within V's admitted self-duality defect, leaves h1(V) off
+    self-duality by up to sqrt(2 eps / pi) where f1(V) is off by eps / pi.
+    K/pi keeps its drift: a pair split across the cut, with angles near
+    +pi and -pi, still fails the Pfaffian's anti-self-duality gate.
+    """
+    if isinstance(pair, SelfDualPair):
+        return _assemble(
+            pair.pair, _log_values, "log", lambda hV: _hermitian_part(hV, self_dual=True)
+        )
     return _assemble(pair, _log_values, "log")
 
 
@@ -61,4 +75,4 @@ def kappa2_log(sd: SelfDualPair) -> int:
             "to agree here",
             LogMethodUncertified,
         )
-    return _pfaffian_sign(build_BL(sd.pair))
+    return _pfaffian_sign(build_BL(sd))

@@ -252,3 +252,30 @@ def test_split_kramers_pair_is_refused_on_the_log_route(factorizations):
         analyze(sd.pair, self_dual=True, method="log")
     assert pfaffian_bott_index(sd) == 1
     assert analyze(sd.pair, self_dual=True).kappa2 == 1
+
+
+def _nudged(sd, eps, seed):
+    """sd with V moved by e^{i eps H}, ||H|| = 1: self-dual to about eps."""
+    rng = np.random.default_rng(seed)
+    d = sd.pair.dim
+    H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    H = (H + H.conj().T) / 2
+    H /= np.linalg.norm(H, 2)
+    return make_selfdual_pair(sd.pair.U, sd.pair.V @ expm(1j * eps * H))
+
+
+def test_kramers_pair_just_inside_the_cut_keeps_its_log_sign(recwarn):
+    # a Kramers pair near -1, split by V's admitted self-duality defect but
+    # on one side of the cut: h1 = sqrt(1 - theta^2/pi^2) turns a split eps
+    # there into a drift of about sqrt(2 eps / pi) in h1(V) (5.7e-6 and
+    # 4.3e-7 here), above the Pfaffian's gate at 1e-7
+    V = np.diag(np.exp(1j * np.array([np.pi - 1e-9, np.pi - 1.5e-9])))
+    near_cut = make_selfdual_pair(np.eye(2), V)
+    doubled = _nudged(selfdual_doubling(cyclic_shift_pair(64)), 1e-11, seed=1)
+    for sd, kappa2 in ((near_cut, 1), (doubled, -1)):
+        assert pfaffian_bott_index(sd) == kappa2
+        assert kappa2_log(sd) == kappa2
+        assert analyze(sd.pair, self_dual=True, method="log").kappa2 == kappa2
+        bm = build_BL(sd)
+        assert operator_norm(dual_tensor(bm.B) + bm.B) <= 1e-9
+    assert not recwarn.list
