@@ -35,8 +35,7 @@ def main(argv=None):
     for n in range(args.n_min, args.n_max + 1):
         pair = cyclic_shift_pair(n)
         if args.doubled:
-            sd = selfdual_doubling(pair)
-            report = analyze(sd.pair, self_dual=True)
+            report = analyze(selfdual_doubling(pair))
             indices = [report.kappa2]
         else:
             report = analyze(pair)

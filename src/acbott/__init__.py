@@ -18,7 +18,6 @@ from .errors import (
     AlmostCommutingError,
     CertificationFailed,
     GapClosed,
-    LogMethodUncertified,
     MeshViolation,
     NoGuarantee,
     NoObstruction,

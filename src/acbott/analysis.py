@@ -8,10 +8,12 @@ hermitian spectrum of B(U, V) or B_L(U, V) gives kappa and the measured gap.
 The two differ only in the triple's values at V's angles (the bump triple
 or the log triple) and share one assembly per basis.  For a plain pair the
 spectrum is read from the matrix in V's eigenbasis, which needs no product
-with Q beyond Q*UQ.  For a self-dual pair (``self_dual=True``, the dual
-fixed by the dimension) B is built in the standard basis, where the dual
-acts, and kappa2 is the sign of the modified Pfaffian of the same matrix;
-its anti-self-duality gate is the one self-duality check on either route.
+with Q beyond Q*UQ.  A ``SelfDualPair``, which only ``make_selfdual_pair``
+makes after its self-duality gates, takes the self-dual route: B is built
+in the standard basis, where the dual acts, and kappa2 is the sign of the
+modified Pfaffian of the same matrix.  Every index of a method is certified
+up to ``config.certified_threshold(method)``, the threshold that the index
+functions refuse above.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .bott import _count_signature, _spectrum_in_eigenbasis, _trig_values, build_B
 from .bounds import guaranteed_gap
-from .config import KAPPA_THRESHOLD, LOG_THRESHOLD
+from .config import certified_threshold
 from .errors import GapClosed, NoGuarantee, NumericalInconsistency
 from .linalg import UnitaryPair
 from .logmethod import _log_values, build_BL
@@ -70,35 +72,29 @@ class IndexReport:
         ]
 
 
-def analyze(
-    pair: UnitaryPair,
-    self_dual: bool = False,
-    method: str = "trig",
-) -> IndexReport:
+def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:
     """All indices of the pair, computed whatever delta is, with their status.
 
-    ``method`` is "trig" for B(U, V) or "log" for B_L(U, V); on the log route
-    kappa is certified only up to LOG_THRESHOLD.  With ``self_dual`` the pair
-    is treated as self-dual (its dimension fixes the dual) and kappa2 is
-    filled in, certified exactly when kappa is.  Above the winding gate
-    DELTA_GATE omega is left empty and ``omega_valid`` is false.  A closed
-    gap leaves kappa empty; a certified kappa that disagrees with omega
-    raises NumericalInconsistency.
+    ``method`` is "trig" for B(U, V) or "log" for B_L(U, V); kappa is
+    certified up to ``certified_threshold(method)``.  For a ``SelfDualPair``
+    kappa2 is filled in, certified exactly when kappa is.  Above the winding
+    gate DELTA_GATE omega is left empty and ``omega_valid`` is false.  A
+    closed gap leaves kappa empty; a certified kappa that disagrees with
+    omega raises NumericalInconsistency.
     """
     report = IndexReport(delta=pair.delta, dim=pair.dim)
     report.omega_valid = pair.delta <= DELTA_GATE
-    report.log_certified = pair.delta <= LOG_THRESHOLD
-    report.kappa_certified = pair.delta <= KAPPA_THRESHOLD and (
-        method != "log" or report.log_certified
-    )
+    report.log_certified = pair.delta <= certified_threshold("log")
+    report.kappa_certified = pair.delta <= certified_threshold(method)
 
     winding = winding_number(pair) if report.omega_valid else None
     if winding is not None:
         report.omega = winding.omega
 
     log = method == "log"
+    self_dual = isinstance(pair, SelfDualPair)
     if self_dual:
-        bm = build_BL(SelfDualPair(pair)) if log else build_B(pair)
+        bm = build_BL(pair) if log else build_B(pair)
         eigs = bm.eigs
     else:
         eigs = _spectrum_in_eigenbasis(pair, _log_values if log else _trig_values)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOL, KAPPA_THRESHOLD
+from .config import DEFAULT_TOL, KAPPA_THRESHOLD, certified_threshold
 from .errors import (
     AccuracyNotCertified,
     GapClosed,
@@ -171,13 +171,11 @@ class BottMatrix:
     """Hermitian block matrix together with its ascending spectrum."""
 
     B: np.ndarray
-    delta: float
     eigs: np.ndarray
-    method: str  # "trig" or "log"
 
     @classmethod
-    def of(cls, B: np.ndarray, delta: float, method: str) -> "BottMatrix":
-        return cls(B, delta, np.linalg.eigvalsh(B), method)
+    def of(cls, B: np.ndarray) -> "BottMatrix":
+        return cls(B, np.linalg.eigvalsh(B))
 
     @property
     def gap(self) -> float:
@@ -219,7 +217,7 @@ def _trig_values(angles):
     return t.f(angles), t.g(angles), t.h(angles)
 
 
-def _assemble(pair: UnitaryPair, values, method: str, h_part=None) -> BottMatrix:
+def _assemble(pair: UnitaryPair, values, h_part=None) -> BottMatrix:
     """The block matrix of a triple in the standard basis, and its spectrum.
 
     ``values`` maps V's angles to the triple's (f, g, h) there, and the
@@ -239,12 +237,12 @@ def _assemble(pair: UnitaryPair, values, method: str, h_part=None) -> BottMatrix
     if h_part is not None:
         hV = h_part(hV)
     B = assemble_blocks(at_V(fvals), at_V(gvals, np.flatnonzero(gvals)), hV, pair.U)
-    return BottMatrix.of(B, pair.delta, method)
+    return BottMatrix.of(B)
 
 
 def build_B(pair: UnitaryPair) -> BottMatrix:
     """Assemble B(U, V) in the standard basis, and its spectrum."""
-    return _assemble(pair, _trig_values, "trig")
+    return _assemble(pair, _trig_values)
 
 
 def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> np.ndarray:
@@ -288,11 +286,12 @@ def signature(H) -> int:
     return _count_signature(hermitian_eig(H))
 
 
-def require_certified(delta: float) -> None:
-    """Refuse delta above KAPPA_THRESHOLD."""
-    if delta > KAPPA_THRESHOLD:
+def require_certified(delta: float, method: str) -> None:
+    """Refuse delta above ``certified_threshold(method)``."""
+    limit = certified_threshold(method)
+    if delta > limit:
         raise ThresholdExceeded(
-            f"delta = {delta:.6f} exceeds certified threshold {KAPPA_THRESHOLD}"
+            f"delta = {delta:.6f} exceeds certified threshold {limit}"
         )
 
 
@@ -303,7 +302,7 @@ def bott_index(pair: UnitaryPair) -> int:
     raised.  ``analysis.analyze`` computes kappa at any delta and reports
     whether it is certified.
     """
-    require_certified(pair.delta)
+    require_certified(pair.delta, "trig")
     return _count_signature(_spectrum_in_eigenbasis(pair, _trig_values)) // 2
 
 

@@ -89,11 +89,11 @@ def cmd_index(args) -> int:
                 raise NumericalInconsistency(
                     f"header says N = {n_declared}, matrices have dim {U.shape[0]}"
                 )
-        pair = make_selfdual_pair(U, V, unitary_tol=args.unitary_tol).pair
+        pair = make_selfdual_pair(U, V, unitary_tol=args.unitary_tol)
     else:
         pair = make_pair(U, V, unitary_tol=args.unitary_tol)
 
-    report = analyze(pair, args.self_dual, args.method)
+    report = analyze(pair, args.method)
     _emit_report(report, args.format)
     computed = report.kappa is not None or report.kappa2 is not None
     return 2 if computed and not report.kappa_certified else 0
@@ -103,13 +103,10 @@ def cmd_generate(args) -> int:
     spec = PairSpec(
         kind=args.kind, n=args.n, seed=args.seed, noise=args.noise, k=args.k
     )
-    made = build_pair(spec)
-    if isinstance(made, SelfDualPair):
-        pair = made.pair
-        write_selfdual_header(f"{args.out}_N.txt", made.N)
+    pair = build_pair(spec)
+    if isinstance(pair, SelfDualPair):
+        write_selfdual_header(f"{args.out}_N.txt", pair.N)
         print(f"wrote {args.out}_N.txt")
-    else:
-        pair = made
     write_matrix(f"{args.out}_U.txt", pair.U)
     write_matrix(f"{args.out}_V.txt", pair.V)
     print(f"wrote {args.out}_U.txt")
@@ -163,7 +160,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_certify_log(args) -> int:
     mesh = None
-    if args.mesh:
+    if args.mesh is not None:
         mesh = np.linspace(0.0, 1.0, args.mesh)
 
     def write_csv(report):
@@ -178,10 +175,6 @@ def cmd_certify_log(args) -> int:
     verdict = "PASS"
     try:
         report = certify_log_path(args.delta, mesh=mesh)
-    except ValueError as exc:
-        # a delta the certification rejects: NaN, infinite or negative
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CertificationFailed as exc:
         report = exc.report
         if report is None:
@@ -280,7 +273,8 @@ def main(argv=None) -> int:
     except AlmostCommutingError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # unreadable files, and arguments a library call rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

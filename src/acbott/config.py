@@ -4,7 +4,10 @@ Gate tolerances read by more than one check live in ``Tolerances``; callers
 set only the unitarity gate (``unitary_tol``).  Limits that one check owns
 stay beside it: 1e-7 in the anti-self-duality and Kramers checks of
 ``selfdual``.
-The thresholds, the step budget and the envelope constants are fixed; a
+The branch cluster at -1 is as wide as the unitarity gate, wider than the
+self-duality gate, so a Kramers pair at -1 lands on one side of the cut.
+The thresholds, the step budget and the envelope constants are fixed;
+``certified_threshold`` maps a method to its threshold.  A
 ``CertifyConfig`` holds the certification's mesh and search sizes.
 """
 
@@ -19,6 +22,12 @@ KAPPA_THRESHOLD = 0.206007
 LOG_THRESHOLD = 0.125
 
 
+def certified_threshold(method: str) -> float:
+    """The largest delta at which an index of ``method`` ("trig" or "log")
+    is certified; every certified flag and refusal reads it."""
+    return LOG_THRESHOLD if method == "log" else KAPPA_THRESHOLD
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Default gate widths for structural checks."""
@@ -30,7 +39,7 @@ class Tolerances:
     singular: float = 1e-12        # smallest singular value gate for polar part
     rounding_hard: float = 0.01    # residue beyond which the input is broken
     gap_per_dim: float = 1e-8      # signature gap tolerance = gap_per_dim * dim
-    branch: float = 1e-12          # half-width of the eigenvalue cluster at -1
+    branch: float = 1e-8           # half-width of the eigenvalue cluster at -1
 
 
 DEFAULT_TOL = Tolerances()

@@ -2,10 +2,11 @@
 
 Hard errors signal that a requested quantity is undefined or that the
 computation cannot be trusted.  A threshold overrun on an otherwise
-well-defined index is an exception as well: the index functions return only
-certified values.  ``analysis.analyze`` computes every index past its
-threshold and reports whether it is certified; the CLI prints that report
-and marks the result uncertified instead of aborting.
+well-defined index is an exception as well: above its method's
+``config.certified_threshold`` an index function raises ThresholdExceeded,
+so it returns only certified values.  ``analysis.analyze`` computes every
+index past its threshold and reports whether it is certified; the CLI
+prints that report and marks the result uncertified instead of aborting.
 """
 
 
@@ -84,10 +85,6 @@ class NotAntiSelfDual(AlmostCommutingError):
 
 class NotSelfDual(AlmostCommutingError):
     """Matrix is not self-dual under the dual operation."""
-
-
-class LogMethodUncertified(UserWarning):
-    """Log-method index computed outside its certified delta range."""
 
 
 class NoGuarantee(AlmostCommutingError):

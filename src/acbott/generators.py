@@ -10,7 +10,6 @@ so equal parameters give bitwise-equal matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -143,7 +142,7 @@ def perturb_selfdual(sd: SelfDualPair, r: float, seed: int = 0) -> SelfDualPair:
     if r == 0:
         return sd
     rng = np.random.default_rng(seed)
-    dim = sd.pair.dim
+    dim = sd.dim
     HU = _selfdual_hermitian(dim, rng)
     HV = _selfdual_hermitian(dim, rng)
 
@@ -152,7 +151,7 @@ def perturb_selfdual(sd: SelfDualPair, r: float, seed: int = 0) -> SelfDualPair:
         return half @ M @ half
 
     out = []
-    for M, H in ((sd.pair.U, HU), (sd.pair.V, HV)):
+    for M, H in ((sd.U, HU), (sd.V, HV)):
         target = r / 2
         amount = 2 * np.arcsin(min(target / 4, 1.0))
         for _ in range(25):
@@ -176,7 +175,7 @@ class PairSpec:
     k: int = -1  # multiplicity/sign for direct_sum
 
 
-def build_pair(spec: PairSpec) -> Union[UnitaryPair, SelfDualPair]:
+def build_pair(spec: PairSpec) -> UnitaryPair:
     if spec.kind == "cyclic_shift":
         return cyclic_shift_pair(spec.n)
     if spec.kind == "commuting_random":

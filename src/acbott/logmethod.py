@@ -4,20 +4,17 @@ Instead of the bump-function triple, take iK to be the principal logarithm
 of V and use f1(x) = x/pi, g1 = 0, h1(x) = sqrt(1 - x^2/pi^2).  These are
 merely Borel functions of V; B_L is assembled exactly as B is, from the
 triple's values at V's angles, and its sign index provably agrees with the
-trigonometric one for delta <= 1/8.
+trigonometric one for delta <= 1/8: ``config.certified_threshold("log")``,
+which ``kappa2_log`` refuses above and ``analysis.analyze`` reports against.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .bott import BottMatrix, _assemble, require_certified
-from .config import KAPPA_THRESHOLD, LOG_THRESHOLD
-from .errors import LogMethodUncertified
 from .linalg import UnitaryPair, unitary_eig
 from .selfdual import SelfDualPair, _hermitian_part, _pfaffian_sign
 
@@ -46,7 +43,7 @@ def _log_values(angles):
     return x, np.zeros_like(x), np.sqrt(1.0 - x**2)
 
 
-def build_BL(pair: Union[UnitaryPair, SelfDualPair]) -> BottMatrix:
+def build_BL(pair: UnitaryPair) -> BottMatrix:
     """Assemble B_L(U, V) in the standard basis; diagonal blocks are +-K/pi.
 
     For a SelfDualPair, h1(V) enters B_L as its self-dual part.  h1 grows
@@ -58,21 +55,14 @@ def build_BL(pair: Union[UnitaryPair, SelfDualPair]) -> BottMatrix:
     """
     if isinstance(pair, SelfDualPair):
         return _assemble(
-            pair.pair, _log_values, "log", lambda hV: _hermitian_part(hV, self_dual=True)
+            pair, _log_values, lambda hV: _hermitian_part(hV, self_dual=True)
         )
-    return _assemble(pair, _log_values, "log")
+    return _assemble(pair, _log_values)
 
 
 def kappa2_log(sd: SelfDualPair) -> int:
     """Sign index from B_L; certified to agree with the trig method for
-    delta <= 1/8, soft-flagged up to the trig threshold, refused beyond it
-    (``analysis.analyze(..., method="log")`` computes it at any delta)."""
-    require_certified(sd.delta)
-    if LOG_THRESHOLD < sd.delta <= KAPPA_THRESHOLD:
-        warnings.warn(
-            f"delta = {sd.delta:.6f} is above the log-method threshold "
-            f"{LOG_THRESHOLD}; the log and trig signs are not certified "
-            "to agree here",
-            LogMethodUncertified,
-        )
+    delta <= 1/8, refused beyond it with ThresholdExceeded
+    (``analysis.analyze(sd, method="log")`` computes it at any delta)."""
+    require_certified(sd.delta, "log")
     return _pfaffian_sign(build_BL(sd))

@@ -94,18 +94,21 @@ def dual_tensor(X) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SelfDualPair:
-    """Validated almost-commuting pair with U^# = U and V^# = V."""
+class SelfDualPair(UnitaryPair):
+    """A pair that passed :func:`make_selfdual_pair`: U^# = U and V^# = V.
 
-    pair: UnitaryPair
+    The type is the one place where self-duality is decided: the self-dual
+    routes (kappa2, B_L's self-dual h1 part) run exactly for this class.
+    """
 
     @property
     def N(self) -> int:
-        return self.pair.dim // 2
+        return self.dim // 2
 
     @property
-    def delta(self) -> float:
-        return self.pair.delta
+    def pair(self) -> "SelfDualPair":
+        # perfbench/ still reads sd.pair; ROADMAP item 3 deletes this property
+        return self
 
 
 def make_selfdual_pair(U, V, unitary_tol: float = DEFAULT_TOL.unitary) -> SelfDualPair:
@@ -117,7 +120,7 @@ def make_selfdual_pair(U, V, unitary_tol: float = DEFAULT_TOL.unitary) -> SelfDu
         drift = gate_norm(M - dual(M), tol)
         if drift > tol:
             raise NotSelfDual(f"{name} fails self-duality by {drift:.3e}")
-    return SelfDualPair(pair)
+    return SelfDualPair(pair.U, pair.V, pair.delta, pair.unitary_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +372,8 @@ def pfaffian_bott_index(sd: SelfDualPair) -> int:
     raised.  ``analysis.analyze`` computes kappa2 at any delta and reports
     whether it is certified.
     """
-    require_certified(sd.delta)
-    return _pfaffian_sign(build_B(sd.pair))
+    require_certified(sd.delta, "trig")
+    return _pfaffian_sign(build_B(sd))
 
 
 def selfdual_distance_bounds(sdA: SelfDualPair, sdB: SelfDualPair) -> float:
@@ -380,7 +383,7 @@ def selfdual_distance_bounds(sdA: SelfDualPair, sdB: SelfDualPair) -> float:
     commuting-target form 1/5 + (1/5) sqrt(1 - 5 delta^2).
     """
     for sd in (sdA, sdB):
-        require_certified(sd.delta)
+        require_certified(sd.delta, "trig")
     if pfaffian_bott_index(sdA) == pfaffian_bott_index(sdB):
         raise NoObstruction("equal signs carry no distance obstruction")
     return (

@@ -68,7 +68,7 @@ def horner_B(pair) -> BottMatrix:
     """
     t = standard_triple()
     fV, gV, hV = (apply_trigpoly(p, pair.V) for p in (t.f5, t.g5, t.h5))
-    return BottMatrix.of(assemble_blocks(fV, gV, hV, pair.U), pair.delta, "trig")
+    return BottMatrix.of(assemble_blocks(fV, gV, hV, pair.U))
 
 
 def standard_form(N: int) -> np.ndarray:

@@ -72,10 +72,10 @@ def certified_sample():
     for seed in range(50):
         pairs.append(commuting_random(4 + (seed % 13), seed=seed))
     for n in range(31, 64, 2):
-        pairs.append(selfdual_doubling(cyclic_shift_pair(n)).pair)
+        pairs.append(selfdual_doubling(cyclic_shift_pair(n)))
     for seed in range(20):
         sd = selfdual_doubling(commuting_random(8 + 4 * (seed % 3), seed=seed))
-        pairs.append(perturb_selfdual(sd, 0.05, seed=seed).pair)
+        pairs.append(perturb_selfdual(sd, 0.05, seed=seed))
 
     records = []
     for pair in pairs:

@@ -115,22 +115,44 @@ def test_index_factorizes_V_and_W_once(tmp_path, capsys, factorizations, kind, f
     assert factorizations == Counter(schur=1, eigh=1, eigvalsh=2)
 
 
-def test_index_refuses_split_kramers_pair_on_the_log_route(tmp_path, capsys):
-    # V's Kramers pair e^{i(pi -+ a)} straddles the log's branch cut, so B_L
-    # is not anti-self-dual; the trig route has no cut and reports kappa2
+def test_index_answers_split_kramers_pair_on_the_log_route(tmp_path, capsys):
+    # V's Kramers pair e^{i(pi -+ a)} lies in the branch cluster at -1, so
+    # both angles go to +pi and the log route answers as the trig route does
     a = 2e-10
     write_matrix(str(tmp_path / "U.txt"), np.eye(2, dtype=complex))
     write_matrix(str(tmp_path / "V.txt"),
                  np.diag(np.exp(1j * np.array([np.pi - a, np.pi + a]))))
     args = ("index", str(tmp_path / "U.txt"), str(tmp_path / "V.txt"),
             "--self-dual")
-    rc, out, err = run(capsys, *args, "--method", "log")
+    for method in ("log", "trig"):
+        rc, out, err = run(capsys, *args, "--method", method)
+        assert rc == 0, err
+        assert "kappa2 = +1 (certified)" in out
+
+
+_REJECTED = {
+    "mesh-negative": (("certify-log", "--delta", "0.125", "--mesh", "-3"),
+                      "error: Number of samples"),
+    "mesh-zero": (("certify-log", "--delta", "0.125", "--mesh", "0"),
+                  "error: MeshViolation:"),
+    "points-negative": (("bounds", "--curve", "beta", "--points", "-1"),
+                        "error: Number of samples"),
+    "noise-too-large": (("generate", "--kind", "perturbed", "--n", "8", "--noise", "5"),
+                        "error: perturbation size too large"),
+    "k-zero": (("generate", "--kind", "direct_sum", "--n", "8", "--k", "0"),
+               "error: k must be nonzero"),
+    "max-n-17": (("fourier", "--max-n", "17"), "error: coefficient index capped at 16"),
+}
+
+
+@pytest.mark.parametrize("argv, message", _REJECTED.values(), ids=_REJECTED.keys())
+def test_rejected_argument_prints_an_error_line(tmp_path, capsys, argv, message):
+    if argv[0] == "generate":
+        argv += ("--out", str(tmp_path / "p"))
+    rc, out, err = run(capsys, *argv)
     assert rc == 1
-    assert out == ""
-    assert err.startswith("error: NotAntiSelfDual:")
-    rc, out, _ = run(capsys, *args)
-    assert rc == 0
-    assert "kappa2 = +1 (certified)" in out
+    assert err.startswith(message), err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_index_reports_just_below_delta_two(tmp_path, capsys):
@@ -283,7 +305,7 @@ def test_index_process_never_imports_the_certification_stack(tmp_path):
     # a cold index reads stored tables: no quadrature, LP, root finder or FFT
     for name, pair in (
         ("plain", cyclic_shift_pair(31)),
-        ("selfdual", selfdual_doubling(cyclic_shift_pair(31)).pair),
+        ("selfdual", selfdual_doubling(cyclic_shift_pair(31))),
     ):
         write_matrix(str(tmp_path / f"{name}_U.txt"), pair.U)
         write_matrix(str(tmp_path / f"{name}_V.txt"), pair.V)

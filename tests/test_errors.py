@@ -9,7 +9,7 @@ from acbott import errors
 from acbott.errors import (
     AlmostCommutingError,
     CertificationFailed,
-    LogMethodUncertified,
+    IllConditionedSign,
     NotUnitary,
     ThresholdExceeded,
 )
@@ -27,11 +27,11 @@ def test_every_error_subclasses_base():
 
 
 def test_warnings_are_not_errors():
-    assert not issubclass(LogMethodUncertified, AlmostCommutingError)
-    with pytest.warns(LogMethodUncertified):
+    assert not issubclass(IllConditionedSign, AlmostCommutingError)
+    with pytest.warns(IllConditionedSign):
         import warnings
 
-        warnings.warn("probe", LogMethodUncertified)
+        warnings.warn("probe", IllConditionedSign)
 
 
 def test_certification_failure_carries_report():

@@ -91,12 +91,12 @@ def test_selfdual_doubling_blocks():
     base = cyclic_shift_pair(7)
     sd = selfdual_doubling(base)
     d = base.dim
-    assert np.array_equal(sd.pair.U[:d, :d], base.U)
-    assert np.array_equal(sd.pair.U[d:, d:], base.U.T)
-    assert np.array_equal(sd.pair.V[:d, :d], base.V)
-    assert np.array_equal(sd.pair.V[d:, d:], base.V.T)
+    assert np.array_equal(sd.U[:d, :d], base.U)
+    assert np.array_equal(sd.U[d:, d:], base.U.T)
+    assert np.array_equal(sd.V[:d, :d], base.V)
+    assert np.array_equal(sd.V[d:, d:], base.V.T)
     assert sd.delta == pytest.approx(base.delta, abs=1e-12)
-    for M in (sd.pair.U, sd.pair.V):
+    for M in (sd.U, sd.V):
         assert operator_norm(M - dual(M)) <= 1e-14
 
 
@@ -104,7 +104,7 @@ def test_perturb_selfdual_stays_selfdual_at_distance():
     sd = selfdual_doubling(cyclic_shift_pair(16))
     r = 0.1
     moved = perturb_selfdual(sd, r, seed=3)
-    for before, after in ((sd.pair.U, moved.pair.U), (sd.pair.V, moved.pair.V)):
+    for before, after in ((sd.U, moved.U), (sd.V, moved.V)):
         got = operator_norm(before - after)
         assert abs(got - r / 2) <= 0.005 * (r / 2)
         assert operator_norm(after - dual(after)) <= 1e-9

@@ -287,8 +287,8 @@ def test_valid_request_takes_one_svd(monkeypatch):
         analyze(make_pair(plain.U, plain.V), method=method)
         assert len(svds) == 1
         svds.clear()
-        made = make_selfdual_pair(sd.pair.U, sd.pair.V)
-        assert analyze(made.pair, self_dual=True, method=method).kappa2 == -1
+        made = make_selfdual_pair(sd.U, sd.V)
+        assert analyze(made, method=method).kappa2 == -1
         assert len(svds) == 1
         svds.clear()
 
@@ -300,7 +300,7 @@ def test_request_checks_each_unitarity_once(monkeypatch, self_dual, method):
     # pair's factorization of V does not check V again
     import acbott.linalg as linalg
 
-    base = selfdual_doubling(cyclic_shift_pair(12)).pair
+    base = selfdual_doubling(cyclic_shift_pair(12))
     checked = []
     check = linalg._check_unitary
 
@@ -310,10 +310,10 @@ def test_request_checks_each_unitarity_once(monkeypatch, self_dual, method):
 
     monkeypatch.setattr(linalg, "_check_unitary", counted)
     if self_dual:
-        pair = make_selfdual_pair(base.U, base.V).pair
+        pair = make_selfdual_pair(base.U, base.V)
     else:
         pair = make_pair(base.U, base.V)
-    analyze(pair, self_dual=self_dual, method=method)
+    analyze(pair, method=method)
     assert len(checked) == 3
 
 
@@ -361,10 +361,10 @@ def test_plain_calls_share_one_factorization_per_matrix(factorizations):
 
 def test_selfdual_calls_share_one_factorization_per_matrix(factorizations):
     base = selfdual_doubling(cyclic_shift_pair(64))
-    sd = make_selfdual_pair(base.pair.U, base.pair.V)
+    sd = make_selfdual_pair(base.U, base.V)
     factorizations.clear()
     calls = (
-        lambda s: winding_number(s.pair),
+        winding_number,
         pfaffian_bott_index,
         kappa2_log,
     )
@@ -374,7 +374,7 @@ def test_selfdual_calls_share_one_factorization_per_matrix(factorizations):
     # the spectra of B and B_L
     assert factorizations == Counter(schur=1, eigh=1, eigvalsh=3)
     for call, result in zip(calls, results):
-        assert call(make_selfdual_pair(base.pair.U, base.pair.V)) == result
+        assert call(make_selfdual_pair(base.U, base.V)) == result
 
 
 def test_v_eig_falls_back_to_the_schur_form(factorizations, monkeypatch):
@@ -403,7 +403,7 @@ def test_v_eig_falls_back_to_the_schur_form(factorizations, monkeypatch):
 
 def _kramers_v():
     sd = selfdual_doubling(cyclic_shift_pair(12))
-    return perturb_selfdual(sd, 0.004, seed=2).pair.V
+    return perturb_selfdual(sd, 0.004, seed=2).V
 
 
 def _v_at_minus_one():

@@ -8,12 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from acbott.analysis import analyze
-from acbott.errors import (
-    LogMethodUncertified,
-    NotAntiSelfDual,
-    NotUnitary,
-    ThresholdExceeded,
-)
+from acbott.errors import NotSelfDual, NotUnitary, ThresholdExceeded
 from acbott.generators import (
     commuting_random,
     cyclic_shift_pair,
@@ -83,9 +78,9 @@ def test_log_rejects_nonunitary():
 
 def test_log_of_selfdual_is_selfdual():
     sd = selfdual_doubling(cyclic_shift_pair(8))
-    plog = principal_log(sd.pair.V)
+    plog = principal_log(sd.V)
     assert operator_norm(plog.K - dual(plog.K)) <= 1e-12
-    assert operator_norm(reconstruct(plog.K) - sd.pair.V) <= 1e-8
+    assert operator_norm(reconstruct(plog.K) - sd.V) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +93,6 @@ def test_BL_identity_pair():
     O = np.zeros((3, 3))
     want = np.block([[O, np.eye(3)], [np.eye(3), O]])
     assert np.allclose(bm.B, want, atol=1e-12)
-    assert bm.method == "log"
     assert bm.gap == pytest.approx(1.0)
 
 
@@ -120,7 +114,7 @@ def test_BL_diagonal_blocks_are_scaled_log():
 
 def test_BL_hermitian_and_anti_selfdual():
     sd = selfdual_doubling(cyclic_shift_pair(6))
-    bm = build_BL(sd.pair)
+    bm = build_BL(sd)
     assert operator_norm(bm.B - bm.B.conj().T) <= 1e-12
     assert operator_norm(dual_tensor(bm.B) + bm.B) <= 1e-9
 
@@ -180,18 +174,24 @@ def test_kappa2_log_matches_trig_on_doubled_cyclic():
     assert kappa2_log(sd) == pfaffian_bott_index(sd) == -1
 
 
-def test_kappa2_log_warns_between_thresholds():
+def test_kappa2_log_refuses_between_thresholds():
+    # certified only up to 1/8: the wrapper refuses, analyze reports
     sd = selfdual_doubling(cyclic_shift_pair(31))  # delta ~ 0.2023
-    with pytest.warns(LogMethodUncertified):
-        value = kappa2_log(sd)
-    assert value == -1
+    assert 0.125 < sd.delta <= 0.206007
+    with pytest.raises(ThresholdExceeded, match="threshold 0.125"):
+        kappa2_log(sd)
+    assert pfaffian_bott_index(sd) == -1
+    report = analyze(sd, method="log")
+    assert report.kappa2 == -1
+    assert not report.kappa_certified
+    assert analyze(sd).kappa_certified
 
 
 def test_kappa2_log_threshold_gate():
     sd = selfdual_doubling(cyclic_shift_pair(8))
     with pytest.raises(ThresholdExceeded):
         kappa2_log(sd)
-    report = analyze(sd.pair, self_dual=True, method="log")
+    report = analyze(sd, method="log")
     assert report.kappa2 in (-1, 1)
     assert not report.kappa_certified
 
@@ -199,9 +199,9 @@ def test_kappa2_log_threshold_gate():
 def test_kappa2_log_invariant_under_structure_conjugation():
     sd = selfdual_doubling(cyclic_shift_pair(64))
     for seed in (0, 1):
-        W = structure_preserving_unitary(sd.pair.dim, seed)
+        W = structure_preserving_unitary(sd.dim, seed)
         moved = make_selfdual_pair(
-            W @ sd.pair.U @ W.conj().T, W @ sd.pair.V @ W.conj().T
+            W @ sd.U @ W.conj().T, W @ sd.V @ W.conj().T
         )
         assert moved.delta == pytest.approx(sd.delta, abs=1e-9)
         assert kappa2_log(moved) == -1
@@ -220,7 +220,7 @@ def test_kappa2_log_reuses_V_and_gates_self_duality_once(factorizations, monkeyp
     # B_L is assembled from the pair's cached factorization of V, and the
     # Pfaffian's anti-self-duality gate is the log route's one structure gate
     sd = selfdual_doubling(cyclic_shift_pair(64))
-    sd.pair.v_eig  # V's factorization, made before counting
+    sd.v_eig  # V's factorization, made before counting
     gates = []
     for name, module in list(sys.modules.items()):
         real = getattr(module, "gate_norm", None) if name.startswith("acbott") else None
@@ -236,46 +236,81 @@ def test_kappa2_log_reuses_V_and_gates_self_duality_once(factorizations, monkeyp
     assert len(gates) == 1
 
 
-def test_split_kramers_pair_is_refused_on_the_log_route(factorizations):
-    # a Kramers pair at e^{i(pi -+ a)}: V passes the self-duality gate, but
-    # its angles pi - a and -pi + a sit on opposite sides of the cut
+def test_split_kramers_pair_at_the_cut_answers_on_the_log_route(factorizations):
+    # a Kramers pair at e^{i(pi -+ a)}: V passes the self-duality gate, and
+    # both angles lie in the branch cluster at -1, so both go to +pi
     a = 2e-10
     V = np.diag(np.exp(1j * np.array([np.pi - a, np.pi + a])))
     sd = make_selfdual_pair(np.eye(2), V)
-    assert operator_norm(sd.pair.V - dual(sd.pair.V)) <= 1e-9
+    assert operator_norm(sd.V - dual(sd.V)) <= 1e-9
     factorizations.clear()
-    with pytest.raises(NotAntiSelfDual):
-        kappa2_log(sd)
+    assert kappa2_log(sd) == 1
     # V's cut eigvalsh and Cayley eigh, once; the spectrum of B_L
     assert factorizations == Counter(eigvalsh=2, eigh=1)
-    with pytest.raises(NotAntiSelfDual):
-        analyze(sd.pair, self_dual=True, method="log")
+    assert np.array_equal(sd.v_eig[0], [np.pi, np.pi])
+    assert analyze(sd, method="log").kappa2 == 1
     assert pfaffian_bott_index(sd) == 1
-    assert analyze(sd.pair, self_dual=True).kappa2 == 1
+    assert analyze(sd).kappa2 == 1
 
 
-def _nudged(sd, eps, seed):
-    """sd with V moved by e^{i eps H}, ||H|| = 1: self-dual to about eps."""
+def _nudged_v(sd, eps, seed):
+    """sd's V moved by e^{i eps H}, ||H|| = 1: self-dual to about eps."""
     rng = np.random.default_rng(seed)
-    d = sd.pair.dim
+    d = sd.dim
     H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     H = (H + H.conj().T) / 2
     H /= np.linalg.norm(H, 2)
-    return make_selfdual_pair(sd.pair.U, sd.pair.V @ expm(1j * eps * H))
+    return sd.V @ expm(1j * eps * H)
+
+
+def test_kramers_pairs_at_minus_one_answer_on_both_routes():
+    # V of a doubled cyclic pair of even n has a Kramers pair at -1; moved
+    # by e^{i a H}, the pairs that make_selfdual_pair admits split it by at
+    # most its 1e-9 gate, inside the branch cluster, so both angles go to
+    # +pi and the log route answers as the trig route does
+    admitted = 0
+    for n in (6, 8, 64):
+        base = selfdual_doubling(cyclic_shift_pair(n))
+        for a in (1e-11, 1e-10, 3e-10, 7e-10):
+            for seed in range(6):
+                try:
+                    sd = make_selfdual_pair(base.U, _nudged_v(base, a, seed))
+                except NotSelfDual:
+                    continue
+                admitted += 1
+                for method in ("trig", "log"):
+                    assert analyze(sd, method=method).kappa2 == -1
+    assert admitted == 71
+
+
+def test_pair_off_self_duality_cannot_reach_kappa2():
+    # only make_selfdual_pair makes a SelfDualPair, so a V beyond its gate
+    # gets no self-dual route, whatever the caller believes of the pair
+    base = selfdual_doubling(cyclic_shift_pair(64))
+    V = _nudged_v(base, 5e-8, seed=0)
+    assert 6e-8 < operator_norm(V - dual(V)) < 7e-8
+    with pytest.raises(NotSelfDual):
+        make_selfdual_pair(base.U, V)
+    for method in ("trig", "log"):
+        assert analyze(make_pair(base.U, V), method=method).kappa2 is None
 
 
 def test_kramers_pair_just_inside_the_cut_keeps_its_log_sign(recwarn):
     # a Kramers pair near -1, split by V's admitted self-duality defect but
     # on one side of the cut: h1 = sqrt(1 - theta^2/pi^2) turns a split eps
-    # there into a drift of about sqrt(2 eps / pi) in h1(V) (5.7e-6 and
-    # 4.3e-7 here), above the Pfaffian's gate at 1e-7
+    # at distance x from the cut into a drift of about eps / sqrt(2 pi x) in
+    # h1(V) (6.3e-7 for the pair 1e-7 inside), above the Pfaffian's gate at
+    # 1e-7.  The other two inputs lie in the branch cluster at -1.
+    far = np.diag(np.exp(1j * np.array([np.pi - 1e-7, np.pi - 1e-7 - 5e-10])))
     V = np.diag(np.exp(1j * np.array([np.pi - 1e-9, np.pi - 1.5e-9])))
+    inside = make_selfdual_pair(np.eye(2), far)
     near_cut = make_selfdual_pair(np.eye(2), V)
-    doubled = _nudged(selfdual_doubling(cyclic_shift_pair(64)), 1e-11, seed=1)
-    for sd, kappa2 in ((near_cut, 1), (doubled, -1)):
+    base = selfdual_doubling(cyclic_shift_pair(64))
+    doubled = make_selfdual_pair(base.U, _nudged_v(base, 1e-11, seed=1))
+    for sd, kappa2 in ((inside, 1), (near_cut, 1), (doubled, -1)):
         assert pfaffian_bott_index(sd) == kappa2
         assert kappa2_log(sd) == kappa2
-        assert analyze(sd.pair, self_dual=True, method="log").kappa2 == kappa2
+        assert analyze(sd, method="log").kappa2 == kappa2
         bm = build_BL(sd)
         assert operator_norm(dual_tensor(bm.B) + bm.B) <= 1e-9
     assert not recwarn.list

@@ -3,7 +3,9 @@
 The indices' thresholds, the certification's threshold and step budget and
 the gate tolerances are fixed constants.  The keyword names below were once
 parameters of these functions and are not any more; a ``CertifyConfig``
-holds only the certification's mesh and search sizes.
+holds only the certification's mesh and search sizes.  Whether a pair is
+self-dual is its type's to say: ``analyze`` takes the self-dual route for a
+``SelfDualPair``, which only ``make_selfdual_pair`` makes.
 """
 
 import dataclasses
@@ -11,7 +13,7 @@ import inspect
 
 import pytest
 
-from acbott import bott, linalg, logmethod, selfdual, winding
+from acbott import analysis, bott, linalg, logmethod, selfdual, winding
 from acbott.config import CertifyConfig
 
 RETIRED = [
@@ -35,6 +37,7 @@ RETIRED = [
     (linalg.apply_trigpoly, {"tol"}),
     (linalg.TrigPoly.is_real_valued, {"tol"}),
     (winding.winding_via_path, {"steps"}),
+    (analysis.analyze, {"self_dual"}),
 ]
 
 

@@ -125,13 +125,13 @@ def test_dual_tensor_block_formula(rng):
 
 def test_block_matrix_is_anti_selfdual_on_selfdual_pair():
     sd = selfdual_doubling(cyclic_shift_pair(12))
-    B = build_B(sd.pair).B
+    B = build_B(sd).B
     assert np.linalg.norm(dual_tensor(B) + B, 2) < 1e-9
 
 
 def test_make_selfdual_pair_gates(rng):
     sd = selfdual_doubling(cyclic_shift_pair(6))
-    again = make_selfdual_pair(sd.pair.U, sd.pair.V)
+    again = make_selfdual_pair(sd.U, sd.V)
     assert again.N == 6
     with pytest.raises(DimensionMismatch):
         make_selfdual_pair(haar_unitary(5, rng), haar_unitary(5, rng))
@@ -242,14 +242,14 @@ def test_kappa2_doubled_cyclic_64():
     # the log route in test_logmethod confirms the same value
     sd = selfdual_doubling(cyclic_shift_pair(64))
     assert pfaffian_bott_index(sd) == -1
-    assert _pfaffian_sign(horner_B(sd.pair)) == -1
+    assert _pfaffian_sign(horner_B(sd)) == -1
 
 
 def test_kappa2_threshold_gate():
     sd = selfdual_doubling(cyclic_shift_pair(8))
     with pytest.raises(ThresholdExceeded):
         pfaffian_bott_index(sd)
-    report = analyze(sd.pair, self_dual=True)
+    report = analyze(sd)
     assert report.kappa2 in (-1, 1)
     assert not report.kappa_certified
 
@@ -312,7 +312,7 @@ def _kappa2_test_pairs():
 
 def test_real_route_matches_householder_on_kappa2_pairs():
     for sd in _kappa2_test_pairs():
-        for bm in (build_B(sd.pair), build_BL(sd.pair)):
+        for bm in (build_B(sd), build_BL(sd)):
             (phase, log_c), (sign, log_r) = _both_routes(bm.B)
             assert abs(phase.imag) <= 1e-9
             assert sign == (1 if phase.real > 0 else -1)
@@ -338,7 +338,7 @@ def test_real_route_standard_blocks():
     for N in (1, 2, 3):
         I = np.eye(2 * N)
         O = np.zeros((2 * N, 2 * N))
-        bm = BottMatrix.of(np.block([[O, I], [I, O]]), 0.0, "trig")
+        bm = BottMatrix.of(np.block([[O, I], [I, O]]))
         assert _pfaffian_sign(bm) == 1
 
 
@@ -347,7 +347,7 @@ def test_kappa2_selfdual_N256():
     sd = selfdual_doubling(cyclic_shift_pair(256))
     with warnings.catch_warnings():
         warnings.simplefilter("error", IllConditionedSign)
-        report = analyze(sd.pair, self_dual=True)
+        report = analyze(sd)
     assert report.kappa2 == -1
     assert report.kappa == 0
     assert report.kappa_certified
@@ -355,19 +355,19 @@ def test_kappa2_selfdual_N256():
 
 def test_pfaffian_sign_rejects_non_hermitian_B():
     sd = selfdual_doubling(cyclic_shift_pair(12))
-    bm = build_B(sd.pair)
+    bm = build_B(sd)
     rng = np.random.default_rng(5)
     # i times a hermitian anti-self-dual matrix keeps anti-self-duality but
     # adds an anti-hermitian part, which lands in Re(Q* B Q)
     A = _random_hermitian_anti_selfdual(sd.N, rng)
-    bad = BottMatrix(bm.B + 1e-3j * A, bm.delta, bm.eigs, bm.method)
+    bad = BottMatrix(bm.B + 1e-3j * A, bm.eigs)
     with pytest.raises(NumericalInconsistency, match="real part"):
         _pfaffian_sign(bad)
 
 
 def test_pfaffian_sign_warns_on_magnitude_mismatch(monkeypatch):
     sd = selfdual_doubling(cyclic_shift_pair(12))
-    bm = build_B(sd.pair)
+    bm = build_B(sd)
     real_route = selfdual._real_pfaffian_sign_log
 
     def off_by_one_percent(R):
@@ -396,7 +396,7 @@ def test_kappa2_callers_never_take_the_complex_loop(monkeypatch):
     monkeypatch.setattr(selfdual, "_real_pfaffian_sign_log", counted("real", real_route))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     for method in ("trig", "log"):
-        assert analyze(sd.pair, self_dual=True, method=method).kappa2 == -1
+        assert analyze(sd, method=method).kappa2 == -1
     assert pfaffian_bott_index(sd) == -1
     assert kappa2_log(sd) == -1
     # the Frobenius bound clears every gate on the way: no SVD either
