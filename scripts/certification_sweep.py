@@ -1,11 +1,9 @@
 """Sweep the homotopy certification over a range of commutator sizes.
 
-For each delta on the grid, run the two-stage path certification and record
-whether it passes, the worst mesh bound, and the refined mesh size.  The
-default settings use a reduced search budget so a full sweep finishes in
-minutes; pass --production for the full-accuracy configuration (11-22 s
-per delta on a 2-CPU machine, depending on its load; delta 0.125 itself
-reads the stored certificate and takes about 1 s).
+For each delta on the grid, certify the two-stage path with the stored
+coefficient vectors and record whether it passes, the worst mesh bound, the
+mesh size and the step sums.  No LP is solved, so each delta takes about 1 s
+on a 2-CPU machine.
 
     python scripts/certification_sweep.py --to 0.21 --points 9 --out sweep.csv
 """
@@ -17,10 +15,7 @@ import sys
 import numpy as np
 
 from acbott.bounds import certify_log_path
-from acbott.config import CertifyConfig, DEFAULT_CERTIFY
 from acbott.errors import CertificationFailed
-
-CHEAP = CertifyConfig(mesh_per_stage=9, max_degree=16, fine_grid=2**13, coarse_points=96)
 
 
 def main(argv=None):
@@ -28,11 +23,8 @@ def main(argv=None):
     ap.add_argument("--from", dest="lo", type=float, default=0.0)
     ap.add_argument("--to", dest="hi", type=float, default=0.21)
     ap.add_argument("--points", type=int, default=8)
-    ap.add_argument("--production", action="store_true",
-                    help="full-accuracy configuration instead of the fast one")
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args(argv)
-    config = DEFAULT_CERTIFY if args.production else CHEAP
 
     fh = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(fh)
@@ -41,7 +33,7 @@ def main(argv=None):
     for d in np.linspace(args.lo, args.hi, args.points):
         d = float(d)
         try:
-            report = certify_log_path(d, config=config)
+            report = certify_log_path(d)
         except CertificationFailed as exc:
             report = exc.report
         writer.writerow([

@@ -13,23 +13,22 @@ guaranteed spectral gap and the certified threshold.
 
 The same machinery certifies the homotopy connecting the trigonometric block
 matrix to its log-method variant: along the two-stage path of function
-triples, optimal approximants are found by linear programming at each mesh
-point and the resulting bound must stay below the certification threshold.
-The LPs only search; each bound is certified from the approximant's
-coefficients with one DCT-I or DST-I.  At delta = 1/8 under the default
-search settings, the winning coefficients of the default mesh are stored in
-``log_certificate`` and certified without an LP; other deltas and settings
-search.  ``scripts/regenerate_log_certificate.py`` rewrites the store, and
-the test suite requires it to match a fresh search byte for byte.
+triples, each eta is certified from one stored coefficient vector with one
+DCT-I or DST-I, and the resulting bound must stay below the certification
+threshold.  A fixed vector's eta is valid at every delta, so the vectors in
+``log_certificate`` certify any delta; a mesh point off the stored mesh
+takes the vectors of its nearest stored point.  The certification solves no
+LP.  ``scripts/regenerate_log_certificate.py`` searches the vectors by LP at
+delta = 1/8 and rewrites the store, and the test suite requires the store to
+match a fresh search byte for byte.
 
 The envelope rows and the cosine coefficients of h are fixed constants of the
 construction, so they are stored as exact float literals and a process only
 reads them.  ``_eta_f_rows`` and ``_eta_h_rows`` re-derive the rows on the
 offset grid together with the degree-5 reproduction check, the c_0..c_16
 mass cap and the drift gates against the published rows; the test suite runs
-them and requires the stored rows to match bit for bit.  scipy.optimize and
-scipy.fft are imported by the certification on first use only, and the
-stored certificate when a certification first runs.
+them and requires the stored rows to match bit for bit.  scipy.fft and the
+stored certificate are imported when a certification first runs.
 """
 
 from __future__ import annotations
@@ -44,12 +43,11 @@ import numpy as np
 from .bott import F_AMPLITUDES, eval_f, eval_h, standard_triple
 from .config import (
     CERTIFY_THRESHOLD,
-    DEFAULT_CERTIFY,
     ENVELOPE_GRID,
     F_LIPSCHITZ,
+    FINE_GRID,
     H_LIPSCHITZ,
     STEP_BUDGET,
-    CertifyConfig,
 )
 from .errors import (
     CertificationFailed,
@@ -275,46 +273,13 @@ def _clamped_f(x: np.ndarray) -> np.ndarray:
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on the first call.
 
-    Only the certification solves LPs, so nothing else pays for importing
-    scipy.optimize.  This stays a module attribute, where the benchmark's
-    tracer finds it.
+    The library solves no LP.  The store's regeneration script searches its
+    coefficient vectors through this wrapper, which stays a module attribute
+    where the benchmark's tracer finds it.
     """
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
-
-
-def _half_range_ks(parity, degree):
-    """Degrees of the half-range basis: cos k x for k = 0..degree, or
-    sin k x for k = 1..degree."""
-    return np.arange(0 if parity == "even" else 1, degree + 1)
-
-
-def _lp_line(vals, xs, parity, degree, delta):
-    """Best (m, diam) line at given delta: minimize delta * m + diam by LP.
-
-    Variables are the half-range basis coefficients, their absolute-value
-    majorants, and the residual's upper/lower envelope levels.
-    """
-    ks = _half_range_ks(parity, degree)
-    basis = (np.cos if parity == "even" else np.sin)(np.outer(xs, ks))
-    nc = len(ks)
-    npt = len(xs)
-    cost = np.concatenate([np.zeros(nc), delta * ks, [1.0, -1.0]])
-    A = np.vstack(
-        [
-            np.hstack([-basis, np.zeros((npt, nc)), -np.ones((npt, 1)), np.zeros((npt, 1))]),
-            np.hstack([basis, np.zeros((npt, nc)), np.zeros((npt, 1)), np.ones((npt, 1))]),
-            np.hstack([np.eye(nc), -np.eye(nc), np.zeros((nc, 2))]),
-            np.hstack([-np.eye(nc), -np.eye(nc), np.zeros((nc, 2))]),
-        ]
-    )
-    rhs = np.concatenate([-vals, vals, np.zeros(2 * nc)])
-    var_bounds = [(None, None)] * nc + [(0, None)] * nc + [(None, None)] * 2
-    res = linprog(cost, A_ub=A, b_ub=rhs, bounds=var_bounds, method="highs")
-    if not res.success:
-        raise NumericalInconsistency(f"approximant LP failed: {res.message}")
-    return res.x[:nc], ks
 
 
 def _eval_half_series(coeffs, parity, n):
@@ -343,57 +308,6 @@ def _eval_half_series(coeffs, parity, n):
     return out
 
 
-def _eta_opt(fn, fine_x, fine_vals, spacing, parity, delta, dev_fn, cfg, stored=None):
-    """Optimal eta value for one path function at one delta.
-
-    Returns the certified eta, the coefficients it certifies and the number
-    of LPs solved.  Stored coefficients are certified as they are, with one
-    transform and no LP.  Otherwise it solves the LP on a cosine-clustered
-    coarse set, then re-solves once with up to 64 fine-grid residual extrema
-    adjoined (one exchange step) and keeps the better certified value.  Each
-    residual is formed in the buffer its series was evaluated in, and the
-    extrema are found in one scratch array.
-    """
-
-    def certified(coeffs, ks):
-        resid = _eval_half_series(coeffs, parity, cfg.fine_grid)
-        np.subtract(fine_vals, resid, out=resid)
-        m = float(np.sum(ks * np.abs(coeffs)))
-        diam = float(resid.max() - resid.min())
-        eta = m * delta + diam + 2 * (dev_fn + m * spacing / 2)
-        return eta, resid
-
-    if stored is not None:
-        coeffs = np.asarray(stored, dtype=float)
-        ks = _half_range_ks(parity, cfg.max_degree)
-        return certified(coeffs, ks)[0], coeffs, 0
-
-    theta = np.linspace(0.0, np.pi, cfg.coarse_points)
-    xs = (np.pi / 2) * (1 - np.cos(theta))
-    vs = np.asarray(fn(xs), dtype=float)
-    coeffs, ks = _lp_line(vs, xs, parity, cfg.max_degree, delta)
-    best, resid = certified(coeffs, ks)
-    # interior extrema: consecutive differences of opposite sign
-    turn = np.subtract(resid[1:], resid[:-1])
-    np.sign(turn, out=turn)
-    np.multiply(turn[:-1], turn[1:], out=turn[:-1])
-    ex = np.flatnonzero(turn[:-1] < 0) + 1
-    if len(ex) == 0:
-        return best, coeffs, 1
-    mid = (resid.max() + resid.min()) / 2
-    take = ex[np.argsort(-np.abs(resid[ex] - mid))[:64]]
-    # the fine arrays are not needed while the next LP is solved
-    del resid, turn
-    xs = np.unique(np.concatenate([xs, fine_x[take], [0.0, np.pi]]))
-    second, ks = _lp_line(
-        np.asarray(fn(xs), dtype=float), xs, parity, cfg.max_degree, delta
-    )
-    eta = certified(second, ks)[0]
-    if eta < best:
-        return eta, second, 2
-    return best, coeffs, 2
-
-
 @dataclass(frozen=True)
 class CertificationReport:
     delta: float
@@ -406,8 +320,6 @@ class CertificationReport:
     step_sums: Tuple[float, float]
     max_bound: float
     passed: bool
-    lp_solves: int  # LPs the eta searches solved
-    stored_etas: int  # etas certified from stored coefficients, with no LP
 
     def rows(self):
         """(stage, t, bound) triples for CSV emission."""
@@ -460,54 +372,29 @@ def _step_sums(ts, make_triple):
     return worst, gsups
 
 
-def _lobatto_mesh(points: int) -> np.ndarray:
-    """Chebyshev-Lobatto points (1 - cos(pi k / (points - 1))) / 2 on [0, 1].
-
-    Clustered at both ends, 15 of them meet the step rule where a uniform
-    mesh needs 65.  The mesh of 2 * points - 1 points contains every one of
-    them.
-    """
-    return (1 - np.cos(np.pi * np.linspace(0.0, 1.0, points))) / 2
-
-
-def _stored_approximants(delta, config: CertifyConfig) -> dict:
-    """The stored certificate's coefficients when delta and every config
-    field the eta searches depend on are the ones it was searched at, and
-    an empty map otherwise."""
-    from . import log_certificate as stored
-
-    searched_at = (
-        stored.DELTA, stored.MAX_DEGREE, stored.FINE_GRID, stored.COARSE_POINTS
-    )
-    asked = (delta, config.max_degree, config.fine_grid, config.coarse_points)
-    return stored.APPROXIMANTS if asked == searched_at else {}
-
-
 def certify_log_path(
     delta: float,
     mesh: Optional[Sequence[float]] = None,
-    config: CertifyConfig = DEFAULT_CERTIFY,
+    fine_grid: int = FINE_GRID,
 ) -> CertificationReport:
     """Certify the two-stage homotopy from the bump triple to the log triple.
 
     Stage 1 straightens f toward +-1 outside the bump window while g shrinks
-    to keep f^2 + g^2 = 1 there; h does not move, so its approximants are
-    computed once and only the sup of g varies along the stage.  Stage 2
-    interpolates the clamped f to x/pi with h = sqrt(1 - f^2) and g = 0.
-    Every mesh point must give a squared-deviation bound below
-    CERTIFY_THRESHOLD and consecutive triples must obey the step rule (step
-    sums at most STEP_BUDGET); a user-supplied mesh that breaks the step rule
-    is rejected.  The default mesh is ``config.mesh_per_stage``
-    Chebyshev-Lobatto points and refines itself from M to 2M - 1 points,
-    which keeps every earlier point, until the step rule holds.
+    to keep f^2 + g^2 = 1 there; h does not move, so its etas are certified
+    once and only the sup of g varies along the stage.  Stage 2 interpolates
+    the clamped f to x/pi with h = sqrt(1 - f^2) and g = 0.  Every mesh point
+    must give a squared-deviation bound below CERTIFY_THRESHOLD, and
+    consecutive triples must obey the step rule (step sums at most
+    STEP_BUDGET), or the mesh is rejected.  The default mesh is the stored
+    one: 17 Chebyshev-Lobatto points.
 
-    Each eta bound comes from one coefficient vector and one transform of
-    it; the LPs only search for the vector.  At delta = 1/8 with the default
-    search settings (``max_degree``, ``fine_grid``, ``coarse_points``), the
-    winning vectors of the default mesh are stored (``log_certificate``), so
-    stage 1 and every stage-2 point of the stored mesh are certified without
-    an LP, each to the value the search gives bit for bit.  Any other delta
-    or search setting searches every eta.
+    Each eta is certified from one stored coefficient vector
+    (``log_certificate``) with one transform, and no LP is solved.  A fixed
+    vector's eta is affine in delta and valid at every delta, so the vectors
+    searched at 1/8 certify any delta.  A mesh point off the stored mesh takes
+    the vectors of its nearest stored point: a valid bound, looser than a
+    search would give.  Each residual is measured on ``fine_grid`` + 1
+    samples of the half period.
 
     Returns the report on success and raises CertificationFailed (with the
     report attached) when any bound reaches the threshold.
@@ -516,37 +403,41 @@ def certify_log_path(
         raise ValueError(f"delta must be finite, got {delta!r}")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    return _certify(delta, mesh, config, _stored_approximants(delta, config))[0]
+    from .log_certificate import APPROXIMANTS
+
+    stored_mesh = sorted({key[0] for key in APPROXIMANTS if isinstance(key, tuple)})
+
+    def approximant(key, parity, certified):
+        if isinstance(key, tuple):
+            t, name = key
+            key = (min(stored_mesh, key=lambda s: abs(s - t)), name)
+        return APPROXIMANTS[key]
+
+    if mesh is None:
+        mesh = stored_mesh
+    return _certify(delta, mesh, fine_grid, approximant)
 
 
-def _certify(delta, mesh, config, stored):
-    """``certify_log_path`` with the stored coefficients given as a map.
+def _certify(delta, mesh, fine_grid, approximant):
+    """``certify_log_path`` with the source of the coefficients given.
 
-    ``stored`` maps "h1", "h1sq" and "q1" (stage 1) and (t, "h"),
-    (t, "hsq") and (t, "q") (stage 2 at mesh point t) to coefficient
-    vectors; an eta without an entry is searched.  Returns the report and
-    the map of the coefficients every eta was certified with.
+    ``approximant(key, parity, certified)`` returns the coefficient vector of
+    one eta.  The key is "h1", "h1sq" or "q1" in stage 1, and (t, "h"),
+    (t, "hsq") or (t, "q") at stage-2 mesh point t.  Even parity takes
+    cosine coefficients c_0, c_1, ..., odd parity sine coefficients
+    c_1, c_2, ....  ``certified(coeffs)`` returns the eta a vector certifies
+    and the fine-grid residual it was measured on; the vector returned is
+    certified by the same function.
     """
-    if config.max_degree >= config.fine_grid:
-        raise ValueError(
-            f"max_degree {config.max_degree} must stay below fine_grid "
-            f"{config.fine_grid}: a grid of fine_grid + 1 points aliases it"
-        )
-    auto = mesh is None
-    ts = (
-        _lobatto_mesh(config.mesh_per_stage)
-        if auto
-        else np.asarray(sorted(float(t) for t in mesh))
-    )
+    ts = np.asarray(sorted(float(t) for t in mesh))
     # a NaN would pass the step rule, since max ignores it
     if not np.all(np.isfinite(ts)):
         raise MeshViolation("mesh points must be finite")
     if len(ts) < 2 or abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
         raise MeshViolation("mesh must run from 0 to 1")
 
-    n_fine = config.fine_grid
-    x = np.linspace(0.0, np.pi, n_fine + 1)
-    spacing = np.pi / n_fine
+    x = np.linspace(0.0, np.pi, fine_grid + 1)
+    spacing = np.pi / fine_grid
     f_std = eval_f(x)
     h_std = eval_h(x)
     outside = x > np.pi / 2
@@ -558,81 +449,62 @@ def _certify(delta, mesh, config, stored):
     def triple2(t):
         return _stage2_triple(t, x, f_clamped)
 
-    while True:
-        step1, gnorms = _step_sums(ts, triple1)
-        step2, _ = _step_sums(ts, triple2)
-        if max(step1, step2) <= STEP_BUDGET:
-            break
-        if not auto:
-            raise MeshViolation(
-                f"mesh step sum {max(step1, step2):.4f} exceeds budget "
-                f"{STEP_BUDGET:.4f}"
-            )
-        ts = _lobatto_mesh(2 * len(ts) - 1)
+    step1, gnorms = _step_sums(ts, triple1)
+    step2, _ = _step_sums(ts, triple2)
+    if max(step1, step2) > STEP_BUDGET:
+        raise MeshViolation(
+            f"mesh step sum {max(step1, step2):.4f} exceeds budget "
+            f"{STEP_BUDGET:.4f}"
+        )
     del triple1, outside
 
-    winners = {}
-    lp_solves = stored_etas = 0
+    def eta(key, vals, parity, dev_fn):
+        """One eta: its residual is formed in the buffer its series was
+        evaluated in."""
 
-    def eta(key, fn, vals, parity, dev_fn):
-        nonlocal lp_solves, stored_etas
-        coeffs = stored.get(key)
-        value, winners[key], lps = _eta_opt(
-            fn, x, vals, spacing, parity, delta, dev_fn, config, coeffs
-        )
-        lp_solves += lps
-        stored_etas += coeffs is not None
-        return value
+        def certified(coeffs):
+            coeffs = np.asarray(coeffs, dtype=float)
+            ks = np.arange(len(coeffs)) + (parity == "odd")
+            if ks[-1] >= fine_grid:
+                raise ValueError(
+                    f"degree {ks[-1]} must stay below fine_grid {fine_grid}: "
+                    "a grid of fine_grid + 1 points aliases it"
+                )
+            resid = _eval_half_series(coeffs, parity, fine_grid)
+            np.subtract(vals, resid, out=resid)
+            m = float(np.sum(ks * np.abs(coeffs)))
+            diam = float(resid.max() - resid.min())
+            return m * delta + diam + 2 * (dev_fn + m * spacing / 2), resid
+
+        return certified(approximant(key, parity, certified))[0]
 
     # stage 1: h, h^2 and q = f h are constant along the stage
-    def h1_fn(u):
-        return eval_h(u)
-
-    def h1sq_fn(u):
-        return eval_h(u) ** 2
-
-    def q1_fn(u):
-        return eval_f(u) * eval_h(u)
-
-    eta_h1 = eta("h1", h1_fn, h_std, "even", H_LIPSCHITZ * spacing / 2)
+    eta_h1 = eta("h1", h_std, "even", H_LIPSCHITZ * spacing / 2)
     # the samples of f h and h^2 overwrite those of f and h
     np.multiply(f_std, h_std, out=f_std)
     np.square(h_std, out=h_std)
-    eta_h1sq = eta("h1sq", h1sq_fn, h_std, "even", _HSQ_LIPSCHITZ * spacing / 2)
-    eta_q1 = eta("q1", q1_fn, f_std, "odd", _Q_LIPSCHITZ * spacing / 2)
+    eta_h1sq = eta("h1sq", h_std, "even", _HSQ_LIPSCHITZ * spacing / 2)
+    eta_q1 = eta("q1", f_std, "odd", _Q_LIPSCHITZ * spacing / 2)
     del f_std, h_std
     stage1_bounds = np.asarray([
         (gnorm + 1) * eta_h1 + 0.25 * eta_h1**2 + 0.5 * eta_h1sq + eta_q1
         for gnorm in gnorms
     ])
 
-    # stage 2: fresh approximants at every mesh point
+    # stage 2: its own approximants at every mesh point
     stage2_bounds = []
     for t in ts:
         ft, _, ht = triple2(t)
-
-        def f_fn(u, t=t):
-            return (1 - t) * _clamped_f(u) + t * u / np.pi
-
-        def h_fn(u, t=t):
-            return np.sqrt(np.maximum(1 - f_fn(u) ** 2, 0.0))
-
-        def hsq_fn(u, t=t):
-            return 1 - f_fn(u) ** 2
-
-        def q_fn(u, t=t):
-            return f_fn(u) * h_fn(u)
-
         lf_t = (1 - t) * F_LIPSCHITZ + t / np.pi
         l2_t = 2 * lf_t
         dev_sqrt = float(np.sqrt(l2_t * spacing / 2))
-        eta_h = eta((float(t), "h"), h_fn, ht, "even", dev_sqrt)
+        eta_h = eta((float(t), "h"), ht, "even", dev_sqrt)
         # the samples of f_t h_t and 1 - f_t^2 overwrite those of h_t and f_t
         np.multiply(ft, ht, out=ht)
         np.square(ft, out=ft)
         np.subtract(1, ft, out=ft)
-        eta_hsq = eta((float(t), "hsq"), hsq_fn, ft, "even", l2_t * spacing / 2)
-        eta_q = eta((float(t), "q"), q_fn, ht, "odd", dev_sqrt + lf_t * spacing / 2)
+        eta_hsq = eta((float(t), "hsq"), ft, "even", l2_t * spacing / 2)
+        eta_q = eta((float(t), "q"), ht, "odd", dev_sqrt + lf_t * spacing / 2)
         stage2_bounds.append(eta_h + 0.25 * eta_h**2 + 0.5 * eta_hsq + eta_q)
     stage2_bounds = np.asarray(stage2_bounds)
 
@@ -649,8 +521,6 @@ def _certify(delta, mesh, config, stored):
         step_sums=(step1, step2),
         max_bound=max_bound,
         passed=passed,
-        lp_solves=lp_solves,
-        stored_etas=stored_etas,
     )
     if not passed:
         raise CertificationFailed(
@@ -658,4 +528,4 @@ def _certify(delta, mesh, config, stored):
             f"at delta = {delta}",
             report=report,
         )
-    return report, winners
+    return report

@@ -253,8 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--delta", type=float, required=True)
     cl.add_argument(
         "--mesh", type=int,
-        help="uniform mesh points per stage (default: a Chebyshev-Lobatto mesh "
-        "refined until the step rule holds)",
+        help="uniform mesh points per stage (default: the stored 17-point "
+        "Chebyshev-Lobatto mesh)",
     )
     cl.add_argument("--out", help="CSV of per-point bound values")
     cl.set_defaults(func=cmd_certify_log)

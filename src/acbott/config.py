@@ -7,8 +7,9 @@ stay beside it: 1e-7 in the anti-self-duality and Kramers checks of
 The branch cluster at -1 is as wide as the unitarity gate, wider than the
 self-duality gate, so a Kramers pair at -1 lands on one side of the cut.
 The thresholds, the step budget and the envelope constants are fixed;
-``certified_threshold`` maps a method to its threshold.  A
-``CertifyConfig`` holds the certification's mesh and search sizes.
+``certified_threshold`` maps a method to its threshold.  The certification
+verifies stored coefficient vectors, so it has no search settings; its one
+size, the fine grid, defaults to ``FINE_GRID`` and tests pass a smaller one.
 """
 
 from __future__ import annotations
@@ -57,21 +58,8 @@ F_LIPSCHITZ = 1.875
 
 # The homotopy certification passes when every mesh point's bound stays
 # below CERTIFY_THRESHOLD, on a mesh whose consecutive triples obey the step
-# rule ||df|| + ||dg|| + ||dh|| <= STEP_BUDGET.
+# rule ||df|| + ||dg|| + ||dh|| <= STEP_BUDGET.  Each eta's residual is
+# measured on FINE_GRID + 1 samples of the half period [0, pi].
 CERTIFY_THRESHOLD = 0.95
 STEP_BUDGET = math.sqrt(0.05)
-
-
-@dataclass(frozen=True)
-class CertifyConfig:
-    """Mesh and search sizes of the homotopy certification."""
-
-    # the default mesh starts at this many Chebyshev-Lobatto points and is
-    # refined from M to 2M - 1 points until the step rule holds
-    mesh_per_stage: int = 17
-    max_degree: int = 48                   # degree cap for optimized approximants
-    fine_grid: int = 2 ** 18               # half-period samples for offsets
-    coarse_points: int = 512               # initial support of the line optimizer
-
-
-DEFAULT_CERTIFY = CertifyConfig()
+FINE_GRID = 2 ** 18

@@ -2,8 +2,7 @@
 
 Criteria 4 and 5 share one generated sample of 200+ certified pairs; the
 fixture records per-pair data so both tests stay within the stated runtime.
-Criterion 10 drives the command line end to end with the production
-certification config and is the slow one (a few minutes).
+Criterion 10 drives the command line end to end at the real fine grid.
 """
 
 import time

@@ -28,7 +28,7 @@ from acbott.bounds import (
     guaranteed_gap,
     variation_bound,
 )
-from acbott.config import CERTIFY_THRESHOLD, STEP_BUDGET, CertifyConfig
+from acbott.config import CERTIFY_THRESHOLD, FINE_GRID, STEP_BUDGET
 from acbott.errors import (
     CertificationFailed,
     InvalidPolynomial,
@@ -40,9 +40,9 @@ from acbott.linalg import TrigPoly
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# small certification budget for behavioral tests; the full-budget runs live
-# in the acceptance suite
-CHEAP = CertifyConfig(mesh_per_stage=9, max_degree=16, fine_grid=2**13, coarse_points=96)
+# small fine grid for behavioral tests; the certifications at the real grid
+# are the stored-certificate tests below and the acceptance suite's
+SMALL_GRID = 2**13
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +193,9 @@ def test_variation_bound():
 
 @pytest.fixture(scope="module")
 def cheap_report():
-    # one CHEAP certification at delta 0.02, shared by the tests that only
-    # read it
-    return certify_log_path(0.02, config=CHEAP)
+    # one small-grid certification at delta 0.02, shared by the tests that
+    # only read it
+    return certify_log_path(0.02, fine_grid=SMALL_GRID)
 
 
 def test_certify_passes_at_small_delta(cheap_report):
@@ -212,51 +212,34 @@ def test_certify_passes_at_small_delta(cheap_report):
 
 def test_certify_fails_at_large_delta():
     with pytest.raises(CertificationFailed) as exc:
-        certify_log_path(0.2, config=CHEAP)
+        certify_log_path(0.2, fine_grid=SMALL_GRID)
     report = exc.value.report
     assert report is not None
     assert not report.passed
     assert report.max_bound >= CERTIFY_THRESHOLD
 
 
-def test_certify_off_the_store_searches_every_eta(cheap_report):
-    # three stage-1 etas and three at each of 17 points, one LP and one
-    # exchange LP each
-    assert cheap_report.stored_etas == 0
-    assert cheap_report.lp_solves == 2 * (3 + 3 * 17)
-
-
-def test_certify_auto_refines_default_mesh(cheap_report):
-    report = cheap_report
-    # nine Chebyshev-Lobatto points violate the step rule; one refinement
-    # lands at 17 and keeps the nine
-    assert len(report.stage1_t) == 17
-    assert max(report.step_sums) <= STEP_BUDGET
-    nine = (1 - np.cos(np.pi * np.linspace(0.0, 1.0, 9))) / 2
-    assert np.isin(nine, report.stage1_t).all()
-
-
 def test_certify_rejects_incomplete_user_mesh():
     with pytest.raises(MeshViolation):
-        certify_log_path(0.02, mesh=[0.1, 0.5, 1.0], config=CHEAP)
+        certify_log_path(0.02, mesh=[0.1, 0.5, 1.0], fine_grid=SMALL_GRID)
     with pytest.raises(MeshViolation):
-        certify_log_path(0.02, mesh=[0.0, 0.5, 0.9], config=CHEAP)
+        certify_log_path(0.02, mesh=[0.0, 0.5, 0.9], fine_grid=SMALL_GRID)
     with pytest.raises(MeshViolation):
-        certify_log_path(0.02, mesh=[0.0], config=CHEAP)
+        certify_log_path(0.02, mesh=[0.0], fine_grid=SMALL_GRID)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_certify_rejects_nonfinite_mesh_point(bad, monkeypatch):
     import acbott.bounds as bounds
 
-    def no_lp(*args, **kwargs):
-        raise AssertionError("an LP ran on a mesh with a non-finite point")
+    def no_work(*args, **kwargs):
+        raise AssertionError("the certification ran on a non-finite point")
 
-    monkeypatch.setattr(bounds, "linprog", no_lp)
+    monkeypatch.setattr(bounds, "_step_sums", no_work)
     mesh = np.linspace(0.0, 1.0, 65)
     mesh[30] = bad
     with pytest.raises(MeshViolation, match="finite"):
-        certify_log_path(0.02, mesh=mesh, config=CHEAP)
+        certify_log_path(0.02, mesh=mesh, fine_grid=SMALL_GRID)
 
 
 def test_certify_working_set_stays_small(cheap_report):
@@ -267,35 +250,33 @@ def test_certify_working_set_stays_small(cheap_report):
     # residual, transform and sample set at 13.3
     import tracemalloc
 
-    config = CertifyConfig(
-        mesh_per_stage=9, max_degree=16, fine_grid=2**16, coarse_points=96
-    )
-    # cheap_report has imported scipy outside the trace
+    fine_grid = 2**16
+    # cheap_report has imported scipy and the store outside the trace
     tracemalloc.start()
     try:
-        certify_log_path(0.02, config=config)
+        certify_log_path(0.02, fine_grid=fine_grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9.5 * 8 * (config.fine_grid + 1)
+    assert peak < 9.5 * 8 * (fine_grid + 1)
 
 
 def test_certify_rejects_coarse_user_mesh():
-    # two points cannot satisfy the step rule and user meshes never refine
+    # two points cannot satisfy the step rule, and no mesh is refined
     with pytest.raises(MeshViolation):
-        certify_log_path(0.02, mesh=[0.0, 1.0], config=CHEAP)
+        certify_log_path(0.02, mesh=[0.0, 1.0], fine_grid=SMALL_GRID)
 
 
 def test_certify_accepts_fine_user_mesh():
     mesh = np.linspace(0.0, 1.0, 65)
-    report = certify_log_path(0.02, mesh=mesh, config=CHEAP)
+    report = certify_log_path(0.02, mesh=mesh, fine_grid=SMALL_GRID)
     assert report.passed
     assert np.allclose(report.stage1_t, mesh)
 
 
 def test_certify_negative_delta():
     with pytest.raises(ValueError):
-        certify_log_path(-0.01, config=CHEAP)
+        certify_log_path(-0.01, fine_grid=SMALL_GRID)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -305,16 +286,15 @@ def test_certify_rejects_nonfinite_delta(bad, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the certification ran on a non-finite delta")
 
-    monkeypatch.setattr(bounds, "linprog", no_work)
     monkeypatch.setattr(bounds, "_step_sums", no_work)
     with pytest.raises(ValueError, match="finite"):
         certify_log_path(bad)
 
 
 def test_certify_rejects_degree_the_grid_aliases():
-    tiny = CertifyConfig(fine_grid=8, max_degree=16, coarse_points=16)
-    with pytest.raises(ValueError, match="max_degree"):
-        certify_log_path(0.02, config=tiny)
+    # 9 samples cannot resolve the stored vectors' degree 48
+    with pytest.raises(ValueError, match="aliases"):
+        certify_log_path(0.02, fine_grid=8)
 
 
 def _half_series_loop(coeffs, parity, n):
@@ -383,7 +363,7 @@ def test_certify_same_with_direct_series_sum(cheap_report, monkeypatch):
 
     fast = cheap_report
     monkeypatch.setattr(bounds, "_eval_half_series", _half_series_loop)
-    slow = certify_log_path(0.02, config=CHEAP)
+    slow = certify_log_path(0.02, fine_grid=SMALL_GRID)
     assert [r[:2] for r in fast.rows()] == [r[:2] for r in slow.rows()]
     np.testing.assert_allclose(
         [r[2] for r in fast.rows()], [r[2] for r in slow.rows()], rtol=0, atol=1e-12
@@ -405,11 +385,23 @@ def regenerator():
     return module
 
 
+def _no_lp(*args, **kwargs):
+    raise AssertionError("the certification solved an LP")
+
+
 @pytest.fixture(scope="module")
 def searched(regenerator):
-    # one search of the default certification at 1/8 with the store
-    # bypassed (108 LPs), shared by the tests that hold the store to it
-    return regenerator.search()
+    # one search of the certification at 1/8 on the 17-point mesh, shared
+    # by the tests that hold the store to it
+    report, winners, lps = regenerator.search()
+    assert lps == 108
+    return report, winners
+
+
+@pytest.fixture(scope="module")
+def stored_report():
+    # the default certification at 1/8: the stored mesh and vectors
+    return certify_log_path(0.125)
 
 
 def test_stored_certificate_matches_regeneration(regenerator, searched, tmp_path):
@@ -421,60 +413,76 @@ def test_stored_certificate_matches_regeneration(regenerator, searched, tmp_path
 
 
 def _report_bits(report):
-    # every field but the counters: arrays by their bytes, the rest by repr
+    # every field: arrays by their bytes, the rest by repr
     return {
         field.name: (value.tobytes() if isinstance(value, np.ndarray) else repr(value))
         for field in dataclasses.fields(report)
-        if field.name not in ("lp_solves", "stored_etas")
         for value in [getattr(report, field.name)]
     }
 
 
-def test_stored_certificate_reproduces_the_search(searched):
-    search = searched[0]
-    stored = certify_log_path(0.125)
-    assert (search.lp_solves, search.stored_etas) == (108, 0)
-    assert (stored.lp_solves, stored.stored_etas) == (0, 54)
-    assert _report_bits(stored) == _report_bits(search)
+def test_stored_certificate_reproduces_the_search(searched, stored_report):
+    assert _report_bits(stored_report) == _report_bits(searched[0])
 
 
-def test_stored_certificate_covers_shared_mesh_points():
+def test_stored_certificate_covers_shared_mesh_points(stored_report, monkeypatch):
     # the benchmark's 15-point Lobatto mesh shares t = 0, 0.49999999999999994
-    # and 1 with the stored 17-point mesh: stage 1 and those three points
-    # come from the store, the other 12 points are searched
+    # and 1 with the stored 17-point mesh; each of its other 12 points takes
+    # the stored vectors of its nearest stored point, and no LP runs
+    import acbott.bounds as bounds
+    from acbott.log_certificate import APPROXIMANTS
+
+    monkeypatch.setattr(bounds, "linprog", _no_lp)
     mesh = (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 15))) / 2.0
     mesh[0], mesh[-1] = 0.0, 1.0
     report = certify_log_path(0.125, mesh=mesh)
-    assert (report.lp_solves, report.stored_etas) == (72, 12)
+    assert report.max_bound == stored_report.max_bound
+
+    stored_mesh = stored_report.stage2_t
+    shared = np.isin(mesh, stored_mesh)
+    assert shared.sum() == 3
+    at = np.searchsorted(stored_mesh, mesh[shared])
+    for stage in (1, 2):
+        got = getattr(report, f"stage{stage}_bounds")[shared]
+        want = getattr(stored_report, f"stage{stage}_bounds")[at]
+        assert got.tobytes() == want.tobytes()
+
+    nearest = {t: stored_mesh[np.argmin(np.abs(stored_mesh - t))] for t in mesh}
+
+    def from_nearest(key, parity, certified):
+        if isinstance(key, tuple):
+            key = (float(nearest[key[0]]), key[1])
+        return APPROXIMANTS[key]
+
+    explicit = bounds._certify(0.125, mesh, FINE_GRID, from_nearest)
+    assert _report_bits(explicit) == _report_bits(report)
 
 
-def test_store_applies_only_at_its_delta_and_search_settings():
-    from acbott.bounds import _stored_approximants
-    from acbott.config import DEFAULT_CERTIFY
+def test_default_mesh_passes_to_0155_and_fails_at_016(monkeypatch):
+    import acbott.bounds as bounds
 
-    store = _stored_approximants(0.125, DEFAULT_CERTIFY)
-    assert len(store) == 54
-    # the mesh does not enter an eta
-    unsearched = dataclasses.replace(DEFAULT_CERTIFY, mesh_per_stage=9)
-    assert _stored_approximants(0.125, unsearched) is store
-    assert _stored_approximants(np.nextafter(0.125, 0.0), DEFAULT_CERTIFY) == {}
-    for field in ("max_degree", "fine_grid", "coarse_points"):
-        other = dataclasses.replace(
-            DEFAULT_CERTIFY, **{field: getattr(DEFAULT_CERTIFY, field) + 1}
-        )
-        assert _stored_approximants(0.125, other) == {}, field
+    monkeypatch.setattr(bounds, "linprog", _no_lp)
+    assert certify_log_path(0.155).max_bound == pytest.approx(0.9343, abs=1e-4)
+    with pytest.raises(CertificationFailed) as exc:
+        certify_log_path(0.16)
+    assert exc.value.report.max_bound == pytest.approx(0.9634, abs=1e-4)
 
 
 _LP_FREE = """
 import sys
 import acbott.bounds as bounds
+from acbott.errors import CertificationFailed
 
 def no_lp(*args, **kwargs):
-    raise AssertionError("an LP ran on the stored path")
+    raise AssertionError("the certification solved an LP")
 
 bounds.linprog = no_lp
-report = bounds.certify_log_path(0.125)
-print("passed:", report.passed, report.lp_solves, report.stored_etas)
+for delta in (0.02, 0.125, 0.2):
+    try:
+        report = bounds.certify_log_path(delta)
+    except CertificationFailed as exc:
+        report = exc.report
+    print(delta, "passed:", report.passed)
 print("scipy.optimize loaded:", "scipy.optimize" in sys.modules)
 """
 
@@ -491,5 +499,7 @@ def test_stored_certificate_runs_no_lp_in_a_fresh_process():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert "passed: True 0 54" in done.stdout
+    assert "0.02 passed: True" in done.stdout
+    assert "0.125 passed: True" in done.stdout
+    assert "0.2 passed: False" in done.stdout
     assert "scipy.optimize loaded: False" in done.stdout

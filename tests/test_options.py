@@ -2,19 +2,17 @@
 
 The indices' thresholds, the certification's threshold and step budget and
 the gate tolerances are fixed constants.  The keyword names below were once
-parameters of these functions and are not any more; a ``CertifyConfig``
-holds only the certification's mesh and search sizes.  Whether a pair is
+parameters of these functions and are not any more; the certification
+takes only its delta, its mesh and its fine grid.  Whether a pair is
 self-dual is its type's to say: ``analyze`` takes the self-dual route for a
 ``SelfDualPair``, which only ``make_selfdual_pair`` makes.
 """
 
-import dataclasses
 import inspect
 
 import pytest
 
-from acbott import analysis, bott, linalg, logmethod, selfdual, winding
-from acbott.config import CertifyConfig
+from acbott import analysis, bott, bounds, linalg, logmethod, selfdual, winding
 
 RETIRED = [
     (bott.build_B, {"use_trigpoly"}),
@@ -38,6 +36,7 @@ RETIRED = [
     (linalg.TrigPoly.is_real_valued, {"tol"}),
     (winding.winding_via_path, {"steps"}),
     (analysis.analyze, {"self_dual"}),
+    (bounds.certify_log_path, {"config"}),
 ]
 
 
@@ -49,6 +48,7 @@ def test_retired_keyword_is_not_a_parameter(fn, names):
 
 
 def test_certify_config_holds_only_the_search_sizes():
-    fields = tuple(f.name for f in dataclasses.fields(CertifyConfig))
-    assert fields == ("mesh_per_stage", "max_degree", "fine_grid", "coarse_points")
+    # the certification verifies stored vectors, so it has no search sizes
+    parameters = tuple(inspect.signature(bounds.certify_log_path).parameters)
+    assert parameters == ("delta", "mesh", "fine_grid")
 
