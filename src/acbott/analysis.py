@@ -6,14 +6,13 @@ hermitian ``eigh`` of a Cayley transform); both are made once per pair and
 cached on it, so library calls on the same pair share them.  The single
 hermitian spectrum of B(U, V) or B_L(U, V) gives kappa and the measured gap.
 The two differ only in the triple's values at V's angles (the bump triple
-or the log triple) and share one assembly per basis.  For a plain pair the
-spectrum is read from the matrix in V's eigenbasis, which needs no product
-with Q beyond Q*UQ.  A ``SelfDualPair``, which only ``make_selfdual_pair``
-makes after its self-duality gates, takes the self-dual route: B is built
-in the standard basis, where the dual acts, and kappa2 is the sign of the
-modified Pfaffian of the same matrix.  Every index of a method is certified
-up to ``config.certified_threshold(method)``, the threshold that the index
-functions refuse above.
+or the log triple), and either is read in V's eigenbasis, which needs no
+product with Q beyond Q*UQ.  A ``SelfDualPair``, which only
+``make_selfdual_pair`` makes after its self-duality gates, has V's
+eigenbasis in Kramers form, Q^# = Q*, so the same matrix is anti-self-dual
+and kappa2 is the sign of its modified Pfaffian.  Every index of a method
+is certified up to ``config.certified_threshold(method)``, the threshold
+that the index functions refuse above.
 """
 
 from __future__ import annotations
@@ -21,14 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .bott import _count_signature, _spectrum_in_eigenbasis, _trig_values, build_B
+from .bott import _spectrum_in_eigenbasis, _trig_values
 from .bounds import guaranteed_gap
 from .config import certified_threshold
 from .errors import GapClosed, NoGuarantee, NumericalInconsistency
 from .linalg import UnitaryPair
-from .logmethod import _log_values, build_BL
+from .logmethod import _log_values
 from .selfdual import SelfDualPair, _pfaffian_sign
 from .winding import DELTA_GATE, winding_number
 
@@ -91,23 +88,17 @@ def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:
     if winding is not None:
         report.omega = winding.omega
 
-    log = method == "log"
-    self_dual = isinstance(pair, SelfDualPair)
-    if self_dual:
-        bm = build_BL(pair) if log else build_B(pair)
-        eigs = bm.eigs
-    else:
-        eigs = _spectrum_in_eigenbasis(pair, _log_values if log else _trig_values)
-    report.gap_measured = float(np.min(np.abs(eigs)))
+    bm = _spectrum_in_eigenbasis(pair, _log_values if method == "log" else _trig_values)
+    report.gap_measured = bm.gap
     try:
-        report.kappa = _count_signature(eigs) // 2
+        report.kappa = bm.signature() // 2
     except GapClosed:
         pass
     try:
         report.gap_guaranteed = guaranteed_gap(pair.delta)
     except NoGuarantee:
         pass
-    if self_dual:
+    if isinstance(pair, SelfDualPair):
         report.kappa2 = _pfaffian_sign(bm)
     if winding is not None and winding.omega != 0:
         report.distance_commuting = winding.distance_bound()

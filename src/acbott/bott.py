@@ -217,14 +217,13 @@ def _trig_values(angles):
     return t.f(angles), t.g(angles), t.h(angles)
 
 
-def _assemble(pair: UnitaryPair, values, h_part=None) -> BottMatrix:
+def _assemble(pair: UnitaryPair, values) -> BottMatrix:
     """The block matrix of a triple in the standard basis, and its spectrum.
 
     ``values`` maps V's angles to the triple's (f, g, h) there, and the
     pair's cached eigendecomposition of V serves all three.  g and h vanish
     on disjoint sets of angles (gh = 0), so g(V) and h(V) are summed over
     disjoint columns of Q: the two take one product's worth of work.
-    ``h_part``, when given, maps h(V) to the matrix that enters B.
     """
     angles, Q = pair.v_eig
     fvals, gvals, hvals = values(angles)
@@ -234,8 +233,6 @@ def _assemble(pair: UnitaryPair, values, h_part=None) -> BottMatrix:
         return (Qc * vals[cols]) @ Qc.conj().T
 
     hV = at_V(hvals, np.flatnonzero(hvals))
-    if h_part is not None:
-        hV = h_part(hV)
     B = assemble_blocks(at_V(fvals), at_V(gvals, np.flatnonzero(gvals)), hV, pair.U)
     return BottMatrix.of(B)
 
@@ -245,15 +242,16 @@ def build_B(pair: UnitaryPair) -> BottMatrix:
     return _assemble(pair, _trig_values)
 
 
-def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> np.ndarray:
-    """Ascending spectrum of the block matrix of a triple and U.
+def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> BottMatrix:
+    """The block matrix of a triple and U in V's eigenbasis, and its spectrum.
 
     ``values`` maps V's angles to the triple's (f, g, h) there.  With
     V = Q diag(e^{i theta}) Q* and U~ = Q* U Q, the matrix
     diag(Q, Q)* B diag(Q, Q) has diagonal blocks +-diag(f), lower corner
     diag(g) + (h_i + h_j) U~_ij / 2 and upper corner its adjoint: two
     products and O(n^2) assembly instead of seven products.  It is unitarily
-    similar to the standard-basis B, so its spectrum is B's.
+    similar to the standard-basis B, so its spectrum is B's; for a
+    ``SelfDualPair``, Q^# = Q* and its modified Pfaffian has B's sign too.
     """
     angles, Q = pair.v_eig
     fvals, gvals, hvals = values(angles)
@@ -269,7 +267,7 @@ def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> np.ndarray:
     B[n:, :n] = lower
     B[:n, n:] = lower.conj().T
     del lower
-    return np.linalg.eigvalsh(B)
+    return BottMatrix.of(B)
 
 
 def _count_signature(eigs: np.ndarray) -> int:
@@ -303,7 +301,7 @@ def bott_index(pair: UnitaryPair) -> int:
     whether it is certified.
     """
     require_certified(pair.delta, "trig")
-    return _count_signature(_spectrum_in_eigenbasis(pair, _trig_values)) // 2
+    return _spectrum_in_eigenbasis(pair, _trig_values).signature() // 2
 
 
 def threshold_consistency() -> dict:

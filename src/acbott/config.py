@@ -5,7 +5,8 @@ set only the unitarity gate (``unitary_tol``).  Limits that one check owns
 stay beside it: 1e-7 in the anti-self-duality and Kramers checks of
 ``selfdual``.
 The branch cluster at -1 is as wide as the unitarity gate, wider than the
-self-duality gate, so a Kramers pair at -1 lands on one side of the cut.
+self-duality gate; a self-dual pair's V clusters its angles at twice that
+width, so each Kramers pair shares one angle and one side of the cut.
 The thresholds, the step budget and the envelope constants are fixed;
 ``certified_threshold`` maps a method to its threshold.  The certification
 verifies stored coefficient vectors, so it has no search settings; its one

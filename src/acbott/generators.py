@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import UnitaryPair, make_pair, operator_norm
-from .selfdual import SelfDualPair, _hermitian_part, make_selfdual_pair
+from .selfdual import SelfDualPair, _hermitian_part, make_selfdual_pair, selfdual_part
 
 
 def cyclic_shift_pair(n: int) -> UnitaryPair:
@@ -125,7 +125,7 @@ def _selfdual_hermitian(sd_dim: int, rng: np.random.Generator):
     G = rng.standard_normal((sd_dim, sd_dim)) + 1j * rng.standard_normal(
         (sd_dim, sd_dim)
     )
-    H = _hermitian_part(G, self_dual=True)
+    H = selfdual_part(_hermitian_part(G))
     return H / operator_norm(H)
 
 

@@ -346,7 +346,8 @@ class UnitaryPair:
         """``(angles, Q)`` of V with :func:`unitary_eig`'s conventions.
 
         Made by one ``eigh`` of a Cayley transform of V, or by the Schur
-        form when that leaves a residual above ``unitary_tol`` * sqrt(dim).
+        form when that leaves a residual above ``unitary_tol`` * sqrt(dim);
+        a ``SelfDualPair`` regroups it into a Kramers basis.
         """
         angles, Q = _cayley_angles(self.V, self.unitary_tol)
         return _read_only(angles), _read_only(Q)

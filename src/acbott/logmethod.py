@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bott import BottMatrix, _assemble, require_certified
+from .bott import BottMatrix, _assemble, _spectrum_in_eigenbasis, require_certified
 from .linalg import UnitaryPair, unitary_eig
 from .selfdual import SelfDualPair, _hermitian_part, _pfaffian_sign
 
@@ -45,18 +45,7 @@ def _log_values(angles):
 
 def build_BL(pair: UnitaryPair) -> BottMatrix:
     """Assemble B_L(U, V) in the standard basis; diagonal blocks are +-K/pi.
-
-    For a SelfDualPair, h1(V) enters B_L as its self-dual part.  h1 grows
-    like sqrt(pi - |theta|) at the cut, so a Kramers pair just inside it,
-    split by eps within V's admitted self-duality defect, leaves h1(V) off
-    self-duality by up to sqrt(2 eps / pi) where f1(V) is off by eps / pi.
-    K/pi keeps its drift: a pair split across the cut, with angles near
-    +pi and -pi, still fails the Pfaffian's anti-self-duality gate.
-    """
-    if isinstance(pair, SelfDualPair):
-        return _assemble(
-            pair, _log_values, lambda hV: _hermitian_part(hV, self_dual=True)
-        )
+    A ``SelfDualPair``'s Kramers pairs share one angle, so h1(V) is self-dual."""
     return _assemble(pair, _log_values)
 
 
@@ -65,4 +54,4 @@ def kappa2_log(sd: SelfDualPair) -> int:
     delta <= 1/8, refused beyond it with ThresholdExceeded
     (``analysis.analyze(sd, method="log")`` computes it at any delta)."""
     require_certified(sd.delta, "log")
-    return _pfaffian_sign(build_BL(sd))
+    return _pfaffian_sign(_spectrum_in_eigenbasis(sd, _log_values))

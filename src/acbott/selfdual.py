@@ -18,6 +18,7 @@ one LAPACK Hessenberg reduction and is checked against the spectrum of B.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .bott import BottMatrix, build_B, require_certified
+from .bott import BottMatrix, _spectrum_in_eigenbasis, _trig_values, require_certified
 from .config import DEFAULT_TOL
 from .errors import (
     DimensionMismatch,
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .linalg import (
     UnitaryPair,
+    _read_only,
     as_matrix,
     gate_norm,
     gate_relative,
@@ -70,13 +72,50 @@ def selfdual_part(X) -> np.ndarray:
     return (as_matrix(X) + dual(X)) / 2
 
 
-def _hermitian_part(X: np.ndarray, self_dual: bool = False) -> np.ndarray:
-    """(X + X*)/2; with ``self_dual``, its self-dual part made hermitian again."""
-    H = (X + X.conj().T) / 2
-    if self_dual:
-        H = selfdual_part(H)
-        H = (H + H.conj().T) / 2
-    return H
+def _hermitian_part(X: np.ndarray) -> np.ndarray:
+    """(X + X*)/2."""
+    return (X + X.conj().T) / 2
+
+
+def _partner(A: np.ndarray) -> np.ndarray:
+    """-Z conj(A): the Kramers partner of each column, orthogonal to it."""
+    N = A.shape[0] // 2
+    return np.concatenate((-A[N:].conj(), A[:N].conj()))
+
+
+def _kramers_basis(angles: np.ndarray, Q: np.ndarray):
+    """V's ``(angles, Q)`` regrouped as Q = [A, -Z conj(A)], so Q^# = Q*.
+
+    A self-dual V pairs each eigenvector q with -Z conj(q).  Angles closer
+    than 2 * branch on the circle form a cluster: the branch rule moves an
+    angle by at most branch, so it cannot split a pair.  A pair gives A its
+    first vector; a larger cluster gives columns by pivoted quaternionic
+    Gram-Schmidt, each step removing the vector with the most left, and its
+    partner, from the rest.  A cluster's angle is the circular mean of those
+    the rule kept, or pi if it moved them all.
+    """
+    order = np.argsort(angles)
+    gaps = np.diff(angles[order], append=angles[order[0]] + 2 * np.pi)
+    starts = np.sort((np.flatnonzero(gaps > 2 * DEFAULT_TOL.branch) + 1) % len(angles))
+    half, shared = [], []
+    for c in np.split(np.roll(order, -starts[0]), starts[1:] - starts[0]):
+        if len(c) % 2:
+            raise NumericalInconsistency("V's eigenvalues are not Kramers-paired")
+        R = Q[:, c]
+        for _ in range(len(c) // 2):
+            a = R[:, np.argmax(np.linalg.norm(R, axis=0))]
+            half.append(a / np.linalg.norm(a))
+            for b in (half[-1], _partner(half[-1])) if len(c) > 2 else ():
+                R -= np.outer(b, b.conj() @ R)
+        kept = np.exp(1j * angles[c][angles[c] != np.pi])
+        shared += [np.angle(kept.sum()) if kept.size else np.pi] * (len(c) // 2)
+    theta = np.array(shared)
+    theta[2.0 * np.abs(np.cos(theta / 2.0)) <= DEFAULT_TOL.branch] = np.pi
+    out = np.empty_like(Q)
+    for k, a in enumerate(half):
+        out[:, k] = a
+    out[:, len(half):] = _partner(out[:, : len(half)])
+    return _read_only(np.tile(theta, 2)), _read_only(out)
 
 
 def dual_tensor(X) -> np.ndarray:
@@ -97,9 +136,14 @@ def dual_tensor(X) -> np.ndarray:
 class SelfDualPair(UnitaryPair):
     """A pair that passed :func:`make_selfdual_pair`: U^# = U and V^# = V.
 
-    The type is the one place where self-duality is decided: the self-dual
-    routes (kappa2, B_L's self-dual h1 part) run exactly for this class.
+    The type is the one place where self-duality is decided: kappa2 is
+    computed exactly for this class, and V is factorized in a Kramers basis.
     """
+
+    @functools.cached_property
+    def v_eig(self):
+        """V's factorization in a Kramers basis, see :func:`_kramers_basis`."""
+        return _kramers_basis(*UnitaryPair.v_eig.func(self))
 
     @property
     def N(self) -> int:
@@ -373,7 +417,7 @@ def pfaffian_bott_index(sd: SelfDualPair) -> int:
     whether it is certified.
     """
     require_certified(sd.delta, "trig")
-    return _pfaffian_sign(build_B(sd))
+    return _pfaffian_sign(_spectrum_in_eigenbasis(sd, _trig_values))
 
 
 def selfdual_distance_bounds(sdA: SelfDualPair, sdB: SelfDualPair) -> float:

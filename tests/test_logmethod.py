@@ -253,6 +253,20 @@ def test_split_kramers_pair_at_the_cut_answers_on_the_log_route(factorizations):
     assert analyze(sd).kappa2 == 1
 
 
+def test_kramers_pair_across_the_snap_radius_answers():
+    # centred 1e-8 from -1 and split by 2e-10: the branch rule moves one
+    # angle to +pi and keeps the other; the Kramers basis gives the pair the
+    # angle it kept, so neither route sees the pair split
+    V = np.diag(np.exp(1j * (-np.pi + 1e-8 + np.array([-1e-10, 1e-10]))))
+    sd = make_selfdual_pair(np.eye(2), V)
+    angles, Q = sd.v_eig
+    assert angles[0] == angles[1] == pytest.approx(-np.pi + 1.01e-8, abs=1e-15)
+    assert np.linalg.norm(V @ Q - Q * np.exp(1j * angles)) <= 1e-9
+    assert kappa2_log(sd) == 1
+    assert pfaffian_bott_index(sd) == 1
+    assert analyze(sd, method="log").kappa2 == 1
+
+
 def _nudged_v(sd, eps, seed):
     """sd's V moved by e^{i eps H}, ||H|| = 1: self-dual to about eps."""
     rng = np.random.default_rng(seed)

@@ -20,12 +20,14 @@ RETIRED = [
     (bott.require_certified, {"allow_uncertified"}),
     (bott.signature, {"gap_tol"}),
     (bott._count_signature, {"gap_tol"}),
+    (bott._assemble, {"h_part"}),
     (selfdual.pfaffian_bott_index, {"use_trigpoly", "allow_uncertified"}),
     (selfdual.selfdual_distance_bounds, {"kappa2_a", "kappa2_b"}),
     (selfdual.make_selfdual_pair, {"selfdual_tol"}),
     (selfdual.pfaffian, {"tol"}),
     (selfdual.modified_pfaffian, {"tol"}),
     (selfdual.check_kramers, {"pair_tol"}),
+    (selfdual._hermitian_part, {"self_dual"}),
     (logmethod.kappa2_log, {"allow_uncertified"}),
     (logmethod.principal_log, {"tol", "self_dual"}),
     (logmethod.build_BL, {"self_dual"}),

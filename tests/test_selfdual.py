@@ -1,5 +1,6 @@
 """Dual operation, Pfaffians, and the sign index kappa_2."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import acbott.selfdual as selfdual
 from acbott.analysis import analyze
-from acbott.bott import BottMatrix, build_B
+from acbott.bott import BottMatrix, _trig_values, assemble_blocks, bott_index, build_B
 from acbott.errors import (
     DimensionMismatch,
     IllConditionedSign,
@@ -26,9 +27,11 @@ from acbott.generators import (
     commuting_random,
     cyclic_shift_pair,
     perturb_selfdual,
+    powered_pair,
     selfdual_doubling,
 )
-from acbott.logmethod import build_BL, kappa2_log
+from acbott.linalg import unitary_eig
+from acbott.logmethod import _log_values, build_BL, kappa2_log
 from acbott.selfdual import (
     _pfaffian_sign,
     _pfaffian_sign_log,
@@ -412,3 +415,79 @@ def test_anti_selfduality_gate_falls_back_to_exact_norm():
     assert modified_pfaffian(X + 0.4e-7 * np.eye(8)) == pytest.approx(1.0, rel=1e-6)
     with pytest.raises(NotAntiSelfDual):
         modified_pfaffian(X + 0.6e-7 * np.eye(8))
+
+
+# ---------------------------------------------------------------------------
+# V in a Kramers basis
+# ---------------------------------------------------------------------------
+
+
+_KRAMERS_BASIS_PAIRS = {
+    "doubled_cyclic_6": lambda: selfdual_doubling(cyclic_shift_pair(6)),
+    "doubled_cyclic_64": lambda: selfdual_doubling(cyclic_shift_pair(64)),
+    "perturbed_doubling": lambda: perturb_selfdual(
+        selfdual_doubling(cyclic_shift_pair(33)), 0.02, seed=0
+    ),
+    "identity": lambda: make_selfdual_pair(np.eye(4), np.eye(4)),
+    "minus_identity": lambda: make_selfdual_pair(np.eye(4), -np.eye(4)),
+    "doubled_powered_pair": lambda: selfdual_doubling(powered_pair(8, 2)),
+}
+
+
+@pytest.mark.parametrize(
+    "make", _KRAMERS_BASIS_PAIRS.values(), ids=_KRAMERS_BASIS_PAIRS.keys()
+)
+def test_v_eig_of_a_selfdual_pair_is_a_kramers_basis(make):
+    sd = make()
+    angles, Q = sd.v_eig
+    N = sd.N
+    assert np.max(np.abs(dual(Q) - Q.conj().T)) <= 1e-12
+    assert np.max(np.abs(Q.conj().T @ Q - np.eye(sd.dim))) <= 1e-12
+    assert np.array_equal(angles[:N], angles[N:])
+    residual = np.linalg.norm(sd.V @ Q - Q * np.exp(1j * angles))
+    assert residual <= sd.unitary_tol * np.sqrt(sd.dim)
+
+
+def _schur_basis_B(sd, values):
+    """B from V's Schur form in the standard basis: no basis shared with v_eig."""
+    angles, Q = unitary_eig(sd.V)
+    fV, gV, hV = ((Q * v) @ Q.conj().T for v in values(angles))
+    return assemble_blocks(fV, gV, hV, sd.U)
+
+
+@pytest.mark.parametrize("method", ["trig", "log"])
+def test_kramers_route_matches_the_schur_basis_oracle(method):
+    values = _log_values if method == "log" else _trig_values
+    base = selfdual_doubling(cyclic_shift_pair(32))
+    for sd in (
+        base,
+        selfdual_doubling(cyclic_shift_pair(31)),
+        perturb_selfdual(base, 0.02, seed=1),
+        selfdual_doubling(commuting_random(6, seed=0)),
+    ):
+        B = _schur_basis_B(sd, values)
+        report = analyze(sd, method=method)
+        gap = float(np.min(np.abs(np.linalg.eigvalsh(B))))
+        assert report.gap_measured == pytest.approx(gap, abs=1e-12)
+        pf = modified_pfaffian(B)
+        assert abs(pf.imag) <= 1e-9 * abs(pf)
+        assert report.kappa2 == (1 if pf.real > 0 else -1)
+
+
+def test_no_request_path_assembles_in_the_standard_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("standard-basis assembly on a request path")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("acbott"):
+            for attr in ("build_B", "build_BL", "_assemble"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    plain = cyclic_shift_pair(32)
+    sd = selfdual_doubling(cyclic_shift_pair(64))
+    for method in ("trig", "log"):
+        assert analyze(plain, method=method).kappa == -1
+        assert analyze(sd, method=method).kappa2 == -1
+    assert bott_index(plain) == -1
+    assert pfaffian_bott_index(sd) == -1
+    assert kappa2_log(sd) == -1
