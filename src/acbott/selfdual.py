@@ -83,39 +83,78 @@ def _partner(A: np.ndarray) -> np.ndarray:
     return np.concatenate((-A[N:].conj(), A[:N].conj()))
 
 
-def _kramers_basis(angles: np.ndarray, Q: np.ndarray):
-    """V's ``(angles, Q)`` regrouped as Q = [A, -Z conj(A)], so Q^# = Q*.
+def _kramers_half(C: np.ndarray) -> np.ndarray:
+    """A of a Kramers basis [A, -Z conj(A)] of the span of C's c orthonormal columns.
+
+    Gram-Schmidt in column order, projecting twice against the vectors and
+    partners kept so far; a column is kept when at least 1/c of its norm
+    squared is left.  In a span closed under partners the columns left out
+    keep under 1/c each, under 1 in all, so c/2 columns are kept.
+    """
+    d, c = C.shape
+    W = np.empty((c, d), dtype=complex)
+    k = 0
+    for q in C.T:
+        if k == c:
+            break
+        for _ in range(2):
+            q = q - (W[:k] @ q.conj()).conj() @ W[:k]
+        n2 = np.vdot(q, q).real
+        if k < c - 1 and n2 >= 1 / c:
+            W[k] = q / math.sqrt(n2)
+            W[k + 1] = _partner(W[k])
+            k += 2
+    if k < c:
+        raise NumericalInconsistency("V's eigenvectors are not Kramers-paired")
+    return W[::2].T
+
+
+def _kramers_basis(V: np.ndarray, angles: np.ndarray, vectors: np.ndarray, tol: float):
+    """V's ``(angles, vectors)`` regrouped as Q = [A, -Z conj(A)], so Q^# = Q*.
 
     A self-dual V pairs each eigenvector q with -Z conj(q).  Angles closer
     than 2 * branch on the circle form a cluster: the branch rule moves an
-    angle by at most branch, so it cannot split a pair.  A pair gives A its
-    first vector; a larger cluster gives columns by pivoted quaternionic
-    Gram-Schmidt, each step removing the vector with the most left, and its
-    partner, from the rest.  A cluster's angle is the circular mean of those
-    the rule kept, or pi if it moved them all.
+    angle by at most branch, so it cannot split a pair.  Each cluster gives
+    A columns by :func:`_kramers_half`, and each pair takes the mean of the
+    cluster's angles on the circle, weighted by its share of each column, so
+    equal angles stay exact.  A partner is an eigenvector of V^#, tilted off
+    V's eigenvectors by up to V's self-duality defect over the gap to the
+    next cluster; Newton-Schulz steps Q <- Q (3I - Q*Q) / 2, taken on A,
+    keep the Kramers form and make Q unitary.  A residual
+    ||VQ - Q e^{i Theta}||_F above the Cayley route's bound, tol * sqrt(dim),
+    raises NumericalInconsistency.
     """
+    d, N = len(angles), len(angles) // 2
     order = np.argsort(angles)
     gaps = np.diff(angles[order], append=angles[order[0]] + 2 * np.pi)
-    starts = np.sort((np.flatnonzero(gaps > 2 * DEFAULT_TOL.branch) + 1) % len(angles))
-    half, shared = [], []
+    starts = np.sort((np.flatnonzero(gaps > 2 * DEFAULT_TOL.branch) + 1) % d)
+    Q = np.empty_like(V)
+    A, theta, k = Q[:, :N], np.empty(N), 0
     for c in np.split(np.roll(order, -starts[0]), starts[1:] - starts[0]):
-        if len(c) % 2:
-            raise NumericalInconsistency("V's eigenvalues are not Kramers-paired")
-        R = Q[:, c]
-        for _ in range(len(c) // 2):
-            a = R[:, np.argmax(np.linalg.norm(R, axis=0))]
-            half.append(a / np.linalg.norm(a))
-            for b in (half[-1], _partner(half[-1])) if len(c) > 2 else ():
-                R -= np.outer(b, b.conj() @ R)
-        kept = np.exp(1j * angles[c][angles[c] != np.pi])
-        shared += [np.angle(kept.sum()) if kept.size else np.pi] * (len(c) // 2)
-    theta = np.array(shared)
-    theta[2.0 * np.abs(np.cos(theta / 2.0)) <= DEFAULT_TOL.branch] = np.pi
-    out = np.empty_like(Q)
-    for k, a in enumerate(half):
-        out[:, k] = a
-    out[:, len(half):] = _partner(out[:, : len(half)])
-    return _read_only(np.tile(theta, 2)), _read_only(out)
+        C = vectors[:, c]
+        half = _kramers_half(C)
+        share = np.abs(C.conj().T @ half) ** 2 + np.abs(C.conj().T @ _partner(half)) ** 2
+        ref = angles[c[0]]
+        k, m = k + half.shape[1], k
+        theta[m:k] = ref + np.angle(np.exp(1j * (angles[c] - ref)) @ share)
+        A[:, m:k] = half
+    theta[theta > np.pi] -= 2 * np.pi  # the mean lies at or after the first angle
+    P = Q[:, N:]
+    for _ in range(8):
+        P[:] = _partner(A)
+        E, F = A.conj().T @ A - np.eye(N), P.conj().T @ A
+        if max(np.abs(E).max(), np.abs(F).max()) <= 1e-13:
+            break
+        A -= (A @ E + P @ F) / 2
+    else:
+        raise NumericalInconsistency("V's eigenvectors have no Kramers basis near them")
+    angles = np.tile(theta, 2)
+    residual = V @ Q
+    residual -= Q * np.exp(1j * angles)
+    norm = float(np.linalg.norm(residual))
+    if norm > tol * math.sqrt(d):
+        raise NumericalInconsistency(f"V's Kramers basis leaves a residual of {norm:.3e}")
+    return _read_only(angles), _read_only(Q)
 
 
 def dual_tensor(X) -> np.ndarray:
@@ -143,7 +182,7 @@ class SelfDualPair(UnitaryPair):
     @functools.cached_property
     def v_eig(self):
         """V's factorization in a Kramers basis, see :func:`_kramers_basis`."""
-        return _kramers_basis(*UnitaryPair.v_eig.func(self))
+        return _kramers_basis(self.V, *UnitaryPair.v_eig.func(self), self.unitary_tol)
 
     @property
     def N(self) -> int:

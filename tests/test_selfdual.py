@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import acbott.selfdual as selfdual
 from acbott.analysis import analyze
@@ -30,7 +31,7 @@ from acbott.generators import (
     powered_pair,
     selfdual_doubling,
 )
-from acbott.linalg import unitary_eig
+from acbott.linalg import make_pair, unitary_eig
 from acbott.logmethod import _log_values, build_BL, kappa2_log
 from acbott.selfdual import (
     _pfaffian_sign,
@@ -431,7 +432,26 @@ _KRAMERS_BASIS_PAIRS = {
     "identity": lambda: make_selfdual_pair(np.eye(4), np.eye(4)),
     "minus_identity": lambda: make_selfdual_pair(np.eye(4), -np.eye(4)),
     "doubled_powered_pair": lambda: selfdual_doubling(powered_pair(8, 2)),
+    "defect_near_next_cluster": lambda: _defect_near_next_cluster(),
+    "chain_of_pairs": lambda: make_selfdual_pair(
+        np.eye(6), np.diag(np.exp(1j * np.tile([0.0, 1.9e-8, 3.8e-8], 2)))
+    ),
 }
+
+
+def _defect_near_next_cluster():
+    """Kramers pairs at 0.3 and 0.3 + 3e-8, then a self-duality defect of 8e-10.
+
+    Each pair's partner vector is an eigenvector of V^#, tilted towards the
+    other pair's eigenvectors by about defect / gap = 3%.
+    """
+    V0 = np.diag(np.exp(1j * (0.3 + np.array([0.0, 3e-8, 0.0, 3e-8]))))
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    H = (M + M.conj().T) / 2
+    H -= dual(H)
+    V = V0 @ expm(4e-10j * H / np.linalg.norm(H, 2))
+    return make_selfdual_pair(selfdual_doubling(commuting_random(2, seed=1)).U, V)
 
 
 @pytest.mark.parametrize(
@@ -472,6 +492,20 @@ def test_kramers_route_matches_the_schur_basis_oracle(method):
         pf = modified_pfaffian(B)
         assert abs(pf.imag) <= 1e-9 * abs(pf)
         assert report.kappa2 == (1 if pf.real > 0 else -1)
+
+
+@pytest.mark.parametrize("method", ["trig", "log"])
+def test_kramers_route_reads_B_of_the_factorized_V(method):
+    # the route's B is B(U, V') for V' = Q e^{i Theta} Q*, exactly self-dual;
+    # V' sits within V's self-duality defect of V, and B moves with it
+    values = _log_values if method == "log" else _trig_values
+    sd = _defect_near_next_cluster()
+    angles, Q = sd.v_eig
+    Vk = (Q * np.exp(1j * angles)) @ Q.conj().T
+    gap = analyze(sd, method=method).gap_measured
+    for V, tol in ((Vk, 1e-12), (sd.V, 2 * np.linalg.norm(sd.V - Vk, 2))):
+        B = _schur_basis_B(make_pair(sd.U, V), values)
+        assert gap == pytest.approx(np.min(np.abs(np.linalg.eigvalsh(B))), abs=tol)
 
 
 def test_no_request_path_assembles_in_the_standard_basis(monkeypatch):
