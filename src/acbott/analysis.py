@@ -72,8 +72,9 @@ class IndexReport:
 def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:
     """All indices of the pair, computed whatever delta is, with their status.
 
-    ``method`` is "trig" for B(U, V) or "log" for B_L(U, V); kappa is
-    certified up to ``certified_threshold(method)``.  For a ``SelfDualPair``
+    ``method`` is "trig" for B(U, V) or "log" for B_L(U, V), and any other
+    raises ValueError before any work; kappa is certified up to
+    ``certified_threshold(method)``.  For a ``SelfDualPair``
     kappa2 is filled in, certified exactly when kappa is.  Above the winding
     gate DELTA_GATE omega is left empty and ``omega_valid`` is false.  A
     closed gap leaves kappa empty; a certified kappa that disagrees with

@@ -289,7 +289,7 @@ def require_certified(delta: float, method: str) -> None:
     limit = certified_threshold(method)
     if delta > limit:
         raise ThresholdExceeded(
-            f"delta = {delta:.6f} exceeds certified threshold {limit}"
+            f"delta = {float(delta)!r} exceeds certified threshold {limit}"
         )
 
 

@@ -26,7 +26,10 @@ LOG_THRESHOLD = 0.125
 
 def certified_threshold(method: str) -> float:
     """The largest delta at which an index of ``method`` ("trig" or "log")
-    is certified; every certified flag and refusal reads it."""
+    is certified; every certified flag and refusal reads it.  Any other
+    method raises ValueError."""
+    if method not in ("trig", "log"):
+        raise ValueError(f"method must be 'trig' or 'log', got {method!r}")
     return LOG_THRESHOLD if method == "log" else KAPPA_THRESHOLD
 
 

@@ -1,13 +1,13 @@
 """The dual, Pfaffians, and the sign-valued index.
 
-The dual of X is X^# = -Z X^T Z with Z = ((0, I), (-I, 0)), whose blocks are
-N x N for a matrix of even dimension 2N: the dimension alone fixes the dual,
-so no function here takes it as an argument.  Matrices fixed by the dual form
-the quaternionic symmetry class; their spectra show Kramers doubling.  For a
-self-dual almost-commuting pair the signature index always vanishes, and the
-finer invariant is the sign of a modified Pfaffian of the same block matrix
-(dimension 4N), computed here through a basis rotation Q that turns
-anti-self-dual matrices into skew-symmetric ones.
+The dual of X is X^# = -Z X^T Z with Z = ((0, I), (-I, 0)) in N x N blocks,
+so the dimension 2N alone fixes it.  Matrices fixed by the dual form the
+quaternionic symmetry class; their spectra show Kramers doubling.  For a
+self-dual almost-commuting pair the signature index vanishes, and the finer
+invariant is the sign of a modified Pfaffian of the same block matrix
+(dimension 4N), taken after Q = (I + iK)/sqrt(2) makes it skew.  Z and K are
+signed reversals of equal blocks; the dual, the block dual K X^T K, the
+Kramers partner -Z conj(q) and the rotation Q read that one structure.
 
 Two Pfaffian routes serve general complex skew input: Householder
 congruences in complex arithmetic, cross-checked against pivoted LTL^T
@@ -50,22 +50,38 @@ from .linalg import (
 )
 
 
-def _half_dim(dim: int) -> int:
-    if dim % 2 != 0:
-        raise DimensionMismatch(f"dual needs even dimension, got {dim}")
-    return dim // 2
+_Z = np.array([1.0, -1.0])  # Z = ((0, I), (-I, 0))
+_K = np.array([-1.0, 1.0, 1.0, -1.0])  # K = ((0, -Z), (Z, 0)), symmetric
+
+
+def _block_reversal(dim: int, signs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) of F, which reverses len(signs) equal blocks and scales
+    block j by signs[j]: F X = sign[:, None] * X[perm].  The only dimension check."""
+    k = len(signs)
+    if dim % k != 0:
+        raise DimensionMismatch(f"dual needs dimension {k}N, got {dim}")
+    return np.arange(dim).reshape(k, -1)[::-1].ravel(), signs.repeat(dim // k)
+
+
+def _reversed_transpose(X, signs: np.ndarray) -> np.ndarray:
+    """F X^T F^T by negation, exact to the sign of zero, unlike a product with -1.0."""
+    X = as_matrix(X)
+    perm, sign = _block_reversal(X.shape[0], signs)
+    Y = X.T[np.ix_(perm, perm)]
+    np.negative(Y, out=Y, where=sign[:, None] < 0)
+    np.negative(Y, out=Y, where=sign < 0)
+    return Y
 
 
 def dual(X) -> np.ndarray:
-    """X^# = -Z X^T Z.  Involutive and anti-multiplicative.
+    """X^# = -Z X^T Z, so ((A, B), (C, D)) -> ((D^T, -B^T), (-C^T, A^T)) in
+    N-blocks.  Involutive and anti-multiplicative."""
+    return _reversed_transpose(X, _Z)
 
-    Z is a signed permutation, so with X = ((A, B), (C, D)) in N-blocks,
-    N = dim / 2, the dual is ((D^T, -B^T), (-C^T, A^T)), read off by slicing.
-    """
-    X = as_matrix(X)
-    N = _half_dim(X.shape[0])
-    A, B, C, D = X[:N, :N], X[:N, N:], X[N:, :N], X[N:, N:]
-    return np.block([[D.T, -B.T], [-C.T, A.T]])
+
+def dual_tensor(X) -> np.ndarray:
+    """K X^T K, the blockwise dual ((A,B),(C,D)) -> ((D#,-B#),(-C#,A#)) at dim 4N."""
+    return _reversed_transpose(X, _K)
 
 
 def selfdual_part(X) -> np.ndarray:
@@ -79,8 +95,10 @@ def _hermitian_part(X: np.ndarray) -> np.ndarray:
 
 def _partner(A: np.ndarray) -> np.ndarray:
     """-Z conj(A): the Kramers partner of each column, orthogonal to it."""
-    N = A.shape[0] // 2
-    return np.concatenate((-A[N:].conj(), A[:N].conj()))
+    perm, sign = _block_reversal(len(A), _Z)
+    P = A[perm].conj()
+    P[sign > 0] = -P[sign > 0]
+    return P
 
 
 def _kramers_half(C: np.ndarray) -> np.ndarray:
@@ -157,20 +175,6 @@ def _kramers_basis(V: np.ndarray, angles: np.ndarray, vectors: np.ndarray, tol: 
     return _read_only(angles), _read_only(Q)
 
 
-def dual_tensor(X) -> np.ndarray:
-    """Blockwise dual of a 4N-dim matrix: ((A,B),(C,D)) -> ((D#,-B#),(-C#,A#))."""
-    X = as_matrix(X)
-    dim = X.shape[0]
-    if dim % 4 != 0:
-        raise DimensionMismatch(f"block dual needs dimension 4N, got {dim}")
-    half = dim // 2
-    A = X[:half, :half]
-    B = X[:half, half:]
-    C = X[half:, :half]
-    D = X[half:, half:]
-    return np.block([[dual(D), -dual(B)], [-dual(C), dual(A)]])
-
-
 @dataclass(frozen=True)
 class SelfDualPair(UnitaryPair):
     """A pair that passed :func:`make_selfdual_pair`: U^# = U and V^# = V.
@@ -196,8 +200,6 @@ class SelfDualPair(UnitaryPair):
 
 def make_selfdual_pair(U, V, unitary_tol: float = DEFAULT_TOL.unitary) -> SelfDualPair:
     pair = make_pair(U, V, unitary_tol=unitary_tol)
-    if pair.dim % 2 != 0:
-        raise DimensionMismatch("self-dual pair needs even dimension")
     tol = DEFAULT_TOL.selfdual
     for name, M in (("U", pair.U), ("V", pair.V)):
         drift = gate_norm(M - dual(M), tol)
@@ -338,7 +340,7 @@ def pfaffian(X) -> complex:
 def _rotated_anti_selfdual(
     X: np.ndarray, tol: float, norm: float
 ) -> Tuple[np.ndarray, float]:
-    """(Q* X_a Q made exactly skew, an upper bound on ||X + X^#||).
+    """(Q* X_a Q, an upper bound on ||X + X^#||), exactly skew.
 
     X_a = (X - X^#)/2 is the anti-self-dual part of X.  The gate against
     tol * max(1, norm) reads ``gate_norm``, so it is decided as by the exact
@@ -352,42 +354,30 @@ def _rotated_anti_selfdual(
     Xa = X - Xd
     del Xd
     Xa /= 2
-    # Q = (I + iK)/sqrt(2) with K = ((0, -Z), (Z, 0)) a symmetric signed
-    # permutation, K^2 = I: Q* Xa Q = (Xa + K Xa K + i (Xa K - K Xa)) / 2.
-    # In N-blocks K reverses the block order and negates the outer blocks.
-    # The terms are formed in place and dropped once used: these arrays are
-    # the largest of a self-dual request and set its peak memory.
-    N = X.shape[0] // 4
-    perm = np.arange(4 * N).reshape(4, N)[::-1].ravel()
-    sign = np.repeat([-1.0, 1.0, 1.0, -1.0], N)
+    # K^2 = I and X_a^# = K X_a^T K = -X_a entry for entry, so Q* X_a Q =
+    # (X_a - X_a^T + i (X_a K - K X_a)) / 2 is skew as computed.  The terms
+    # are formed in place and dropped once used: these arrays are the
+    # largest of a self-dual request and set its peak memory.
+    perm, sign = _block_reversal(X.shape[0], _K)
     KX = Xa[perm]
     KX *= sign[:, None]
-    S = KX[:, perm]
-    S *= sign
-    S += Xa
     XK = Xa[:, perm]
-    del Xa
     XK *= sign
     XK -= KX
     del KX
-    XK *= 1j
-    S += XK
-    del XK
+    S = Xa - Xa.T
+    del Xa
+    S += 1j * XK
     S /= 2
-    R = S - S.T
-    R /= 2
-    return R, drift
+    return S, drift
 
 
 def modified_pfaffian(X) -> complex:
     """Pf(Q* X Q) for anti-self-dual X; squares to det(X).
 
-    X must be anti-self-dual to 1e-7 * max(1, ||X||).
+    X must have dimension 4N and be anti-self-dual to 1e-7 * max(1, ||X||).
     """
     X = as_matrix(X)
-    dim = X.shape[0]
-    if dim % 4 != 0:
-        raise DimensionMismatch(f"modified Pfaffian needs dimension 4N, got {dim}")
     S, _ = _rotated_anti_selfdual(X, 1e-7, operator_norm(X))
     phase, log_mag = _pfaffian_sign_log(S)
     if log_mag == -math.inf:

@@ -15,6 +15,7 @@ from acbott.bott import (
     eval_g,
     eval_h,
     fourier_coefficients_h,
+    require_certified,
     signature,
     standard_triple,
     threshold_consistency,
@@ -162,10 +163,16 @@ def test_kappa_threshold_gate():
     pair = cyclic_shift_pair(8)  # delta ~ 0.765
     with pytest.raises(ThresholdExceeded):
         bott_index(pair)
+    # the refusal prints delta in full: 0.2060074 is not rounded to the threshold
+    with pytest.raises(ThresholdExceeded, match="delta = 0.2060074 exceeds"):
+        require_certified(0.2060074, "trig")
     # analyze computes past the threshold and says so
     report = analyze(pair)
     assert report.kappa == -1
     assert not report.kappa_certified
+    # an unknown method is refused before any work, not read as trig
+    with pytest.raises(ValueError, match="'trig' or 'log'"):
+        analyze(pair, "LOG")
 
 
 def test_kappa_trigpoly_route_agrees():

@@ -69,6 +69,9 @@ def test_dual_slicing_matches_dense_product(N):
     X = rng.normal(size=(2 * N, 2 * N)) + 1j * rng.normal(size=(2 * N, 2 * N))
     dense = -Z @ X.T @ Z
     assert np.array_equal(dual(X), dense)
+    # entries are negated, not multiplied by -1.0: a zero of B turns -0 - 0j
+    X[0, N] = 0.0
+    assert np.signbit(dual(X)[0, N].real) and np.signbit(dual(X)[0, N].imag)
 
 
 @pytest.mark.parametrize("N", [1, 3, 16, 64])
@@ -84,6 +87,7 @@ def test_rotation_by_slicing_matches_dense_product(N):
     dense = Q.conj().T @ X @ Q
     dense = (dense - dense.T) / 2
     assert np.max(np.abs(S - dense)) <= 1e-14 * max(1.0, np.linalg.norm(X, 2))
+    assert np.array_equal(S, -S.T)
 
 
 def test_dual_of_structure_matrix():
@@ -123,8 +127,8 @@ def test_dual_tensor_block_formula(rng):
     A, B, C, D = blocks
     M = np.block([[A, B], [C, D]])
     expected = np.block([[dual(D), -dual(B)], [-dual(C), dual(A)]])
-    assert np.allclose(dual_tensor(M), expected, atol=1e-13)
-    assert np.allclose(dual_tensor(dual_tensor(M)), M, atol=1e-13)
+    assert np.array_equal(dual_tensor(M), expected)
+    assert np.array_equal(dual_tensor(dual_tensor(M)), M)
 
 
 def test_block_matrix_is_anti_selfdual_on_selfdual_pair():
@@ -137,8 +141,10 @@ def test_make_selfdual_pair_gates(rng):
     sd = selfdual_doubling(cyclic_shift_pair(6))
     again = make_selfdual_pair(sd.U, sd.V)
     assert again.N == 6
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="got 5"):
         make_selfdual_pair(haar_unitary(5, rng), haar_unitary(5, rng))
+    with pytest.raises(DimensionMismatch, match="got 5"):
+        dual(rng.standard_normal((5, 5)))
     with pytest.raises(NotSelfDual):
         make_selfdual_pair(haar_unitary(6, rng), haar_unitary(6, rng))
 
@@ -228,8 +234,10 @@ def test_modified_pfaffian_of_standard_blocks():
 
 
 def test_modified_pfaffian_gates(rng):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="got 6"):
         modified_pfaffian(random_skew(6, rng))
+    with pytest.raises(DimensionMismatch, match="got 6"):
+        dual_tensor(random_skew(6, rng))
     M = random_hermitian(8, rng)
     with pytest.raises(NotAntiSelfDual):
         modified_pfaffian(M + np.eye(8))
