@@ -74,11 +74,12 @@ def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:
 
     ``method`` is "trig" for B(U, V) or "log" for B_L(U, V), and any other
     raises ValueError before any work; kappa is certified up to
-    ``certified_threshold(method)``.  For a ``SelfDualPair``
-    kappa2 is filled in, certified exactly when kappa is.  Above the winding
-    gate DELTA_GATE omega is left empty and ``omega_valid`` is false.  A
-    closed gap leaves kappa empty; a certified kappa that disagrees with
-    omega raises NumericalInconsistency.
+    ``certified_threshold(method)``.  ``gap_guaranteed`` bounds B's gap, so
+    it is left empty for "log", whose measured gap is B_L's.  For a
+    ``SelfDualPair`` kappa2 is filled in, certified exactly when kappa is.
+    Above the winding gate DELTA_GATE omega is left empty and
+    ``omega_valid`` is false.  A closed gap leaves kappa empty; a certified
+    kappa that disagrees with omega raises NumericalInconsistency.
     """
     report = IndexReport(delta=pair.delta, dim=pair.dim)
     report.omega_valid = pair.delta <= DELTA_GATE
@@ -95,10 +96,11 @@ def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:
         report.kappa = bm.signature() // 2
     except GapClosed:
         pass
-    try:
-        report.gap_guaranteed = guaranteed_gap(pair.delta)
-    except NoGuarantee:
-        pass
+    if method == "trig":  # beta bounds ||B^2 - I|| for the bump triple only
+        try:
+            report.gap_guaranteed = guaranteed_gap(pair.delta)
+        except NoGuarantee:
+            pass
     if isinstance(pair, SelfDualPair):
         report.kappa2 = _pfaffian_sign(bm)
     if winding is not None and winding.omega != 0:

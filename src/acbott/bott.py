@@ -2,10 +2,10 @@
 
 The index is built from a fixed triple of periodic functions (f, g, h) with
 f^2 + g^2 + h^2 = 1 and gh = 0: a 2x2-block hermitian matrix B(U, V) is
-assembled from f[V], g[V], h[V] and anticommutators with U, and the index is
-half its signature.  The triple's bump function h lives on [-pi/2, pi/2] and
-the companion g on the complement; f is a degree-5 sine polynomial with
-rational coefficients.
+assembled once, in V's eigenbasis, from the triple at V's angles and Q*UQ,
+and the index is half its signature.  The triple's bump function h lives on
+[-pi/2, pi/2] and the companion g on the complement; f is a degree-5 sine
+polynomial with rational coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOL, KAPPA_THRESHOLD, certified_threshold
+from .config import DEFAULT_TOL, certified_threshold
 from .errors import (
     AccuracyNotCertified,
     GapClosed,
@@ -186,60 +186,10 @@ class BottMatrix:
         return _count_signature(self.eigs)
 
 
-def assemble_blocks(fV, gV, hV, U) -> np.ndarray:
-    """Hermitian 2x2-block matrix from function values and the partner unitary.
-
-    Corner orientation is fixed so that the full matrix has signature -2 on
-    the shift/clock pair with V U V* U* = exp(-2 pi i / n) I, matching the
-    winding invariant of that pair.  The commuting anchors (diagonal blocks
-    +-fV, corners hV at U = I) are insensitive to this choice.  The lower
-    corner is gV + (hV U + U hV)/2, the upper one its adjoint and the
-    diagonal blocks +-(fV + fV*)/2, so the result is exactly hermitian.
-    """
-    n = U.shape[0]
-    lower = hV @ U
-    lower += U @ hV
-    lower *= 0.5
-    lower += gV
-    B = np.empty((2 * n, 2 * n), dtype=complex)
-    B[:n, :n] = fV
-    B[:n, :n] += fV.conj().T
-    B[:n, :n] *= 0.5
-    np.negative(B[:n, :n], out=B[n:, n:])
-    B[n:, :n] = lower
-    B[:n, n:] = lower.conj().T
-    return B
-
-
 def _trig_values(angles):
     """The bump triple's (f, g, h) at V's angles."""
     t = standard_triple()
     return t.f(angles), t.g(angles), t.h(angles)
-
-
-def _assemble(pair: UnitaryPair, values) -> BottMatrix:
-    """The block matrix of a triple in the standard basis, and its spectrum.
-
-    ``values`` maps V's angles to the triple's (f, g, h) there, and the
-    pair's cached eigendecomposition of V serves all three.  g and h vanish
-    on disjoint sets of angles (gh = 0), so g(V) and h(V) are summed over
-    disjoint columns of Q: the two take one product's worth of work.
-    """
-    angles, Q = pair.v_eig
-    fvals, gvals, hvals = values(angles)
-
-    def at_V(vals, cols=slice(None)):
-        Qc = Q[:, cols]
-        return (Qc * vals[cols]) @ Qc.conj().T
-
-    hV = at_V(hvals, np.flatnonzero(hvals))
-    B = assemble_blocks(at_V(fvals), at_V(gvals, np.flatnonzero(gvals)), hV, pair.U)
-    return BottMatrix.of(B)
-
-
-def build_B(pair: UnitaryPair) -> BottMatrix:
-    """Assemble B(U, V) in the standard basis, and its spectrum."""
-    return _assemble(pair, _trig_values)
 
 
 def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> BottMatrix:
@@ -249,9 +199,13 @@ def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> BottMatrix:
     V = Q diag(e^{i theta}) Q* and U~ = Q* U Q, the matrix
     diag(Q, Q)* B diag(Q, Q) has diagonal blocks +-diag(f), lower corner
     diag(g) + (h_i + h_j) U~_ij / 2 and upper corner its adjoint: two
-    products and O(n^2) assembly instead of seven products.  It is unitarily
-    similar to the standard-basis B, so its spectrum is B's; for a
-    ``SelfDualPair``, Q^# = Q* and its modified Pfaffian has B's sign too.
+    products and O(n^2) assembly.  The corners are oriented so that B has
+    signature -2 on the shift/clock pair with V U V* U* = exp(-2 pi i / n) I,
+    matching the winding invariant of that pair; the commuting anchors
+    (diagonal blocks +-f(V), corners h(V) at U = I) are insensitive to this
+    choice.  The matrix is unitarily similar to the standard-basis B, so its
+    spectrum is B's; for a ``SelfDualPair``, Q^# = Q* and its modified
+    Pfaffian has B's sign too.
     """
     angles, Q = pair.v_eig
     fvals, gvals, hvals = values(angles)
@@ -268,6 +222,34 @@ def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> BottMatrix:
     B[:n, n:] = lower.conj().T
     del lower
     return BottMatrix.of(B)
+
+
+def _in_standard_basis(pair: UnitaryPair, values) -> BottMatrix:
+    """The eigenbasis matrix conjugated in place by diag(Q, Q), and its spectrum.
+
+    Diagonal blocks +-(F + F*)/2 with F = Q diag(f) Q*, lower corner Q L Q*
+    for the eigenbasis corner L and upper corner its adjoint: exactly
+    hermitian, and similar to the eigenbasis matrix, whose spectrum it keeps.
+    """
+    bm = _spectrum_in_eigenbasis(pair, values)
+    Q = pair.v_eig[1]
+    Qh = Q.conj().T
+    n = Q.shape[0]
+    B = bm.B
+    F = (Q * B.diagonal()[:n]) @ Qh
+    lower = Q @ B[n:, :n] @ Qh
+    B[:n, :n] = F
+    B[:n, :n] += F.conj().T
+    B[:n, :n] *= 0.5
+    np.negative(B[:n, :n], out=B[n:, n:])
+    B[n:, :n] = lower
+    B[:n, n:] = lower.conj().T
+    return bm
+
+
+def build_B(pair: UnitaryPair) -> BottMatrix:
+    """Assemble B(U, V) in the standard basis, and its spectrum."""
+    return _in_standard_basis(pair, _trig_values)
 
 
 def _count_signature(eigs: np.ndarray) -> int:
@@ -302,23 +284,3 @@ def bott_index(pair: UnitaryPair) -> int:
     """
     require_certified(pair.delta, "trig")
     return _spectrum_in_eigenbasis(pair, _trig_values).signature() // 2
-
-
-def threshold_consistency() -> dict:
-    """Compare the stored threshold with the recomputed envelope root.
-
-    Returned mapping carries the stored constant, the root of the bound
-    envelope, and whether the root falls inside [0.2060, 0.2061].  Kept as a
-    callable check (not an import-time assertion) so the library stays usable
-    while the discrepancy between the stored constant and the recomputed
-    tables is documented by the test suite.
-    """
-    from . import bounds
-
-    root = bounds.beta_root()
-    return {
-        "stored": KAPPA_THRESHOLD,
-        "beta_root": root,
-        "bracket": (0.2060, 0.2061),
-        "consistent": 0.2060 <= root <= 0.2061,
-    }

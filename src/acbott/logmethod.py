@@ -2,10 +2,11 @@
 
 Instead of the bump-function triple, take iK to be the principal logarithm
 of V and use f1(x) = x/pi, g1 = 0, h1(x) = sqrt(1 - x^2/pi^2).  These are
-merely Borel functions of V; B_L is assembled exactly as B is, from the
-triple's values at V's angles, and its sign index provably agrees with the
-trigonometric one for delta <= 1/8: ``config.certified_threshold("log")``,
-which ``kappa2_log`` refuses above and ``analysis.analyze`` reports against.
+merely Borel functions of V; B_L is assembled exactly as B is, in V's
+eigenbasis from the triple's values at V's angles, and its sign index
+provably agrees with the trigonometric one for delta <= 1/8:
+``config.certified_threshold("log")``, which ``kappa2_log`` refuses above
+and ``analysis.analyze`` reports against.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bott import BottMatrix, _assemble, _spectrum_in_eigenbasis, require_certified
+from .bott import BottMatrix, _in_standard_basis, _spectrum_in_eigenbasis, require_certified
 from .linalg import UnitaryPair, unitary_eig
 from .selfdual import SelfDualPair, _hermitian_part, _pfaffian_sign
 
@@ -46,7 +47,7 @@ def _log_values(angles):
 def build_BL(pair: UnitaryPair) -> BottMatrix:
     """Assemble B_L(U, V) in the standard basis; diagonal blocks are +-K/pi.
     A ``SelfDualPair``'s Kramers pairs share one angle, so h1(V) is self-dual."""
-    return _assemble(pair, _log_values)
+    return _in_standard_basis(pair, _log_values)
 
 
 def kappa2_log(sd: SelfDualPair) -> int:

@@ -6,7 +6,7 @@ that module have something to check against.
 
 import numpy as np
 
-from acbott.bott import BottMatrix, assemble_blocks, standard_triple
+from acbott.bott import BottMatrix, standard_triple
 from acbott.linalg import apply_trigpoly
 
 
@@ -59,16 +59,28 @@ def pfaffian_cofactor(X: np.ndarray) -> complex:
     return total
 
 
+def standard_basis_B(fV, gV, hV, U) -> np.ndarray:
+    """B from the triple's values at V, assembled in the standard basis.
+
+    Diagonal blocks +-(fV + fV*)/2, lower corner gV + (hV U + U hV)/2 and
+    upper corner its adjoint; written here so that the oracles share no
+    assembly code with the library.
+    """
+    F = (fV + fV.conj().T) / 2
+    lower = gV + (hV @ U + U @ hV) / 2
+    return np.block([[F, lower.conj().T], [lower, -F]])
+
+
 def horner_B(pair) -> BottMatrix:
     """B(U, V) from the degree-5 approximants f5, g5, h5 of the triple.
 
     Each is evaluated at V by Horner accumulation (``apply_trigpoly``), with
-    no eigendecomposition, so this is a route to B independent of
-    ``build_B``'s eigendecomposition of V.
+    no eigendecomposition, and assembled by ``standard_basis_B``, so this is
+    a route to B independent of ``build_B``'s eigenbasis assembly.
     """
     t = standard_triple()
     fV, gV, hV = (apply_trigpoly(p, pair.V) for p in (t.f5, t.g5, t.h5))
-    return BottMatrix.of(assemble_blocks(fV, gV, hV, pair.U))
+    return BottMatrix.of(standard_basis_B(fV, gV, hV, pair.U))
 
 
 def standard_form(N: int) -> np.ndarray:

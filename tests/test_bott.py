@@ -18,7 +18,6 @@ from acbott.bott import (
     require_certified,
     signature,
     standard_triple,
-    threshold_consistency,
 )
 from acbott.config import KAPPA_THRESHOLD
 from acbott.errors import (
@@ -232,12 +231,3 @@ def test_signature_basics():
     assert signature(np.diag([2.0, -3.0, 5.0])) == 1
     with pytest.raises(GapClosed):
         signature(np.diag([1.0, -1.0, 1e-12]))
-
-
-def test_threshold_consistency_reports_root():
-    info = threshold_consistency()
-    assert info["stored"] == 0.206007
-    # recomputed root of beta = 1 sits near 0.2047, outside the stored
-    # bracket; the acceptance suite carries the verbatim bracket assertion
-    assert info["beta_root"] == pytest.approx(0.204698, abs=5e-4)
-    assert info["consistent"] is False

@@ -28,7 +28,7 @@ from acbott.bounds import (
     guaranteed_gap,
     variation_bound,
 )
-from acbott.config import CERTIFY_THRESHOLD, FINE_GRID, STEP_BUDGET
+from acbott.config import CERTIFY_THRESHOLD, FINE_GRID, KAPPA_THRESHOLD, STEP_BUDGET
 from acbott.errors import (
     CertificationFailed,
     InvalidPolynomial,
@@ -158,6 +158,8 @@ def test_beta_root_value():
     root = beta_root()
     assert root == pytest.approx(0.2046976, abs=1e-6)
     assert beta(root) == pytest.approx(1.0, abs=1e-10)
+    # the certified threshold stays the published constant, not the root
+    assert KAPPA_THRESHOLD == 0.206007
 
 
 def test_guaranteed_gap():

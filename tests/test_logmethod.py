@@ -152,6 +152,23 @@ def test_BL_square_defect_four_term_bound(rng):
         assert lhs <= rhs + 1e-10
 
 
+def test_log_report_claims_no_gap_guarantee():
+    # beta bounds B's gap, not B_L's: here B_L's gap 0.942 is below the
+    # trig guarantee 0.971 at delta = 0.01
+    a = np.pi - 0.005
+    pair = make_pair(
+        np.array([[0, -1], [1, 0]], dtype=complex),
+        np.diag([np.exp(1j * a), np.exp(-1j * a)]),
+    )
+    log = analyze(pair, method="log")
+    assert log.gap_guaranteed is None
+    assert dict(log.items())["gap_guaranteed"] == ""
+    assert log.gap_measured == pytest.approx(0.942011945, abs=1e-9)
+    trig = analyze(pair, method="trig")
+    assert trig.gap_guaranteed == pytest.approx(0.971236009, abs=1e-9)
+    assert trig.gap_guaranteed <= trig.gap_measured
+
+
 # ---------------------------------------------------------------------------
 # kappa2_log
 # ---------------------------------------------------------------------------

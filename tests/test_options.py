@@ -20,7 +20,7 @@ RETIRED = [
     (bott.require_certified, {"allow_uncertified"}),
     (bott.signature, {"gap_tol"}),
     (bott._count_signature, {"gap_tol"}),
-    (bott._assemble, {"h_part"}),
+    (bott._in_standard_basis, {"h_part"}),
     (selfdual.pfaffian_bott_index, {"use_trigpoly", "allow_uncertified"}),
     (selfdual.selfdual_distance_bounds, {"kappa2_a", "kappa2_b"}),
     (selfdual.make_selfdual_pair, {"selfdual_tol"}),

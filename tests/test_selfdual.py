@@ -11,7 +11,13 @@ from scipy.linalg import expm
 
 import acbott.selfdual as selfdual
 from acbott.analysis import analyze
-from acbott.bott import BottMatrix, _trig_values, assemble_blocks, bott_index, build_B
+from acbott.bott import (
+    BottMatrix,
+    _spectrum_in_eigenbasis,
+    _trig_values,
+    bott_index,
+    build_B,
+)
 from acbott.errors import (
     DimensionMismatch,
     IllConditionedSign,
@@ -27,6 +33,7 @@ from acbott.errors import (
 from acbott.generators import (
     commuting_random,
     cyclic_shift_pair,
+    perturb,
     perturb_selfdual,
     powered_pair,
     selfdual_doubling,
@@ -34,6 +41,7 @@ from acbott.generators import (
 from acbott.linalg import make_pair, unitary_eig
 from acbott.logmethod import _log_values, build_BL, kappa2_log
 from acbott.selfdual import (
+    SelfDualPair,
     _pfaffian_sign,
     _pfaffian_sign_log,
     _real_pfaffian_sign_log,
@@ -54,6 +62,7 @@ from support import (
     pfaffian_cofactor,
     random_hermitian,
     random_skew,
+    standard_basis_B,
     standard_form,
 )
 
@@ -476,30 +485,42 @@ def test_v_eig_of_a_selfdual_pair_is_a_kramers_basis(make):
     assert residual <= sd.unitary_tol * np.sqrt(sd.dim)
 
 
-def _schur_basis_B(sd, values):
-    """B from V's Schur form in the standard basis: no basis shared with v_eig."""
-    angles, Q = unitary_eig(sd.V)
+def _schur_basis_B(pair, values):
+    """B from V's Schur form in the standard basis: no basis shared with v_eig,
+    and no assembly code shared with the library."""
+    angles, Q = unitary_eig(pair.V)
     fV, gV, hV = ((Q * v) @ Q.conj().T for v in values(angles))
-    return assemble_blocks(fV, gV, hV, sd.U)
+    return standard_basis_B(fV, gV, hV, pair.U)
 
 
 @pytest.mark.parametrize("method", ["trig", "log"])
 def test_kramers_route_matches_the_schur_basis_oracle(method):
+    # the request path, and build_B or build_BL, on self-dual and plain pairs
     values = _log_values if method == "log" else _trig_values
+    build = build_BL if method == "log" else build_B
     base = selfdual_doubling(cyclic_shift_pair(32))
-    for sd in (
+    plain = cyclic_shift_pair(33)
+    for pair in (
         base,
         selfdual_doubling(cyclic_shift_pair(31)),
         perturb_selfdual(base, 0.02, seed=1),
         selfdual_doubling(commuting_random(6, seed=0)),
+        plain,
+        perturb(plain, 0.02, seed=1),
+        commuting_random(12, seed=0),
     ):
-        B = _schur_basis_B(sd, values)
-        report = analyze(sd, method=method)
-        gap = float(np.min(np.abs(np.linalg.eigvalsh(B))))
-        assert report.gap_measured == pytest.approx(gap, abs=1e-12)
-        pf = modified_pfaffian(B)
-        assert abs(pf.imag) <= 1e-9 * abs(pf)
-        assert report.kappa2 == (1 if pf.real > 0 else -1)
+        B = _schur_basis_B(pair, values)
+        eigs = np.linalg.eigvalsh(B)
+        report = analyze(pair, method=method)
+        assert report.gap_measured == pytest.approx(np.min(np.abs(eigs)), abs=1e-12)
+        built = build(pair)
+        assert np.max(np.abs(built.B - B)) <= 1e-12
+        assert np.max(np.abs(built.eigs - eigs)) <= 1e-12
+        assert np.array_equal(built.eigs, _spectrum_in_eigenbasis(pair, values).eigs)
+        if isinstance(pair, SelfDualPair):
+            pf = modified_pfaffian(B)
+            assert abs(pf.imag) <= 1e-9 * abs(pf)
+            assert report.kappa2 == (1 if pf.real > 0 else -1)
 
 
 @pytest.mark.parametrize("method", ["trig", "log"])
@@ -522,7 +543,7 @@ def test_no_request_path_assembles_in_the_standard_basis(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name.startswith("acbott"):
-            for attr in ("build_B", "build_BL", "_assemble"):
+            for attr in ("build_B", "build_BL", "_in_standard_basis"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     plain = cyclic_shift_pair(32)
