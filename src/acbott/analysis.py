@@ -17,7 +17,7 @@ that the index functions refuse above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .bott import _spectrum_in_eigenbasis, _trig_values
@@ -32,8 +32,8 @@ from .winding import DELTA_GATE, winding_number
 
 @dataclass
 class IndexReport:
-    delta: float
     dim: int
+    delta: float
     omega: Optional[int] = None
     kappa: Optional[int] = None
     kappa2: Optional[int] = None
@@ -45,6 +45,8 @@ class IndexReport:
     distance_commuting: Optional[float] = None
 
     def items(self):
+        """(name, text) of every field, in field order, for kv and csv."""
+
         def fmt(v):
             if v is None:
                 return ""
@@ -54,19 +56,7 @@ class IndexReport:
                 return f"{v:.9g}"
             return str(v)
 
-        return [
-            ("dim", fmt(self.dim)),
-            ("delta", fmt(self.delta)),
-            ("omega", fmt(self.omega)),
-            ("kappa", fmt(self.kappa)),
-            ("kappa2", fmt(self.kappa2)),
-            ("omega_valid", fmt(self.omega_valid)),
-            ("kappa_certified", fmt(self.kappa_certified)),
-            ("log_certified", fmt(self.log_certified)),
-            ("gap_measured", fmt(self.gap_measured)),
-            ("gap_guaranteed", fmt(self.gap_guaranteed)),
-            ("distance_commuting", fmt(self.distance_commuting)),
-        ]
+        return [(f.name, fmt(getattr(self, f.name))) for f in fields(self)]
 
 
 def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:

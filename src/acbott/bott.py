@@ -30,6 +30,10 @@ F_AMPLITUDES = (150.0 / 128.0, 0.0, 25.0 / 128.0, 0.0, 3.0 / 128.0)
 
 _BUMP_PREFACTOR = np.sqrt(407.0 / 512.0)
 
+# the binomial series behind the cosine coefficients of h stops at u^7, where
+# its tail is below 1e-6
+_SERIES_DEGREE = 7
+
 
 def eval_f(x):
     """The odd degree-5 polynomial; maps [-pi/2, pi/2] onto [-1, 1]."""
@@ -63,25 +67,20 @@ def eval_g(x):
     return np.where(np.abs(r) > np.pi / 2, _bump_core(r), 0.0)
 
 
-def fourier_coefficients_h(max_n: int = 5, series_K: int = 7) -> np.ndarray:
-    """Cosine coefficients c_0..c_max_n of the bump function h.
+def fourier_coefficients_h(max_n: int = 5) -> np.ndarray:
+    """Cosine coefficients c_0..c_max_n of the bump function h, 0 <= max_n <= 16.
 
     Each c_n is computed as a truncated binomial series: the square root in
     the closed form is expanded in powers of u(x) = (96 cos 2x + 9 cos 4x)/407
-    and every term is integrated by adaptive quadrature.  With series_K >= 7
-    the truncation tail is certifiably below 1e-6 (checked and warned about
+    up to u^7 and every term is integrated by adaptive quadrature.  The
+    truncation tail is certified below 1e-6 (checked, and warned about
     otherwise).
     """
     from scipy.integrate import quad
     from scipy.special import binom
 
-    if max_n > 16:
-        raise ValueError("coefficient index capped at 16")
-    if series_K < 7:
-        warnings.warn(
-            "series truncation below 7 terms is not certified to 1e-6",
-            AccuracyNotCertified,
-        )
+    if not 0 <= max_n <= 16:
+        raise ValueError(f"coefficient index capped at 16 and nonnegative, got {max_n}")
 
     def u(x):
         return (96 * np.cos(2 * x) + 9 * np.cos(4 * x)) / 407.0
@@ -89,7 +88,7 @@ def fourier_coefficients_h(max_n: int = 5, series_K: int = 7) -> np.ndarray:
     out = np.zeros(max_n + 1)
     for n in range(max_n + 1):
         total = 0.0
-        for k in range(series_K + 1):
+        for k in range(_SERIES_DEGREE + 1):
             w = binom(0.5, k)
             val, _ = quad(
                 lambda t, n=n, k=k: np.cos(t) ** 3 * u(t) ** k * np.cos(n * t),
@@ -103,7 +102,7 @@ def fourier_coefficients_h(max_n: int = 5, series_K: int = 7) -> np.ndarray:
 
     # worst-case series remainder sits at u = -105/407
     r = 105.0 / 407.0
-    partial = sum(binom(0.5, k) * (-r) ** k for k in range(series_K + 1))
+    partial = sum(binom(0.5, k) * (-r) ** k for k in range(_SERIES_DEGREE + 1))
     tail = abs(np.sqrt(1 - r) - partial) * _BUMP_PREFACTOR * (4.0 / 3.0) / (2 * np.pi)
     if tail > 1e-6:
         warnings.warn(

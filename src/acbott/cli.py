@@ -4,7 +4,7 @@ Subcommands: index (all indices of a stored pair), generate (write example
 pairs), bounds (CSV curves), certify-log (homotopy certification), fourier
 (coefficient table).  Exit codes: 0 success, 2 when results were produced
 but something is uncertified (threshold overrun or failed certification),
-1 on hard errors.
+1 on hard errors and usage errors.  Nearly unitary input takes --polar.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .bounds import (
     eta_envelope_h,
     guaranteed_gap,
 )
-from .config import DEFAULT_TOL
 from .errors import (
     AlmostCommutingError,
     CertificationFailed,
@@ -89,9 +88,9 @@ def cmd_index(args) -> int:
                 raise NumericalInconsistency(
                     f"header says N = {n_declared}, matrices have dim {U.shape[0]}"
                 )
-        pair = make_selfdual_pair(U, V, unitary_tol=args.unitary_tol)
+        pair = make_selfdual_pair(U, V)
     else:
-        pair = make_pair(U, V, unitary_tol=args.unitary_tol)
+        pair = make_pair(U, V)
 
     report = analyze(pair, args.method)
     _emit_report(report, args.format)
@@ -194,7 +193,7 @@ def cmd_certify_log(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    c = fourier_coefficients_h(args.max_n, args.series_k)
+    c = fourier_coefficients_h(args.max_n)
     print("n,a_imag,b,c")
     for n in range(args.max_n + 1):
         amp = F_AMPLITUDES[n - 1] if 1 <= n <= len(F_AMPLITUDES) else 0.0
@@ -203,8 +202,16 @@ def cmd_fourier(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as hard errors do: 2 means "not certified"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="acbott",
         description="Topological indices of almost-commuting unitary pairs "
         "with certified error bounds.",
@@ -218,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ix.add_argument("--self-dual", action="store_true", dest="self_dual")
     ix.add_argument("--header", help="one-line N header file to cross-check")
     ix.add_argument("--polar", action="store_true", help="apply unitary part first")
-    ix.add_argument("--unitary-tol", type=float, default=DEFAULT_TOL.unitary)
     ix.add_argument("--format", choices=("text", "kv", "csv"), default="text")
     ix.set_defaults(func=cmd_index)
 
@@ -261,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fr = sub.add_parser("fourier", help="coefficient table of the standard triple")
     fr.add_argument("--max-n", type=int, default=5)
-    fr.add_argument("--series-k", type=int, default=7)
     fr.set_defaults(func=cmd_fourier)
     return p
 

@@ -94,15 +94,15 @@ def _check_unitary(V: np.ndarray, tol: float) -> None:
         raise NotUnitary(f"||V*V - I|| = {err:.3e} exceeds tolerance {tol:.1e}")
 
 
-def unitary_eig(V, tol: float = DEFAULT_TOL.unitary):
+def unitary_eig(V):
     """Diagonalize a unitary matrix.
 
     Returns ``(angles, Q)`` with ``V = Q diag(exp(i*angles)) Q*``.  Angles
     live in (-pi, pi]; an eigenvalue numerically at -1 maps to +pi, which
-    makes the branch deterministic at the cut.
+    makes the branch deterministic at the cut.  V must pass the unitarity gate.
     """
     A = as_matrix(V)
-    _check_unitary(A, tol)
+    _check_unitary(A, DEFAULT_TOL.unitary)
     return _schur_angles(A)
 
 
@@ -119,7 +119,7 @@ def _schur_angles(A: np.ndarray):
     return angles, Q
 
 
-def _cayley_angles(A: np.ndarray, tol: float):
+def _cayley_angles(A: np.ndarray):
     """:func:`unitary_eig` of a checked unitary A by one hermitian ``eigh``.
 
     The eigenvalues of (A + A*)/2 are the cosines of A's angles, so their
@@ -130,10 +130,10 @@ def _cayley_angles(A: np.ndarray, tol: float):
     hermitian with eigenvalues tan((theta - phi)/2) (one LU solve, made in
     place).  The angles follow as phi + 2 arctan(lambda), wrapped to
     (-pi, pi] with the branch rule of :func:`_schur_angles`.  When the
-    residual ||AQ - Q e^{i Theta}||_F exceeds tol * sqrt(n), the Schur route
+    residual ||AQ - Q e^{i Theta}||_F exceeds 1e-8 * sqrt(n), the Schur route
     is taken instead: a unitarity defect eps spread over n eigenvalues leaves
-    a residual of about eps * sqrt(n), which a bound of tol would refuse for
-    inputs that the unitarity gate at tol admits.
+    a residual of about eps * sqrt(n), which a bound of 1e-8, the unitarity
+    gate's width, would refuse for inputs that the gate admits.
     """
     from scipy.linalg.lapack import zgesv
 
@@ -166,7 +166,7 @@ def _cayley_angles(A: np.ndarray, tol: float):
     angles[2.0 * np.abs(np.cos(angles / 2.0)) <= DEFAULT_TOL.branch] = np.pi
     residual = A @ Q
     residual -= Q * np.exp(1j * angles)
-    if float(np.linalg.norm(residual)) > tol * np.sqrt(d):
+    if float(np.linalg.norm(residual)) > DEFAULT_TOL.unitary * np.sqrt(d):
         return _schur_angles(A)
     return angles, Q
 
@@ -320,7 +320,7 @@ class UnitaryPair:
     (one ``eigvalsh`` to place a cut and one ``eigh`` of a Cayley transform,
     see :func:`_cayley_angles`; ``make_pair`` has already checked V's
     unitarity) and ``w_angles`` the eigenangles of W = VUV*U* from its
-    Schur form, gated for unitarity at 10 * unitary_tol.
+    Schur form.
     Every library call on the pair reads these, so a pair pays one
     factorization of each matrix however many invariants are asked of it.
     U and V must therefore not be mutated after ``make_pair``, which delta
@@ -330,41 +330,42 @@ class UnitaryPair:
     U: np.ndarray
     V: np.ndarray
     delta: float
-    unitary_tol: float = DEFAULT_TOL.unitary
 
     @property
     def dim(self) -> int:
         return self.U.shape[0]
 
     def multiplicative_commutator(self) -> np.ndarray:
-        """W = VUV*U*."""
+        """W = VUV*U*, gated for unitarity at 10 * ``DEFAULT_TOL.unitary``:
+        the products compound U's and V's defects."""
         U, V = self.U, self.V
-        return V @ U @ V.conj().T @ U.conj().T
+        W = V @ U @ V.conj().T @ U.conj().T
+        _check_unitary(W, 10 * DEFAULT_TOL.unitary)
+        return W
 
     @functools.cached_property
     def v_eig(self):
         """``(angles, Q)`` of V with :func:`unitary_eig`'s conventions.
 
         Made by one ``eigh`` of a Cayley transform of V, or by the Schur
-        form when that leaves a residual above ``unitary_tol`` * sqrt(dim);
-        a ``SelfDualPair`` regroups it into a Kramers basis.
+        form when that leaves a residual above 1e-8 * sqrt(dim); a
+        ``SelfDualPair`` regroups it into a Kramers basis.
         """
-        angles, Q = _cayley_angles(self.V, self.unitary_tol)
+        angles, Q = _cayley_angles(self.V)
         return _read_only(angles), _read_only(Q)
 
     @functools.cached_property
     def w_angles(self) -> np.ndarray:
         """Eigenangles of W in (-pi, pi], with unitary_eig's branch rule."""
-        angles, _ = unitary_eig(
-            self.multiplicative_commutator(), tol=10 * self.unitary_tol
-        )
+        angles, _ = _schur_angles(self.multiplicative_commutator())
         return _read_only(angles)
 
 
-def make_pair(U, V, unitary_tol: float = DEFAULT_TOL.unitary) -> UnitaryPair:
-    """Validate unitarity of both matrices and cache delta = ||[U, V]||."""
+def make_pair(U, V) -> UnitaryPair:
+    """Gate both matrices for unitarity and cache delta = ||[U, V]||; nearly
+    unitary input takes its polar parts first (:func:`unitary_part`)."""
     A, B = as_matrix(U), as_matrix(V)
     require_same_dim(A, B)
-    _check_unitary(A, unitary_tol)
-    _check_unitary(B, unitary_tol)
-    return UnitaryPair(A, B, commutator_norm(A, B), unitary_tol)
+    _check_unitary(A, DEFAULT_TOL.unitary)
+    _check_unitary(B, DEFAULT_TOL.unitary)
+    return UnitaryPair(A, B, commutator_norm(A, B))

@@ -2,11 +2,15 @@
 
 Format: first line is the dimension d, then d lines of d whitespace-separated
 entries written as ``RE+IMi`` (for example ``0.5-0.25i``); exponent notation
-is accepted on either part.  Self-dual pairs travel as two matrix files plus
-a one-line header file naming the half-dimension N.
+is accepted on either part.  An entry is read as ``complex()`` reads it once
+an i that ends it is written as j, so ``1+2j`` and ``(1+2j)`` are read too.
+Self-dual pairs travel as two matrix files plus a one-line header file
+naming the half-dimension N.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -23,13 +27,7 @@ def format_matrix(M) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_entry(token: str) -> complex:
-    try:
-        if token.endswith("i"):
-            return complex(token[:-1] + "j")
-        return complex(token)
-    except ValueError as exc:
-        raise InvalidMatrix(f"cannot parse entry {token!r}") from exc
+_UNIT = re.compile(r"i(?=\s|$)")
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -44,27 +42,15 @@ def parse_matrix(text: str) -> np.ndarray:
         raise InvalidMatrix(f"dimension must be positive, got {d}")
     if len(lines) != d + 1:
         raise InvalidMatrix(f"expected {d} rows, found {len(lines) - 1}")
-    # Fast path: complex() accepts a j only as the last character or before a
-    # closing parenthesis, so on text without parentheses, turning every i
-    # into j and making one complex() call per entry gives _parse_entry's
-    # value wherever that succeeds.  Anything it does not accept takes the
-    # entry-by-entry route below, which raises the errors.
-    if "(" not in text and ")" not in text:
-        try:
-            rows = [
-                list(map(complex, ln.replace("i", "j").split())) for ln in lines[1:]
-            ]
-        except ValueError:
-            pass
-        else:
-            if all(len(row) == d for row in rows):
-                return as_matrix(np.array(rows, dtype=complex))
     rows = []
-    for ln in lines[1:]:
-        tokens = ln.split()
-        if len(tokens) != d:
-            raise InvalidMatrix(f"expected {d} entries per row, found {len(tokens)}")
-        rows.append([_parse_entry(t) for t in tokens])
+    for r, ln in enumerate(lines[1:], start=1):
+        try:
+            row = list(map(complex, _UNIT.sub("j", ln).split()))
+        except ValueError as exc:
+            raise InvalidMatrix(f"row {r}: an entry is not a complex number") from exc
+        if len(row) != d:
+            raise InvalidMatrix(f"row {r}: expected {d} entries, found {len(row)}")
+        rows.append(row)
     return as_matrix(np.array(rows, dtype=complex))
 
 

@@ -127,7 +127,7 @@ def _kramers_half(C: np.ndarray) -> np.ndarray:
     return W[::2].T
 
 
-def _kramers_basis(V: np.ndarray, angles: np.ndarray, vectors: np.ndarray, tol: float):
+def _kramers_basis(V: np.ndarray, angles: np.ndarray, vectors: np.ndarray):
     """V's ``(angles, vectors)`` regrouped as Q = [A, -Z conj(A)], so Q^# = Q*.
 
     A self-dual V pairs each eigenvector q with -Z conj(q).  Angles closer
@@ -139,7 +139,7 @@ def _kramers_basis(V: np.ndarray, angles: np.ndarray, vectors: np.ndarray, tol: 
     V's eigenvectors by up to V's self-duality defect over the gap to the
     next cluster; Newton-Schulz steps Q <- Q (3I - Q*Q) / 2, taken on A,
     keep the Kramers form and make Q unitary.  A residual
-    ||VQ - Q e^{i Theta}||_F above the Cayley route's bound, tol * sqrt(dim),
+    ||VQ - Q e^{i Theta}||_F above the Cayley route's bound, 1e-8 * sqrt(dim),
     raises NumericalInconsistency.
     """
     d, N = len(angles), len(angles) // 2
@@ -170,7 +170,7 @@ def _kramers_basis(V: np.ndarray, angles: np.ndarray, vectors: np.ndarray, tol: 
     residual = V @ Q
     residual -= Q * np.exp(1j * angles)
     norm = float(np.linalg.norm(residual))
-    if norm > tol * math.sqrt(d):
+    if norm > DEFAULT_TOL.unitary * math.sqrt(d):
         raise NumericalInconsistency(f"V's Kramers basis leaves a residual of {norm:.3e}")
     return _read_only(angles), _read_only(Q)
 
@@ -186,7 +186,7 @@ class SelfDualPair(UnitaryPair):
     @functools.cached_property
     def v_eig(self):
         """V's factorization in a Kramers basis, see :func:`_kramers_basis`."""
-        return _kramers_basis(self.V, *UnitaryPair.v_eig.func(self), self.unitary_tol)
+        return _kramers_basis(self.V, *UnitaryPair.v_eig.func(self))
 
     @property
     def N(self) -> int:
@@ -198,14 +198,14 @@ class SelfDualPair(UnitaryPair):
         return self
 
 
-def make_selfdual_pair(U, V, unitary_tol: float = DEFAULT_TOL.unitary) -> SelfDualPair:
-    pair = make_pair(U, V, unitary_tol=unitary_tol)
+def make_selfdual_pair(U, V) -> SelfDualPair:
+    pair = make_pair(U, V)
     tol = DEFAULT_TOL.selfdual
     for name, M in (("U", pair.U), ("V", pair.V)):
         drift = gate_norm(M - dual(M), tol)
         if drift > tol:
             raise NotSelfDual(f"{name} fails self-duality by {drift:.3e}")
-    return SelfDualPair(pair.U, pair.V, pair.delta, pair.unitary_tol)
+    return SelfDualPair(pair.U, pair.V, pair.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +337,15 @@ def pfaffian(X) -> complex:
     return value
 
 
-def _rotated_anti_selfdual(
-    X: np.ndarray, tol: float, norm: float
-) -> Tuple[np.ndarray, float]:
+def _rotated_anti_selfdual(X: np.ndarray, norm: float) -> Tuple[np.ndarray, float]:
     """(Q* X_a Q, an upper bound on ||X + X^#||), exactly skew.
 
     X_a = (X - X^#)/2 is the anti-self-dual part of X.  The gate against
-    tol * max(1, norm) reads ``gate_norm``, so it is decided as by the exact
+    1e-7 * max(1, norm) reads ``gate_norm``, so it is decided as by the exact
     norm and takes an SVD only when the Frobenius bound does not clear it.
     """
     Xd = dual_tensor(X)
-    limit = tol * max(1.0, norm)
+    limit = 1e-7 * max(1.0, norm)
     drift = gate_norm(X + Xd, limit)
     if drift > limit:
         raise NotAntiSelfDual(f"anti-self-duality violated by {drift:.3e}")
@@ -378,7 +376,7 @@ def modified_pfaffian(X) -> complex:
     X must have dimension 4N and be anti-self-dual to 1e-7 * max(1, ||X||).
     """
     X = as_matrix(X)
-    S, _ = _rotated_anti_selfdual(X, 1e-7, operator_norm(X))
+    S, _ = _rotated_anti_selfdual(X, operator_norm(X))
     phase, log_mag = _pfaffian_sign_log(S)
     if log_mag == -math.inf:
         return 0j
@@ -410,7 +408,7 @@ def _pfaffian_sign(bm: BottMatrix) -> int:
     """
     norm = float(np.max(np.abs(bm.eigs)))
     scale = max(1.0, norm)
-    S, drift = _rotated_anti_selfdual(bm.B, 1e-7, norm)
+    S, drift = _rotated_anti_selfdual(bm.B, norm)
     real_part = float(np.linalg.norm(S.real))
     if real_part > 1e-7 * scale:
         raise NumericalInconsistency(

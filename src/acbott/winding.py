@@ -21,7 +21,7 @@ from .errors import (
     NoObstruction,
     NumericalInconsistency,
 )
-from .linalg import UnitaryPair, unitary_eig
+from .linalg import UnitaryPair, _schur_angles
 
 # delta must stay strictly below 2; at 2 the spectrum of W can touch -1
 DELTA_GATE = 2.0 - 1e-9
@@ -83,8 +83,7 @@ def winding_via_path(pair: UnitaryPair) -> int:
     """
     _require_gate(pair.delta)
     steps = 1024
-    W = pair.multiplicative_commutator()
-    angles, Q = unitary_eig(W, tol=10 * pair.unitary_tol)
+    angles, Q = _schur_angles(pair.multiplicative_commutator())
     Qstar = Q.conj().T
     chunk = max(1, min(64, 2**19 // Q.size))
     for _ in range(8):

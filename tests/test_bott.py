@@ -1,5 +1,7 @@
 """Standard triple, its Fourier data, and the integer index kappa."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,9 +53,11 @@ def test_fourier_coefficient_index_cap():
         fourier_coefficients_h(17)
 
 
-def test_fourier_short_series_warns():
-    with pytest.warns(AccuracyNotCertified):
-        fourier_coefficients_h(2, series_K=4)
+def test_fourier_series_tail_is_certified():
+    # the fixed series length keeps the truncation tail below 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyNotCertified)
+        fourier_coefficients_h(2)
 
 
 def test_sine_amplitudes():

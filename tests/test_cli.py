@@ -29,6 +29,26 @@ def test_help_exits_zero():
     assert exc.value.code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("index", "U.txt", "V.txt", "--format", "xml"),
+        ("index", "U.txt", "V.txt", "--bogus"),
+        ("certify-log", "--delta", "abc"),
+        ("index", "U.txt", "V.txt", "--unitary-tol", "0.05"),
+    ],
+    ids=["bad-choice", "unknown-option", "bad-float", "retired-option"],
+)
+def test_usage_error_exits_one(capsys, argv):
+    # 2 means "computed but not certified", so a usage error must not exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: acbott")
+    assert err.splitlines()[-1].startswith("error: ")
+
+
 def test_generate_index_roundtrip(tmp_path, capsys):
     prefix = str(tmp_path / "c31")
     rc, out, _ = run(capsys, "generate", "--kind", "cyclic_shift", "--n", "31",
@@ -142,6 +162,8 @@ _REJECTED = {
     "k-zero": (("generate", "--kind", "direct_sum", "--n", "8", "--k", "0"),
                "error: k must be nonzero"),
     "max-n-17": (("fourier", "--max-n", "17"), "error: coefficient index capped at 16"),
+    "max-n-negative": (("fourier", "--max-n", "-1"),
+                       "error: coefficient index capped at 16"),
 }
 
 
@@ -195,6 +217,25 @@ def test_index_polar_preprocessing(tmp_path, capsys):
     rc, out, _ = run(capsys, "index", u_file, v_file, "--polar")
     assert rc == 0
     assert "omega = -1" in out
+
+
+def test_nearly_unitary_pair_is_certified_only_by_its_polar_parts(tmp_path, capsys):
+    # V scaled by 0.985: the computed delta 0.205921 is below the threshold
+    # 0.206007, but the polar parts' delta 0.209057 is above it, so no gate
+    # wide enough to admit V may certify the pair
+    pair = cyclic_shift_pair(30)
+    u_file, v_file = str(tmp_path / "U.txt"), str(tmp_path / "V.txt")
+    write_matrix(u_file, pair.U)
+    write_matrix(v_file, 0.985 * pair.V)
+    rc, _, err = run(capsys, "index", u_file, v_file)
+    assert rc == 1
+    assert "NotUnitary" in err
+    rc, out, _ = run(capsys, "index", u_file, v_file, "--polar", "--format", "kv")
+    assert rc == 2
+    assert {"delta=0.209056927", "kappa_certified=false"} <= set(out.splitlines())
+    with pytest.raises(SystemExit) as exc:
+        main(["index", u_file, v_file, "--unitary-tol", "0.05"])
+    assert exc.value.code == 1
 
 
 def test_generate_direct_sum(tmp_path, capsys):

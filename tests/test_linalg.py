@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acbott.analysis import analyze
+from acbott.config import DEFAULT_TOL
 from acbott.errors import (
     DimensionMismatch,
     InvalidMatrix,
@@ -321,13 +322,13 @@ def test_unitarity_gate_decides_by_the_exact_norm(rng, monkeypatch):
     # (1 + e) U has defect ((1 + e)^2 - 1) I: operator norm about 2e, but
     # Frobenius norm 4 times that at d = 16
     U = haar_unitary(16, rng)
-    tol = 1e-8
+    assert DEFAULT_TOL.unitary == 1e-8
     svds = _count_svds(monkeypatch)
-    pair = make_pair(U, (1 + 0.25e-8) * U, unitary_tol=tol)
+    pair = make_pair(U, (1 + 0.25e-8) * U)
     assert pair.dim == 16
     assert len(svds) == 2  # the exact norm of the defect, then delta
     with pytest.raises(NotUnitary, match="1.500e-08"):
-        make_pair(U, (1 + 0.75e-8) * U, unitary_tol=tol)
+        make_pair(U, (1 + 0.75e-8) * U)
 
 
 def test_gate_norm_is_exact_unless_frobenius_clears(rng):
@@ -428,7 +429,7 @@ def _v_at_minus_one():
 )
 def test_cayley_and_schur_routes_agree(factorizations, make_v):
     V = make_v()
-    angles, Q = _cayley_angles(V, 1e-8)
+    angles, Q = _cayley_angles(V)
     assert factorizations["schur"] == 0  # the residual cleared
     ref_angles, ref_Q = _schur_angles(V)
     assert np.max(np.abs(np.sort(angles) - np.sort(ref_angles))) <= 1e-12
@@ -451,7 +452,7 @@ def test_cayley_residual_bound_scales_with_the_dimension(factorizations):
     angles, Q = pair.v_eig
     assert factorizations == Counter(eigh=1, eigvalsh=1)
     residual = np.linalg.norm(pair.V @ Q - Q * np.exp(1j * angles))
-    assert pair.unitary_tol < residual <= pair.unitary_tol * np.sqrt(pair.dim)
+    assert DEFAULT_TOL.unitary < residual <= DEFAULT_TOL.unitary * np.sqrt(pair.dim)
     ref_angles, _ = _schur_angles(pair.V)
     assert np.max(np.abs(np.sort(angles) - np.sort(ref_angles))) <= 1e-12
 
@@ -485,7 +486,7 @@ def test_w_angles_follow_the_branch_rule_at_minus_one(rotate):
     pair = UnitaryPair(U, V, delta=1.0)
     W = V @ U @ V.conj().T @ U.conj().T
     assert np.abs(np.linalg.eigvals(W) + 1).min() <= (1e-14 if rotate else 0.0)
-    reference, _ = unitary_eig(W, tol=1e-7)
+    reference, _ = unitary_eig(W)
     assert np.allclose(np.sort(pair.w_angles), np.sort(reference), rtol=0, atol=1e-12)
     assert np.sum(pair.w_angles == np.pi) == 2
     result = winding_number(pair)

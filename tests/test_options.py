@@ -1,18 +1,23 @@
 """Each public call has one path: no option that no caller sets comes back.
 
-The indices' thresholds, the certification's threshold and step budget and
-the gate tolerances are fixed constants.  The keyword names below were once
-parameters of these functions and are not any more; the certification
-takes only its delta, its mesh and its fine grid.  Whether a pair is
-self-dual is its type's to say: ``analyze`` takes the self-dual route for a
-``SelfDualPair``, which only ``make_selfdual_pair`` makes.
+The indices' thresholds, the certification's threshold and step budget,
+the gate tolerances and the Fourier series length are fixed constants, and
+no library call or command line option takes a tolerance.  The keyword
+names below were once parameters of these functions and are not any more;
+the certification takes only its delta, its mesh and its fine grid.
+Whether a pair is self-dual is its type's to say: ``analyze`` takes the
+self-dual route for a ``SelfDualPair``, which only ``make_selfdual_pair``
+makes.
 """
 
+import argparse
 import inspect
+from dataclasses import fields
 
 import pytest
 
-from acbott import analysis, bott, bounds, linalg, logmethod, selfdual, winding
+import acbott
+from acbott import analysis, bott, bounds, cli, linalg, logmethod, selfdual, winding
 
 RETIRED = [
     (bott.build_B, {"use_trigpoly"}),
@@ -21,9 +26,12 @@ RETIRED = [
     (bott.signature, {"gap_tol"}),
     (bott._count_signature, {"gap_tol"}),
     (bott._in_standard_basis, {"h_part"}),
+    (bott.fourier_coefficients_h, {"series_K"}),
     (selfdual.pfaffian_bott_index, {"use_trigpoly", "allow_uncertified"}),
     (selfdual.selfdual_distance_bounds, {"kappa2_a", "kappa2_b"}),
-    (selfdual.make_selfdual_pair, {"selfdual_tol"}),
+    (selfdual.make_selfdual_pair, {"selfdual_tol", "unitary_tol"}),
+    (selfdual._kramers_basis, {"tol"}),
+    (selfdual._rotated_anti_selfdual, {"tol"}),
     (selfdual.pfaffian, {"tol"}),
     (selfdual.modified_pfaffian, {"tol"}),
     (selfdual.check_kramers, {"pair_tol"}),
@@ -31,6 +39,9 @@ RETIRED = [
     (logmethod.kappa2_log, {"allow_uncertified"}),
     (logmethod.principal_log, {"tol", "self_dual"}),
     (logmethod.build_BL, {"self_dual"}),
+    (linalg.make_pair, {"unitary_tol"}),
+    (linalg.unitary_eig, {"tol"}),
+    (linalg._cayley_angles, {"tol"}),
     (linalg.unitary_part, {"singular_tol"}),
     (linalg.hermitian_eig, {"tol"}),
     (linalg.apply_periodic, {"tol"}),
@@ -54,3 +65,40 @@ def test_certify_config_holds_only_the_search_sizes():
     parameters = tuple(inspect.signature(bounds.certify_log_path).parameters)
     assert parameters == ("delta", "mesh", "fine_grid")
 
+
+def _exported_callables():
+    for name in dir(acbott):
+        obj = getattr(acbott, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        if inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_no_exported_callable_takes_a_tolerance():
+    takes = [
+        name
+        for name, fn in _exported_callables()
+        if any("tol" in p for p in inspect.signature(fn).parameters)
+    ]
+    assert takes == []
+    assert [f.name for f in fields(linalg.UnitaryPair)] == ["U", "V", "delta"]
+    assert tuple(inspect.signature(bott.fourier_coefficients_h).parameters) == ("max_n",)
+
+
+def test_no_command_line_option_sets_a_tolerance_or_a_series():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [
+        option
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+    ]
+    assert "--polar" in options
+    assert [o for o in options if "tol" in o or "series" in o] == []

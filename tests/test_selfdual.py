@@ -18,6 +18,7 @@ from acbott.bott import (
     bott_index,
     build_B,
 )
+from acbott.config import DEFAULT_TOL
 from acbott.errors import (
     DimensionMismatch,
     IllConditionedSign,
@@ -89,7 +90,7 @@ def test_rotation_by_slicing_matches_dense_product(N):
     Z = standard_form(N)
     Y = rng.normal(size=(4 * N, 4 * N)) + 1j * rng.normal(size=(4 * N, 4 * N))
     X = 3.0 * (Y - dual_tensor(Y)) / 2  # exactly anti-self-dual
-    S, drift = _rotated_anti_selfdual(X, 1e-7, 1.0)
+    S, drift = _rotated_anti_selfdual(X, 1.0)
     assert drift == 0.0
     eye = np.eye(2 * N)
     Q = np.block([[eye, -1j * Z], [1j * Z, eye]]) / np.sqrt(2.0)
@@ -307,7 +308,7 @@ def test_selfdual_distance_bound_threshold_gate():
 def _both_routes(B):
     """(complex phase, log|Pf|) and (sign, log|Pf|) of Pf(Q* B Q)."""
     norm = float(np.max(np.abs(np.linalg.eigvalsh(B))))
-    S, _ = _rotated_anti_selfdual(B, 1e-7, norm)
+    S, _ = _rotated_anti_selfdual(B, norm)
     assert np.linalg.norm(S.real) <= 1e-12 * max(1.0, norm)
     sign, log_mag = _real_pfaffian_sign_log(S.imag)
     # Pf(iR) = i^(dim/2) Pf(R) = (-1)^N Pf(R)
@@ -482,7 +483,7 @@ def test_v_eig_of_a_selfdual_pair_is_a_kramers_basis(make):
     assert np.max(np.abs(Q.conj().T @ Q - np.eye(sd.dim))) <= 1e-12
     assert np.array_equal(angles[:N], angles[N:])
     residual = np.linalg.norm(sd.V @ Q - Q * np.exp(1j * angles))
-    assert residual <= sd.unitary_tol * np.sqrt(sd.dim)
+    assert residual <= DEFAULT_TOL.unitary * np.sqrt(sd.dim)
 
 
 def _schur_basis_B(pair, values):
