@@ -63,8 +63,6 @@ from .selfdual import (
     dual,
     dual_tensor,
     make_selfdual_pair,
-    modified_pfaffian,
-    pfaffian,
     pfaffian_bott_index,
     selfdual_distance_bounds,
 )

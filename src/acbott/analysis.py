@@ -3,14 +3,16 @@
 ``analyze`` reads the eigenangles of W = VUV*U* (one Schur form), which
 give omega and the distance bound, and the eigendecomposition of V (one
 hermitian ``eigh`` of a Cayley transform); both are made once per pair and
-cached on it, so library calls on the same pair share them.  The single
-hermitian spectrum of B(U, V) or B_L(U, V) gives kappa and the measured gap.
-The two differ only in the triple's values at V's angles (the bump triple
-or the log triple), and either is read in V's eigenbasis, which needs no
-product with Q beyond Q*UQ.  A ``SelfDualPair``, which only
-``make_selfdual_pair`` makes after its self-duality gates, has V's
-eigenbasis in Kramers form, Q^# = Q*, so the same matrix is anti-self-dual
-and kappa2 is the sign of its modified Pfaffian.  Every index of a method
+cached on it, so library calls on the same pair share them.  B(U, V) or
+B_L(U, V) is assembled once; the two differ only in the triple's values at
+V's angles (the bump triple or the log triple), and either is read in V's
+eigenbasis, which needs no product with Q beyond Q*UQ.  For a plain pair
+the single hermitian spectrum of that matrix gives kappa and the measured
+gap.  A ``SelfDualPair``, which only ``make_selfdual_pair`` makes after its
+self-duality gates, has V's eigenbasis in Kramers form, Q^# = Q*, so the
+same matrix is anti-self-dual: one real reduction of it gives kappa2, the
+sign of its modified Pfaffian, and a spectrum within a stated eta of B's,
+which gives kappa and the measured gap.  Every index of a method
 is certified up to ``config.certified_threshold(method)``, the threshold
 that the index functions refuse above.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .bott import _spectrum_in_eigenbasis, _trig_values
+from .bott import _eigenbasis_B, _spectrum_in_eigenbasis, _trig_values
 from .bounds import guaranteed_gap
 from .config import certified_threshold
 from .errors import GapClosed, NoGuarantee, NumericalInconsistency
@@ -80,10 +82,15 @@ def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:
     if winding is not None:
         report.omega = winding.omega
 
-    bm = _spectrum_in_eigenbasis(pair, _log_values if method == "log" else _trig_values)
-    report.gap_measured = bm.gap
+    values = _log_values if method == "log" else _trig_values
+    if isinstance(pair, SelfDualPair):
+        spectrum = _pfaffian_sign(_eigenbasis_B(pair, values))
+        report.kappa2 = spectrum.sign
+    else:
+        spectrum = _spectrum_in_eigenbasis(pair, values)
+    report.gap_measured = spectrum.gap
     try:
-        report.kappa = bm.signature() // 2
+        report.kappa = spectrum.signature() // 2
     except GapClosed:
         pass
     if method == "trig":  # beta bounds ||B^2 - I|| for the bump triple only
@@ -91,8 +98,6 @@ def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:
             report.gap_guaranteed = guaranteed_gap(pair.delta)
         except NoGuarantee:
             pass
-    if isinstance(pair, SelfDualPair):
-        report.kappa2 = _pfaffian_sign(bm)
     if winding is not None and winding.omega != 0:
         report.distance_commuting = winding.distance_bound()
 

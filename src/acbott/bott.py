@@ -165,8 +165,22 @@ def standard_triple() -> StandardTriple:
     return StandardTriple(eval_f, eval_g, eval_h, f5, g5, h5, c16)
 
 
+class _Spectrum:
+    """The gap at zero and the signature of an ascending spectrum ``eigs``."""
+
+    eigs: np.ndarray
+
+    @property
+    def gap(self) -> float:
+        """Spectral gap at zero."""
+        return float(np.min(np.abs(self.eigs)))
+
+    def signature(self) -> int:
+        return _count_signature(self.eigs)
+
+
 @dataclass(frozen=True)
-class BottMatrix:
+class BottMatrix(_Spectrum):
     """Hermitian block matrix together with its ascending spectrum."""
 
     B: np.ndarray
@@ -176,14 +190,6 @@ class BottMatrix:
     def of(cls, B: np.ndarray) -> "BottMatrix":
         return cls(B, np.linalg.eigvalsh(B))
 
-    @property
-    def gap(self) -> float:
-        """Spectral gap of B at zero."""
-        return float(np.min(np.abs(self.eigs)))
-
-    def signature(self) -> int:
-        return _count_signature(self.eigs)
-
 
 def _trig_values(angles):
     """The bump triple's (f, g, h) at V's angles."""
@@ -191,8 +197,8 @@ def _trig_values(angles):
     return t.f(angles), t.g(angles), t.h(angles)
 
 
-def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> BottMatrix:
-    """The block matrix of a triple and U in V's eigenbasis, and its spectrum.
+def _eigenbasis_B(pair: UnitaryPair, values) -> np.ndarray:
+    """The block matrix of a triple and U in V's eigenbasis.
 
     ``values`` maps V's angles to the triple's (f, g, h) there.  With
     V = Q diag(e^{i theta}) Q* and U~ = Q* U Q, the matrix
@@ -219,8 +225,13 @@ def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> BottMatrix:
     B[d + n, d + n] = -fvals
     B[n:, :n] = lower
     B[:n, n:] = lower.conj().T
-    del lower
-    return BottMatrix.of(B)
+    return B
+
+
+def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> BottMatrix:
+    """:func:`_eigenbasis_B` and its hermitian spectrum.  A self-dual request
+    reads B's spectrum from :func:`selfdual._pfaffian_sign` instead."""
+    return BottMatrix.of(_eigenbasis_B(pair, values))
 
 
 def _in_standard_basis(pair: UnitaryPair, values) -> BottMatrix:

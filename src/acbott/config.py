@@ -40,7 +40,6 @@ class Tolerances:
 
     unitary: float = 1e-8          # ||U*U - I|| gate
     hermitian: float = 1e-8        # ||H - H*|| gate
-    skew: float = 1e-8             # ||X + X^T|| gate (relative to scale)
     selfdual: float = 1e-9         # ||X - X^sharp|| gate for validated inputs
     singular: float = 1e-12        # smallest singular value gate for polar part
     rounding_hard: float = 0.01    # residue beyond which the input is broken

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bott import BottMatrix, _in_standard_basis, _spectrum_in_eigenbasis, require_certified
+from .bott import BottMatrix, _eigenbasis_B, _in_standard_basis, require_certified
 from .linalg import UnitaryPair, unitary_eig
 from .selfdual import SelfDualPair, _hermitian_part, _pfaffian_sign
 
@@ -55,4 +55,4 @@ def kappa2_log(sd: SelfDualPair) -> int:
     delta <= 1/8, refused beyond it with ThresholdExceeded
     (``analysis.analyze(sd, method="log")`` computes it at any delta)."""
     require_certified(sd.delta, "log")
-    return _pfaffian_sign(_spectrum_in_eigenbasis(sd, _log_values))
+    return _pfaffian_sign(_eigenbasis_B(sd, _log_values)).sign

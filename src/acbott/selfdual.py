@@ -1,4 +1,4 @@
-"""The dual, Pfaffians, and the sign-valued index.
+"""The dual, the modified Pfaffian, and the sign-valued index.
 
 The dual of X is X^# = -Z X^T Z with Z = ((0, I), (-I, 0)) in N x N blocks,
 so the dimension 2N alone fixes it.  Matrices fixed by the dual form the
@@ -9,11 +9,12 @@ invariant is the sign of a modified Pfaffian of the same block matrix
 signed reversals of equal blocks; the dual, the block dual K X^T K, the
 Kramers partner -Z conj(q) and the rotation Q read that one structure.
 
-Two Pfaffian routes serve general complex skew input: Householder
-congruences in complex arithmetic, cross-checked against pivoted LTL^T
-elimination.  The sign index takes a third, real route: for the hermitian
-block matrix, Q* B Q is i times a real skew matrix, whose Pfaffian comes from
-one LAPACK Hessenberg reduction and is checked against the spectrum of B.
+The sign index takes a real route: for the hermitian block matrix, Q* B Q
+is i times a real skew matrix R, formed in real arithmetic.  One LAPACK
+Hessenberg reduction takes R to a skew tridiagonal T, which gives the
+Pfaffian and, in O(dim^2), the spectrum of B up to a stated bound eta; the
+sign is reliable when eta is below that spectrum's gap.  No complex
+eigensolver of B runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .bott import BottMatrix, _spectrum_in_eigenbasis, _trig_values, require_certified
+from .bott import _Spectrum, _eigenbasis_B, _trig_values, require_certified
 from .config import DEFAULT_TOL
 from .errors import (
     DimensionMismatch,
@@ -35,9 +36,7 @@ from .errors import (
     NotAntiSelfDual,
     NotHermitian,
     NotSelfDual,
-    NotSkewSymmetric,
     NumericalInconsistency,
-    OddDimension,
 )
 from .linalg import (
     UnitaryPair,
@@ -46,7 +45,6 @@ from .linalg import (
     gate_norm,
     gate_relative,
     make_pair,
-    operator_norm,
 )
 
 
@@ -209,231 +207,157 @@ def make_selfdual_pair(U, V) -> SelfDualPair:
 
 
 # ---------------------------------------------------------------------------
-# Pfaffian
+# The sign index
 # ---------------------------------------------------------------------------
 
 
-def _check_skew(X) -> np.ndarray:
-    dim = X.shape[0]
-    if dim % 2 != 0:
-        raise OddDimension(f"Pfaffian needs even dimension, got {dim}")
-    limit = DEFAULT_TOL.skew * max(1.0, float(np.max(np.abs(X))))
-    drift = gate_norm(X + X.T, limit)
-    if drift > limit:
-        raise NotSkewSymmetric(f"skew-symmetry violated by {drift:.3e}")
-    return (X - X.T) / 2
+def _rotated_anti_selfdual(X: np.ndarray) -> Tuple[np.ndarray, float, float]:
+    """(R, ||X + X^#||_F, ||Re S||_F) for S = Q* X_a Q = Re S + iR.
 
-
-def _pfaffian_sign_log(X: np.ndarray) -> Tuple[complex, float]:
-    """(phase, log magnitude) of the Pfaffian of an exactly skew X.
-
-    Householder congruences P X P^T reduce X to skew tridiagonal form; each
-    reflector contributes det = -1 and the Pfaffian of the tridiagonal matrix
-    is the product of its odd-position superdiagonal entries.
+    X_a = (X - X^#)/2 is the anti-self-dual part of X.  The gate on
+    ||X + X^#|| against 1e-7 * max(1, ||X||) reads ``gate_relative``, so it
+    is decided as by the exact norms and takes an SVD only when the cheap
+    bounds do not decide.  K^2 = I and X_a^# = K X_a^T K = -X_a entry for
+    entry, so S = (X_a - X_a^T + i (X_a K - K X_a)) / 2.  With
+    X_a = X_r + i X_i, R = (X_i - X_i^T + X_r K - K X_r) / 2 is written in
+    real arithmetic to a Fortran-ordered array, skew as computed, which
+    ``dgehrd`` reduces in place; Re S = (X_r - X_r^T - (X_i K - K X_i)) / 2
+    goes straight to its Frobenius norm.  No complex array of S is formed.
     """
-    T = np.array(X, dtype=complex)
-    n = T.shape[0]
-    if n == 0:
-        return 1.0 + 0j, 0.0
-    det_p = 1.0
-    for k in range(n - 2):
-        col = T[k + 1 :, k]
-        nrm = float(np.linalg.norm(col))
-        # a zero column is already reduced; it only kills the Pfaffian if the
-        # vanishing entry lands at an even superdiagonal position, which the
-        # final product detects
-        if nrm == 0.0 or float(np.linalg.norm(col[1:])) <= 1e-18 * nrm:
-            continue
-        # exp(i arg) instead of z/|z|: safe for subnormal entries
-        phase = np.exp(1j * np.angle(col[0])) if col[0] != 0 else 1.0
-        v = col.copy()
-        v[0] += phase * nrm
-        v /= np.linalg.norm(v)
-        T[k + 1 :, :] -= 2.0 * np.outer(v, v.conj() @ T[k + 1 :, :])
-        T[:, k + 1 :] -= 2.0 * np.outer(T[:, k + 1 :] @ v.conj(), v)
-        det_p = -det_p
-    phase_acc = complex(det_p)
-    log_mag = 0.0
-    for j in range(0, n - 1, 2):
-        b = T[j, j + 1]
-        a = abs(b)
-        if a == 0.0:
-            return 0j, -math.inf
-        phase_acc *= np.exp(1j * np.angle(b))
-        log_mag += math.log(a)
-    return phase_acc, log_mag
+    Xd = dual_tensor(X)
+    D = X + Xd
+    failed = gate_relative(D, X, 1e-7)
+    if failed is not None:
+        raise NotAntiSelfDual(f"anti-self-duality violated by {failed:.3e}")
+    drift = float(np.linalg.norm(D))
+    del D
+    Xa = np.subtract(X, Xd, out=Xd)
+    Xa /= 2
+    perm, sign = _block_reversal(X.shape[0], _K)
+
+    def commutator(Y):  # Y K - K Y
+        YK = Y[:, perm]
+        YK *= sign
+        KY = Y[perm]
+        KY *= sign[:, None]
+        YK -= KY
+        return YK
+
+    R = np.empty(X.shape, order="F")
+    np.subtract(Xa.imag, Xa.imag.T, out=R)
+    R += commutator(Xa.real)
+    R /= 2
+    re_s = commutator(Xa.imag)
+    np.subtract(Xa.real, re_s, out=re_s)
+    re_s -= Xa.real.T
+    return R, drift, float(np.linalg.norm(re_s)) / 2
 
 
-def _real_pfaffian_sign_log(R: np.ndarray) -> Tuple[int, float]:
-    """(sign, log magnitude) of the Pfaffian of an exactly skew real R.
+def _real_pfaffian_sign_log(R: np.ndarray) -> Tuple[int, float, np.ndarray, float]:
+    """(sign, log |Pf|, spectrum, residual) of an exactly skew real R.
 
     One blocked LAPACK Hessenberg reduction (dgehrd) gives H = O^T R O with
     O a product of elementary reflectors.  For a real O the similarity is
-    also a congruence, so H is skew tridiagonal up to rounding and
-    Pf(R) = det(O) prod_j H[2j, 2j+1], where each reflector with nonzero tau
-    contributes det = -1.
+    also a congruence, so H is a skew tridiagonal T up to rounding, and
+    Pf(R) = det(O) prod_j T[2j, 2j+1], where each reflector with nonzero tau
+    contributes det = -1.  A diagonal unitary similarity takes iT to the
+    symmetric tridiagonal with zero diagonal and off-diagonal |T[j, j+1]|,
+    whose ascending spectrum ``dsterf`` gives in O(n^2) (Ward & Gray, ACM
+    TOMS 4 (1978)).  residual = ||H - T||_F counts what the reduction leaves
+    outside T: the diagonal, the skew defect of the band and everything above
+    the superdiagonal.  A Fortran-ordered float R is overwritten.
     """
-    from scipy.linalg.lapack import dgehrd, dgehrd_lwork
+    from scipy.linalg.lapack import dgehrd, dgehrd_lwork, dlantr, dsterf
 
     n = R.shape[0]
     work, info = dgehrd_lwork(n)
     if info != 0:
         raise NumericalInconsistency(f"dgehrd workspace query failed: info {info}")
     H, tau, info = dgehrd(
-        np.array(R, dtype=float, order="F"), lwork=int(work), overwrite_a=True
+        np.asfortranarray(R, dtype=float), lwork=int(work), overwrite_a=True
     )
     if info != 0:
         raise NumericalInconsistency(f"dgehrd failed: info {info}")
-    b = np.diagonal(H, 1)[::2]
-    if np.any(b == 0.0):
-        return 0, -math.inf
-    flips = np.count_nonzero(tau) + np.count_nonzero(b < 0.0)
-    return (-1 if flips % 2 else 1), float(np.sum(np.log(np.abs(b))))
+    b = np.diagonal(H, 1).copy()
+    band = float(np.linalg.norm(np.diagonal(H, -1) + b))
+    # zeroing T's superdiagonal leaves H - T in H's upper triangle; below it
+    # dgehrd keeps its reflectors, which dlantr does not read
+    H[np.arange(n - 1), np.arange(1, n)] = 0.0
+    residual = math.hypot(band, dlantr("F", H))
+    eigs, info = dsterf(np.zeros(n), np.abs(b))
+    if info != 0:
+        raise NumericalInconsistency(f"dsterf failed: info {info}")
+    pivots = b[::2]
+    if np.any(pivots == 0.0):
+        return 0, -math.inf, eigs, residual
+    flips = np.count_nonzero(tau) + np.count_nonzero(pivots < 0.0)
+    sign = -1 if flips % 2 else 1
+    return sign, float(np.sum(np.log(np.abs(pivots)))), eigs, residual
 
 
-def _pfaffian_parlett_reid(X: np.ndarray) -> complex:
-    """Pivoted LTL^T elimination, kept as an independent cross-check."""
-    T = np.array(X, dtype=complex)
-    n = T.shape[0]
-    sign = 1.0
-    for k in range(n - 2):
-        p = k + 1 + int(np.argmax(np.abs(T[k + 1 :, k])))
-        if p != k + 1:
-            T[[k + 1, p], :] = T[[p, k + 1], :]
-            T[:, [k + 1, p]] = T[:, [p, k + 1]]
-            sign = -sign
-        piv = T[k + 1, k]
-        if piv == 0:
-            continue
-        mu = T[k + 2 :, k] / piv
-        T[k + 2 :, :] -= np.outer(mu, T[k + 1, :])
-        T[:, k + 2 :] -= np.outer(T[:, k + 1], mu)
-    out = complex(sign)
-    for j in range(0, n - 1, 2):
-        out *= T[j, j + 1]
-    return out
+@dataclass(frozen=True)
+class PfaffianSign(_Spectrum):
+    """kappa2's sign from one real reduction of B, and whether it holds.
 
-
-def pfaffian(X) -> complex:
-    """Pfaffian of a complex skew-symmetric matrix; Pf(X)^2 = det(X).
-
-    Below dimension 65 the Householder value is cross-checked against the
-    pivoted LTL^T elimination; disagreement raises NumericalInconsistency.
+    ``eigs`` is the reduction's tridiagonal spectrum; each eigenvalue of B
+    lies within ``eta`` of one of them, so the sign is ``reliable`` when eta
+    is below their ``gap``.
     """
-    X = as_matrix(X)
-    S = _check_skew(X)
-    phase, log_mag = _pfaffian_sign_log(S)
-    if log_mag == -math.inf:
-        return 0j
-    value = phase * math.exp(log_mag)
-    # plain product overflows outside this window; skip the check there
-    if S.shape[0] <= 64 and abs(log_mag) < 600.0:
-        ref = _pfaffian_parlett_reid(S)
-        scale = max(abs(value), abs(ref))
-        if scale > 0.0 and abs(value - ref) > 1e-6 * scale:
-            raise NumericalInconsistency(
-                f"Pfaffian routes disagree: {value:.6e} vs {ref:.6e}"
-            )
-    return value
+
+    sign: int
+    log_magnitude: float
+    eta: float
+    eigs: np.ndarray
+
+    @property
+    def reliable(self) -> bool:
+        return self.eta < self.gap
 
 
-def _rotated_anti_selfdual(X: np.ndarray, norm: float) -> Tuple[np.ndarray, float]:
-    """(Q* X_a Q, an upper bound on ||X + X^#||), exactly skew.
-
-    X_a = (X - X^#)/2 is the anti-self-dual part of X.  The gate against
-    1e-7 * max(1, norm) reads ``gate_norm``, so it is decided as by the exact
-    norm and takes an SVD only when the Frobenius bound does not clear it.
-    """
-    Xd = dual_tensor(X)
-    limit = 1e-7 * max(1.0, norm)
-    drift = gate_norm(X + Xd, limit)
-    if drift > limit:
-        raise NotAntiSelfDual(f"anti-self-duality violated by {drift:.3e}")
-    Xa = X - Xd
-    del Xd
-    Xa /= 2
-    # K^2 = I and X_a^# = K X_a^T K = -X_a entry for entry, so Q* X_a Q =
-    # (X_a - X_a^T + i (X_a K - K X_a)) / 2 is skew as computed.  The terms
-    # are formed in place and dropped once used: these arrays are the
-    # largest of a self-dual request and set its peak memory.
-    perm, sign = _block_reversal(X.shape[0], _K)
-    KX = Xa[perm]
-    KX *= sign[:, None]
-    XK = Xa[:, perm]
-    XK *= sign
-    XK -= KX
-    del KX
-    S = Xa - Xa.T
-    del Xa
-    S += 1j * XK
-    S /= 2
-    return S, drift
-
-
-def modified_pfaffian(X) -> complex:
-    """Pf(Q* X Q) for anti-self-dual X; squares to det(X).
-
-    X must have dimension 4N and be anti-self-dual to 1e-7 * max(1, ||X||).
-    """
-    X = as_matrix(X)
-    S, _ = _rotated_anti_selfdual(X, operator_norm(X))
-    phase, log_mag = _pfaffian_sign_log(S)
-    if log_mag == -math.inf:
-        return 0j
-    return phase * math.exp(log_mag)
-
-
-# ---------------------------------------------------------------------------
-# The sign index
-# ---------------------------------------------------------------------------
-
-
-def _pfaffian_sign(bm: BottMatrix) -> int:
-    """Sign of the modified Pfaffian of bm.B, with the magnitude cross-check.
+def _pfaffian_sign(B: np.ndarray) -> PfaffianSign:
+    """Sign of the modified Pfaffian of B, with B's spectrum, from one real reduction.
 
     B is hermitian and anti-self-dual, so S = Q* B Q is hermitian and skew:
     S = iR with R = Im S real skew.  A non-hermitian B would leave a real part
     in S; ||Re S||_F above 1e-7 * max(1, ||B||) raises NumericalInconsistency.
     The Pfaffian is then real, Pf(S) = i^(dim/2) Pf(R) = (-1)^N Pf(R), and
-    Pf(R) comes from one real Hessenberg reduction.  B is hermitian, so
-    ||B|| = max |eigenvalue|.
+    Pf(R) and the spectrum of iT come from :func:`_real_pfaffian_sign_log`.
 
-    S has the spectrum of B up to eta = ||B + B^#|| / 2 + ||Re S||_F plus the
-    rounding of the reductions, counted as dim * 1e-13 * max(1, ||B||).  Its
-    eigenvalues come in +- pairs, so |Pf(S)| = prod |lambda_i|^(1/2), and
-    when eta < gap the computed log |Pf| must lie within
-    (dim/2) * eta / (gap - eta) of (1/2) sum log |lambda_i| over bm.eigs.
-    Outside that window, or when eta reaches the gap, IllConditionedSign is
-    warned: the sign may be unreliable.
+    R' = O T O^T is exactly skew, and ||Q* B Q - iR'|| is at most
+    ||B + B^#|| / 2 + ||Re S|| + ||H - T|| plus the rounding of the two
+    reductions.  eta adds Frobenius norms, each an upper bound, and counts
+    the rounding as dim * 1e-13 * scale, where scale = max|lambda_T| + eta,
+    solved for, bounds ||B|| from above.  By Weyl's inequality each
+    eigenvalue of B lies within eta of one of T's, and so does each one of
+    every skew matrix on the straight path from R' to R: when eta is below
+    T's gap no determinant on the path vanishes, and Pf(R) has the sign of
+    Pf(R') = det(O) Pf(T).  Otherwise IllConditionedSign is warned: the sign
+    may be unreliable.
     """
-    norm = float(np.max(np.abs(bm.eigs)))
-    scale = max(1.0, norm)
-    S, drift = _rotated_anti_selfdual(bm.B, norm)
-    real_part = float(np.linalg.norm(S.real))
+    dim = B.shape[0]
+    R, drift, real_part = _rotated_anti_selfdual(B)
+    del B  # the reduction needs R only
+    sign, log_mag, eigs, residual = _real_pfaffian_sign_log(R)
+    eta = drift / 2 + real_part + residual
+    rounding = dim * 1e-13
+    scale = max(1.0, (float(np.max(np.abs(eigs))) + eta) / (1.0 - rounding))
     if real_part > 1e-7 * scale:
         raise NumericalInconsistency(
             f"Q* B Q has a real part of Frobenius norm {real_part:.3e}; "
             "B is not hermitian"
         )
-    sign, log_mag = _real_pfaffian_sign_log(S.imag)
     if log_mag == -math.inf:
         raise NumericalInconsistency("modified Pfaffian vanished")
-    dim = bm.B.shape[0]
     if (dim // 4) % 2:
         sign = -sign
-    eta = drift / 2 + real_part + dim * 1e-13 * scale
-    if eta < bm.gap:
-        spectral = 0.5 * float(np.sum(np.log(np.abs(bm.eigs))))
-        reliable = abs(log_mag - spectral) <= (dim / 2) * eta / (bm.gap - eta)
-    else:
-        reliable = False
-    if not reliable:
+    record = PfaffianSign(sign, log_mag, eta + rounding * scale, eigs)
+    if not record.reliable:
         warnings.warn(
-            "Pfaffian magnitude disagrees with the spectrum of B; "
+            "the error bound of B's spectrum reaches its gap; "
             "sign may be unreliable",
             IllConditionedSign,
         )
-    return sign
+    return record
 
 
 def pfaffian_bott_index(sd: SelfDualPair) -> int:
@@ -444,7 +368,7 @@ def pfaffian_bott_index(sd: SelfDualPair) -> int:
     whether it is certified.
     """
     require_certified(sd.delta, "trig")
-    return _pfaffian_sign(_spectrum_in_eigenbasis(sd, _trig_values))
+    return _pfaffian_sign(_eigenbasis_B(sd, _trig_values)).sign
 
 
 def selfdual_distance_bounds(sdA: SelfDualPair, sdB: SelfDualPair) -> float:

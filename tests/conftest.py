@@ -23,14 +23,18 @@ def factorizations(monkeypatch):
     """Counter of the dense factorizations made while the test runs.
 
     Every route the package could take to a spectrum is counted: the Schur
-    form, general eigenvalues and hermitian eigenvalues with or without
-    vectors.  ``clear()`` starts the count again.
+    form, general eigenvalues, hermitian eigenvalues with or without
+    vectors, and the real Hessenberg reduction and tridiagonal spectrum of
+    the self-dual route.  ``clear()`` starts the count again.
     """
     import scipy.linalg
+    import scipy.linalg.lapack
 
     counts = Counter()
     for module, name in (
         (scipy.linalg, "schur"),
+        (scipy.linalg.lapack, "dgehrd"),
+        (scipy.linalg.lapack, "dsterf"),
         (scipy.linalg, "eigvals"),
         (np.linalg, "eigvals"),
         (np.linalg, "eigvalsh"),

@@ -1,13 +1,20 @@
-"""Shared matrix generators for the test suite.
+"""Shared matrix generators and oracles for the test suite.
 
 These are deliberately independent of the generators module so that tests of
-that module have something to check against.
+that module have something to check against.  The oracles assemble B in the
+standard basis and take Pfaffians of general complex skew matrices by
+Householder congruences and by pivoted LTL^T elimination; the library's
+request paths use none of them.
 """
+
+import math
 
 import numpy as np
 
 from acbott.bott import BottMatrix, standard_triple
-from acbott.linalg import apply_trigpoly
+from acbott.errors import NotSkewSymmetric, NumericalInconsistency, OddDimension
+from acbott.linalg import apply_trigpoly, as_matrix, gate_norm
+from acbott.selfdual import _rotated_anti_selfdual
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -88,3 +95,130 @@ def standard_form(N: int) -> np.ndarray:
     eye = np.eye(N)
     zero = np.zeros((N, N))
     return np.block([[zero, eye], [-eye, zero]]).astype(complex)
+
+
+# ---------------------------------------------------------------------------
+# Pfaffians of general complex skew matrices, the oracles of the real route
+# ---------------------------------------------------------------------------
+
+
+def _check_skew(X) -> np.ndarray:
+    dim = X.shape[0]
+    if dim % 2 != 0:
+        raise OddDimension(f"Pfaffian needs even dimension, got {dim}")
+    limit = 1e-8 * max(1.0, float(np.max(np.abs(X))))
+    drift = gate_norm(X + X.T, limit)
+    if drift > limit:
+        raise NotSkewSymmetric(f"skew-symmetry violated by {drift:.3e}")
+    return (X - X.T) / 2
+
+
+def _pfaffian_sign_log(X: np.ndarray):
+    """(phase, log magnitude) of the Pfaffian of an exactly skew X.
+
+    Householder congruences P X P^T reduce X to skew tridiagonal form; each
+    reflector contributes det = -1 and the Pfaffian of the tridiagonal matrix
+    is the product of its odd-position superdiagonal entries.
+    """
+    T = np.array(X, dtype=complex)
+    n = T.shape[0]
+    if n == 0:
+        return 1.0 + 0j, 0.0
+    det_p = 1.0
+    for k in range(n - 2):
+        col = T[k + 1 :, k]
+        nrm = float(np.linalg.norm(col))
+        # a zero column is already reduced; it only kills the Pfaffian if the
+        # vanishing entry lands at an even superdiagonal position, which the
+        # final product detects
+        if nrm == 0.0 or float(np.linalg.norm(col[1:])) <= 1e-18 * nrm:
+            continue
+        # exp(i arg) instead of z/|z|: safe for subnormal entries
+        phase = np.exp(1j * np.angle(col[0])) if col[0] != 0 else 1.0
+        v = col.copy()
+        v[0] += phase * nrm
+        v /= np.linalg.norm(v)
+        T[k + 1 :, :] -= 2.0 * np.outer(v, v.conj() @ T[k + 1 :, :])
+        T[:, k + 1 :] -= 2.0 * np.outer(T[:, k + 1 :] @ v.conj(), v)
+        det_p = -det_p
+    phase_acc = complex(det_p)
+    log_mag = 0.0
+    for j in range(0, n - 1, 2):
+        b = T[j, j + 1]
+        a = abs(b)
+        if a == 0.0:
+            return 0j, -math.inf
+        phase_acc *= np.exp(1j * np.angle(b))
+        log_mag += math.log(a)
+    return phase_acc, log_mag
+
+
+def _pfaffian_parlett_reid(X: np.ndarray) -> complex:
+    """Pivoted LTL^T elimination, kept as an independent cross-check."""
+    T = np.array(X, dtype=complex)
+    n = T.shape[0]
+    sign = 1.0
+    for k in range(n - 2):
+        p = k + 1 + int(np.argmax(np.abs(T[k + 1 :, k])))
+        if p != k + 1:
+            T[[k + 1, p], :] = T[[p, k + 1], :]
+            T[:, [k + 1, p]] = T[:, [p, k + 1]]
+            sign = -sign
+        piv = T[k + 1, k]
+        if piv == 0:
+            continue
+        mu = T[k + 2 :, k] / piv
+        T[k + 2 :, :] -= np.outer(mu, T[k + 1, :])
+        T[:, k + 2 :] -= np.outer(T[:, k + 1], mu)
+    out = complex(sign)
+    for j in range(0, n - 1, 2):
+        out *= T[j, j + 1]
+    return out
+
+
+def pfaffian(X) -> complex:
+    """Pfaffian of a complex skew-symmetric matrix; Pf(X)^2 = det(X).
+
+    Below dimension 65 the Householder value is cross-checked against the
+    pivoted LTL^T elimination; disagreement raises NumericalInconsistency.
+    """
+    X = as_matrix(X)
+    S = _check_skew(X)
+    phase, log_mag = _pfaffian_sign_log(S)
+    if log_mag == -math.inf:
+        return 0j
+    value = phase * math.exp(log_mag)
+    # plain product overflows outside this window; skip the check there
+    if S.shape[0] <= 64 and abs(log_mag) < 600.0:
+        ref = _pfaffian_parlett_reid(S)
+        scale = max(abs(value), abs(ref))
+        if scale > 0.0 and abs(value - ref) > 1e-6 * scale:
+            raise NumericalInconsistency(
+                f"Pfaffian routes disagree: {value:.6e} vs {ref:.6e}"
+            )
+    return value
+
+
+def rotated(X) -> np.ndarray:
+    """Q* X_a Q for the anti-self-dual part X_a of X, with Q = (I + iK)/sqrt(2)
+    formed densely: the skew part of Q* X Q, since Q^T X^T conj(Q) = Q* X^# Q."""
+    N = X.shape[0] // 4
+    Z = standard_form(N)
+    eye = np.eye(2 * N)
+    Q = np.block([[eye, -1j * Z], [1j * Z, eye]]) / np.sqrt(2.0)
+    S = Q.conj().T @ X @ Q
+    return (S - S.T) / 2
+
+
+def modified_pfaffian(X) -> complex:
+    """Pf(Q* X Q) for anti-self-dual X; squares to det(X).
+
+    X must have dimension 4N and pass the library's anti-self-duality gate
+    at 1e-7 * max(1, ||X||); the rotation is this module's own.
+    """
+    X = as_matrix(X)
+    _rotated_anti_selfdual(X)
+    phase, log_mag = _pfaffian_sign_log(rotated(X))
+    if log_mag == -math.inf:
+        return 0j
+    return phase * math.exp(log_mag)

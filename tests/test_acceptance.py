@@ -28,13 +28,17 @@ from acbott.selfdual import (
     check_kramers,
     dual,
     make_selfdual_pair,
-    modified_pfaffian,
-    pfaffian,
     pfaffian_bott_index,
 )
 from acbott.winding import winding_number, winding_via_path
 
-from support import haar_unitary, pfaffian_cofactor, random_hermitian
+from support import (
+    haar_unitary,
+    modified_pfaffian,
+    pfaffian,
+    pfaffian_cofactor,
+    random_hermitian,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,10 @@ from acbott.selfdual import (
     check_kramers,
     dual,
     make_selfdual_pair,
-    pfaffian,
     pfaffian_bott_index,
 )
 from acbott.winding import distance_bound_commuting, winding_number, winding_via_path
-from support import haar_unitary, random_hermitian, random_skew, shift_matrix
+from support import haar_unitary, pfaffian, random_hermitian, random_skew, shift_matrix
 
 
 def test_as_matrix_rejects_nonsquare():
@@ -372,8 +371,8 @@ def test_selfdual_calls_share_one_factorization_per_matrix(factorizations):
     results = [call(sd) for call in calls]
     assert results[1:] == [-1, -1]
     # one Schur of W; V's cut eigvalsh and Cayley eigh, shared by B and B_L;
-    # the spectra of B and B_L
-    assert factorizations == Counter(schur=1, eigh=1, eigvalsh=3)
+    # one real reduction each of B and B_L, with its tridiagonal spectrum
+    assert factorizations == Counter(schur=1, eigh=1, eigvalsh=1, dgehrd=2, dsterf=2)
     for call, result in zip(calls, results):
         assert call(make_selfdual_pair(base.U, base.V)) == result
 

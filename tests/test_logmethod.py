@@ -249,7 +249,8 @@ def test_kappa2_log_reuses_V_and_gates_self_duality_once(factorizations, monkeyp
             monkeypatch.setattr(module, "gate_norm", counted)
     factorizations.clear()
     assert kappa2_log(sd) == -1
-    assert factorizations == Counter(eigvalsh=1)  # the spectrum of B_L
+    # one real reduction of B_L and its tridiagonal spectrum
+    assert factorizations == Counter(dgehrd=1, dsterf=1)
     assert len(gates) == 1
 
 
@@ -262,8 +263,8 @@ def test_split_kramers_pair_at_the_cut_answers_on_the_log_route(factorizations):
     assert operator_norm(sd.V - dual(sd.V)) <= 1e-9
     factorizations.clear()
     assert kappa2_log(sd) == 1
-    # V's cut eigvalsh and Cayley eigh, once; the spectrum of B_L
-    assert factorizations == Counter(eigvalsh=2, eigh=1)
+    # V's cut eigvalsh and Cayley eigh, once; one real reduction of B_L
+    assert factorizations == Counter(eigvalsh=1, eigh=1, dgehrd=1, dsterf=1)
     assert np.array_equal(sd.v_eig[0], [np.pi, np.pi])
     assert analyze(sd, method="log").kappa2 == 1
     assert pfaffian_bott_index(sd) == 1

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 import acbott.selfdual as selfdual
 from acbott.analysis import analyze
 from acbott.bott import (
-    BottMatrix,
+    _eigenbasis_B,
     _spectrum_in_eigenbasis,
     _trig_values,
     bott_index,
@@ -44,25 +44,26 @@ from acbott.logmethod import _log_values, build_BL, kappa2_log
 from acbott.selfdual import (
     SelfDualPair,
     _pfaffian_sign,
-    _pfaffian_sign_log,
     _real_pfaffian_sign_log,
     _rotated_anti_selfdual,
     check_kramers,
     dual,
     dual_tensor,
     make_selfdual_pair,
-    modified_pfaffian,
-    pfaffian,
     pfaffian_bott_index,
     selfdual_distance_bounds,
     selfdual_part,
 )
 from support import (
+    _pfaffian_sign_log,
     haar_unitary,
     horner_B,
+    modified_pfaffian,
+    pfaffian,
     pfaffian_cofactor,
     random_hermitian,
     random_skew,
+    rotated,
     standard_basis_B,
     standard_form,
 )
@@ -90,14 +91,17 @@ def test_rotation_by_slicing_matches_dense_product(N):
     Z = standard_form(N)
     Y = rng.normal(size=(4 * N, 4 * N)) + 1j * rng.normal(size=(4 * N, 4 * N))
     X = 3.0 * (Y - dual_tensor(Y)) / 2  # exactly anti-self-dual
-    S, drift = _rotated_anti_selfdual(X, 1.0)
+    R, drift, real_part = _rotated_anti_selfdual(X)
     assert drift == 0.0
     eye = np.eye(2 * N)
     Q = np.block([[eye, -1j * Z], [1j * Z, eye]]) / np.sqrt(2.0)
     dense = Q.conj().T @ X @ Q
     dense = (dense - dense.T) / 2
-    assert np.max(np.abs(S - dense)) <= 1e-14 * max(1.0, np.linalg.norm(X, 2))
-    assert np.array_equal(S, -S.T)
+    tol = 1e-14 * max(1.0, np.linalg.norm(X, 2))
+    assert np.max(np.abs(R - dense.imag)) <= tol
+    assert real_part == pytest.approx(np.linalg.norm(dense.real), abs=tol * 4 * N)
+    assert np.array_equal(R, -R.T)
+    assert R.flags.f_contiguous
 
 
 def test_dual_of_structure_matrix():
@@ -264,7 +268,7 @@ def test_kappa2_doubled_cyclic_64():
     # the log route in test_logmethod confirms the same value
     sd = selfdual_doubling(cyclic_shift_pair(64))
     assert pfaffian_bott_index(sd) == -1
-    assert _pfaffian_sign(horner_B(sd)) == -1
+    assert _pfaffian_sign(horner_B(sd).B).sign == -1
 
 
 def test_kappa2_threshold_gate():
@@ -306,14 +310,15 @@ def test_selfdual_distance_bound_threshold_gate():
 
 
 def _both_routes(B):
-    """(complex phase, log|Pf|) and (sign, log|Pf|) of Pf(Q* B Q)."""
+    """(complex phase, log|Pf|) and (sign, log|Pf|) of Pf(Q* B Q): the
+    Householder route on the dense rotation, and the library's real route."""
     norm = float(np.max(np.abs(np.linalg.eigvalsh(B))))
-    S, _ = _rotated_anti_selfdual(B, norm)
-    assert np.linalg.norm(S.real) <= 1e-12 * max(1.0, norm)
-    sign, log_mag = _real_pfaffian_sign_log(S.imag)
+    R, _, real_part = _rotated_anti_selfdual(B)
+    assert real_part <= 1e-12 * max(1.0, norm)
+    sign, log_mag, _, _ = _real_pfaffian_sign_log(R)
     # Pf(iR) = i^(dim/2) Pf(R) = (-1)^N Pf(R)
     sign = -sign if (B.shape[0] // 4) % 2 else sign
-    return _pfaffian_sign_log(S), (sign, log_mag)
+    return _pfaffian_sign_log(rotated(B)), (sign, log_mag)
 
 
 def _random_hermitian_anti_selfdual(N, rng):
@@ -360,8 +365,7 @@ def test_real_route_standard_blocks():
     for N in (1, 2, 3):
         I = np.eye(2 * N)
         O = np.zeros((2 * N, 2 * N))
-        bm = BottMatrix.of(np.block([[O, I], [I, O]]))
-        assert _pfaffian_sign(bm) == 1
+        assert _pfaffian_sign(np.block([[O, I], [I, O]])).sign == 1
 
 
 def test_kappa2_selfdual_N256():
@@ -382,29 +386,40 @@ def test_pfaffian_sign_rejects_non_hermitian_B():
     # i times a hermitian anti-self-dual matrix keeps anti-self-duality but
     # adds an anti-hermitian part, which lands in Re(Q* B Q)
     A = _random_hermitian_anti_selfdual(sd.N, rng)
-    bad = BottMatrix(bm.B + 1e-3j * A, bm.eigs)
     with pytest.raises(NumericalInconsistency, match="real part"):
-        _pfaffian_sign(bad)
+        _pfaffian_sign(bm.B + 1e-3j * A)
 
 
-def test_pfaffian_sign_warns_on_magnitude_mismatch(monkeypatch):
+def test_pfaffian_sign_warns_when_the_reduction_residual_reaches_the_gap(monkeypatch):
+    # an entry far above H's superdiagonal, as large as T's gap, leaves T's
+    # band and so the sign untouched, but only the residual term of eta
+    # sees it, and eta then reaches the gap
+    import scipy.linalg.lapack
+
     sd = selfdual_doubling(cyclic_shift_pair(12))
-    bm = build_B(sd)
-    real_route = selfdual._real_pfaffian_sign_log
+    B = build_B(sd).B
+    clean = _pfaffian_sign(B)
+    assert clean.reliable and clean.eta < 1e-10
+    dgehrd = scipy.linalg.lapack.dgehrd
 
-    def off_by_one_percent(R):
-        sign, log_mag = real_route(R)
-        return sign, log_mag + 0.01
+    def spoiled(a, **kwargs):
+        H, tau, info = dgehrd(a, **kwargs)
+        H[0, -1] += clean.gap
+        return H, tau, info
 
-    monkeypatch.setattr(selfdual, "_real_pfaffian_sign_log", off_by_one_percent)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgehrd", spoiled)
     with pytest.warns(IllConditionedSign):
-        assert _pfaffian_sign(bm) == -1
+        record = _pfaffian_sign(B)
+    assert record.reliable is False
+    assert record.eta >= record.gap == clean.gap
+    assert record.sign == clean.sign == -1
 
 
 def test_kappa2_callers_never_take_the_complex_loop(monkeypatch):
+    # the complex Householder route is the tests' oracle, not a library route
+    assert not hasattr(selfdual, "_pfaffian_sign_log")
     sd = selfdual_doubling(cyclic_shift_pair(64))
-    calls = {"complex": 0, "real": 0, "svd": 0}
-    complex_route = selfdual._pfaffian_sign_log
+    calls = {"real": 0, "svd": 0}
     real_route = selfdual._real_pfaffian_sign_log
 
     def counted(key, fn):
@@ -414,7 +429,6 @@ def test_kappa2_callers_never_take_the_complex_loop(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(selfdual, "_pfaffian_sign_log", counted("complex", complex_route))
     monkeypatch.setattr(selfdual, "_real_pfaffian_sign_log", counted("real", real_route))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     for method in ("trig", "log"):
@@ -422,7 +436,7 @@ def test_kappa2_callers_never_take_the_complex_loop(monkeypatch):
     assert pfaffian_bott_index(sd) == -1
     assert kappa2_log(sd) == -1
     # the Frobenius bound clears every gate on the way: no SVD either
-    assert calls == {"complex": 0, "real": 4, "svd": 0}
+    assert calls == {"real": 4, "svd": 0}
 
 
 def test_anti_selfduality_gate_falls_back_to_exact_norm():
@@ -522,6 +536,10 @@ def test_kramers_route_matches_the_schur_basis_oracle(method):
             pf = modified_pfaffian(B)
             assert abs(pf.imag) <= 1e-9 * abs(pf)
             assert report.kappa2 == (1 if pf.real > 0 else -1)
+            # the request's spectrum is the real reduction's tridiagonal one
+            record = _pfaffian_sign(_eigenbasis_B(pair, values))
+            assert report.gap_measured == record.gap
+            assert np.max(np.abs(record.eigs - eigs)) <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["trig", "log"])
@@ -536,6 +554,33 @@ def test_kramers_route_reads_B_of_the_factorized_V(method):
     for V, tol in ((Vk, 1e-12), (sd.V, 2 * np.linalg.norm(sd.V - Vk, 2))):
         B = _schur_basis_B(make_pair(sd.U, V), values)
         assert gap == pytest.approx(np.min(np.abs(np.linalg.eigvalsh(B))), abs=tol)
+
+
+def _selfdual_test_pairs():
+    yield from _kappa2_test_pairs()
+    for make in _KRAMERS_BASIS_PAIRS.values():
+        yield make()
+    base = selfdual_doubling(cyclic_shift_pair(32))
+    yield perturb_selfdual(base, 0.02, seed=1)
+    for eps, seed in ((1e-11, 0), (4e-10, 1)):  # a deliberate self-duality defect
+        moved = base.V @ expm(1j * eps * random_hermitian(base.dim, _rand(seed)))
+        yield make_selfdual_pair(base.U, moved)
+
+
+@pytest.mark.parametrize("method", ["trig", "log"])
+def test_tridiagonal_spectrum_is_B_within_eta(method):
+    # the complex spectrum of the B that the route reads, B(U, V') for the
+    # exactly self-dual V' of V's Kramers basis, is the oracle: by Weyl each
+    # of its eigenvalues lies within eta of the tridiagonal's
+    values = _log_values if method == "log" else _trig_values
+    for sd in _selfdual_test_pairs():
+        B = _eigenbasis_B(sd, values)
+        eigs = np.linalg.eigvalsh(B)
+        record = _pfaffian_sign(B)
+        assert record.reliable
+        assert np.max(np.abs(record.eigs - eigs)) <= record.eta
+        assert abs(record.gap - np.min(np.abs(eigs))) <= record.eta
+        assert record.eta <= 1e-9
 
 
 def test_no_request_path_assembles_in_the_standard_basis(monkeypatch):
