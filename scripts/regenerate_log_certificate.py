@@ -42,11 +42,12 @@ Each entry is the winning coefficient vector of one eta search at DELTA on
 the 17-point Chebyshev-Lobatto mesh, under the search sizes below: stage 1's
 h, h^2 and f h (keys "h1", "h1sq", "q1"), and stage 2's h_t, h_t^2 and
 f_t h_t at each mesh point t (keys (t, "h"), (t, "hsq"), (t, "q")).  Even
-functions list cosine coefficients c_0..c_MAX_DEGREE, odd ones sine
-coefficients c_1..c_MAX_DEGREE.  ``certify_log_path`` certifies these vectors
-at every delta, each with one transform, and a mesh point off this mesh takes
-the vectors of its nearest point here.  An entry carries no trust of its
-own: a wrong one gives a looser bound, never a false one.
+functions list cosine coefficients c_0, c_1, ..., odd ones sine coefficients
+c_1, c_2, ..., up to the last nonzero coefficient; MAX_DEGREE caps the
+degree searched.  ``certify_log_path`` certifies these vectors at every
+delta, each with one transform, and a mesh point off this mesh takes the
+vectors of its nearest point here.  An entry carries no trust of its own: a
+wrong one gives a looser bound, never a false one.
 """
 '''
 
@@ -80,6 +81,8 @@ def _lp_line(vals, xs, parity):
     Variables are the half-range basis coefficients (cos k x for
     k = 0..MAX_DEGREE, or sin k x for k = 1..MAX_DEGREE), their
     absolute-value majorants, and the residual's upper/lower envelope levels.
+    The coefficients are returned up to the last nonzero one (at least one),
+    the form the store keeps, so each vector is certified as it is stored.
     """
     ks = np.arange(0 if parity == "even" else 1, MAX_DEGREE + 1)
     basis = (np.cos if parity == "even" else np.sin)(np.outer(xs, ks))
@@ -99,7 +102,9 @@ def _lp_line(vals, xs, parity):
     res = bounds.linprog(cost, A_ub=A, b_ub=rhs, bounds=var_bounds, method="highs")
     if not res.success:
         raise NumericalInconsistency(f"approximant LP failed: {res.message}")
-    return res.x[:nc]
+    coeffs = res.x[:nc]
+    nonzero = np.flatnonzero(coeffs)
+    return coeffs[: nonzero[-1] + 1 if len(nonzero) else 1]
 
 
 def _search_eta(fn, parity, certified, fine_x):

@@ -28,13 +28,10 @@ from .errors import (
 from .linalg import (
     TrigPoly,
     UnitaryPair,
-    apply_periodic,
-    apply_trigpoly,
     commutator_norm,
     hermitian_eig,
     make_pair,
     operator_norm,
-    unitary_eig,
     unitary_part,
 )
 from .matrixio import read_matrix, write_matrix
@@ -59,14 +56,13 @@ from .bott import (
 )
 from .selfdual import (
     SelfDualPair,
-    check_kramers,
     dual,
     dual_tensor,
     make_selfdual_pair,
     pfaffian_bott_index,
     selfdual_distance_bounds,
 )
-from .logmethod import PrincipalLog, build_BL, kappa2_log, principal_log
+from .logmethod import build_BL, kappa2_log
 from .analysis import IndexReport, analyze
 from .bounds import (
     BoundEnvelope,

@@ -272,7 +272,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "index" and args.header and not args.self_dual:
+        # the header declares a self-dual pair's N; a plain pair has none
+        parser.error("--header needs --self-dual")
     try:
         return args.func(args)
     except AlmostCommutingError as exc:

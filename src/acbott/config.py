@@ -1,10 +1,11 @@
 """Numerical configuration shared across modules.
 
-Gate tolerances read by more than one check live in ``Tolerances``, and no
-caller sets one: the thresholds are theorems about exact unitaries, so
-nearly unitary input takes its polar parts (``acbott index --polar``)
-instead of a wider gate.  Limits that one check owns stay beside it: 1e-7
-in the anti-self-duality and Kramers checks of ``selfdual``.
+The gate widths of the structural checks live in ``Tolerances``, whether
+one check reads a width or several, and no caller sets one: the thresholds
+are theorems about exact unitaries, so nearly unitary input takes its polar
+parts (``acbott index --polar``) instead of a wider gate.  Two limits stay
+beside their checks in ``selfdual``: 1e-7 on the anti-self-duality defect
+and on the real part of the rotated block matrix.
 The branch cluster at -1 is as wide as the unitarity gate, wider than the
 self-duality gate; a self-dual pair's V clusters its angles at twice that
 width, so each Kramers pair shares one angle and one side of the cut.

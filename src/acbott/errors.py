@@ -63,20 +63,13 @@ class ThresholdExceeded(AlmostCommutingError):
 
 
 class AccuracyNotCertified(UserWarning):
-    """Requested accuracy parameters fall below the certified regime."""
-
-
-class OddDimension(AlmostCommutingError):
-    """Pfaffian requested for an odd-dimensional matrix."""
+    """A computed value's error bound exceeds what its certificate allows:
+    the series tail of ``fourier_coefficients_h`` above 1e-6."""
 
 
 class IllConditionedSign(UserWarning):
-    """A sign was extracted from a value whose magnitude disagrees with its
-    spectral value, or whose error bound reaches the spectral gap."""
-
-
-class NotSkewSymmetric(AlmostCommutingError):
-    """Matrix fails the skew-symmetry tolerance."""
+    """A Pfaffian sign was read from a reduction whose error bound on B's
+    spectrum reaches that spectrum's gap."""
 
 
 class NotAntiSelfDual(AlmostCommutingError):

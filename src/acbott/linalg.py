@@ -1,8 +1,8 @@
 """Dense complex matrix kernel.
 
 Everything downstream consumes these few primitives: operator norms,
-commutators, unitary eigendecomposition with a fixed branch convention,
-periodic functional calculus, polar parts, and trigonometric polynomials.
+commutators, unitary eigendecomposition with a fixed branch rule, polar
+parts, and trigonometric polynomials.
 A unitary is diagonalized by its complex Schur form, except V of a pair,
 which takes one hermitian ``eigh`` of a Cayley transform of V and keeps the
 Schur form as its fallback.
@@ -94,20 +94,14 @@ def _check_unitary(V: np.ndarray, tol: float) -> None:
         raise NotUnitary(f"||V*V - I|| = {err:.3e} exceeds tolerance {tol:.1e}")
 
 
-def unitary_eig(V):
-    """Diagonalize a unitary matrix.
-
-    Returns ``(angles, Q)`` with ``V = Q diag(exp(i*angles)) Q*``.  Angles
-    live in (-pi, pi]; an eigenvalue numerically at -1 maps to +pi, which
-    makes the branch deterministic at the cut.  V must pass the unitarity gate.
-    """
-    A = as_matrix(V)
-    _check_unitary(A, DEFAULT_TOL.unitary)
-    return _schur_angles(A)
-
-
 def _schur_angles(A: np.ndarray):
-    """:func:`unitary_eig` of an A whose unitarity is already checked."""
+    """``(angles, Q)`` with A = Q diag(e^{i angles}) Q*, from the complex
+    Schur form of an A whose unitarity is already checked.
+
+    The branch rule: angles lie in (-pi, pi], and an eigenvalue within
+    ``DEFAULT_TOL.branch`` of -1 maps to +pi, which makes the branch
+    deterministic at the cut.
+    """
     from scipy.linalg import schur
 
     T, Q = schur(A, output="complex")
@@ -120,7 +114,7 @@ def _schur_angles(A: np.ndarray):
 
 
 def _cayley_angles(A: np.ndarray):
-    """:func:`unitary_eig` of a checked unitary A by one hermitian ``eigh``.
+    """:func:`_schur_angles` of a checked unitary A by one hermitian ``eigh``.
 
     The eigenvalues of (A + A*)/2 are the cosines of A's angles, so their
     arccos values +-t_k include every angle; the cut psi is the midpoint of
@@ -169,39 +163,6 @@ def _cayley_angles(A: np.ndarray):
     if float(np.linalg.norm(residual)) > DEFAULT_TOL.unitary * np.sqrt(d):
         return _schur_angles(A)
     return angles, Q
-
-
-def apply_periodic(fn, V) -> np.ndarray:
-    """Apply a 2pi-periodic scalar function to the eigenangles of unitary V."""
-    angles, Q = unitary_eig(V)
-    vals = np.asarray(fn(angles), dtype=complex)
-    return (Q * vals) @ Q.conj().T
-
-
-def apply_trigpoly(p: "TrigPoly", V) -> np.ndarray:
-    """Evaluate a trigonometric polynomial at a unitary matrix.
-
-    Horner accumulation in V for the nonnegative powers and in V* for the
-    negative ones; no eigendecomposition involved, which makes this an
-    independent route to the functional calculus.
-    """
-    A = as_matrix(V)
-    _check_unitary(A, DEFAULT_TOL.unitary)
-    d = A.shape[0]
-    n = p.degree
-    I = np.eye(d, dtype=complex)
-    pos = p.coeff(n) * I
-    for k in range(n - 1, 0, -1):
-        pos = pos @ A
-        pos += p.coeff(k) * I
-    pos = pos @ A if n >= 1 else np.zeros_like(I)
-    Astar = A.conj().T
-    neg = p.coeff(-n) * I
-    for k in range(n - 1, 0, -1):
-        neg = neg @ Astar
-        neg += p.coeff(-k) * I
-    neg = neg @ Astar if n >= 1 else np.zeros_like(I)
-    return pos + neg + p.coeff(0) * I
 
 
 def unitary_part(A) -> np.ndarray:
@@ -316,7 +277,7 @@ class UnitaryPair:
     """Validated pair of same-size unitaries with cached commutator norm.
 
     The pair also caches its two factorizations, each made on first use:
-    ``v_eig`` is V's ``(angles, Q)`` with :func:`unitary_eig`'s conventions
+    ``v_eig`` is V's ``(angles, Q)`` with :func:`_schur_angles`'s branch rule
     (one ``eigvalsh`` to place a cut and one ``eigh`` of a Cayley transform,
     see :func:`_cayley_angles`; ``make_pair`` has already checked V's
     unitarity) and ``w_angles`` the eigenangles of W = VUV*U* from its
@@ -345,7 +306,7 @@ class UnitaryPair:
 
     @functools.cached_property
     def v_eig(self):
-        """``(angles, Q)`` of V with :func:`unitary_eig`'s conventions.
+        """``(angles, Q)`` of V with :func:`_schur_angles`'s branch rule.
 
         Made by one ``eigh`` of a Cayley transform of V, or by the Schur
         form when that leaves a residual above 1e-8 * sqrt(dim); a
@@ -356,7 +317,7 @@ class UnitaryPair:
 
     @functools.cached_property
     def w_angles(self) -> np.ndarray:
-        """Eigenangles of W in (-pi, pi], with unitary_eig's branch rule."""
+        """W's eigenangles with :func:`_schur_angles`'s branch rule."""
         angles, _ = _schur_angles(self.multiplicative_commutator())
         return _read_only(angles)
 

@@ -1,7 +1,8 @@
 """Log-method variant of the block matrix.
 
 Instead of the bump-function triple, take iK to be the principal logarithm
-of V and use f1(x) = x/pi, g1 = 0, h1(x) = sqrt(1 - x^2/pi^2).  These are
+of V, whose angles lie in (-pi, pi] by ``linalg._schur_angles``'s branch
+rule, and use f1(x) = x/pi, g1 = 0, h1(x) = sqrt(1 - x^2/pi^2).  These are
 merely Borel functions of V; B_L is assembled exactly as B is, in V's
 eigenbasis from the triple's values at V's angles, and its sign index
 provably agrees with the trigonometric one for delta <= 1/8:
@@ -11,31 +12,11 @@ and ``analysis.analyze`` reports against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bott import BottMatrix, _eigenbasis_B, _in_standard_basis, require_certified
-from .linalg import UnitaryPair, unitary_eig
-from .selfdual import SelfDualPair, _hermitian_part, _pfaffian_sign
-
-
-@dataclass(frozen=True)
-class PrincipalLog:
-    """Hermitian K = Q diag(angles) Q* with e^{iK} = V, eigenvalues in [-pi, pi]."""
-
-    K: np.ndarray
-    branch_margin: float  # distance of the spectrum of V to -1
-    angles: np.ndarray
-    Q: np.ndarray
-
-
-def principal_log(V) -> PrincipalLog:
-    """Principal logarithm of a unitary: angles taken in (-pi, pi], -1 -> +pi."""
-    angles, Q = unitary_eig(V)
-    margin = float(np.min(np.abs(np.exp(1j * angles) + 1.0)))
-    K = _hermitian_part((Q * angles) @ Q.conj().T)
-    return PrincipalLog(K, margin, angles, Q)
+from .linalg import UnitaryPair
+from .selfdual import SelfDualPair, _pfaffian_sign
 
 
 def _log_values(angles):

@@ -34,7 +34,6 @@ from .errors import (
     IllConditionedSign,
     NoObstruction,
     NotAntiSelfDual,
-    NotHermitian,
     NotSelfDual,
     NumericalInconsistency,
 )
@@ -384,21 +383,3 @@ def selfdual_distance_bounds(sdA: SelfDualPair, sdB: SelfDualPair) -> float:
     return (
         math.sqrt(1 - 5 * sdA.delta**2) + math.sqrt(1 - 5 * sdB.delta**2)
     ) / 5
-
-
-def check_kramers(H) -> bool:
-    """True when the spectrum is doubly degenerate (Kramers pairing): each
-    ascending pair of eigenvalues agrees to 1e-7 * max(1, max |eigenvalue|)."""
-    H = as_matrix(H)
-    limit = DEFAULT_TOL.hermitian * max(1.0, float(np.max(np.abs(H))))
-    if gate_norm(H - H.conj().T, limit) > limit:
-        raise NotHermitian("Kramers check needs a hermitian matrix")
-    drift = gate_relative(H - dual(H), H, 1e-7)
-    if drift is not None:
-        raise NotSelfDual(f"self-duality violated by {drift:.3e}")
-    # the hermiticity gate above, scaled by max |h_ij| <= ||H||, is stricter
-    # than hermitian_eig's, which is therefore not run again
-    eigs = np.linalg.eigvalsh(H)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    gaps = eigs[1::2] - eigs[0::2]
-    return bool(np.all(np.abs(gaps) <= 1e-7 * scale))

@@ -56,7 +56,8 @@ def _require_gate(delta: float) -> None:
 def winding_number(pair: UnitaryPair) -> WindingResult:
     """Integer winding invariant via the trace of the principal logarithm.
 
-    Reads the pair's cached eigenangles of W, so repeated calls on one pair,
+    Reads the pair's cached eigenangles of W, in (-pi, pi] by
+    ``linalg._schur_angles``'s branch rule, so repeated calls on one pair,
     and the distance bounds built on them, factorize W once.
     """
     _require_gate(pair.delta)

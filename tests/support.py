@@ -1,20 +1,34 @@
 """Shared matrix generators and oracles for the test suite.
 
 These are deliberately independent of the generators module so that tests of
-that module have something to check against.  The oracles assemble B in the
-standard basis and take Pfaffians of general complex skew matrices by
-Householder congruences and by pivoted LTL^T elimination; the library's
-request paths use none of them.
+that module have something to check against.  The oracles evaluate functions
+at a unitary by its Schur form or by Horner accumulation, take the principal
+logarithm, check Kramers pairing, assemble B in the standard basis and take
+Pfaffians of general complex skew matrices by Householder congruences and by
+pivoted LTL^T elimination; the library's request paths use none of them.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from acbott.bott import BottMatrix, standard_triple
-from acbott.errors import NotSkewSymmetric, NumericalInconsistency, OddDimension
-from acbott.linalg import apply_trigpoly, as_matrix, gate_norm
-from acbott.selfdual import _rotated_anti_selfdual
+from acbott.config import DEFAULT_TOL
+from acbott.errors import (
+    AlmostCommutingError,
+    NotHermitian,
+    NotSelfDual,
+    NumericalInconsistency,
+)
+from acbott.linalg import (
+    _check_unitary,
+    _schur_angles,
+    as_matrix,
+    gate_norm,
+    gate_relative,
+)
+from acbott.selfdual import _rotated_anti_selfdual, dual
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -66,6 +80,93 @@ def pfaffian_cofactor(X: np.ndarray) -> complex:
     return total
 
 
+# ---------------------------------------------------------------------------
+# Functions of a unitary by the Schur and Horner routes, the principal
+# logarithm and the Kramers-pairing check
+# ---------------------------------------------------------------------------
+
+
+def unitary_eig(V):
+    """Diagonalize a unitary matrix.
+
+    Returns ``(angles, Q)`` with ``V = Q diag(exp(i*angles)) Q*``, by the
+    library's Schur route and its branch rule: angles in (-pi, pi], an
+    eigenvalue numerically at -1 maps to +pi.  V must pass the unitarity gate.
+    """
+    A = as_matrix(V)
+    _check_unitary(A, DEFAULT_TOL.unitary)
+    return _schur_angles(A)
+
+
+def apply_periodic(fn, V) -> np.ndarray:
+    """Apply a 2pi-periodic scalar function to the eigenangles of unitary V."""
+    angles, Q = unitary_eig(V)
+    vals = np.asarray(fn(angles), dtype=complex)
+    return (Q * vals) @ Q.conj().T
+
+
+def apply_trigpoly(p, V) -> np.ndarray:
+    """Evaluate a trigonometric polynomial at a unitary matrix.
+
+    Horner accumulation in V for the nonnegative powers and in V* for the
+    negative ones; no eigendecomposition involved, which makes this an
+    independent route to the functional calculus.
+    """
+    A = as_matrix(V)
+    _check_unitary(A, DEFAULT_TOL.unitary)
+    d = A.shape[0]
+    n = p.degree
+    I = np.eye(d, dtype=complex)
+    pos = p.coeff(n) * I
+    for k in range(n - 1, 0, -1):
+        pos = pos @ A
+        pos += p.coeff(k) * I
+    pos = pos @ A if n >= 1 else np.zeros_like(I)
+    Astar = A.conj().T
+    neg = p.coeff(-n) * I
+    for k in range(n - 1, 0, -1):
+        neg = neg @ Astar
+        neg += p.coeff(-k) * I
+    neg = neg @ Astar if n >= 1 else np.zeros_like(I)
+    return pos + neg + p.coeff(0) * I
+
+
+@dataclass(frozen=True)
+class PrincipalLog:
+    """Hermitian K = Q diag(angles) Q* with e^{iK} = V, eigenvalues in [-pi, pi]."""
+
+    K: np.ndarray
+    branch_margin: float  # distance of the spectrum of V to -1
+    angles: np.ndarray
+    Q: np.ndarray
+
+
+def principal_log(V) -> PrincipalLog:
+    """Principal logarithm of a unitary: angles taken in (-pi, pi], -1 -> +pi."""
+    angles, Q = unitary_eig(V)
+    margin = float(np.min(np.abs(np.exp(1j * angles) + 1.0)))
+    K = (Q * angles) @ Q.conj().T
+    return PrincipalLog((K + K.conj().T) / 2, margin, angles, Q)
+
+
+def check_kramers(H) -> bool:
+    """True when the spectrum is doubly degenerate (Kramers pairing): each
+    ascending pair of eigenvalues agrees to 1e-7 * max(1, max |eigenvalue|)."""
+    H = as_matrix(H)
+    limit = DEFAULT_TOL.hermitian * max(1.0, float(np.max(np.abs(H))))
+    if gate_norm(H - H.conj().T, limit) > limit:
+        raise NotHermitian("Kramers check needs a hermitian matrix")
+    drift = gate_relative(H - dual(H), H, 1e-7)
+    if drift is not None:
+        raise NotSelfDual(f"self-duality violated by {drift:.3e}")
+    # the hermiticity gate above, scaled by max |h_ij| <= ||H||, is stricter
+    # than hermitian_eig's, which is therefore not run again
+    eigs = np.linalg.eigvalsh(H)
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    gaps = eigs[1::2] - eigs[0::2]
+    return bool(np.all(np.abs(gaps) <= 1e-7 * scale))
+
+
 def standard_basis_B(fV, gV, hV, U) -> np.ndarray:
     """B from the triple's values at V, assembled in the standard basis.
 
@@ -100,6 +201,14 @@ def standard_form(N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Pfaffians of general complex skew matrices, the oracles of the real route
 # ---------------------------------------------------------------------------
+
+
+class OddDimension(AlmostCommutingError):
+    """Pfaffian requested for an odd-dimensional matrix."""
+
+
+class NotSkewSymmetric(AlmostCommutingError):
+    """Matrix fails the skew-symmetry tolerance."""
 
 
 def _check_skew(X) -> np.ndarray:

@@ -22,10 +22,9 @@ from acbott.generators import (
     powered_pair,
     selfdual_doubling,
 )
-from acbott.linalg import apply_periodic, make_pair, operator_norm
-from acbott.logmethod import build_BL, kappa2_log, principal_log
+from acbott.linalg import make_pair, operator_norm
+from acbott.logmethod import build_BL, kappa2_log
 from acbott.selfdual import (
-    check_kramers,
     dual,
     make_selfdual_pair,
     pfaffian_bott_index,
@@ -33,10 +32,13 @@ from acbott.selfdual import (
 from acbott.winding import winding_number, winding_via_path
 
 from support import (
+    apply_periodic,
+    check_kramers,
     haar_unitary,
     modified_pfaffian,
     pfaffian,
     pfaffian_cofactor,
+    principal_log,
     random_hermitian,
 )
 

@@ -427,6 +427,17 @@ def test_stored_certificate_reproduces_the_search(searched, stored_report):
     assert _report_bits(stored_report) == _report_bits(searched[0])
 
 
+def test_stored_vectors_end_at_their_last_nonzero_coefficient():
+    # cosine vectors hold c_0..c_k, sine vectors c_1..c_k, with k at most
+    # the search's degree cap and c_k nonzero
+    from acbott.log_certificate import APPROXIMANTS, MAX_DEGREE
+
+    for key, coeffs in APPROXIMANTS.items():
+        odd = (key if isinstance(key, str) else key[1]) in ("q1", "q")
+        assert 1 <= len(coeffs) <= MAX_DEGREE + (not odd), key
+        assert coeffs[-1] != 0.0, key
+
+
 def test_stored_certificate_covers_shared_mesh_points(stored_report, monkeypatch):
     # the benchmark's 15-point Lobatto mesh shares t = 0, 0.49999999999999994
     # and 1 with the stored 17-point mesh; each of its other 12 points takes

@@ -209,6 +209,23 @@ def test_index_header_mismatch(tmp_path, capsys):
     assert "NumericalInconsistency" in err
 
 
+@pytest.mark.parametrize("header", ["N999", "missing"])
+def test_index_header_without_self_dual_is_a_usage_error(tmp_path, capsys, header):
+    pair = cyclic_shift_pair(4)
+    u_file, v_file = str(tmp_path / "U.txt"), str(tmp_path / "V.txt")
+    write_matrix(u_file, pair.U)
+    write_matrix(v_file, pair.V)
+    path = tmp_path / f"{header}.txt"
+    if header == "N999":
+        path.write_text("999\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["index", u_file, v_file, "--header", str(path)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: --header needs --self-dual"
+
+
 def test_index_polar_preprocessing(tmp_path, capsys):
     pair = cyclic_shift_pair(31)
     u_file = str(tmp_path / "U.txt")

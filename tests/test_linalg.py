@@ -22,15 +22,12 @@ from acbott.linalg import (
     UnitaryPair,
     _cayley_angles,
     _schur_angles,
-    apply_periodic,
-    apply_trigpoly,
     as_matrix,
     commutator_norm,
     gate_norm,
     hermitian_eig,
     make_pair,
     operator_norm,
-    unitary_eig,
     unitary_part,
 )
 from acbott.generators import (
@@ -41,13 +38,22 @@ from acbott.generators import (
 )
 from acbott.logmethod import kappa2_log
 from acbott.selfdual import (
-    check_kramers,
     dual,
     make_selfdual_pair,
     pfaffian_bott_index,
 )
 from acbott.winding import distance_bound_commuting, winding_number, winding_via_path
-from support import haar_unitary, pfaffian, random_hermitian, random_skew, shift_matrix
+from support import (
+    apply_periodic,
+    apply_trigpoly,
+    check_kramers,
+    haar_unitary,
+    pfaffian,
+    random_hermitian,
+    random_skew,
+    shift_matrix,
+    unitary_eig,
+)
 
 
 def test_as_matrix_rejects_nonsquare():

@@ -18,7 +18,17 @@ import pytest
 
 import acbott
 import support
-from acbott import analysis, bott, bounds, cli, linalg, logmethod, selfdual, winding
+from acbott import (
+    analysis,
+    bott,
+    bounds,
+    cli,
+    errors,
+    linalg,
+    logmethod,
+    selfdual,
+    winding,
+)
 
 RETIRED = [
     (bott.build_B, {"use_trigpoly"}),
@@ -35,18 +45,18 @@ RETIRED = [
     (selfdual._rotated_anti_selfdual, {"tol"}),
     (support.pfaffian, {"tol"}),  # test oracles now, as they moved
     (support.modified_pfaffian, {"tol"}),
-    (selfdual.check_kramers, {"pair_tol"}),
+    (support.check_kramers, {"pair_tol"}),
     (selfdual._hermitian_part, {"self_dual"}),
     (logmethod.kappa2_log, {"allow_uncertified"}),
-    (logmethod.principal_log, {"tol", "self_dual"}),
+    (support.principal_log, {"tol", "self_dual"}),
     (logmethod.build_BL, {"self_dual"}),
     (linalg.make_pair, {"unitary_tol"}),
-    (linalg.unitary_eig, {"tol"}),
+    (support.unitary_eig, {"tol"}),
     (linalg._cayley_angles, {"tol"}),
     (linalg.unitary_part, {"singular_tol"}),
     (linalg.hermitian_eig, {"tol"}),
-    (linalg.apply_periodic, {"tol"}),
-    (linalg.apply_trigpoly, {"tol"}),
+    (support.apply_periodic, {"tol"}),
+    (support.apply_trigpoly, {"tol"}),
     (linalg.TrigPoly.is_real_valued, {"tol"}),
     (winding.winding_via_path, {"steps"}),
     (analysis.analyze, {"self_dual"}),
@@ -59,6 +69,23 @@ RETIRED = [
 )
 def test_retired_keyword_is_not_a_parameter(fn, names):
     assert not names & set(inspect.signature(fn).parameters)
+
+
+# routes only the tests call: oracles in tests/support.py, not the package's
+TEST_ONLY = {
+    linalg: ("unitary_eig", "apply_periodic", "apply_trigpoly"),
+    logmethod: ("principal_log", "PrincipalLog"),
+    selfdual: ("check_kramers",),
+    errors: ("OddDimension", "NotSkewSymmetric"),
+}
+
+
+def test_test_only_routes_live_in_the_tests():
+    for module, names in TEST_ONLY.items():
+        for name in names:
+            assert not hasattr(acbott, name), name
+            assert not hasattr(module, name), name
+            assert hasattr(support, name), name
 
 
 def test_certify_config_holds_only_the_search_sizes():

@@ -26,9 +26,7 @@ from acbott.errors import (
     NotAntiSelfDual,
     NotHermitian,
     NotSelfDual,
-    NotSkewSymmetric,
     NumericalInconsistency,
-    OddDimension,
     ThresholdExceeded,
 )
 from acbott.generators import (
@@ -39,14 +37,13 @@ from acbott.generators import (
     powered_pair,
     selfdual_doubling,
 )
-from acbott.linalg import make_pair, unitary_eig
+from acbott.linalg import make_pair
 from acbott.logmethod import _log_values, build_BL, kappa2_log
 from acbott.selfdual import (
     SelfDualPair,
     _pfaffian_sign,
     _real_pfaffian_sign_log,
     _rotated_anti_selfdual,
-    check_kramers,
     dual,
     dual_tensor,
     make_selfdual_pair,
@@ -55,7 +52,10 @@ from acbott.selfdual import (
     selfdual_part,
 )
 from support import (
+    NotSkewSymmetric,
+    OddDimension,
     _pfaffian_sign_log,
+    check_kramers,
     haar_unitary,
     horner_B,
     modified_pfaffian,
@@ -66,6 +66,7 @@ from support import (
     rotated,
     standard_basis_B,
     standard_form,
+    unitary_eig,
 )
 
 
