@@ -50,7 +50,6 @@ from .bott import (
     eval_f,
     eval_g,
     eval_h,
-    fourier_coefficients_h,
     signature,
     standard_triple,
 )

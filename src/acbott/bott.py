@@ -5,34 +5,26 @@ f^2 + g^2 + h^2 = 1 and gh = 0: a 2x2-block hermitian matrix B(U, V) is
 assembled once, in V's eigenbasis, from the triple at V's angles and Q*UQ,
 and the index is half its signature.  The triple's bump function h lives on
 [-pi/2, pi/2] and the companion g on the complement; f is a degree-5 sine
-polynomial with rational coefficients.
+polynomial with rational coefficients.  The cosine coefficients c_0..c_16
+of h are stored, not computed: every path reads them from the table below.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .config import DEFAULT_TOL, certified_threshold
-from .errors import (
-    AccuracyNotCertified,
-    GapClosed,
-    ThresholdExceeded,
-)
+from .errors import GapClosed, ThresholdExceeded
 from .linalg import TrigPoly, UnitaryPair, hermitian_eig
 
 # sine amplitudes of f: (150 sin x + 25 sin 3x + 3 sin 5x) / 128
 F_AMPLITUDES = (150.0 / 128.0, 0.0, 25.0 / 128.0, 0.0, 3.0 / 128.0)
 
 _BUMP_PREFACTOR = np.sqrt(407.0 / 512.0)
-
-# the binomial series behind the cosine coefficients of h stops at u^7, where
-# its tail is below 1e-6
-_SERIES_DEGREE = 7
 
 
 def eval_f(x):
@@ -67,50 +59,6 @@ def eval_g(x):
     return np.where(np.abs(r) > np.pi / 2, _bump_core(r), 0.0)
 
 
-def fourier_coefficients_h(max_n: int = 5) -> np.ndarray:
-    """Cosine coefficients c_0..c_max_n of the bump function h, 0 <= max_n <= 16.
-
-    Each c_n is computed as a truncated binomial series: the square root in
-    the closed form is expanded in powers of u(x) = (96 cos 2x + 9 cos 4x)/407
-    up to u^7 and every term is integrated by adaptive quadrature.  The
-    truncation tail is certified below 1e-6 (checked, and warned about
-    otherwise).
-    """
-    from scipy.integrate import quad
-    from scipy.special import binom
-
-    if not 0 <= max_n <= 16:
-        raise ValueError(f"coefficient index capped at 16 and nonnegative, got {max_n}")
-
-    def u(x):
-        return (96 * np.cos(2 * x) + 9 * np.cos(4 * x)) / 407.0
-
-    out = np.zeros(max_n + 1)
-    for n in range(max_n + 1):
-        total = 0.0
-        for k in range(_SERIES_DEGREE + 1):
-            w = binom(0.5, k)
-            val, _ = quad(
-                lambda t, n=n, k=k: np.cos(t) ** 3 * u(t) ** k * np.cos(n * t),
-                -np.pi / 2,
-                np.pi / 2,
-                epsabs=1e-9,
-                limit=200,
-            )
-            total += w * val
-        out[n] = _BUMP_PREFACTOR * total / (2 * np.pi)
-
-    # worst-case series remainder sits at u = -105/407
-    r = 105.0 / 407.0
-    partial = sum(binom(0.5, k) * (-r) ** k for k in range(_SERIES_DEGREE + 1))
-    tail = abs(np.sqrt(1 - r) - partial) * _BUMP_PREFACTOR * (4.0 / 3.0) / (2 * np.pi)
-    if tail > 1e-6:
-        warnings.warn(
-            f"series tail bound {tail:.2e} exceeds 1e-6", AccuracyNotCertified
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class StandardTriple:
     """Closed-form triple plus its degree-5 trigonometric approximants."""
@@ -129,9 +77,8 @@ class StandardTriple:
         return self.coefficients16[:6]
 
 
-# c_0..c_16 of h as fourier_coefficients_h(16) computes them (each c_n is
-# integrated on its own, so c_0..c_5 equal those of max_n = 5); the test
-# suite recomputes them and requires equality
+# c_0..c_16 of h, the table that ``acbott fourier`` prints; the test suite
+# integrates each c_n again by quadrature and requires bitwise equality
 _H_COEFFICIENTS16 = (
     0.20204721666342668,
     0.17994001948259783,

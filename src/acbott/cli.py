@@ -1,10 +1,13 @@
 """Command line front end.
 
 Subcommands: index (all indices of a stored pair), generate (write example
-pairs), bounds (CSV curves), certify-log (homotopy certification), fourier
-(coefficient table).  Exit codes: 0 success, 2 when results were produced
-but something is uncertified (threshold overrun or failed certification),
-1 on hard errors and usage errors.  Nearly unitary input takes --polar.
+pairs), bounds (CSV curves), certify-log (homotopy certification on the
+stored mesh), fourier (the stored coefficient table).  Each answer has one
+route: other meshes are the library's ``certify_log_path``, and the table is
+printed, not integrated.  Exit codes: 0 success, 2 when results were
+produced but something is uncertified (threshold overrun or failed
+certification), 1 on hard errors and usage errors.  Nearly unitary input
+takes --polar.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 import numpy as np
 
 from .analysis import IndexReport, analyze
-from .bott import fourier_coefficients_h, F_AMPLITUDES
+from .bott import F_AMPLITUDES, standard_triple
 from .bounds import (
     beta,
     certify_log_path,
@@ -130,19 +133,16 @@ def cmd_bounds(args) -> int:
     deltas = np.linspace(args.start, args.stop, args.points)
     out = _open_out(args.out)
     try:
-        if args.curve in ("beta", "gap"):
-            cols = ["delta", "beta", "gap_guaranteed", "gap_coarse"]
-            if args.curve == "gap":
-                cols.remove("beta")
-            print(",".join(cols), file=out)
+        if args.curve == "beta":
+            print("delta,beta,gap_guaranteed,gap_coarse", file=out)
             for d in deltas:
-                row = {
-                    "delta": f"{d:.9g}",
-                    "beta": f"{beta(d):.9g}",
-                    "gap_guaranteed": _gap_cell(guaranteed_gap, d),
-                    "gap_coarse": _gap_cell(coarse_gap, d),
-                }
-                print(",".join(row[c] for c in cols), file=out)
+                cells = (
+                    f"{d:.9g}",
+                    f"{beta(d):.9g}",
+                    _gap_cell(guaranteed_gap, d),
+                    _gap_cell(coarse_gap, d),
+                )
+                print(",".join(cells), file=out)
         else:
             env = eta_envelope_f() if args.curve == "eta-f" else eta_envelope_h()
             heads = ",".join(f"line{i}" for i in range(len(env.lines)))
@@ -158,29 +158,18 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_certify_log(args) -> int:
-    mesh = None
-    if args.mesh is not None:
-        mesh = np.linspace(0.0, 1.0, args.mesh)
-
-    def write_csv(report):
-        if not args.out:
-            return
+    verdict = "PASS"
+    try:
+        report = certify_log_path(args.delta)
+    except CertificationFailed as exc:
+        # the certification attaches its report to every failure it raises
+        report, verdict = exc.report, "FAIL"
+    if args.out:
         with open(args.out, "w") as fh:
             print("stage,t,bound", file=fh)
             for stage, t, v in report.rows():
                 print(f"{stage},{t:.9g},{v:.9g}", file=fh)
         print(f"wrote {args.out}")
-
-    verdict = "PASS"
-    try:
-        report = certify_log_path(args.delta, mesh=mesh)
-    except CertificationFailed as exc:
-        report = exc.report
-        if report is None:
-            print(f"FAIL {exc}")
-            return 2
-        verdict = "FAIL"
-    write_csv(report)
     print(
         f"{verdict} delta={args.delta:.9g} max_bound={report.max_bound:.6f} "
         f"threshold={report.threshold}"
@@ -193,7 +182,11 @@ def cmd_certify_log(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    c = fourier_coefficients_h(args.max_n)
+    c = standard_triple().coefficients16
+    if not 0 <= args.max_n < len(c):
+        raise ValueError(
+            f"coefficient index capped at {len(c) - 1} and nonnegative, got {args.max_n}"
+        )
     print("n,a_imag,b,c")
     for n in range(args.max_n + 1):
         amp = F_AMPLITUDES[n - 1] if 1 <= n <= len(F_AMPLITUDES) else 0.0
@@ -248,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_generate)
 
     bd = sub.add_parser("bounds", help="emit bound curves as CSV")
-    bd.add_argument("--curve", choices=("beta", "eta-f", "eta-h", "gap"), required=True)
+    bd.add_argument("--curve", choices=("beta", "eta-f", "eta-h"), required=True)
     bd.add_argument("--from", dest="start", type=float, default=0.0)
     bd.add_argument("--to", dest="stop", type=float, default=0.25)
     bd.add_argument("--points", type=int, default=101)
@@ -257,11 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cl = sub.add_parser("certify-log", help="certify the log-method homotopy")
     cl.add_argument("--delta", type=float, required=True)
-    cl.add_argument(
-        "--mesh", type=int,
-        help="uniform mesh points per stage (default: the stored 17-point "
-        "Chebyshev-Lobatto mesh)",
-    )
     cl.add_argument("--out", help="CSV of per-point bound values")
     cl.set_defaults(func=cmd_certify_log)
 

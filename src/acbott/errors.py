@@ -62,11 +62,6 @@ class ThresholdExceeded(AlmostCommutingError):
     """
 
 
-class AccuracyNotCertified(UserWarning):
-    """A computed value's error bound exceeds what its certificate allows:
-    the series tail of ``fourier_coefficients_h`` above 1e-6."""
-
-
 class IllConditionedSign(UserWarning):
     """A Pfaffian sign was read from a reduction whose error bound on B's
     spectrum reaches that spectrum's gap."""

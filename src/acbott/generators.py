@@ -175,7 +175,29 @@ class PairSpec:
     k: int = -1  # multiplicity/sign for direct_sum
 
 
+# the optional PairSpec fields that each kind reads; every kind reads n
+_READS = {
+    "cyclic_shift": (),
+    "commuting_random": ("seed",),
+    "perturbed": ("seed", "noise"),
+    "direct_sum": ("k",),
+    "selfdual_doubling": ("seed", "noise"),
+}
+
+
 def build_pair(spec: PairSpec) -> UnitaryPair:
+    """The pair ``spec`` describes.
+
+    A field that the kind never reads must keep its default: ValueError,
+    naming the kind and the field, is raised before any matrix is made.
+    """
+    reads = _READS.get(spec.kind)
+    if reads is None:
+        raise ValueError(f"unknown pair kind {spec.kind!r}")
+    for name in ("seed", "noise", "k"):
+        value = getattr(spec, name)
+        if name not in reads and value != getattr(PairSpec, name):
+            raise ValueError(f"kind {spec.kind} does not read {name}, got {name} = {value}")
     if spec.kind == "cyclic_shift":
         return cyclic_shift_pair(spec.n)
     if spec.kind == "commuting_random":
@@ -184,10 +206,8 @@ def build_pair(spec: PairSpec) -> UnitaryPair:
         return perturb(cyclic_shift_pair(spec.n), spec.noise, spec.seed)
     if spec.kind == "direct_sum":
         return powered_pair(spec.n, spec.k)
-    if spec.kind == "selfdual_doubling":
-        sd = selfdual_doubling(cyclic_shift_pair(spec.n))
-        if spec.noise > 0:
-            sd = perturb_selfdual(sd, spec.noise, spec.seed)
-        return sd
-    raise ValueError(f"unknown pair kind {spec.kind!r}")
+    sd = selfdual_doubling(cyclic_shift_pair(spec.n))
+    if spec.noise > 0:
+        sd = perturb_selfdual(sd, spec.noise, spec.seed)
+    return sd
 

@@ -87,6 +87,20 @@ def commutator_norm(U, V) -> float:
     return operator_norm(A @ B - B @ A)
 
 
+def eig_residual(A: np.ndarray, angles: np.ndarray, Q: np.ndarray) -> Optional[float]:
+    """||AQ - Q e^{i Theta}||_F of a unitary's factorization when it exceeds
+    1e-8 * sqrt(n), else None.
+
+    A unitarity defect eps spread over n eigenvalues leaves a residual of
+    about eps * sqrt(n), so a bound of 1e-8, the unitarity gate's width,
+    would refuse inputs that the gate admits.
+    """
+    residual = A @ Q
+    residual -= Q * np.exp(1j * angles)
+    norm = float(np.linalg.norm(residual))
+    return norm if norm > DEFAULT_TOL.unitary * np.sqrt(A.shape[0]) else None
+
+
 def _check_unitary(V: np.ndarray, tol: float) -> None:
     d = V.shape[0]
     err = gate_norm(V.conj().T @ V - np.eye(d), tol)
@@ -123,11 +137,9 @@ def _cayley_angles(A: np.ndarray):
     at the cut, and its Cayley transform H = i(I + A_phi)^{-1}(I - A_phi) is
     hermitian with eigenvalues tan((theta - phi)/2) (one LU solve, made in
     place).  The angles follow as phi + 2 arctan(lambda), wrapped to
-    (-pi, pi] with the branch rule of :func:`_schur_angles`.  When the
-    residual ||AQ - Q e^{i Theta}||_F exceeds 1e-8 * sqrt(n), the Schur route
-    is taken instead: a unitarity defect eps spread over n eigenvalues leaves
-    a residual of about eps * sqrt(n), which a bound of 1e-8, the unitarity
-    gate's width, would refuse for inputs that the gate admits.
+    (-pi, pi] with the branch rule of :func:`_schur_angles`.  When
+    :func:`eig_residual` finds the residual above its bound, the Schur route
+    is taken instead.
     """
     from scipy.linalg.lapack import zgesv
 
@@ -158,9 +170,7 @@ def _cayley_angles(A: np.ndarray):
     angles[angles <= -np.pi] += 2.0 * np.pi
     # |e^{i theta} + 1| = 2 |cos(theta / 2)|, the Schur route's distance to -1
     angles[2.0 * np.abs(np.cos(angles / 2.0)) <= DEFAULT_TOL.branch] = np.pi
-    residual = A @ Q
-    residual -= Q * np.exp(1j * angles)
-    if float(np.linalg.norm(residual)) > DEFAULT_TOL.unitary * np.sqrt(d):
+    if eig_residual(A, angles, Q) is not None:
         return _schur_angles(A)
     return angles, Q
 

@@ -41,6 +41,7 @@ from .linalg import (
     UnitaryPair,
     _read_only,
     as_matrix,
+    eig_residual,
     gate_norm,
     gate_relative,
     make_pair,
@@ -136,8 +137,8 @@ def _kramers_basis(V: np.ndarray, angles: np.ndarray, vectors: np.ndarray):
     V's eigenvectors by up to V's self-duality defect over the gap to the
     next cluster; Newton-Schulz steps Q <- Q (3I - Q*Q) / 2, taken on A,
     keep the Kramers form and make Q unitary.  A residual
-    ||VQ - Q e^{i Theta}||_F above the Cayley route's bound, 1e-8 * sqrt(dim),
-    raises NumericalInconsistency.
+    ||VQ - Q e^{i Theta}||_F above the Cayley route's bound
+    (:func:`linalg.eig_residual`) raises NumericalInconsistency.
     """
     d, N = len(angles), len(angles) // 2
     order = np.argsort(angles)
@@ -164,10 +165,8 @@ def _kramers_basis(V: np.ndarray, angles: np.ndarray, vectors: np.ndarray):
     else:
         raise NumericalInconsistency("V's eigenvectors have no Kramers basis near them")
     angles = np.tile(theta, 2)
-    residual = V @ Q
-    residual -= Q * np.exp(1j * angles)
-    norm = float(np.linalg.norm(residual))
-    if norm > DEFAULT_TOL.unitary * math.sqrt(d):
+    norm = eig_residual(V, angles, Q)
+    if norm is not None:
         raise NumericalInconsistency(f"V's Kramers basis leaves a residual of {norm:.3e}")
     return _read_only(angles), _read_only(Q)
 

@@ -1,19 +1,21 @@
 """Shared matrix generators and oracles for the test suite.
 
 These are deliberately independent of the generators module so that tests of
-that module have something to check against.  The oracles evaluate functions
-at a unitary by its Schur form or by Horner accumulation, take the principal
-logarithm, check Kramers pairing, assemble B in the standard basis and take
-Pfaffians of general complex skew matrices by Householder congruences and by
-pivoted LTL^T elimination; the library's request paths use none of them.
+that module have something to check against.  The oracles integrate the
+cosine coefficients of h by quadrature, evaluate functions at a unitary by
+its Schur form or by Horner accumulation, take the principal logarithm,
+check Kramers pairing, assemble B in the standard basis and take Pfaffians
+of general complex skew matrices by Householder congruences and by pivoted
+LTL^T elimination; the library's request paths use none of them.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from acbott.bott import BottMatrix, standard_triple
+from acbott.bott import _BUMP_PREFACTOR, BottMatrix, standard_triple
 from acbott.config import DEFAULT_TOL
 from acbott.errors import (
     AlmostCommutingError,
@@ -78,6 +80,63 @@ def pfaffian_cofactor(X: np.ndarray) -> complex:
         minor = X[np.ix_(keep, keep)]
         total += (-1.0) ** (j + 1) * X[0, j] * pfaffian_cofactor(minor)
     return total
+
+
+# ---------------------------------------------------------------------------
+# The cosine coefficients of h by quadrature, the oracle of the stored table
+# ---------------------------------------------------------------------------
+
+# the binomial series behind the cosine coefficients of h stops at u^7, where
+# its tail is below 1e-6
+_SERIES_DEGREE = 7
+
+
+class AccuracyNotCertified(UserWarning):
+    """The series tail of ``fourier_coefficients_h`` exceeds 1e-6."""
+
+
+def fourier_coefficients_h(max_n: int = 5) -> np.ndarray:
+    """Cosine coefficients c_0..c_max_n of the bump function h, 0 <= max_n <= 16.
+
+    Each c_n is computed as a truncated binomial series: the square root in
+    the closed form is expanded in powers of u(x) = (96 cos 2x + 9 cos 4x)/407
+    up to u^7 and every term is integrated by adaptive quadrature.  The
+    truncation tail is certified below 1e-6 (checked, and warned about
+    otherwise).
+    """
+    from scipy.integrate import quad
+    from scipy.special import binom
+
+    if not 0 <= max_n <= 16:
+        raise ValueError(f"coefficient index capped at 16 and nonnegative, got {max_n}")
+
+    def u(x):
+        return (96 * np.cos(2 * x) + 9 * np.cos(4 * x)) / 407.0
+
+    out = np.zeros(max_n + 1)
+    for n in range(max_n + 1):
+        total = 0.0
+        for k in range(_SERIES_DEGREE + 1):
+            w = binom(0.5, k)
+            val, _ = quad(
+                lambda t, n=n, k=k: np.cos(t) ** 3 * u(t) ** k * np.cos(n * t),
+                -np.pi / 2,
+                np.pi / 2,
+                epsabs=1e-9,
+                limit=200,
+            )
+            total += w * val
+        out[n] = _BUMP_PREFACTOR * total / (2 * np.pi)
+
+    # worst-case series remainder sits at u = -105/407
+    r = 105.0 / 407.0
+    partial = sum(binom(0.5, k) * (-r) ** k for k in range(_SERIES_DEGREE + 1))
+    tail = abs(np.sqrt(1 - r) - partial) * _BUMP_PREFACTOR * (4.0 / 3.0) / (2 * np.pi)
+    if tail > 1e-6:
+        warnings.warn(
+            f"series tail bound {tail:.2e} exceeds 1e-6", AccuracyNotCertified
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Standard triple, its Fourier data, and the integer index kappa."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from acbott import analysis, bott
 from acbott.analysis import analyze
 from acbott.bott import (
     F_AMPLITUDES,
@@ -16,21 +18,21 @@ from acbott.bott import (
     eval_f,
     eval_g,
     eval_h,
-    fourier_coefficients_h,
     require_certified,
     signature,
     standard_triple,
 )
 from acbott.config import KAPPA_THRESHOLD
-from acbott.errors import (
-    AccuracyNotCertified,
-    GapClosed,
-    ThresholdExceeded,
-)
+from acbott.errors import GapClosed, NumericalInconsistency, ThresholdExceeded
 from acbott.generators import commuting_random, cyclic_shift_pair, perturb
 from acbott.linalg import make_pair
 from acbott.winding import winding_number
-from support import haar_unitary, horner_B
+from support import (
+    AccuracyNotCertified,
+    fourier_coefficients_h,
+    haar_unitary,
+    horner_B,
+)
 
 # quadrature oracle, 30-digit arithmetic, frozen
 C_ORACLE = (
@@ -176,6 +178,30 @@ def test_kappa_threshold_gate():
     # an unknown method is refused before any work, not read as trig
     with pytest.raises(ValueError, match="'trig' or 'log'"):
         analyze(pair, "LOG")
+
+
+def test_analyze_leaves_kappa_empty_when_the_gap_closes(monkeypatch):
+    def closed(eigs):
+        raise GapClosed("probe")
+
+    monkeypatch.setattr(bott, "_count_signature", closed)
+    report = analyze(cyclic_shift_pair(31))
+    assert report.kappa is None
+    assert report.kappa_certified
+    assert report.omega == -1
+    assert report.gap_measured > 0
+
+
+def test_analyze_refuses_a_certified_kappa_that_disagrees_with_omega(monkeypatch):
+    def shifted(pair):
+        found = winding_number(pair)
+        return dataclasses.replace(found, omega=found.omega + 1)
+
+    monkeypatch.setattr(analysis, "winding_number", shifted)
+    pair = cyclic_shift_pair(31)
+    assert pair.delta <= KAPPA_THRESHOLD
+    with pytest.raises(NumericalInconsistency, match="kappa = -1 disagrees with omega = 0"):
+        analyze(pair)
 
 
 def test_kappa_trigpoly_route_agrees():

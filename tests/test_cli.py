@@ -36,8 +36,11 @@ def test_help_exits_zero():
         ("index", "U.txt", "V.txt", "--bogus"),
         ("certify-log", "--delta", "abc"),
         ("index", "U.txt", "V.txt", "--unitary-tol", "0.05"),
+        ("certify-log", "--delta", "0.125", "--mesh", "65"),
+        ("bounds", "--curve", "gap"),
     ],
-    ids=["bad-choice", "unknown-option", "bad-float", "retired-option"],
+    ids=["bad-choice", "unknown-option", "bad-float", "retired-option",
+         "retired-mesh", "retired-curve"],
 )
 def test_usage_error_exits_one(capsys, argv):
     # 2 means "computed but not certified", so a usage error must not exit 2
@@ -155,16 +158,15 @@ def test_index_answers_split_kramers_pair_on_the_log_route(tmp_path, capsys):
 
 
 _REJECTED = {
-    "mesh-negative": (("certify-log", "--delta", "0.125", "--mesh", "-3"),
-                      "error: Number of samples"),
-    "mesh-zero": (("certify-log", "--delta", "0.125", "--mesh", "0"),
-                  "error: MeshViolation:"),
     "points-negative": (("bounds", "--curve", "beta", "--points", "-1"),
                         "error: Number of samples"),
     "noise-too-large": (("generate", "--kind", "perturbed", "--n", "8", "--noise", "5"),
                         "error: perturbation size too large"),
     "k-zero": (("generate", "--kind", "direct_sum", "--n", "8", "--k", "0"),
                "error: k must be nonzero"),
+    "unread-field": (("generate", "--kind", "cyclic_shift", "--n", "8", "--noise", "0.5",
+                      "--seed", "3", "--k", "4"),
+                     "error: kind cyclic_shift does not read"),
     "max-n-17": (("fourier", "--max-n", "17"), "error: coefficient index capped at 16"),
     "max-n-negative": (("fourier", "--max-n", "-1"),
                        "error: coefficient index capped at 16"),
@@ -283,18 +285,6 @@ def test_bounds_beta_csv(tmp_path, capsys):
     assert float(first[3]) == pytest.approx(0.95)
 
 
-def test_bounds_gap_csv_is_beta_csv_without_beta(capsys):
-    # the range runs past both blank-cell cutoffs (beta >= 1, delta > 0.2)
-    span = ("--from", "0", "--to", "0.25", "--points", "6")
-    rc, beta_out, _ = run(capsys, "bounds", "--curve", "beta", *span)
-    assert rc == 0
-    rc, gap_out, _ = run(capsys, "bounds", "--curve", "gap", *span)
-    assert rc == 0
-    rows = [ln.split(",") for ln in beta_out.splitlines()]
-    assert gap_out.splitlines() == [",".join(r[:1] + r[2:]) for r in rows]
-    assert rows[-1][2] == ""
-
-
 def test_bounds_envelope_csv(capsys):
     rc, out, _ = run(capsys, "bounds", "--curve", "eta-f", "--points", "3")
     assert rc == 0
@@ -320,15 +310,6 @@ def test_fourier_table(capsys):
             -(150 / 256, 0, 25 / 256, 0, 3 / 256)[n - 1] if 1 <= n <= 5 else 0.0
         )
         assert float(row[2]) == pytest.approx((-1) ** n * float(row[3]))
-
-
-def test_certify_log_mesh_violations(capsys):
-    rc, _, err = run(capsys, "certify-log", "--delta", "0.02", "--mesh", "3")
-    assert rc == 1
-    assert "MeshViolation" in err
-    rc, _, err = run(capsys, "certify-log", "--delta", "0.02", "--mesh", "1")
-    assert rc == 1
-    assert "MeshViolation" in err
 
 
 @pytest.mark.parametrize("delta", ["-0.1", "nan"])
@@ -363,6 +344,24 @@ print("stored certificate loaded:", "acbott.log_certificate" in sys.modules)
 """
 
 
+def _fresh_process(code, *args):
+    """Run ``code`` in a new interpreter that imports this checkout's acbott."""
+    src = str(Path(acbott.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_index_process_never_imports_the_certification_stack(tmp_path):
     # a cold index reads stored tables: no quadrature, LP, root finder or FFT
     for name, pair in (
@@ -371,19 +370,24 @@ def test_index_process_never_imports_the_certification_stack(tmp_path):
     ):
         write_matrix(str(tmp_path / f"{name}_U.txt"), pair.U)
         write_matrix(str(tmp_path / f"{name}_V.txt"), pair.V)
-    src = str(Path(acbott.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", _GUARD, str(tmp_path / "plain"), str(tmp_path / "selfdual")],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert "loaded: []" in done.stdout
-    assert "linprog attribute: True" in done.stdout
-    assert "stored certificate loaded: False" in done.stdout
+    out = _fresh_process(_GUARD, str(tmp_path / "plain"), str(tmp_path / "selfdual"))
+    assert "loaded: []" in out
+    assert "linprog attribute: True" in out
+    assert "stored certificate loaded: False" in out
+
+
+_FOURIER = """
+import sys
+import acbott.cli
+
+assert acbott.cli.main(["fourier", "--max-n", "16"]) == 0
+print("quadrature loaded:", "scipy.integrate" in sys.modules)
+"""
+
+
+def test_fourier_prints_the_stored_table_without_quadrature():
+    out = _fresh_process(_FOURIER)
+    assert out.splitlines()[-1] == "quadrature loaded: False"
+    c16 = acbott.standard_triple().coefficients16
+    rows = [line.split(",") for line in out.splitlines()[1:-1]]
+    assert [row[3] for row in rows] == [f"{c:.9g}" for c in c16]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from acbott import generators
 from acbott.errors import DimensionMismatch
 from acbott.generators import (
     PairSpec,
@@ -127,3 +128,28 @@ def test_build_pair_dispatch():
     assert isinstance(sd, SelfDualPair)
     with pytest.raises(ValueError):
         build_pair(PairSpec("unknown", 4))
+
+
+_UNREAD = [
+    ("cyclic_shift", "seed", 3),
+    ("cyclic_shift", "noise", 0.5),
+    ("cyclic_shift", "k", 4),
+    ("commuting_random", "noise", 0.1),
+    ("commuting_random", "k", 2),
+    ("perturbed", "k", 2),
+    ("direct_sum", "seed", 1),
+    ("direct_sum", "noise", 0.1),
+    ("selfdual_doubling", "k", 3),
+]
+
+
+@pytest.mark.parametrize("kind, name, value", _UNREAD)
+def test_build_pair_rejects_a_field_its_kind_never_reads(monkeypatch, kind, name, value):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a matrix was made")
+
+    for maker in ("cyclic_shift_pair", "commuting_random", "powered_pair"):
+        monkeypatch.setattr(generators, maker, no_matrix)
+    spec = PairSpec(kind, 8, **{name: value})
+    with pytest.raises(ValueError, match=f"kind {kind} does not read {name}"):
+        build_pair(spec)

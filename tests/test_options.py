@@ -37,7 +37,7 @@ RETIRED = [
     (bott.signature, {"gap_tol"}),
     (bott._count_signature, {"gap_tol"}),
     (bott._in_standard_basis, {"h_part"}),
-    (bott.fourier_coefficients_h, {"series_K"}),
+    (support.fourier_coefficients_h, {"series_K"}),
     (selfdual.pfaffian_bott_index, {"use_trigpoly", "allow_uncertified"}),
     (selfdual.selfdual_distance_bounds, {"kappa2_a", "kappa2_b"}),
     (selfdual.make_selfdual_pair, {"selfdual_tol", "unitary_tol"}),
@@ -73,10 +73,11 @@ def test_retired_keyword_is_not_a_parameter(fn, names):
 
 # routes only the tests call: oracles in tests/support.py, not the package's
 TEST_ONLY = {
+    bott: ("fourier_coefficients_h",),
     linalg: ("unitary_eig", "apply_periodic", "apply_trigpoly"),
     logmethod: ("principal_log", "PrincipalLog"),
     selfdual: ("check_kramers",),
-    errors: ("OddDimension", "NotSkewSymmetric"),
+    errors: ("OddDimension", "NotSkewSymmetric", "AccuracyNotCertified"),
 }
 
 
@@ -116,7 +117,7 @@ def test_no_exported_callable_takes_a_tolerance():
     ]
     assert takes == []
     assert [f.name for f in fields(linalg.UnitaryPair)] == ["U", "V", "delta"]
-    assert tuple(inspect.signature(bott.fourier_coefficients_h).parameters) == ("max_n",)
+    assert tuple(inspect.signature(support.fourier_coefficients_h).parameters) == ("max_n",)
 
 
 def test_no_command_line_option_sets_a_tolerance_or_a_series():
@@ -130,3 +131,14 @@ def test_no_command_line_option_sets_a_tolerance_or_a_series():
     ]
     assert "--polar" in options
     assert [o for o in options if "tol" in o or "series" in o] == []
+
+
+def test_each_command_line_answer_has_one_route():
+    # certify_log_path takes any mesh from Python; the command line runs the
+    # stored one, and the gap columns come only with --curve beta
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    certify = commands.choices["certify-log"]
+    assert "--mesh" not in [o for a in certify._actions for o in a.option_strings]
+    (curve,) = [a for a in commands.choices["bounds"]._actions if a.dest == "curve"]
+    assert "gap" not in curve.choices
