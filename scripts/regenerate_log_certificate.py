@@ -8,10 +8,11 @@ coarse set, then re-solves once with up to 64 fine-grid residual extrema
 adjoined (one exchange step) and keeps the vector that certifies the smaller
 eta.  The search is the coefficient source of the library's own
 ``bounds._certify``, so every candidate is certified by the code that
-certifies the store.  The search makes 108 LPs, about 15 s on a 2-CPU
-machine.  Run it after any change to the search or to the certification: the
-test suite requires the committed module to equal this script's output byte
-for byte.
+certifies the store; it samples stage 2 of the path from that code's own
+triple, ``bounds._stage2_triple``.  The search makes 108 LPs, about 15 s on
+a 2-CPU machine.  Run it after any change to the search or to the
+certification: the test suite requires the committed module to equal this
+script's output byte for byte.
 
     PYTHONPATH=src python scripts/regenerate_log_certificate.py
 """
@@ -62,17 +63,11 @@ def _path_function(key):
         return lambda u: eval_f(u) * eval_h(u)
     t, name = key
 
-    def f_fn(u):
-        return (1 - t) * bounds._clamped_f(u) + t * u / np.pi
+    def stage2(u):
+        ft, _, ht = bounds._stage2_triple(t, u, bounds._clamped_f(u))
+        return {"h": ht, "hsq": 1 - ft**2, "q": ft * ht}[name]
 
-    def h_fn(u):
-        return np.sqrt(np.maximum(1 - f_fn(u) ** 2, 0.0))
-
-    if name == "h":
-        return h_fn
-    if name == "hsq":
-        return lambda u: 1 - f_fn(u) ** 2
-    return lambda u: f_fn(u) * h_fn(u)
+    return stage2
 
 
 def _lp_line(vals, xs, parity):
@@ -152,7 +147,7 @@ def search():
         lps += solved
         return winners[key]
 
-    report = bounds._certify(LOG_THRESHOLD, MESH, FINE_GRID, approximant)
+    report = bounds._certify(LOG_THRESHOLD, MESH, approximant)
     return report, winners, lps
 
 

@@ -373,9 +373,7 @@ def _step_sums(ts, make_triple):
 
 
 def certify_log_path(
-    delta: float,
-    mesh: Optional[Sequence[float]] = None,
-    fine_grid: int = FINE_GRID,
+    delta: float, mesh: Optional[Sequence[float]] = None
 ) -> CertificationReport:
     """Certify the two-stage homotopy from the bump triple to the log triple.
 
@@ -393,7 +391,7 @@ def certify_log_path(
     vector's eta is affine in delta and valid at every delta, so the vectors
     searched at 1/8 certify any delta.  A mesh point off the stored mesh takes
     the vectors of its nearest stored point: a valid bound, looser than a
-    search would give.  Each residual is measured on ``fine_grid`` + 1
+    search would give.  Each residual is measured on ``FINE_GRID`` + 1
     samples of the half period.
 
     Returns the report on success and raises CertificationFailed (with the
@@ -415,10 +413,10 @@ def certify_log_path(
 
     if mesh is None:
         mesh = stored_mesh
-    return _certify(delta, mesh, fine_grid, approximant)
+    return _certify(delta, mesh, approximant)
 
 
-def _certify(delta, mesh, fine_grid, approximant):
+def _certify(delta, mesh, approximant):
     """``certify_log_path`` with the source of the coefficients given.
 
     ``approximant(key, parity, certified)`` returns the coefficient vector of
@@ -436,8 +434,8 @@ def _certify(delta, mesh, fine_grid, approximant):
     if len(ts) < 2 or abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
         raise MeshViolation("mesh must run from 0 to 1")
 
-    x = np.linspace(0.0, np.pi, fine_grid + 1)
-    spacing = np.pi / fine_grid
+    x = np.linspace(0.0, np.pi, FINE_GRID + 1)
+    spacing = np.pi / FINE_GRID
     f_std = eval_f(x)
     h_std = eval_h(x)
     outside = x > np.pi / 2
@@ -465,12 +463,7 @@ def _certify(delta, mesh, fine_grid, approximant):
         def certified(coeffs):
             coeffs = np.asarray(coeffs, dtype=float)
             ks = np.arange(len(coeffs)) + (parity == "odd")
-            if ks[-1] >= fine_grid:
-                raise ValueError(
-                    f"degree {ks[-1]} must stay below fine_grid {fine_grid}: "
-                    "a grid of fine_grid + 1 points aliases it"
-                )
-            resid = _eval_half_series(coeffs, parity, fine_grid)
+            resid = _eval_half_series(coeffs, parity, FINE_GRID)
             np.subtract(vals, resid, out=resid)
             m = float(np.sum(ks * np.abs(coeffs)))
             diam = float(resid.max() - resid.min())

@@ -12,7 +12,7 @@ width, so each Kramers pair shares one angle and one side of the cut.
 The thresholds, the step budget and the envelope constants are fixed;
 ``certified_threshold`` maps a method to its threshold.  The certification
 verifies stored coefficient vectors, so it has no search settings; its one
-size, the fine grid, defaults to ``FINE_GRID`` and tests pass a smaller one.
+size is the fine grid, ``FINE_GRID``.
 """
 
 from __future__ import annotations

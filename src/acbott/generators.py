@@ -135,7 +135,8 @@ def perturb_selfdual(sd: SelfDualPair, r: float, seed: int = 0) -> SelfDualPair:
     One-sided multiplication by e^{iH} breaks self-duality even for self-dual
     H, since the dual reverses products; the two-sided move
     e^{iH/2} U e^{iH/2} is self-dual whenever H is.  The rotation amount is
-    tuned by a few secant steps so the realized distance matches r within 1%.
+    tuned by a few secant steps so the realized distance matches r within 1%;
+    a size the steps cannot reach raises ValueError.
     """
     if r < 0:
         raise ValueError("perturbation size must be nonnegative")
@@ -160,6 +161,11 @@ def perturb_selfdual(sd: SelfDualPair, r: float, seed: int = 0) -> SelfDualPair:
             if abs(got - target) <= 0.005 * target:
                 break
             amount = min(amount * target / max(got, 1e-300), np.pi)
+        else:
+            raise ValueError(
+                f"perturbation size {r} not realized: a factor moved by "
+                f"{got:.6g}, not {target:.6g}"
+            )
         out.append(M1)
     return make_selfdual_pair(out[0], out[1])
 

@@ -339,4 +339,4 @@ def make_pair(U, V) -> UnitaryPair:
     require_same_dim(A, B)
     _check_unitary(A, DEFAULT_TOL.unitary)
     _check_unitary(B, DEFAULT_TOL.unitary)
-    return UnitaryPair(A, B, commutator_norm(A, B))
+    return UnitaryPair(A, B, operator_norm(A @ B - B @ A))

@@ -46,6 +46,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SMALL_GRID = 2**13
 
 
+@pytest.fixture
+def small_grid(monkeypatch):
+    import acbott.bounds as bounds
+
+    monkeypatch.setattr(bounds, "FINE_GRID", SMALL_GRID)
+
+
 # ---------------------------------------------------------------------------
 # envelopes
 # ---------------------------------------------------------------------------
@@ -191,7 +198,11 @@ def test_variation_bound():
 def cheap_report():
     # one small-grid certification at delta 0.02, shared by the tests that
     # only read it
-    return certify_log_path(0.02, fine_grid=SMALL_GRID)
+    import acbott.bounds as bounds
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "FINE_GRID", SMALL_GRID)
+        return certify_log_path(0.02)
 
 
 def test_certify_passes_at_small_delta(cheap_report):
@@ -206,26 +217,26 @@ def test_certify_passes_at_small_delta(cheap_report):
     assert all(v < CERTIFY_THRESHOLD for _, _, v in rows)
 
 
-def test_certify_fails_at_large_delta():
+def test_certify_fails_at_large_delta(small_grid):
     with pytest.raises(CertificationFailed) as exc:
-        certify_log_path(0.2, fine_grid=SMALL_GRID)
+        certify_log_path(0.2)
     report = exc.value.report
     assert report is not None
     assert not report.passed
     assert report.max_bound >= CERTIFY_THRESHOLD
 
 
-def test_certify_rejects_incomplete_user_mesh():
+def test_certify_rejects_incomplete_user_mesh(small_grid):
     with pytest.raises(MeshViolation):
-        certify_log_path(0.02, mesh=[0.1, 0.5, 1.0], fine_grid=SMALL_GRID)
+        certify_log_path(0.02, mesh=[0.1, 0.5, 1.0])
     with pytest.raises(MeshViolation):
-        certify_log_path(0.02, mesh=[0.0, 0.5, 0.9], fine_grid=SMALL_GRID)
+        certify_log_path(0.02, mesh=[0.0, 0.5, 0.9])
     with pytest.raises(MeshViolation):
-        certify_log_path(0.02, mesh=[0.0], fine_grid=SMALL_GRID)
+        certify_log_path(0.02, mesh=[0.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_certify_rejects_nonfinite_mesh_point(bad, monkeypatch):
+def test_certify_rejects_nonfinite_mesh_point(bad, monkeypatch, small_grid):
     import acbott.bounds as bounds
 
     def no_work(*args, **kwargs):
@@ -235,10 +246,10 @@ def test_certify_rejects_nonfinite_mesh_point(bad, monkeypatch):
     mesh = np.linspace(0.0, 1.0, 65)
     mesh[30] = bad
     with pytest.raises(MeshViolation, match="finite"):
-        certify_log_path(0.02, mesh=mesh, fine_grid=SMALL_GRID)
+        certify_log_path(0.02, mesh=mesh)
 
 
-def test_certify_working_set_stays_small(cheap_report):
+def test_certify_working_set_stays_small(cheap_report, monkeypatch):
     # at 2**16 + 1 samples the fine-grid arrays dominate what the
     # certification allocates.  The bound is 9.5 of them: this code peaks at
     # 9.1, in the step-rule check; holding two whole triples and two
@@ -246,33 +257,36 @@ def test_certify_working_set_stays_small(cheap_report):
     # residual, transform and sample set at 13.3
     import tracemalloc
 
-    fine_grid = 2**16
+    import acbott.bounds as bounds
+
+    grid = 2**16
+    monkeypatch.setattr(bounds, "FINE_GRID", grid)
     # cheap_report has imported scipy and the store outside the trace
     tracemalloc.start()
     try:
-        certify_log_path(0.02, fine_grid=fine_grid)
+        certify_log_path(0.02)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9.5 * 8 * (fine_grid + 1)
+    assert peak < 9.5 * 8 * (grid + 1)
 
 
-def test_certify_rejects_coarse_user_mesh():
+def test_certify_rejects_coarse_user_mesh(small_grid):
     # two points cannot satisfy the step rule, and no mesh is refined
     with pytest.raises(MeshViolation):
-        certify_log_path(0.02, mesh=[0.0, 1.0], fine_grid=SMALL_GRID)
+        certify_log_path(0.02, mesh=[0.0, 1.0])
 
 
-def test_certify_accepts_fine_user_mesh():
+def test_certify_accepts_fine_user_mesh(small_grid):
     mesh = np.linspace(0.0, 1.0, 65)
-    report = certify_log_path(0.02, mesh=mesh, fine_grid=SMALL_GRID)
+    report = certify_log_path(0.02, mesh=mesh)
     assert report.passed
     assert np.allclose(report.stage1_t, mesh)
 
 
-def test_certify_negative_delta():
+def test_certify_negative_delta(small_grid):
     with pytest.raises(ValueError):
-        certify_log_path(-0.01, fine_grid=SMALL_GRID)
+        certify_log_path(-0.01)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -285,12 +299,6 @@ def test_certify_rejects_nonfinite_delta(bad, monkeypatch):
     monkeypatch.setattr(bounds, "_step_sums", no_work)
     with pytest.raises(ValueError, match="finite"):
         certify_log_path(bad)
-
-
-def test_certify_rejects_degree_the_grid_aliases():
-    # 9 samples cannot resolve the stored vectors' degree 48
-    with pytest.raises(ValueError, match="aliases"):
-        certify_log_path(0.02, fine_grid=8)
 
 
 def _half_series_loop(coeffs, parity, n):
@@ -354,12 +362,12 @@ def test_half_series_in_place_equals_fresh_transform(parity, top):
     assert np.array_equal(got, _half_series_fresh(coeffs, parity, n))
 
 
-def test_certify_same_with_direct_series_sum(cheap_report, monkeypatch):
+def test_certify_same_with_direct_series_sum(cheap_report, monkeypatch, small_grid):
     import acbott.bounds as bounds
 
     fast = cheap_report
     monkeypatch.setattr(bounds, "_eval_half_series", _half_series_loop)
-    slow = certify_log_path(0.02, fine_grid=SMALL_GRID)
+    slow = certify_log_path(0.02)
     assert [r[:2] for r in fast.rows()] == [r[:2] for r in slow.rows()]
     np.testing.assert_allclose(
         [r[2] for r in fast.rows()], [r[2] for r in slow.rows()], rtol=0, atol=1e-12
@@ -423,9 +431,13 @@ def test_stored_certificate_reproduces_the_search(searched, stored_report):
 
 def test_stored_vectors_end_at_their_last_nonzero_coefficient():
     # cosine vectors hold c_0..c_k, sine vectors c_1..c_k, with k at most
-    # the search's degree cap and c_k nonzero
+    # the search's degree cap and c_k nonzero; the fine grid resolves that
+    # cap, so no stored degree aliases onto a lower one
+    from acbott import log_certificate
     from acbott.log_certificate import APPROXIMANTS, MAX_DEGREE
 
+    assert MAX_DEGREE < FINE_GRID
+    assert log_certificate.FINE_GRID == FINE_GRID
     for key, coeffs in APPROXIMANTS.items():
         odd = (key if isinstance(key, str) else key[1]) in ("q1", "q")
         assert 1 <= len(coeffs) <= MAX_DEGREE + (not odd), key
@@ -461,7 +473,7 @@ def test_stored_certificate_covers_shared_mesh_points(stored_report, monkeypatch
             key = (float(nearest[key[0]]), key[1])
         return APPROXIMANTS[key]
 
-    explicit = bounds._certify(0.125, mesh, FINE_GRID, from_nearest)
+    explicit = bounds._certify(0.125, mesh, from_nearest)
     assert _report_bits(explicit) == _report_bits(report)
 
 

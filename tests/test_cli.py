@@ -162,6 +162,9 @@ _REJECTED = {
                         "error: Number of samples"),
     "noise-too-large": (("generate", "--kind", "perturbed", "--n", "8", "--noise", "5"),
                         "error: perturbation size too large"),
+    "selfdual-noise-unreached": (("generate", "--kind", "selfdual_doubling", "--n", "8",
+                                  "--noise", "3.9"),
+                                 "error: perturbation size 3.9 not realized"),
     "k-zero": (("generate", "--kind", "direct_sum", "--n", "8", "--k", "0"),
                "error: k must be nonzero"),
     "unread-field": (("generate", "--kind", "cyclic_shift", "--n", "8", "--noise", "0.5",

@@ -114,6 +114,16 @@ def test_perturb_selfdual_stays_selfdual_at_distance():
         perturb_selfdual(sd, -1.0)
 
 
+def test_perturb_selfdual_refuses_a_distance_it_cannot_reach():
+    # the secant steps stall at 3.3862 on this pair; 3.0 is still reached
+    sd = selfdual_doubling(cyclic_shift_pair(8))
+    moved = perturb_selfdual(sd, 3.0, seed=0)
+    got = operator_norm(sd.U - moved.U) + operator_norm(sd.V - moved.V)
+    assert abs(got - 3.0) <= 0.01 * 3.0
+    with pytest.raises(ValueError, match="not realized"):
+        perturb_selfdual(sd, 3.9, seed=0)
+
+
 def test_build_pair_dispatch():
     cyc = build_pair(PairSpec("cyclic_shift", 9))
     assert cyc.delta == pytest.approx(2 * np.sin(np.pi / 9))

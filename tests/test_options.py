@@ -4,7 +4,7 @@ The indices' thresholds, the certification's threshold and step budget,
 the gate tolerances and the Fourier series length are fixed constants, and
 no library call or command line option takes a tolerance.  The keyword
 names below were once parameters of these functions and are not any more;
-the certification takes only its delta, its mesh and its fine grid.
+the certification takes only its delta and its mesh.
 Whether a pair is self-dual is its type's to say: ``analyze`` takes the
 self-dual route for a ``SelfDualPair``, which only ``make_selfdual_pair``
 makes.
@@ -60,7 +60,8 @@ RETIRED = [
     (linalg.TrigPoly.is_real_valued, {"tol"}),
     (winding.winding_via_path, {"steps"}),
     (analysis.analyze, {"self_dual"}),
-    (bounds.certify_log_path, {"config"}),
+    (bounds.certify_log_path, {"config", "fine_grid"}),
+    (bounds._certify, {"fine_grid"}),
 ]
 
 
@@ -92,7 +93,7 @@ def test_test_only_routes_live_in_the_tests():
 def test_certify_config_holds_only_the_search_sizes():
     # the certification verifies stored vectors, so it has no search sizes
     parameters = tuple(inspect.signature(bounds.certify_log_path).parameters)
-    assert parameters == ("delta", "mesh", "fine_grid")
+    assert parameters == ("delta", "mesh")
 
 
 def _exported_callables():

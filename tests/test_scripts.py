@@ -40,14 +40,6 @@ def test_gap_profile_runs(flags, header):
     assert len(lines) == 1 + 6
 
 
-def test_bound_curves_runs():
-    done = run_script("bound_curves.py", "--points", "5")
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[0] == "delta,eta_f,eta_h,beta,gap_guaranteed,gap_coarse"
-    assert len(lines) == 1 + 5
-
-
 def test_certification_sweep_runs():
     done = run_script("certification_sweep.py", "--to", "0.02", "--points", "2")
     assert done.returncode == 0, done.stderr
