@@ -26,7 +26,6 @@ from .errors import (
     ThresholdExceeded,
 )
 from .linalg import (
-    TrigPoly,
     UnitaryPair,
     commutator_norm,
     hermitian_eig,
@@ -73,7 +72,6 @@ from .bounds import (
     coarse_gap,
     eta_envelope_f,
     eta_envelope_h,
-    eta_lines,
     guaranteed_gap,
     variation_bound,
 )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, certified_threshold
 from .errors import GapClosed, ThresholdExceeded
-from .linalg import TrigPoly, UnitaryPair, hermitian_eig
+from .linalg import UnitaryPair, hermitian_eig
 
 # sine amplitudes of f: (150 sin x + 25 sin 3x + 3 sin 5x) / 128
 F_AMPLITUDES = (150.0 / 128.0, 0.0, 25.0 / 128.0, 0.0, 3.0 / 128.0)
@@ -61,19 +61,16 @@ def eval_g(x):
 
 @dataclass(frozen=True)
 class StandardTriple:
-    """Closed-form triple plus its degree-5 trigonometric approximants."""
+    """The closed-form triple and the stored cosine coefficients of h."""
 
     f: Callable
     g: Callable
     h: Callable
-    f5: TrigPoly
-    g5: TrigPoly
-    h5: TrigPoly
-    coefficients16: np.ndarray  # c_0..c_16 of h; the envelope's mass cap reads all
+    coefficients16: np.ndarray  # c_0..c_16 of h, the table ``acbott fourier`` prints
 
     @property
     def coefficients(self) -> np.ndarray:
-        """c_0..c_5 of h, the coefficients of h5."""
+        """c_0..c_5 of h, the coefficients of its degree-5 approximant."""
         return self.coefficients16[:6]
 
 
@@ -102,14 +99,7 @@ _H_COEFFICIENTS16 = (
 
 @functools.lru_cache(maxsize=1)
 def standard_triple() -> StandardTriple:
-    c16 = np.array(_H_COEFFICIENTS16)
-    c = c16[:6]
-    f5 = TrigPoly.from_sin_series(F_AMPLITUDES)
-    h5 = TrigPoly.from_cos_series(c[0], [2 * c[k] for k in range(1, 6)])
-    # g is h shifted by pi, so its cosine coefficients alternate in sign
-    b = [(-1.0) ** k * c[k] for k in range(6)]
-    g5 = TrigPoly.from_cos_series(b[0], [2 * b[k] for k in range(1, 6)])
-    return StandardTriple(eval_f, eval_g, eval_h, f5, g5, h5, c16)
+    return StandardTriple(eval_f, eval_g, eval_h, np.array(_H_COEFFICIENTS16))
 
 
 class _Spectrum:

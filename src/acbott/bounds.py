@@ -24,11 +24,9 @@ match a fresh search byte for byte.
 
 The envelope rows and the cosine coefficients of h are fixed constants of the
 construction, so they are stored as exact float literals and a process only
-reads them.  ``_eta_f_rows`` and ``_eta_h_rows`` re-derive the rows on the
-offset grid together with the degree-5 reproduction check, the c_0..c_16
-mass cap and the drift gates against the published rows; the test suite runs
-them and requires the stored rows to match bit for bit.  scipy.fft and the
-stored certificate are imported when a certification first runs.
+reads them; ``tests/support.py`` re-derives both, and the test suite requires
+the stored values to match bit for bit.  scipy.fft and the stored
+certificate are imported when a certification first runs.
 """
 
 from __future__ import annotations
@@ -36,51 +34,27 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bott import F_AMPLITUDES, eval_f, eval_h, standard_triple
+from .bott import eval_f, eval_h
 from .config import (
     CERTIFY_THRESHOLD,
-    ENVELOPE_GRID,
     F_LIPSCHITZ,
     FINE_GRID,
     H_LIPSCHITZ,
     STEP_BUDGET,
 )
-from .errors import (
-    CertificationFailed,
-    InvalidPolynomial,
-    MeshViolation,
-    NoGuarantee,
-    NumericalInconsistency,
-    TableDrift,
-)
-from .linalg import TrigPoly
+from .errors import CertificationFailed, MeshViolation, NoGuarantee
 
 # sup |(h^2)'|; the true value is 1.6431
 _HSQ_LIPSCHITZ = 1.65
 # sup |(f h)'|; attained at the origin where h = 1
 _Q_LIPSCHITZ = 1.875
 
-# published reference rows (m, b) used as drift gates for the recomputation
-_REFERENCE_F = ((0.0, 2.0), (1.171875, 0.4375), (1.7578125, 0.04687), (1.875, 0.0))
-_REFERENCE_H = (
-    (0.0, 1.0),
-    (0.359880, 0.732237),
-    (0.862500, 0.350141),
-    (1.258560, 0.106619),
-    (1.446120, 0.017509),
-    (1.48498, 0.004110),
-    (2.99208, 0.0),
-)
-# cap on any partial Fourier mass of h', from the analytic derivation of the
-# slope-only reference row
-_HPRIME_MASS_CAP = 2.992076
-
-# (m, b) rows as _eta_f_rows and _eta_h_rows compute them, less h's
-# slope-only row
+# (m, b) rows of the envelopes, less h's slope-only row, as the test suite's
+# oracle derives them on the offset grid
 _ETA_F_ROWS = (
     (0.0, 2.0000112352108492),
     (1.171875, 0.4190156584543723),
@@ -120,48 +94,16 @@ class BoundEnvelope:
 
 
 # h's slope-only row: the analytic derivative-mass bound, offset exactly 0
-_H_SLOPE_ROW = BoundLine(_REFERENCE_H[-1][0], 0.0, provenance="stored")
+_H_SLOPE_ROW = BoundLine(2.99208, 0.0, provenance="stored")
 
 
-def eta_lines(
-    fn: Callable,
-    series: TrigPoly,
-    degrees: Sequence[int],
-    fn_lipschitz: float,
-) -> Tuple[BoundLine, ...]:
-    """Bound lines for fn against the truncations of a real series.
-
-    fn is evaluated once on a uniform grid and one running partial sum of
-    ``series`` is walked.  At each requested degree n, in ascending order,
-    the slope is the derivative mass of the degree-n truncation and the
-    offset is the grid diameter of fn minus that truncation plus a certified
-    budget for what the grid can miss: max and min can each be off by the
-    deviation over half a spacing, bounded by fn_lipschitz plus the slope.
-    """
-    if not series.is_real_valued():
-        raise InvalidPolynomial("approximant must be real-valued")
-    xs = np.linspace(-np.pi, np.pi, ENVELOPE_GRID + 1)
-    spacing = 2 * np.pi / ENVELOPE_GRID
-    vals = np.asarray(fn(xs), dtype=float)
-    rows = []
-    for n, partial in zip(range(max(degrees) + 1), series.partial_sums(xs)):
-        if n not in degrees:
-            continue
-        top = series.coeffs[series.degree - n : series.degree + n + 1]
-        m = TrigPoly(n, top).derivative_l1()
-        diam = float(np.ptp(vals - np.real(partial)))
-        dev = m * spacing / 2 + fn_lipschitz * spacing / 2
-        rows.append(BoundLine(m, diam + 2 * dev))
-    return tuple(rows)
-
-
-def _drift_gate(rows: Sequence[BoundLine], reference, label: str) -> None:
-    for row, (m_ref, b_ref) in zip(rows, reference):
-        if row.m > m_ref + 1e-3 or row.b > b_ref + 1e-3:
-            raise TableDrift(
-                f"{label} row recomputed as ({row.m:.6f}, {row.b:.6f}) "
-                f"drifts above reference ({m_ref}, {b_ref})"
-            )
+def require_delta(delta: float) -> None:
+    """Refuse a commutator norm or distance that is not finite and >= 0;
+    every bound function and ``acbott bounds`` check their deltas here."""
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
 
 
 @functools.lru_cache(maxsize=1)
@@ -170,7 +112,7 @@ def eta_envelope_f() -> BoundEnvelope:
 
     Rows come from truncating the degree-5 sine polynomial after 0, 1, 2 and
     3 terms.  The final truncation is f itself, so its offset is exactly 0.
-    The rows are the stored output of ``_eta_f_rows``.
+    The rows are stored; the test suite's oracle derives them.
     """
     return BoundEnvelope(tuple(BoundLine(m, b) for m, b in _ETA_F_ROWS))
 
@@ -180,48 +122,16 @@ def eta_envelope_h() -> BoundEnvelope:
     """Envelope for the commutator of h[V] with U.
 
     Rows n = 0..5 come from the cosine coefficients of h; the slope-only row
-    is the stored analytic derivative-mass bound.  The rows are the stored
-    output of ``_eta_h_rows``.
+    is the stored analytic derivative-mass bound.  The rows are stored; the
+    test suite's oracle derives them.
     """
     rows = tuple(BoundLine(m, b) for m, b in _ETA_H_ROWS)
     return BoundEnvelope(rows + (_H_SLOPE_ROW,))
 
 
-def _eta_f_rows() -> Tuple[BoundLine, ...]:
-    """Recompute the rows of eta_envelope_f, with every check on them."""
-    f5 = TrigPoly.from_sin_series(F_AMPLITUDES)
-    rows = list(eta_lines(eval_f, f5, (0, 1, 3), F_LIPSCHITZ))
-    xs = np.linspace(-np.pi, np.pi, 4097)
-    if float(np.max(np.abs(eval_f(xs) - f5.real_values(xs)))) > 1e-12:
-        raise NumericalInconsistency("degree-5 polynomial does not reproduce f")
-    rows.append(BoundLine(f5.derivative_l1(), 0.0))
-    _drift_gate(rows, _REFERENCE_F, "eta_f")
-    return tuple(rows)
-
-
-def _eta_h_rows() -> Tuple[BoundLine, ...]:
-    """Recompute the rows of eta_envelope_h, with every check on them.
-
-    The slope-only row is cross checked against the partial Fourier masses
-    of c_0..c_16, which may never exceed it.
-    """
-    triple = standard_triple()
-    rows = list(eta_lines(eval_h, triple.h5, range(6), H_LIPSCHITZ))
-    c16 = triple.coefficients16
-    mass = 2 * float(np.sum(np.arange(17) * np.abs(c16)))
-    if mass > _HPRIME_MASS_CAP:
-        raise TableDrift(
-            f"partial derivative mass {mass:.6f} exceeds cap {_HPRIME_MASS_CAP}"
-        )
-    rows.append(_H_SLOPE_ROW)
-    _drift_gate(rows, _REFERENCE_H, "eta_h")
-    return tuple(rows)
-
-
 def beta(delta: float) -> float:
     """Guaranteed bound on ||B(U,V)^2 - I|| at commutator norm delta."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    require_delta(delta)
     return 2 * eta_envelope_h()(delta) + eta_envelope_f()(delta)
 
 
@@ -243,6 +153,7 @@ def guaranteed_gap(delta: float) -> float:
 
 def coarse_gap(delta: float) -> float:
     """The simpler published radius (19/20) sqrt(1 - 5 delta), when defined."""
+    require_delta(delta)
     if delta > 0.2:
         raise NoGuarantee("coarse bound needs delta <= 1/5")
     return float(0.95 * np.sqrt(1.0 - 5.0 * delta))
@@ -255,8 +166,8 @@ def variation_bound(dU: float, dV: float) -> float:
     dU; a combined move is also controlled by beta of the total distance.
     The minimum of the two compositions is returned.
     """
-    if dU < 0 or dV < 0:
-        raise ValueError("distances must be nonnegative")
+    require_delta(dU)
+    require_delta(dV)
     return min(beta(dV) + dU, beta(dV + dU))
 
 
@@ -397,10 +308,7 @@ def certify_log_path(
     Returns the report on success and raises CertificationFailed (with the
     report attached) when any bound reaches the threshold.
     """
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta!r}")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    require_delta(delta)
     from .log_certificate import APPROXIMANTS
 
     stored_mesh = sorted({key[0] for key in APPROXIMANTS if isinstance(key, tuple)})

@@ -26,6 +26,7 @@ from .bounds import (
     eta_envelope_f,
     eta_envelope_h,
     guaranteed_gap,
+    require_delta,
 )
 from .errors import (
     AlmostCommutingError,
@@ -130,6 +131,9 @@ def _gap_cell(gap, delta) -> str:
 
 
 def cmd_bounds(args) -> int:
+    # checked before the output opens, so a rejected range writes nothing
+    require_delta(args.start)
+    require_delta(args.stop)
     deltas = np.linspace(args.start, args.stop, args.points)
     out = _open_out(args.out)
     try:

@@ -9,7 +9,7 @@ and on the real part of the rotated block matrix.
 The branch cluster at -1 is as wide as the unitarity gate, wider than the
 self-duality gate; a self-dual pair's V clusters its angles at twice that
 width, so each Kramers pair shares one angle and one side of the cut.
-The thresholds, the step budget and the envelope constants are fixed;
+The thresholds, the step budget and the Lipschitz budgets are fixed;
 ``certified_threshold`` maps a method to its threshold.  The certification
 verifies stored coefficient vectors, so it has no search settings; its one
 size is the fine grid, ``FINE_GRID``.
@@ -51,12 +51,10 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-# Envelope offsets are measured on a uniform grid of ENVELOPE_GRID spacings
-# over one period; the between-sample error is folded into the offset using a
-# Lipschitz budget.  H_LIPSCHITZ is a verified ceiling for the bump
-# function's derivative (true sup is about 1.1928), F_LIPSCHITZ is exact for
-# the degree-5 sine polynomial.
-ENVELOPE_GRID = 2 ** 20
+# Lipschitz budgets for the error between grid samples of an eta's residual.
+# H_LIPSCHITZ is a verified ceiling for the bump function's derivative (true
+# sup is about 1.1928), F_LIPSCHITZ is exact for the degree-5 sine
+# polynomial.
 H_LIPSCHITZ = 1.2
 F_LIPSCHITZ = 1.875
 

@@ -79,10 +79,6 @@ class NoGuarantee(AlmostCommutingError):
     """The bound envelope cannot guarantee a gap at this delta."""
 
 
-class TableDrift(AlmostCommutingError):
-    """A recomputed envelope row drifted away from its stored reference."""
-
-
 class MeshViolation(AlmostCommutingError):
     """Consecutive certification mesh points are too far apart."""
 
@@ -93,7 +89,3 @@ class CertificationFailed(AlmostCommutingError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class InvalidPolynomial(AlmostCommutingError):
-    """A real-valued trigonometric polynomial was required."""

@@ -1,8 +1,8 @@
 """Dense complex matrix kernel.
 
 Everything downstream consumes these few primitives: operator norms,
-commutators, unitary eigendecomposition with a fixed branch rule, polar
-parts, and trigonometric polynomials.
+commutators, unitary eigendecomposition with a fixed branch rule and polar
+parts.
 A unitary is diagonalized by its complex Schur form, except V of a pair,
 which takes one hermitian ``eigh`` of a Cayley transform of V and keeps the
 Schur form as its fallback.
@@ -193,88 +193,6 @@ def hermitian_eig(H) -> np.ndarray:
     if err is not None:
         raise NotHermitian(f"||H - H*|| = {err:.3e} exceeds tolerance")
     return np.linalg.eigvalsh(A)
-
-
-@dataclass(frozen=True)
-class TrigPoly:
-    """Finite Fourier series  sum_{k=-n..n} a_k e^{ikx}.
-
-    ``coeffs[k + degree]`` holds a_k.  Real-valued series satisfy
-    a_{-k} = conj(a_k).
-    """
-
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (2 * self.degree + 1,):
-            raise InvalidMatrix(
-                f"need {2 * self.degree + 1} coefficients for degree {self.degree}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def from_sin_series(cls, amplitudes) -> "TrigPoly":
-        """Build sum_k amplitudes[k-1] * sin(kx)."""
-        amps = np.asarray(amplitudes, dtype=float)
-        n = len(amps)
-        c = np.zeros(2 * n + 1, dtype=complex)
-        for k, a in enumerate(amps, start=1):
-            c[n + k] = a / 2j
-            c[n - k] = -a / 2j
-        return cls(n, c)
-
-    @classmethod
-    def from_cos_series(cls, a0: float, amplitudes) -> "TrigPoly":
-        """Build a0 + sum_k amplitudes[k-1] * cos(kx)."""
-        amps = np.asarray(amplitudes, dtype=float)
-        n = len(amps)
-        c = np.zeros(2 * n + 1, dtype=complex)
-        c[n] = a0
-        for k, a in enumerate(amps, start=1):
-            c[n + k] = a / 2
-            c[n - k] = a / 2
-        return cls(n, c)
-
-    def coeff(self, k: int) -> complex:
-        if abs(k) > self.degree:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[k + self.degree])
-
-    def partial_sums(self, x):
-        """Yield the values at x of the truncations at degree 0, 1, ..., degree.
-
-        One array is updated in place from each value to the next, so a
-        caller that keeps a value past the next step must copy it.
-        """
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, self.coeffs[self.degree], dtype=complex)
-        yield out
-        for k in range(1, self.degree + 1):
-            e = np.exp(1j * k * x)
-            out += self.coeffs[self.degree + k] * e
-            out += self.coeffs[self.degree - k] * np.conj(e)
-            yield out
-
-    def __call__(self, x):
-        for out in self.partial_sums(x):
-            pass
-        return out
-
-    def real_values(self, x) -> np.ndarray:
-        """Evaluate a real-valued series, returning float values."""
-        return np.real(self(x))
-
-    def is_real_valued(self) -> bool:
-        """a_{-k} = conj(a_k) for every k, to 1e-12."""
-        flipped = np.conj(self.coeffs[::-1])
-        return bool(np.max(np.abs(self.coeffs - flipped)) <= 1e-12)
-
-    def derivative_l1(self) -> float:
-        """sum |k a_k|, the slope constant attached to this polynomial."""
-        ks = np.arange(-self.degree, self.degree + 1)
-        return float(np.sum(np.abs(ks * self.coeffs)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

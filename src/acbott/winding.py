@@ -78,12 +78,14 @@ def winding_via_path(pair: UnitaryPair) -> int:
     Determinants are computed by LU factorization at each step, and W gets
     its own factorization here, not the pair's cached one, so the only
     shared ingredient with :func:`winding_number` is the matrix W itself.
-    The path starts at 1024 steps, which double until every per-step phase
-    change is below pi/2.  The W^t of up to 64 steps are formed as one stack
-    (at most about 8 MB) and go to one batched determinant call.
+    arg det(W^t) moves at rate |sum theta| <= dim * pi, so the path starts
+    at the smallest power of two >= 2 dim steps, each within pi/2; the steps
+    double until every per-step phase change is below pi/2.  The W^t of up
+    to 64 steps are formed as one stack (at most about 8 MB) and go to one
+    batched determinant call.
     """
     _require_gate(pair.delta)
-    steps = 1024
+    steps = 1 << (2 * pair.dim - 1).bit_length()
     angles, Q = _schur_angles(pair.multiplicative_commutator())
     Qstar = Q.conj().T
     chunk = max(1, min(64, 2**19 // Q.size))

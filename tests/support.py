@@ -2,7 +2,8 @@
 
 These are deliberately independent of the generators module so that tests of
 that module have something to check against.  The oracles integrate the
-cosine coefficients of h by quadrature, evaluate functions at a unitary by
+cosine coefficients of h by quadrature, derive the eta envelope rows from
+the triple's trigonometric approximants, evaluate functions at a unitary by
 its Schur form or by Horner accumulation, take the principal logarithm,
 check Kramers pairing, assemble B in the standard basis and take Pfaffians
 of general complex skew matrices by Householder congruences and by pivoted
@@ -15,10 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from acbott.bott import _BUMP_PREFACTOR, BottMatrix, standard_triple
-from acbott.config import DEFAULT_TOL
+from acbott.bott import (
+    _BUMP_PREFACTOR,
+    F_AMPLITUDES,
+    BottMatrix,
+    eval_f,
+    eval_h,
+    standard_triple,
+)
+from acbott.bounds import BoundLine
+from acbott.config import DEFAULT_TOL, F_LIPSCHITZ, H_LIPSCHITZ
 from acbott.errors import (
     AlmostCommutingError,
+    InvalidMatrix,
     NotHermitian,
     NotSelfDual,
     NumericalInconsistency,
@@ -140,6 +150,189 @@ def fourier_coefficients_h(max_n: int = 5) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Trigonometric polynomials and the eta envelope rows, the oracle of the rows
+# stored in acbott.bounds
+# ---------------------------------------------------------------------------
+
+# Envelope offsets are measured on a uniform grid of ENVELOPE_GRID spacings
+# over one period; the between-sample error is folded into the offset using
+# the Lipschitz budgets of acbott.config.
+ENVELOPE_GRID = 2 ** 20
+
+# published reference rows (m, b); no recomputed row may drift above one
+_REFERENCE_F = ((0.0, 2.0), (1.171875, 0.4375), (1.7578125, 0.04687), (1.875, 0.0))
+_REFERENCE_H = (
+    (0.0, 1.0),
+    (0.359880, 0.732237),
+    (0.862500, 0.350141),
+    (1.258560, 0.106619),
+    (1.446120, 0.017509),
+    (1.48498, 0.004110),
+    (2.99208, 0.0),
+)
+# cap on any partial Fourier mass of h', from the analytic derivation of the
+# slope-only reference row
+_HPRIME_MASS_CAP = 2.992076
+
+
+@dataclass(frozen=True)
+class TrigPoly:
+    """Finite Fourier series  sum_{k=-n..n} a_k e^{ikx}.
+
+    ``coeffs[k + degree]`` holds a_k.  Real-valued series satisfy
+    a_{-k} = conj(a_k).
+    """
+
+    degree: int
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=complex)
+        if c.shape != (2 * self.degree + 1,):
+            raise InvalidMatrix(
+                f"need {2 * self.degree + 1} coefficients for degree {self.degree}"
+            )
+        object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def from_sin_series(cls, amplitudes) -> "TrigPoly":
+        """Build sum_k amplitudes[k-1] * sin(kx)."""
+        amps = np.asarray(amplitudes, dtype=float)
+        n = len(amps)
+        c = np.zeros(2 * n + 1, dtype=complex)
+        for k, a in enumerate(amps, start=1):
+            c[n + k] = a / 2j
+            c[n - k] = -a / 2j
+        return cls(n, c)
+
+    @classmethod
+    def from_cos_series(cls, a0: float, amplitudes) -> "TrigPoly":
+        """Build a0 + sum_k amplitudes[k-1] * cos(kx)."""
+        amps = np.asarray(amplitudes, dtype=float)
+        n = len(amps)
+        c = np.zeros(2 * n + 1, dtype=complex)
+        c[n] = a0
+        for k, a in enumerate(amps, start=1):
+            c[n + k] = a / 2
+            c[n - k] = a / 2
+        return cls(n, c)
+
+    def coeff(self, k: int) -> complex:
+        if abs(k) > self.degree:
+            return 0.0 + 0.0j
+        return complex(self.coeffs[k + self.degree])
+
+    def partial_sums(self, x):
+        """Yield the values at x of the truncations at degree 0, 1, ..., degree.
+
+        One array is updated in place from each value to the next, so a
+        caller that keeps a value past the next step must copy it.
+        """
+        x = np.asarray(x, dtype=float)
+        out = np.full(x.shape, self.coeffs[self.degree], dtype=complex)
+        yield out
+        for k in range(1, self.degree + 1):
+            e = np.exp(1j * k * x)
+            out += self.coeffs[self.degree + k] * e
+            out += self.coeffs[self.degree - k] * np.conj(e)
+            yield out
+
+    def __call__(self, x):
+        for out in self.partial_sums(x):
+            pass
+        return out
+
+    def real_values(self, x) -> np.ndarray:
+        """Evaluate a real-valued series, returning float values."""
+        return np.real(self(x))
+
+    def is_real_valued(self) -> bool:
+        """a_{-k} = conj(a_k) for every k, to 1e-12."""
+        flipped = np.conj(self.coeffs[::-1])
+        return bool(np.max(np.abs(self.coeffs - flipped)) <= 1e-12)
+
+    def derivative_l1(self) -> float:
+        """sum |k a_k|, the slope constant attached to this polynomial."""
+        ks = np.arange(-self.degree, self.degree + 1)
+        return float(np.sum(np.abs(ks * self.coeffs)))
+
+
+def _degree5_approximants():
+    c = standard_triple().coefficients
+    f5 = TrigPoly.from_sin_series(F_AMPLITUDES)
+    h5 = TrigPoly.from_cos_series(c[0], [2 * c[k] for k in range(1, 6)])
+    # g is h shifted by pi, so its cosine coefficients alternate in sign
+    b = [(-1.0) ** k * c[k] for k in range(6)]
+    g5 = TrigPoly.from_cos_series(b[0], [2 * b[k] for k in range(1, 6)])
+    return f5, g5, h5
+
+
+# the degree-5 trigonometric approximants of the triple (f, g, h)
+f5, g5, h5 = _degree5_approximants()
+
+
+def eta_lines(fn, series, degrees, fn_lipschitz):
+    """Bound lines for fn against the truncations of a real series.
+
+    fn is evaluated once on a uniform grid and one running partial sum of
+    ``series`` is walked.  At each requested degree n, in ascending order,
+    the slope is the derivative mass of the degree-n truncation and the
+    offset is the grid diameter of fn minus that truncation plus a certified
+    budget for what the grid can miss: max and min can each be off by the
+    deviation over half a spacing, bounded by fn_lipschitz plus the slope.
+    """
+    xs = np.linspace(-np.pi, np.pi, ENVELOPE_GRID + 1)
+    spacing = 2 * np.pi / ENVELOPE_GRID
+    vals = np.asarray(fn(xs), dtype=float)
+    rows = []
+    for n, partial in zip(range(max(degrees) + 1), series.partial_sums(xs)):
+        if n not in degrees:
+            continue
+        top = series.coeffs[series.degree - n : series.degree + n + 1]
+        m = TrigPoly(n, top).derivative_l1()
+        diam = float(np.ptp(vals - np.real(partial)))
+        dev = m * spacing / 2 + fn_lipschitz * spacing / 2
+        rows.append(BoundLine(m, diam + 2 * dev))
+    return tuple(rows)
+
+
+def _drift_gate(rows, reference, label):
+    for row, (m_ref, b_ref) in zip(rows, reference):
+        assert row.m <= m_ref + 1e-3 and row.b <= b_ref + 1e-3, (
+            f"{label} row recomputed as ({row.m:.6f}, {row.b:.6f}) "
+            f"drifts above reference ({m_ref}, {b_ref})"
+        )
+
+
+def _eta_f_rows():
+    """The rows of ``bounds.eta_envelope_f``, with every check on them."""
+    rows = list(eta_lines(eval_f, f5, (0, 1, 3), F_LIPSCHITZ))
+    xs = np.linspace(-np.pi, np.pi, 4097)
+    deviation = float(np.max(np.abs(eval_f(xs) - f5.real_values(xs))))
+    assert deviation <= 1e-12, f"degree-5 polynomial misses f by {deviation:.3e}"
+    rows.append(BoundLine(f5.derivative_l1(), 0.0))
+    _drift_gate(rows, _REFERENCE_F, "eta_f")
+    return tuple(rows)
+
+
+def _eta_h_rows():
+    """The rows of ``bounds.eta_envelope_h``, with every check on them.
+
+    The slope-only row is the reference's, cross checked against the partial
+    Fourier masses of c_0..c_16, which may never exceed it.
+    """
+    rows = list(eta_lines(eval_h, h5, range(6), H_LIPSCHITZ))
+    c16 = standard_triple().coefficients16
+    mass = 2 * float(np.sum(np.arange(17) * np.abs(c16)))
+    assert mass <= _HPRIME_MASS_CAP, (
+        f"partial derivative mass {mass:.6f} exceeds cap {_HPRIME_MASS_CAP}"
+    )
+    rows.append(BoundLine(_REFERENCE_H[-1][0], 0.0, provenance="stored"))
+    _drift_gate(rows, _REFERENCE_H, "eta_h")
+    return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
 # Functions of a unitary by the Schur and Horner routes, the principal
 # logarithm and the Kramers-pairing check
 # ---------------------------------------------------------------------------
@@ -245,8 +438,7 @@ def horner_B(pair) -> BottMatrix:
     no eigendecomposition, and assembled by ``standard_basis_B``, so this is
     a route to B independent of ``build_B``'s eigenbasis assembly.
     """
-    t = standard_triple()
-    fV, gV, hV = (apply_trigpoly(p, pair.V) for p in (t.f5, t.g5, t.h5))
+    fV, gV, hV = (apply_trigpoly(p, pair.V) for p in (f5, g5, h5))
     return BottMatrix.of(standard_basis_B(fV, gV, hV, pair.U))
 
 

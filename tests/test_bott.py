@@ -20,7 +20,6 @@ from acbott.bott import (
     eval_h,
     require_certified,
     signature,
-    standard_triple,
 )
 from acbott.config import KAPPA_THRESHOLD
 from acbott.errors import GapClosed, NumericalInconsistency, ThresholdExceeded
@@ -29,7 +28,10 @@ from acbott.linalg import make_pair
 from acbott.winding import winding_number
 from support import (
     AccuracyNotCertified,
+    f5,
     fourier_coefficients_h,
+    g5,
+    h5,
     haar_unitary,
     horner_B,
 )
@@ -101,10 +103,9 @@ def test_triple_periodicity():
 
 
 def test_degree5_checksum_at_zero():
-    st5 = standard_triple()
-    assert st5.h5.real_values(0.0) == pytest.approx(1.0, abs=1e-4)
-    assert st5.g5.real_values(np.pi) == pytest.approx(1.0, abs=1e-4)
-    assert np.max(np.abs(st5.f5.real_values(np.linspace(-np.pi, np.pi, 101))
+    assert h5.real_values(0.0) == pytest.approx(1.0, abs=1e-4)
+    assert g5.real_values(np.pi) == pytest.approx(1.0, abs=1e-4)
+    assert np.max(np.abs(f5.real_values(np.linspace(-np.pi, np.pi, 101))
                          - eval_f(np.linspace(-np.pi, np.pi, 101)))) < 1e-12
 
 
@@ -114,14 +115,12 @@ _FINE = np.linspace(-np.pi, np.pi, 2_000_001)
 def test_h5_sup_deviation_stated_bound():
     # stated bound 0.002338; the measured sup is 0.0023880, see the
     # companion test below for the certified value
-    st5 = standard_triple()
-    sup = float(np.max(np.abs(eval_h(_FINE) - st5.h5.real_values(_FINE))))
+    sup = float(np.max(np.abs(eval_h(_FINE) - h5.real_values(_FINE))))
     assert sup <= 0.002338, f"sup|h - h5| = {sup:.7f} exceeds 0.002338"
 
 
 def test_h5_sup_deviation_measured():
-    st5 = standard_triple()
-    res = eval_h(_FINE) - st5.h5.real_values(_FINE)
+    res = eval_h(_FINE) - h5.real_values(_FINE)
     sup = float(np.max(np.abs(res)))
     assert 0.00238 <= sup <= 0.00239
     # range diameter of the residual, the quantity the envelope rows carry

@@ -13,10 +13,6 @@ import pytest
 import acbott
 import acbott.bott as bott
 from acbott.bounds import (
-    BoundLine,
-    _drift_gate,
-    _eta_f_rows,
-    _eta_h_rows,
     _eval_half_series,
     beta,
     beta_root,
@@ -24,19 +20,11 @@ from acbott.bounds import (
     coarse_gap,
     eta_envelope_f,
     eta_envelope_h,
-    eta_lines,
     guaranteed_gap,
     variation_bound,
 )
 from acbott.config import CERTIFY_THRESHOLD, FINE_GRID, KAPPA_THRESHOLD, STEP_BUDGET
-from acbott.errors import (
-    CertificationFailed,
-    InvalidPolynomial,
-    MeshViolation,
-    NoGuarantee,
-    TableDrift,
-)
-from acbott.linalg import TrigPoly
+from acbott.errors import CertificationFailed, MeshViolation, NoGuarantee
 import support
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,18 +73,13 @@ def test_envelope_is_pointwise_minimum():
         assert env(d) == min(line(d) for line in env.lines)
 
 
-def test_eta_line_rejects_complex_polynomial():
-    p = TrigPoly(1, [0.0, 0.0, 1.0 + 0.5j])  # a_1 without conjugate partner
-    with pytest.raises(InvalidPolynomial):
-        eta_lines(np.sin, p, (0, 1), fn_lipschitz=1.0)
-
-
 def test_stored_envelope_rows_match_recomputation():
-    # the recomputation runs the reproduction check, the mass cap and the
-    # drift gates; the stored rows must equal its output bit for bit
+    # the oracle asserts the reproduction check, the mass cap and the drift
+    # gates; the stored rows must equal its output bit for bit
+    assert support.f5.is_real_valued() and support.h5.is_real_valued()
     for stored, recompute in (
-        (eta_envelope_f, _eta_f_rows),
-        (eta_envelope_h, _eta_h_rows),
+        (eta_envelope_f, support._eta_f_rows),
+        (eta_envelope_h, support._eta_h_rows),
     ):
         assert [repr(line) for line in stored().lines] == [
             repr(line) for line in recompute()
@@ -104,8 +87,6 @@ def test_stored_envelope_rows_match_recomputation():
 
 
 def test_envelopes_evaluate_each_function_once(monkeypatch):
-    import acbott.bounds as bounds
-
     counts = {"f": 0, "h": 0}
 
     def counted(key, fn):
@@ -115,10 +96,10 @@ def test_envelopes_evaluate_each_function_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(bounds, "eval_f", counted("f", bounds.eval_f))
-    monkeypatch.setattr(bounds, "eval_h", counted("h", bounds.eval_h))
-    _eta_f_rows()
-    _eta_h_rows()
+    monkeypatch.setattr(support, "eval_f", counted("f", support.eval_f))
+    monkeypatch.setattr(support, "eval_h", counted("h", support.eval_h))
+    support._eta_f_rows()
+    support._eta_h_rows()
     # f: the offset grid and the degree-5 reproduction check; h: the grid
     assert counts == {"f": 2, "h": 1}
 
@@ -130,11 +111,6 @@ def test_standard_triple_reads_stored_coefficients():
     triple = bott.standard_triple()
     assert np.array_equal(triple.coefficients16, support.fourier_coefficients_h(16))
     assert np.array_equal(triple.coefficients, support.fourier_coefficients_h(5))
-
-
-def test_drift_gate_raises_on_drift():
-    with pytest.raises(TableDrift):
-        _drift_gate([BoundLine(5.0, 5.0)], ((0.0, 2.0),), "probe")
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +163,23 @@ def test_variation_bound():
     )
     with pytest.raises(ValueError):
         variation_bound(-0.1, 0.0)
+
+
+_DELTA_CHECKED = {
+    "beta": beta,
+    "guaranteed_gap": guaranteed_gap,
+    "coarse_gap": coarse_gap,
+    "variation_bound-dU": lambda d: variation_bound(d, 0.0),
+    "variation_bound-dV": lambda d: variation_bound(0.0, d),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("fn", _DELTA_CHECKED.values(), ids=_DELTA_CHECKED.keys())
+def test_every_bound_function_checks_delta_the_same_way(fn, bad):
+    message = "must be nonnegative" if bad < 0 else "must be finite"
+    with pytest.raises(ValueError, match=message):
+        fn(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,19 @@ def test_bounds_beta_csv(tmp_path, capsys):
     assert float(first[3]) == pytest.approx(0.95)
 
 
+@pytest.mark.parametrize("bound", ["--from=nan", "--from=-0.1", "--to=inf"])
+def test_bounds_rejects_a_range_before_writing(tmp_path, capsys, bound):
+    # the range is checked before the output opens: no header on stdout,
+    # and no file at all
+    rc, out, err = run(capsys, "bounds", "--curve", "beta", bound)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: delta must be")
+    csv = tmp_path / "f.csv"
+    rc, out, _ = run(capsys, "bounds", "--curve", "beta", bound, "--out", str(csv))
+    assert (rc, out) == (1, "")
+    assert not csv.exists()
+
+
 def test_bounds_envelope_csv(capsys):
     rc, out, _ = run(capsys, "bounds", "--curve", "eta-f", "--points", "3")
     assert rc == 0

@@ -18,7 +18,6 @@ from acbott.errors import (
 )
 from acbott.bott import bott_index, standard_triple
 from acbott.linalg import (
-    TrigPoly,
     UnitaryPair,
     _cayley_angles,
     _schur_angles,
@@ -44,6 +43,7 @@ from acbott.selfdual import (
 )
 from acbott.winding import distance_bound_commuting, winding_number, winding_via_path
 from support import (
+    TrigPoly,
     apply_periodic,
     apply_trigpoly,
     check_kramers,

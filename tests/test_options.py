@@ -23,6 +23,7 @@ from acbott import (
     bott,
     bounds,
     cli,
+    config,
     errors,
     linalg,
     logmethod,
@@ -57,7 +58,7 @@ RETIRED = [
     (linalg.hermitian_eig, {"tol"}),
     (support.apply_periodic, {"tol"}),
     (support.apply_trigpoly, {"tol"}),
-    (linalg.TrigPoly.is_real_valued, {"tol"}),
+    (support.TrigPoly.is_real_valued, {"tol"}),
     (winding.winding_via_path, {"steps"}),
     (analysis.analyze, {"self_dual"}),
     (bounds.certify_log_path, {"config", "fine_grid"}),
@@ -75,10 +76,20 @@ def test_retired_keyword_is_not_a_parameter(fn, names):
 # routes only the tests call: oracles in tests/support.py, not the package's
 TEST_ONLY = {
     bott: ("fourier_coefficients_h",),
-    linalg: ("unitary_eig", "apply_periodic", "apply_trigpoly"),
+    linalg: ("unitary_eig", "apply_periodic", "apply_trigpoly", "TrigPoly"),
     logmethod: ("principal_log", "PrincipalLog"),
     selfdual: ("check_kramers",),
+    bounds: (
+        "eta_lines",
+        "_eta_f_rows",
+        "_eta_h_rows",
+        "_drift_gate",
+        "_REFERENCE_F",
+        "_REFERENCE_H",
+        "_HPRIME_MASS_CAP",
+    ),
     errors: ("OddDimension", "NotSkewSymmetric", "AccuracyNotCertified"),
+    config: ("ENVELOPE_GRID",),
 }
 
 
@@ -88,6 +99,12 @@ def test_test_only_routes_live_in_the_tests():
             assert not hasattr(acbott, name), name
             assert not hasattr(module, name), name
             assert hasattr(support, name), name
+    # only the envelope oracle's guards raised these; they are assertions now
+    for name in ("TableDrift", "InvalidPolynomial"):
+        assert not hasattr(acbott, name) and not hasattr(errors, name), name
+        assert not hasattr(support, name), name
+    # the degree-5 approximants are the oracle's, not the standard triple's
+    assert [f.name for f in fields(bott.StandardTriple)] == ["f", "g", "h", "coefficients16"]
 
 
 def test_certify_config_holds_only_the_search_sizes():

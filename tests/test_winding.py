@@ -31,6 +31,21 @@ def test_cyclic_family_is_minus_one(n):
     assert res.delta == pytest.approx(2 * np.sin(np.pi / n), abs=1e-12)
 
 
+def test_path_steps_start_from_the_dimension(monkeypatch):
+    # arg det(W^t) moves at rate |sum theta| <= n pi, so 2n steps keep each
+    # phase change within pi/2: the n = 64 path takes 128 steps, not 1024
+    dets = []
+
+    def counted(a):
+        dets.append(int(np.prod(np.shape(a)[:-2])))
+        return det(a)
+
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", counted)
+    assert winding_via_path(cyclic_shift_pair(64)) == -1
+    assert sum(dets) == 129
+
+
 @pytest.mark.parametrize("k", [-3, -1, 1, 2, 3])
 def test_powered_pairs_wind_k_times(k):
     pair = powered_pair(16, k)
