@@ -10,7 +10,8 @@ eigenbasis, which needs no product with Q beyond Q*UQ.  For a plain pair
 the single hermitian spectrum of that matrix gives kappa and the measured
 gap.  A ``SelfDualPair``, which only ``make_selfdual_pair`` makes after its
 self-duality gates, has V's eigenbasis in Kramers form, Q^# = Q*, so the
-same matrix is anti-self-dual: one real reduction of it gives kappa2, the
+same matrix is anti-self-dual and is not formed: a real skew matrix is
+written from its corner, and one real reduction of that gives kappa2, the
 sign of its modified Pfaffian, and a spectrum within a stated eta of B's,
 which gives kappa and the measured gap.  Every index of a method
 is certified up to ``config.certified_threshold(method)``, the threshold
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .bott import _eigenbasis_B, _spectrum_in_eigenbasis, _trig_values
+from .bott import _spectrum_in_eigenbasis, _trig_values
 from .bounds import guaranteed_gap
 from .config import certified_threshold
 from .errors import GapClosed, NoGuarantee, NumericalInconsistency
@@ -84,7 +85,7 @@ def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:
 
     values = _log_values if method == "log" else _trig_values
     if isinstance(pair, SelfDualPair):
-        spectrum = _pfaffian_sign(_eigenbasis_B(pair, values))
+        spectrum = _pfaffian_sign(pair, values)
         report.kappa2 = spectrum.sign
     else:
         spectrum = _spectrum_in_eigenbasis(pair, values)

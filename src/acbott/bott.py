@@ -68,11 +68,6 @@ class StandardTriple:
     h: Callable
     coefficients16: np.ndarray  # c_0..c_16 of h, the table ``acbott fourier`` prints
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        """c_0..c_5 of h, the coefficients of its degree-5 approximant."""
-        return self.coefficients16[:6]
-
 
 # c_0..c_16 of h, the table that ``acbott fourier`` prints; the test suite
 # integrates each c_n again by quadrature and requires bitwise equality
@@ -134,28 +129,36 @@ def _trig_values(angles):
     return t.f(angles), t.g(angles), t.h(angles)
 
 
-def _eigenbasis_B(pair: UnitaryPair, values) -> np.ndarray:
-    """The block matrix of a triple and U in V's eigenbasis.
+def _corner(pair: UnitaryPair, values):
+    """(f, L): the triple's f at V's angles and the block matrix's lower corner.
 
     ``values`` maps V's angles to the triple's (f, g, h) there.  With
-    V = Q diag(e^{i theta}) Q* and U~ = Q* U Q, the matrix
-    diag(Q, Q)* B diag(Q, Q) has diagonal blocks +-diag(f), lower corner
-    diag(g) + (h_i + h_j) U~_ij / 2 and upper corner its adjoint: two
-    products and O(n^2) assembly.  The corners are oriented so that B has
-    signature -2 on the shift/clock pair with V U V* U* = exp(-2 pi i / n) I,
-    matching the winding invariant of that pair; the commuting anchors
-    (diagonal blocks +-f(V), corners h(V) at U = I) are insensitive to this
-    choice.  The matrix is unitarily similar to the standard-basis B, so its
-    spectrum is B's; for a ``SelfDualPair``, Q^# = Q* and its modified
-    Pfaffian has B's sign too.
+    V = Q diag(e^{i theta}) Q* and U~ = Q* U Q, the corner in V's eigenbasis
+    is L = diag(g) + (h_i + h_j) U~_ij / 2: two products and O(n^2) work.
     """
     angles, Q = pair.v_eig
     fvals, gvals, hvals = values(angles)
-    n = angles.shape[0]
-    lower = Q.conj().T @ pair.U @ Q
-    lower *= np.add.outer(hvals, hvals)
-    lower *= 0.5
-    lower[np.diag_indices(n)] += gvals
+    L = Q.conj().T @ pair.U @ Q
+    L *= np.add.outer(hvals, hvals)
+    L *= 0.5
+    L[np.diag_indices(len(angles))] += gvals
+    return fvals, L
+
+
+def _eigenbasis_B(pair: UnitaryPair, values) -> np.ndarray:
+    """The block matrix of a triple and U in V's eigenbasis.
+
+    diag(Q, Q)* B diag(Q, Q) has diagonal blocks +-diag(f), lower corner L
+    of :func:`_corner` and upper corner its adjoint.  The corners are
+    oriented so that B has signature -2 on the shift/clock pair with
+    V U V* U* = exp(-2 pi i / n) I, matching the winding invariant of that
+    pair; the commuting anchors (diagonal blocks +-f(V), corners h(V) at
+    U = I) are insensitive to this choice.  The matrix is unitarily similar
+    to the standard-basis B, so its spectrum is B's; for a ``SelfDualPair``,
+    Q^# = Q* and its modified Pfaffian has B's sign too.
+    """
+    fvals, lower = _corner(pair, values)
+    n = len(fvals)
     B = np.zeros((2 * n, 2 * n), dtype=complex)
     d = np.arange(n)
     B[d, d] = fvals
@@ -167,7 +170,8 @@ def _eigenbasis_B(pair: UnitaryPair, values) -> np.ndarray:
 
 def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> BottMatrix:
     """:func:`_eigenbasis_B` and its hermitian spectrum.  A self-dual request
-    reads B's spectrum from :func:`selfdual._pfaffian_sign` instead."""
+    reads B's spectrum from :func:`selfdual._pfaffian_sign`, which takes the
+    same arguments, instead."""
     return BottMatrix.of(_eigenbasis_B(pair, values))
 
 

@@ -134,6 +134,8 @@ def cmd_bounds(args) -> int:
     # checked before the output opens, so a rejected range writes nothing
     require_delta(args.start)
     require_delta(args.stop)
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     deltas = np.linspace(args.start, args.stop, args.points)
     out = _open_out(args.out)
     try:

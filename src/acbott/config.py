@@ -3,9 +3,9 @@
 The gate widths of the structural checks live in ``Tolerances``, whether
 one check reads a width or several, and no caller sets one: the thresholds
 are theorems about exact unitaries, so nearly unitary input takes its polar
-parts (``acbott index --polar``) instead of a wider gate.  Two limits stay
-beside their checks in ``selfdual``: 1e-7 on the anti-self-duality defect
-and on the real part of the rotated block matrix.
+parts (``acbott index --polar``) instead of a wider gate.  One limit stays
+beside its check in ``selfdual``: 1e-7 on the anti-self-duality defect of
+the block matrix, read from its corner.
 The branch cluster at -1 is as wide as the unitarity gate, wider than the
 self-duality gate; a self-dual pair's V clusters its angles at twice that
 width, so each Kramers pair shares one angle and one side of the cut.

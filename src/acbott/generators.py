@@ -34,10 +34,15 @@ def cyclic_shift_pair(n: int) -> UnitaryPair:
 
 
 def _direct_sum(pairs) -> UnitaryPair:
-    from scipy.linalg import block_diag
-
-    U = block_diag(*[p.U for p in pairs]).astype(complex)
-    V = block_diag(*[p.V for p in pairs]).astype(complex)
+    n = sum(p.dim for p in pairs)
+    U = np.zeros((n, n), dtype=complex)
+    V = np.zeros_like(U)
+    i = 0
+    for p in pairs:
+        j = i + p.dim
+        U[i:j, i:j] = p.U
+        V[i:j, i:j] = p.V
+        i = j
     return make_pair(U, V)
 
 
@@ -96,8 +101,8 @@ def perturb(pair: UnitaryPair, r: float, seed: int = 0) -> UnitaryPair:
     Each factor moves by exactly r/2: right-multiplying by e^{iH} with
     ||H|| = 2 arcsin(r/4) changes a unitary by 2 sin(||H||/2) in norm.
     """
-    if r < 0:
-        raise ValueError("perturbation size must be nonnegative")
+    if not 0 <= r < np.inf:
+        raise ValueError(f"perturbation size must be finite and nonnegative, got {r!r}")
     if r == 0:
         return pair
     if r > 3.9:
@@ -138,8 +143,8 @@ def perturb_selfdual(sd: SelfDualPair, r: float, seed: int = 0) -> SelfDualPair:
     tuned by a few secant steps so the realized distance matches r within 1%;
     a size the steps cannot reach raises ValueError.
     """
-    if r < 0:
-        raise ValueError("perturbation size must be nonnegative")
+    if not 0 <= r < np.inf:
+        raise ValueError(f"perturbation size must be finite and nonnegative, got {r!r}")
     if r == 0:
         return sd
     rng = np.random.default_rng(seed)
@@ -213,7 +218,5 @@ def build_pair(spec: PairSpec) -> UnitaryPair:
     if spec.kind == "direct_sum":
         return powered_pair(spec.n, spec.k)
     sd = selfdual_doubling(cyclic_shift_pair(spec.n))
-    if spec.noise > 0:
-        sd = perturb_selfdual(sd, spec.noise, spec.seed)
-    return sd
+    return perturb_selfdual(sd, spec.noise, spec.seed)
 

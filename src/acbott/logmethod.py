@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bott import BottMatrix, _eigenbasis_B, _in_standard_basis, require_certified
+from .bott import BottMatrix, _in_standard_basis, require_certified
 from .linalg import UnitaryPair
 from .selfdual import SelfDualPair, _pfaffian_sign
 
@@ -36,4 +36,4 @@ def kappa2_log(sd: SelfDualPair) -> int:
     delta <= 1/8, refused beyond it with ThresholdExceeded
     (``analysis.analyze(sd, method="log")`` computes it at any delta)."""
     require_certified(sd.delta, "log")
-    return _pfaffian_sign(_eigenbasis_B(sd, _log_values)).sign
+    return _pfaffian_sign(sd, _log_values).sign

@@ -9,12 +9,14 @@ invariant is the sign of a modified Pfaffian of the same block matrix
 signed reversals of equal blocks; the dual, the block dual K X^T K, the
 Kramers partner -Z conj(q) and the rotation Q read that one structure.
 
-The sign index takes a real route: for the hermitian block matrix, Q* B Q
-is i times a real skew matrix R, formed in real arithmetic.  One LAPACK
-Hessenberg reduction takes R to a skew tridiagonal T, which gives the
-Pfaffian and, in O(dim^2), the spectrum of B up to a stated bound eta; the
-sign is reliable when eta is below that spectrum's gap.  No complex
-eigensolver of B runs.
+The sign index takes a real route.  In V's Kramers basis the block matrix B
+is made of diag(f) and one corner L, and B's anti-self-dual part is
+hermitian, so Q* B Q is, up to L's self-duality defect, i times a real skew
+matrix R, written in real arithmetic from L's self-dual part; the complex B
+is never formed.  One LAPACK Hessenberg reduction takes R to a skew
+tridiagonal T, which gives the Pfaffian and, in O(dim^2), the spectrum of B
+up to a stated bound eta; the sign is reliable when eta is below that
+spectrum's gap.  No complex eigensolver of B runs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .bott import _Spectrum, _eigenbasis_B, _trig_values, require_certified
+from .bott import _corner, _Spectrum, _trig_values, require_certified
 from .config import DEFAULT_TOL
 from .errors import (
     DimensionMismatch,
@@ -209,48 +211,6 @@ def make_selfdual_pair(U, V) -> SelfDualPair:
 # ---------------------------------------------------------------------------
 
 
-def _rotated_anti_selfdual(X: np.ndarray) -> Tuple[np.ndarray, float, float]:
-    """(R, ||X + X^#||_F, ||Re S||_F) for S = Q* X_a Q = Re S + iR.
-
-    X_a = (X - X^#)/2 is the anti-self-dual part of X.  The gate on
-    ||X + X^#|| against 1e-7 * max(1, ||X||) reads ``gate_relative``, so it
-    is decided as by the exact norms and takes an SVD only when the cheap
-    bounds do not decide.  K^2 = I and X_a^# = K X_a^T K = -X_a entry for
-    entry, so S = (X_a - X_a^T + i (X_a K - K X_a)) / 2.  With
-    X_a = X_r + i X_i, R = (X_i - X_i^T + X_r K - K X_r) / 2 is written in
-    real arithmetic to a Fortran-ordered array, skew as computed, which
-    ``dgehrd`` reduces in place; Re S = (X_r - X_r^T - (X_i K - K X_i)) / 2
-    goes straight to its Frobenius norm.  No complex array of S is formed.
-    """
-    Xd = dual_tensor(X)
-    D = X + Xd
-    failed = gate_relative(D, X, 1e-7)
-    if failed is not None:
-        raise NotAntiSelfDual(f"anti-self-duality violated by {failed:.3e}")
-    drift = float(np.linalg.norm(D))
-    del D
-    Xa = np.subtract(X, Xd, out=Xd)
-    Xa /= 2
-    perm, sign = _block_reversal(X.shape[0], _K)
-
-    def commutator(Y):  # Y K - K Y
-        YK = Y[:, perm]
-        YK *= sign
-        KY = Y[perm]
-        KY *= sign[:, None]
-        YK -= KY
-        return YK
-
-    R = np.empty(X.shape, order="F")
-    np.subtract(Xa.imag, Xa.imag.T, out=R)
-    R += commutator(Xa.real)
-    R /= 2
-    re_s = commutator(Xa.imag)
-    np.subtract(Xa.real, re_s, out=re_s)
-    re_s -= Xa.real.T
-    return R, drift, float(np.linalg.norm(re_s)) / 2
-
-
 def _real_pfaffian_sign_log(R: np.ndarray) -> Tuple[int, float, np.ndarray, float]:
     """(sign, log |Pf|, spectrum, residual) of an exactly skew real R.
 
@@ -312,38 +272,64 @@ class PfaffianSign(_Spectrum):
         return self.eta < self.gap
 
 
-def _pfaffian_sign(B: np.ndarray) -> PfaffianSign:
+def _pfaffian_sign(pair: SelfDualPair, values) -> PfaffianSign:
     """Sign of the modified Pfaffian of B, with B's spectrum, from one real reduction.
 
-    B is hermitian and anti-self-dual, so S = Q* B Q is hermitian and skew:
-    S = iR with R = Im S real skew.  A non-hermitian B would leave a real part
-    in S; ||Re S||_F above 1e-7 * max(1, ||B||) raises NumericalInconsistency.
-    The Pfaffian is then real, Pf(S) = i^(dim/2) Pf(R) = (-1)^N Pf(R), and
-    Pf(R) and the spectrum of iT come from :func:`_real_pfaffian_sign_log`.
+    B = ((F, L*), (L, -F)) is the block matrix of a triple's ``values`` at
+    V's angles (:func:`bott._eigenbasis_B`), read from its corner: F = diag(f)
+    and L of :func:`bott._corner`.  B itself is never formed.  V's Kramers
+    basis tiles its angles, so F^# = F and B + B^# = ((0, D*), (D, 0)) for
+    D = L - L^#: ||B + B^#|| = ||L - L^#||, gated against
+    1e-7 * max(1, ||L||) through ``gate_relative`` (NotAntiSelfDual).  B's
+    anti-self-dual part B_s = (B - B^#)/2 = ((F, L_s*), (L_s, -F)), with L's
+    self-dual part L_s = (L + L^#)/2 = L_r + i L_i, is hermitian by
+    construction, so S = Q* B_s Q = iR with R = Im B_s + Re(B_s) K real and
+    skew: R = ((L_r^T Z, -L_i^T - FZ), (L_i - FZ, -L_r Z)), written in real
+    arithmetic to one Fortran-ordered array.  The Pfaffian is real,
+    Pf(S) = i^(dim/2) Pf(R) = (-1)^N Pf(R), and Pf(R) and the spectrum of iT
+    come from :func:`_real_pfaffian_sign_log`.
 
     R' = O T O^T is exactly skew, and ||Q* B Q - iR'|| is at most
-    ||B + B^#|| / 2 + ||Re S|| + ||H - T|| plus the rounding of the two
-    reductions.  eta adds Frobenius norms, each an upper bound, and counts
-    the rounding as dim * 1e-13 * scale, where scale = max|lambda_T| + eta,
-    solved for, bounds ||B|| from above.  By Weyl's inequality each
-    eigenvalue of B lies within eta of one of T's, and so does each one of
-    every skew matrix on the straight path from R' to R: when eta is below
-    T's gap no determinant on the path vanishes, and Pf(R) has the sign of
-    Pf(R') = det(O) Pf(T).  Otherwise IllConditionedSign is warned: the sign
-    may be unreliable.
+    ||B - B_s|| + ||H - T|| plus the rounding of the two reductions, where
+    ||B - B_s||_F = ||L - L^#||_F / sqrt(2).  eta adds these Frobenius norms,
+    each an upper bound, and counts the rounding as dim * 1e-13 * scale,
+    where scale = max|lambda_T| + eta, solved for, bounds ||B|| from above.
+    By Weyl's inequality each eigenvalue of B lies within eta of one of T's,
+    and so does each one of every skew matrix on the straight path from R'
+    to R: when eta is below T's gap no determinant on the path vanishes, and
+    Pf(R) has the sign of Pf(R') = det(O) Pf(T).  Otherwise
+    IllConditionedSign is warned: the sign may be unreliable.
     """
-    dim = B.shape[0]
-    R, drift, real_part = _rotated_anti_selfdual(B)
-    del B  # the reduction needs R only
+    fvals, L = _corner(pair, values)
+    n = len(fvals)
+    dim = 2 * n
+    Ls = dual(L)
+    D = L - Ls
+    failed = gate_relative(D, L, 1e-7)
+    if failed is not None:
+        raise NotAntiSelfDual(f"anti-self-duality violated by {failed:.3e}")
+    drift = float(np.linalg.norm(D)) / math.sqrt(2)
+    del D
+    Ls += L
+    Ls /= 2
+    del L
+    # Z X = z[:, None] * X[perm], and X Z = X[:, perm] * z[perm]
+    perm, z = _block_reversal(n, _Z)
+    R = np.empty((dim, dim), order="F")
+    np.multiply(Ls.real.T[:, perm], z[perm], out=R[:n, :n])
+    np.multiply(Ls.real[:, perm], -z[perm], out=R[n:, n:])
+    np.negative(Ls.imag.T, out=R[:n, n:])
+    R[n:, :n] = Ls.imag
+    del Ls  # the reduction needs R only
+    # FZ = ZF, with f_i z_i at (i, perm_i): the Kramers basis tiles the angles
+    d = np.arange(n)
+    fz = fvals * z
+    R[d, n + perm] -= fz
+    R[n + d, perm] -= fz
     sign, log_mag, eigs, residual = _real_pfaffian_sign_log(R)
-    eta = drift / 2 + real_part + residual
+    eta = drift + residual
     rounding = dim * 1e-13
     scale = max(1.0, (float(np.max(np.abs(eigs))) + eta) / (1.0 - rounding))
-    if real_part > 1e-7 * scale:
-        raise NumericalInconsistency(
-            f"Q* B Q has a real part of Frobenius norm {real_part:.3e}; "
-            "B is not hermitian"
-        )
     if log_mag == -math.inf:
         raise NumericalInconsistency("modified Pfaffian vanished")
     if (dim // 4) % 2:
@@ -366,7 +352,7 @@ def pfaffian_bott_index(sd: SelfDualPair) -> int:
     whether it is certified.
     """
     require_certified(sd.delta, "trig")
-    return _pfaffian_sign(_eigenbasis_B(sd, _trig_values)).sign
+    return _pfaffian_sign(sd, _trig_values).sign
 
 
 def selfdual_distance_bounds(sdA: SelfDualPair, sdB: SelfDualPair) -> float:

@@ -8,14 +8,21 @@ its Schur form or by Horner accumulation, take the principal logarithm,
 check Kramers pairing, assemble B in the standard basis and take Pfaffians
 of general complex skew matrices by Householder congruences and by pivoted
 LTL^T elimination; the library's request paths use none of them.
+``fresh_process`` runs a snippet in a new interpreter, for the tests of
+what a cold process imports.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+import acbott
 from acbott.bott import (
     _BUMP_PREFACTOR,
     F_AMPLITUDES,
@@ -29,6 +36,7 @@ from acbott.config import DEFAULT_TOL, F_LIPSCHITZ, H_LIPSCHITZ
 from acbott.errors import (
     AlmostCommutingError,
     InvalidMatrix,
+    NotAntiSelfDual,
     NotHermitian,
     NotSelfDual,
     NumericalInconsistency,
@@ -40,7 +48,23 @@ from acbott.linalg import (
     gate_norm,
     gate_relative,
 )
-from acbott.selfdual import _rotated_anti_selfdual, dual
+from acbott.selfdual import dual, dual_tensor
+
+
+def fresh_process(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this checkout's acbott."""
+    src = str(Path(acbott.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -258,7 +282,7 @@ class TrigPoly:
 
 
 def _degree5_approximants():
-    c = standard_triple().coefficients
+    c = standard_triple().coefficients16[:6]
     f5 = TrigPoly.from_sin_series(F_AMPLITUDES)
     h5 = TrigPoly.from_cos_series(c[0], [2 * c[k] for k in range(1, 6)])
     # g is h shifted by pi, so its cosine coefficients alternate in sign
@@ -573,11 +597,15 @@ def rotated(X) -> np.ndarray:
 def modified_pfaffian(X) -> complex:
     """Pf(Q* X Q) for anti-self-dual X; squares to det(X).
 
-    X must have dimension 4N and pass the library's anti-self-duality gate
-    at 1e-7 * max(1, ||X||); the rotation is this module's own.
+    X must have dimension 4N and ||X + X^#|| must stay within
+    1e-7 * max(1, ||X||), the width of the library's anti-self-duality gate,
+    here applied to a general X; the gate and the rotation are this
+    module's own.
     """
     X = as_matrix(X)
-    _rotated_anti_selfdual(X)
+    failed = gate_relative(X + dual_tensor(X), X, 1e-7)
+    if failed is not None:
+        raise NotAntiSelfDual(f"anti-self-duality violated by {failed:.3e}")
     phase, log_mag = _pfaffian_sign_log(rotated(X))
     if log_mag == -math.inf:
         return 0j

@@ -1,10 +1,6 @@
 """End-to-end command line tests: round trips, formats, exit codes."""
 
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +11,7 @@ from acbott.generators import cyclic_shift_pair, selfdual_doubling
 from acbott.linalg import make_pair
 from acbott.matrixio import write_matrix
 from acbott.winding import DELTA_GATE
+from support import fresh_process
 
 
 def run(capsys, *argv):
@@ -158,13 +155,28 @@ def test_index_answers_split_kramers_pair_on_the_log_route(tmp_path, capsys):
 
 
 _REJECTED = {
+    "points-zero": (("bounds", "--curve", "beta", "--points", "0"),
+                    "error: --points must be at least 1, got 0"),
     "points-negative": (("bounds", "--curve", "beta", "--points", "-1"),
-                        "error: Number of samples"),
+                        "error: --points must be at least 1, got -1"),
     "noise-too-large": (("generate", "--kind", "perturbed", "--n", "8", "--noise", "5"),
                         "error: perturbation size too large"),
     "selfdual-noise-unreached": (("generate", "--kind", "selfdual_doubling", "--n", "8",
                                   "--noise", "3.9"),
                                  "error: perturbation size 3.9 not realized"),
+    "noise-inf": (("generate", "--kind", "perturbed", "--n", "8", "--noise", "inf"),
+                  "error: perturbation size must be finite and nonnegative, got inf"),
+    "noise-nan": (("generate", "--kind", "perturbed", "--n", "8", "--noise", "nan"),
+                  "error: perturbation size must be finite and nonnegative, got nan"),
+    "selfdual-noise-inf": (("generate", "--kind", "selfdual_doubling", "--n", "8",
+                            "--noise", "inf"),
+                           "error: perturbation size must be finite and nonnegative, got inf"),
+    "selfdual-noise-nan": (("generate", "--kind", "selfdual_doubling", "--n", "8",
+                            "--noise", "nan"),
+                           "error: perturbation size must be finite and nonnegative, got nan"),
+    "selfdual-noise-negative": (("generate", "--kind", "selfdual_doubling", "--n", "8",
+                                 "--noise=-0.5"),
+                                "error: perturbation size must be finite and nonnegative"),
     "k-zero": (("generate", "--kind", "direct_sum", "--n", "8", "--k", "0"),
                "error: k must be nonzero"),
     "unread-field": (("generate", "--kind", "cyclic_shift", "--n", "8", "--noise", "0.5",
@@ -360,24 +372,6 @@ print("stored certificate loaded:", "acbott.log_certificate" in sys.modules)
 """
 
 
-def _fresh_process(code, *args):
-    """Run ``code`` in a new interpreter that imports this checkout's acbott."""
-    src = str(Path(acbott.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
 def test_index_process_never_imports_the_certification_stack(tmp_path):
     # a cold index reads stored tables: no quadrature, LP, root finder or FFT
     for name, pair in (
@@ -386,7 +380,7 @@ def test_index_process_never_imports_the_certification_stack(tmp_path):
     ):
         write_matrix(str(tmp_path / f"{name}_U.txt"), pair.U)
         write_matrix(str(tmp_path / f"{name}_V.txt"), pair.V)
-    out = _fresh_process(_GUARD, str(tmp_path / "plain"), str(tmp_path / "selfdual"))
+    out = fresh_process(_GUARD, str(tmp_path / "plain"), str(tmp_path / "selfdual"))
     assert "loaded: []" in out
     assert "linprog attribute: True" in out
     assert "stored certificate loaded: False" in out
@@ -402,7 +396,7 @@ print("quadrature loaded:", "scipy.integrate" in sys.modules)
 
 
 def test_fourier_prints_the_stored_table_without_quadrature():
-    out = _fresh_process(_FOURIER)
+    out = fresh_process(_FOURIER)
     assert out.splitlines()[-1] == "quadrature loaded: False"
     c16 = acbott.standard_triple().coefficients16
     rows = [line.split(",") for line in out.splitlines()[1:-1]]

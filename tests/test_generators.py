@@ -15,9 +15,10 @@ from acbott.generators import (
     powered_pair,
     selfdual_doubling,
 )
-from acbott.linalg import commutator_norm, operator_norm
+from acbott.linalg import commutator_norm, make_pair, operator_norm
 from acbott.selfdual import SelfDualPair, dual
 from acbott.winding import winding_number
+from support import fresh_process
 
 
 def test_cyclic_pair_matrices():
@@ -86,6 +87,51 @@ def test_perturb_edge_cases():
     a = perturb(pair, 0.2, seed=1)
     b = perturb(pair, 0.2, seed=1)
     assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
+
+
+@pytest.mark.parametrize("r", [np.inf, np.nan])
+def test_perturbations_refuse_a_non_finite_size_before_any_matrix(monkeypatch, r):
+    # inf once passed perturb_selfdual's secant test, since inf <= inf
+    pair = cyclic_shift_pair(8)
+    sd = selfdual_doubling(pair)
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a matrix was made")
+
+    for maker in ("_random_hermitian", "_selfdual_hermitian", "_unit_rotation"):
+        monkeypatch.setattr(generators, maker, no_matrix)
+    with pytest.raises(ValueError, match="must be finite"):
+        perturb(pair, r)
+    with pytest.raises(ValueError, match="must be finite"):
+        perturb_selfdual(sd, r)
+    with pytest.raises(ValueError, match="must be finite"):
+        build_pair(PairSpec("selfdual_doubling", 8, noise=r))
+
+
+@pytest.mark.parametrize("k", [-3, -2, 2, 3])
+def test_direct_sum_is_block_diag_bit_for_bit(k):
+    from scipy.linalg import block_diag
+
+    base = cyclic_shift_pair(8)
+    block = base if k < 0 else make_pair(base.V, base.U)
+    summed = powered_pair(8, k)
+    for got, part in ((summed.U, block.U), (summed.V, block.V)):
+        expected = block_diag(*[part] * abs(k)).astype(complex)
+        # the bytes, so that the sign of every zero counts
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+_DIRECT_SUM = """
+import sys
+from acbott.generators import PairSpec, build_pair
+
+build_pair(PairSpec("direct_sum", 8, k=2))
+print("scipy loaded:", sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_direct_sum_imports_no_scipy():
+    assert fresh_process(_DIRECT_SUM).splitlines()[-1] == "scipy loaded: []"
 
 
 def test_selfdual_doubling_blocks():

@@ -43,7 +43,7 @@ RETIRED = [
     (selfdual.selfdual_distance_bounds, {"kappa2_a", "kappa2_b"}),
     (selfdual.make_selfdual_pair, {"selfdual_tol", "unitary_tol"}),
     (selfdual._kramers_basis, {"tol"}),
-    (selfdual._rotated_anti_selfdual, {"tol"}),
+    (selfdual._pfaffian_sign, {"tol"}),
     (support.pfaffian, {"tol"}),  # test oracles now, as they moved
     (support.modified_pfaffian, {"tol"}),
     (support.check_kramers, {"pair_tol"}),

@@ -1,11 +1,13 @@
 """Dual operation, Pfaffians, and the sign index kappa_2."""
 
 import sys
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -26,7 +28,6 @@ from acbott.errors import (
     NotAntiSelfDual,
     NotHermitian,
     NotSelfDual,
-    NumericalInconsistency,
     ThresholdExceeded,
 )
 from acbott.generators import (
@@ -43,7 +44,6 @@ from acbott.selfdual import (
     SelfDualPair,
     _pfaffian_sign,
     _real_pfaffian_sign_log,
-    _rotated_anti_selfdual,
     dual,
     dual_tensor,
     make_selfdual_pair,
@@ -87,20 +87,34 @@ def test_dual_slicing_matches_dense_product(N):
 
 
 @pytest.mark.parametrize("N", [1, 3, 16, 64])
-def test_rotation_by_slicing_matches_dense_product(N):
+def test_rotation_by_slicing_matches_dense_product(N, monkeypatch):
+    # with Q = I, g = 0 and h = 1 the corner is L = U exactly, so the route
+    # writes R from any tiled f and any L; R is read where dgehrd gets it
+    import scipy.linalg.lapack
+
     rng = _rand(100 + N)
-    Z = standard_form(N)
-    Y = rng.normal(size=(4 * N, 4 * N)) + 1j * rng.normal(size=(4 * N, 4 * N))
-    X = 3.0 * (Y - dual_tensor(Y)) / 2  # exactly anti-self-dual
-    R, drift, real_part = _rotated_anti_selfdual(X)
-    assert drift == 0.0
-    eye = np.eye(2 * N)
-    Q = np.block([[eye, -1j * Z], [1j * Z, eye]]) / np.sqrt(2.0)
-    dense = Q.conj().T @ X @ Q
-    dense = (dense - dense.T) / 2
-    tol = 1e-14 * max(1.0, np.linalg.norm(X, 2))
+    n = 2 * N
+    f = np.tile(rng.normal(size=N), 2)
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    L = 3.0 * selfdual_part(M) + 1e-10 * rng.normal(size=(n, n))
+    pair = SimpleNamespace(U=L, v_eig=(np.zeros(n), np.eye(n, dtype=complex)))
+    seen = []
+    dgehrd = scipy.linalg.lapack.dgehrd
+
+    def spy(a, **kwargs):
+        seen.append(a.copy(order="K"))
+        return dgehrd(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgehrd", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedSign)  # a random B's gap
+        _pfaffian_sign(pair, lambda angles: (f, np.zeros(n), np.ones(n)))
+    (R,) = seen
+    F = np.diag(f)
+    dense = rotated(np.block([[F, L.conj().T], [L, -F]]))
+    tol = 1e-14 * max(1.0, np.linalg.norm(L, 2))
     assert np.max(np.abs(R - dense.imag)) <= tol
-    assert real_part == pytest.approx(np.linalg.norm(dense.real), abs=tol * 4 * N)
+    assert np.max(np.abs(dense.real)) <= tol
     assert np.array_equal(R, -R.T)
     assert R.flags.f_contiguous
 
@@ -269,7 +283,8 @@ def test_kappa2_doubled_cyclic_64():
     # the log route in test_logmethod confirms the same value
     sd = selfdual_doubling(cyclic_shift_pair(64))
     assert pfaffian_bott_index(sd) == -1
-    assert _pfaffian_sign(horner_B(sd).B).sign == -1
+    pf = modified_pfaffian(horner_B(sd).B)
+    assert pf.real < 0 and abs(pf.imag) <= 1e-9 * abs(pf)
 
 
 def test_kappa2_threshold_gate():
@@ -312,14 +327,15 @@ def test_selfdual_distance_bound_threshold_gate():
 
 def _both_routes(B):
     """(complex phase, log|Pf|) and (sign, log|Pf|) of Pf(Q* B Q): the
-    Householder route on the dense rotation, and the library's real route."""
+    Householder route on the dense rotation, and the library's real
+    reduction of its imaginary part."""
     norm = float(np.max(np.abs(np.linalg.eigvalsh(B))))
-    R, _, real_part = _rotated_anti_selfdual(B)
-    assert real_part <= 1e-12 * max(1.0, norm)
-    sign, log_mag, _, _ = _real_pfaffian_sign_log(R)
+    S = rotated(B)
+    assert np.linalg.norm(S.real) <= 1e-12 * max(1.0, norm)
+    sign, log_mag, _, _ = _real_pfaffian_sign_log(np.asfortranarray(S.imag))
     # Pf(iR) = i^(dim/2) Pf(R) = (-1)^N Pf(R)
     sign = -sign if (B.shape[0] // 4) % 2 else sign
-    return _pfaffian_sign_log(rotated(B)), (sign, log_mag)
+    return _pfaffian_sign_log(S), (sign, log_mag)
 
 
 def _random_hermitian_anti_selfdual(N, rng):
@@ -362,11 +378,12 @@ def test_real_route_matches_householder_on_random_matrices(N):
 
 
 def test_real_route_standard_blocks():
-    # same anchors as the complex route: ((0,I),(I,0)) has Pfaffian +1
+    # same anchor as the complex route: the pair (I, I) has f = g = 0 and
+    # h = 1 at its angles on both triples, so B = ((0,I),(I,0)), Pfaffian +1
     for N in (1, 2, 3):
-        I = np.eye(2 * N)
-        O = np.zeros((2 * N, 2 * N))
-        assert _pfaffian_sign(np.block([[O, I], [I, O]])).sign == 1
+        sd = make_selfdual_pair(np.eye(2 * N), np.eye(2 * N))
+        for values in (_trig_values, _log_values):
+            assert _pfaffian_sign(sd, values).sign == 1
 
 
 def test_kappa2_selfdual_N256():
@@ -380,15 +397,47 @@ def test_kappa2_selfdual_N256():
     assert report.kappa_certified
 
 
-def test_pfaffian_sign_rejects_non_hermitian_B():
-    sd = selfdual_doubling(cyclic_shift_pair(12))
-    bm = build_B(sd)
-    rng = np.random.default_rng(5)
-    # i times a hermitian anti-self-dual matrix keeps anti-self-duality but
-    # adds an anti-hermitian part, which lands in Re(Q* B Q)
-    A = _random_hermitian_anti_selfdual(sd.N, rng)
-    with pytest.raises(NumericalInconsistency, match="real part"):
-        _pfaffian_sign(bm.B + 1e-3j * A)
+def test_selfdual_pair_with_a_non_selfdual_U_is_refused():
+    # a SelfDualPair made without make_selfdual_pair's gates: U is off
+    # self-duality by about 1e-6, and so is the corner L of B
+    base = selfdual_doubling(cyclic_shift_pair(32))
+    U = base.U @ expm(1e-6j * random_hermitian(base.dim, _rand(3)))
+    assert 5e-7 <= np.linalg.norm(U - dual(U), 2) <= 5e-6
+    pair = make_pair(U, base.V)
+    sd = SelfDualPair(pair.U, pair.V, pair.delta)
+    for method in ("trig", "log"):
+        with pytest.raises(NotAntiSelfDual):
+            analyze(sd, method=method)
+
+
+def test_no_selfdual_path_assembles_B(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex B assembled on a self-dual path")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("acbott") and hasattr(module, "_eigenbasis_B"):
+            monkeypatch.setattr(module, "_eigenbasis_B", refuse)
+    sd = selfdual_doubling(cyclic_shift_pair(64))
+    for method in ("trig", "log"):
+        assert analyze(sd, method=method).kappa2 == -1
+    assert pfaffian_bott_index(sd) == -1
+    assert kappa2_log(sd) == -1
+
+
+def test_pfaffian_sign_working_set():
+    # L, its dual and their difference are half a real (4N)^2 array each,
+    # and R is one; the complex B alone would be two
+    N = 128
+    sd = selfdual_doubling(cyclic_shift_pair(N))
+    sd.v_eig  # V's factorization is cached on the pair, not the request's
+    _pfaffian_sign(sd, _trig_values)  # first call: imports and caches
+    tracemalloc.start()
+    try:
+        _pfaffian_sign(sd, _trig_values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (4 * N) ** 2 * 8
 
 
 def test_pfaffian_sign_warns_when_the_reduction_residual_reaches_the_gap(monkeypatch):
@@ -398,8 +447,7 @@ def test_pfaffian_sign_warns_when_the_reduction_residual_reaches_the_gap(monkeyp
     import scipy.linalg.lapack
 
     sd = selfdual_doubling(cyclic_shift_pair(12))
-    B = build_B(sd).B
-    clean = _pfaffian_sign(B)
+    clean = _pfaffian_sign(sd, _trig_values)
     assert clean.reliable and clean.eta < 1e-10
     dgehrd = scipy.linalg.lapack.dgehrd
 
@@ -410,7 +458,7 @@ def test_pfaffian_sign_warns_when_the_reduction_residual_reaches_the_gap(monkeyp
 
     monkeypatch.setattr(scipy.linalg.lapack, "dgehrd", spoiled)
     with pytest.warns(IllConditionedSign):
-        record = _pfaffian_sign(B)
+        record = _pfaffian_sign(sd, _trig_values)
     assert record.reliable is False
     assert record.eta >= record.gap == clean.gap
     assert record.sign == clean.sign == -1
@@ -538,7 +586,7 @@ def test_kramers_route_matches_the_schur_basis_oracle(method):
             assert abs(pf.imag) <= 1e-9 * abs(pf)
             assert report.kappa2 == (1 if pf.real > 0 else -1)
             # the request's spectrum is the real reduction's tridiagonal one
-            record = _pfaffian_sign(_eigenbasis_B(pair, values))
+            record = _pfaffian_sign(pair, values)
             assert report.gap_measured == record.gap
             assert np.max(np.abs(record.eigs - eigs)) <= 1e-12
 
@@ -575,9 +623,8 @@ def test_tridiagonal_spectrum_is_B_within_eta(method):
     # of its eigenvalues lies within eta of the tridiagonal's
     values = _log_values if method == "log" else _trig_values
     for sd in _selfdual_test_pairs():
-        B = _eigenbasis_B(sd, values)
-        eigs = np.linalg.eigvalsh(B)
-        record = _pfaffian_sign(B)
+        eigs = np.linalg.eigvalsh(_eigenbasis_B(sd, values))
+        record = _pfaffian_sign(sd, values)
         assert record.reliable
         assert np.max(np.abs(record.eigs - eigs)) <= record.eta
         assert abs(record.gap - np.min(np.abs(eigs))) <= record.eta
