@@ -9,10 +9,10 @@ adjoined (one exchange step) and keeps the vector that certifies the smaller
 eta.  The search is the coefficient source of the library's own
 ``bounds._certify``, so every candidate is certified by the code that
 certifies the store; it samples stage 2 of the path from that code's own
-triple, ``bounds._stage2_triple``.  The search makes 108 LPs, about 15 s on
-a 2-CPU machine.  Run it after any change to the search or to the
-certification: the test suite requires the committed module to equal this
-script's output byte for byte.
+triple, ``bounds._stage2_triple``.  The search makes 108 LPs and takes about
+18 s on a 2-CPU machine, 16 s of it in the LP solver.  Run it after any
+change to the search or to the certification: the test suite requires the
+committed module to equal this script's output byte for byte.
 
     PYTHONPATH=src python scripts/regenerate_log_certificate.py
 """
@@ -46,9 +46,9 @@ f_t h_t at each mesh point t (keys (t, "h"), (t, "hsq"), (t, "q")).  Even
 functions list cosine coefficients c_0, c_1, ..., odd ones sine coefficients
 c_1, c_2, ..., up to the last nonzero coefficient; MAX_DEGREE caps the
 degree searched.  ``certify_log_path`` certifies these vectors at every
-delta, each with one transform, and a mesh point off this mesh takes the
-vectors of its nearest point here.  An entry carries no trust of its own: a
-wrong one gives a looser bound, never a false one.
+delta, each summed once on the fine grid, and a mesh point off this mesh
+takes the vectors of its nearest point here.  An entry carries no trust of
+its own: a wrong one gives a looser bound, never a false one.
 """
 '''
 

@@ -55,7 +55,6 @@ from .bott import (
 from .selfdual import (
     SelfDualPair,
     dual,
-    dual_tensor,
     make_selfdual_pair,
     pfaffian_bott_index,
     selfdual_distance_bounds,

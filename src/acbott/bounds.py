@@ -13,12 +13,13 @@ guaranteed spectral gap and the certified threshold.
 
 The same machinery certifies the homotopy connecting the trigonometric block
 matrix to its log-method variant: along the two-stage path of function
-triples, each eta is certified from one stored coefficient vector with one
-DCT-I or DST-I, and the resulting bound must stay below the certification
-threshold.  A fixed vector's eta is valid at every delta, so the vectors in
-``log_certificate`` certify any delta; a mesh point off the stored mesh
-takes the vectors of its nearest stored point.  The certification solves no
-LP.  ``scripts/regenerate_log_certificate.py`` searches the vectors by LP at
+triples, each eta is certified from one stored coefficient vector, summed on
+the fine grid by a cascade of half-length DCT-IIIs or DST-IIIs, and the
+resulting bound must stay below the certification threshold.  A fixed
+vector's eta is valid at every delta, so the vectors in ``log_certificate``
+certify any delta; a mesh point off the stored mesh takes the vectors of its
+nearest stored point.  The certification solves no LP.
+``scripts/regenerate_log_certificate.py`` searches the vectors by LP at
 delta = 1/8 and rewrites the store, and the test suite requires the store to
 match a fresh search byte for byte.
 
@@ -196,26 +197,45 @@ def linprog(*args, **kwargs):
 def _eval_half_series(coeffs, parity, n):
     """Half-range series on the uniform grid x_j = j pi / n, j = 0..n.
 
-    Even parity sums c_k cos(k x) over k = 0..len(coeffs)-1 as one DCT-I of
-    the zero-padded coefficients (k >= 1 halved, since the transform doubles
-    interior terms); odd parity sums c_k sin(k x) over k = 1..len(coeffs) as
-    one DST-I on the n - 1 interior points, and both endpoints are exactly 0.
+    Even parity sums c_k cos(k x) over k = 0..len(coeffs)-1, odd parity
+    c_k sin(k x) over k = 1..len(coeffs); every transform below takes the
+    coefficients zero-padded, k >= 1 halved (the transforms double each term
+    but the constant one).  The odd-indexed points of a grid of m intervals
+    are the nodes of one DCT-III (odd parity: DST-III) of length m/2, and its
+    even-indexed points are the grid of m/2 intervals; so while m is even and
+    len(coeffs) < m/2, one half-length transform fills the odd points and m
+    halves.  One DCT-I (DST-I on the interior; both endpoints are exactly 0)
+    takes the grid left.  The transform lengths add up to under n, where a
+    single DCT-I of n + 1 points runs as a real FFT of 2n.
     The grid has n + 1 points and must resolve every degree: the largest k
-    must stay below n, or the transform aliases it onto a lower one.  Both
-    transforms run in place in the returned array.
+    must stay below n, or the transform aliases it onto a lower one.  Every
+    transform runs in place in its points of the returned array.
     """
     from scipy.fft import dct, dst
 
     coeffs = np.asarray(coeffs, dtype=float)
+    k = len(coeffs)
+    even = parity == "even"
+    halved = coeffs / 2
+    if even:
+        halved[0] = coeffs[0]
     out = np.zeros(n + 1)
-    if parity == "even":
-        out[0] = coeffs[0]
-        np.divide(coeffs[1:], 2, out=out[1 : len(coeffs)])
-        return dct(out, type=1, overwrite_x=True)
-    np.divide(coeffs, 2, out=out[1 : len(coeffs) + 1])
-    # the transform returns the view it was given, and assigning a view to
+    # each transform returns the view it was given, and assigning a view to
     # itself copies nothing
-    out[1:-1] = dst(out[1:-1], type=1, overwrite_x=True)
+    m, step = n, 1
+    while m % 2 == 0 and k < m // 2:
+        odd = out[step :: 2 * step]
+        odd[:k] = halved
+        odd[:] = (dct if even else dst)(odd, type=3, overwrite_x=True)
+        m //= 2
+        step *= 2
+    grid = out[::step]
+    if even:
+        grid[:k] = halved
+        grid[:] = dct(grid, type=1, overwrite_x=True)
+    else:
+        grid[1 : k + 1] = halved
+        grid[1:-1] = dst(grid[1:-1], type=1, overwrite_x=True)
     return out
 
 
@@ -298,11 +318,12 @@ def certify_log_path(
     one: 17 Chebyshev-Lobatto points.
 
     Each eta is certified from one stored coefficient vector
-    (``log_certificate``) with one transform, and no LP is solved.  A fixed
-    vector's eta is affine in delta and valid at every delta, so the vectors
-    searched at 1/8 certify any delta.  A mesh point off the stored mesh takes
-    the vectors of its nearest stored point: a valid bound, looser than a
-    search would give.  Each residual is measured on ``FINE_GRID`` + 1
+    (``log_certificate``), summed on the fine grid by one cascade of
+    half-length transforms (``_eval_half_series``), and no LP is solved.  A
+    fixed vector's eta is affine in delta and valid at every delta, so the
+    vectors searched at 1/8 certify any delta.  A mesh point off the stored
+    mesh takes the vectors of its nearest stored point: a valid bound, looser
+    than a search would give.  Each residual is measured on ``FINE_GRID`` + 1
     samples of the half period.
 
     Returns the report on success and raises CertificationFailed (with the

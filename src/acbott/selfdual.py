@@ -6,8 +6,8 @@ quaternionic symmetry class; their spectra show Kramers doubling.  For a
 self-dual almost-commuting pair the signature index vanishes, and the finer
 invariant is the sign of a modified Pfaffian of the same block matrix
 (dimension 4N), taken after Q = (I + iK)/sqrt(2) makes it skew.  Z and K are
-signed reversals of equal blocks; the dual, the block dual K X^T K, the
-Kramers partner -Z conj(q) and the rotation Q read that one structure.
+signed reversals of equal blocks; the dual, the Kramers partner -Z conj(q)
+and the rotation Q read that one structure.
 
 The sign index takes a real route.  In V's Kramers basis the block matrix B
 is made of diag(f) and one corner L, and B's anti-self-dual part is
@@ -51,7 +51,6 @@ from .linalg import (
 
 
 _Z = np.array([1.0, -1.0])  # Z = ((0, I), (-I, 0))
-_K = np.array([-1.0, 1.0, 1.0, -1.0])  # K = ((0, -Z), (Z, 0)), symmetric
 
 
 def _block_reversal(dim: int, signs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -77,11 +76,6 @@ def dual(X) -> np.ndarray:
     """X^# = -Z X^T Z, so ((A, B), (C, D)) -> ((D^T, -B^T), (-C^T, A^T)) in
     N-blocks.  Involutive and anti-multiplicative."""
     return _reversed_transpose(X, _Z)
-
-
-def dual_tensor(X) -> np.ndarray:
-    """K X^T K, the blockwise dual ((A,B),(C,D)) -> ((D#,-B#),(-C#,A#)) at dim 4N."""
-    return _reversed_transpose(X, _K)
 
 
 def selfdual_part(X) -> np.ndarray:

@@ -3,11 +3,12 @@
 These are deliberately independent of the generators module so that tests of
 that module have something to check against.  The oracles integrate the
 cosine coefficients of h by quadrature, derive the eta envelope rows from
-the triple's trigonometric approximants, evaluate functions at a unitary by
-its Schur form or by Horner accumulation, take the principal logarithm,
-check Kramers pairing, assemble B in the standard basis and take Pfaffians
-of general complex skew matrices by Householder congruences and by pivoted
-LTL^T elimination; the library's request paths use none of them.
+the triple's trigonometric approximants, sum a half-range series by one
+full-grid transform, evaluate functions at a unitary by its Schur form or by
+Horner accumulation, take the principal logarithm, check Kramers pairing,
+take the block dual K X^T K, assemble B in the standard basis and take
+Pfaffians of general complex skew matrices by Householder congruences and by
+pivoted LTL^T elimination; the library's request paths use none of them.
 ``fresh_process`` runs a snippet in a new interpreter, for the tests of
 what a cold process imports.
 """
@@ -48,7 +49,7 @@ from acbott.linalg import (
     gate_norm,
     gate_relative,
 )
-from acbott.selfdual import dual, dual_tensor
+from acbott.selfdual import _reversed_transpose, dual
 
 
 def fresh_process(code: str, *args: str) -> str:
@@ -356,6 +357,25 @@ def _eta_h_rows():
     return tuple(rows)
 
 
+def half_series_one_transform(coeffs, parity, n):
+    """``bounds._eval_half_series`` as one DCT-I of n + 1 points (odd parity:
+    one DST-I on the n - 1 interior ones) of a fresh zero-padded copy of the
+    coefficients, k >= 1 halved."""
+    from scipy.fft import dct, dst
+
+    coeffs = np.asarray(coeffs, dtype=float)
+    if parity == "even":
+        padded = np.zeros(n + 1)
+        padded[: len(coeffs)] = coeffs
+        padded[1:] /= 2
+        return dct(padded, type=1)
+    padded = np.zeros(n - 1)
+    padded[: len(coeffs)] = coeffs / 2
+    out = np.zeros(n + 1)
+    out[1:-1] = dst(padded, type=1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Functions of a unitary by the Schur and Horner routes, the principal
 # logarithm and the Kramers-pairing check
@@ -581,6 +601,14 @@ def pfaffian(X) -> complex:
                 f"Pfaffian routes disagree: {value:.6e} vs {ref:.6e}"
             )
     return value
+
+
+_K = np.array([-1.0, 1.0, 1.0, -1.0])  # K = ((0, -Z), (Z, 0)), symmetric
+
+
+def dual_tensor(X) -> np.ndarray:
+    """K X^T K, the blockwise dual ((A,B),(C,D)) -> ((D#,-B#),(-C#,A#)) at dim 4N."""
+    return _reversed_transpose(X, _K)
 
 
 def rotated(X) -> np.ndarray:

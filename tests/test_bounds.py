@@ -304,18 +304,24 @@ def _half_series_loop(coeffs, parity, n):
 
 
 def _half_series_fresh(coeffs, parity, n):
-    # the same transforms, each on its own freshly allocated zero-padded copy
+    # the same cascade, each transform on its own freshly allocated
+    # zero-padded copy of the halved coefficients
     from scipy.fft import dct, dst
 
+    coeffs = np.asarray(coeffs, dtype=float)
+    k = len(coeffs)
+    halved = coeffs / 2
     if parity == "even":
-        padded = np.zeros(n + 1)
-        padded[: len(coeffs)] = coeffs
-        padded[1:] /= 2
-        return dct(padded, type=1)
-    padded = np.zeros(n - 1)
-    padded[: len(coeffs)] = coeffs / 2
+        halved[0] = coeffs[0]
     out = np.zeros(n + 1)
-    out[1:-1] = dst(padded, type=1)
+    m, step = n, 1
+    while m % 2 == 0 and k < m // 2:
+        padded = np.zeros(m // 2)
+        padded[:k] = halved
+        out[step :: 2 * step] = (dct if parity == "even" else dst)(padded, type=3)
+        m //= 2
+        step *= 2
+    out[::step] = support.half_series_one_transform(coeffs, parity, m)
     return out
 
 
@@ -328,9 +334,22 @@ def _unit_mass_coeffs(parity, n, top):
     return coeffs / np.abs(coeffs).sum()
 
 
+# 2**13 with one coefficient halves the grid 12 times and 2**16 15 times;
+# 3000 halves it 3 times and stops at an odd count of intervals; the largest
+# degree fills the grid, so no level halves it
+_SERIES_CASES = [
+    ("largest", 2**13),
+    ("lowest", 2**13),
+    ("largest", 3000),
+    ("lowest", 3000),
+    ("lowest", 2**16),
+]
+
+
 @pytest.mark.parametrize("parity", ["even", "odd"])
-@pytest.mark.parametrize("n", [2**13, 3000])
-@pytest.mark.parametrize("top", ["lowest", "largest"])
+@pytest.mark.parametrize(
+    "top, n", _SERIES_CASES, ids=[f"{top}-{n}" for top, n in _SERIES_CASES]
+)
 def test_half_series_transform_matches_direct_sum(parity, n, top):
     coeffs = _unit_mass_coeffs(parity, n, top)
     got = _eval_half_series(coeffs, parity, n)
@@ -344,11 +363,25 @@ def test_half_series_transform_matches_direct_sum(parity, n, top):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 @pytest.mark.parametrize("top", ["lowest", "largest"])
 def test_half_series_in_place_equals_fresh_transform(parity, top):
-    # working in the output array changes no bit of the transform
+    # working in the output array changes no bit of the cascade
     n = 2**13
     coeffs = _unit_mass_coeffs(parity, n, top)
     got = _eval_half_series(coeffs, parity, n)
     assert np.array_equal(got, _half_series_fresh(coeffs, parity, n))
+
+
+def test_half_series_matches_one_transform_on_stored_vectors():
+    # every stored vector on the certification's own grid: the cascade
+    # agrees with a single full-grid DCT-I or DST-I to rounding
+    from acbott.log_certificate import APPROXIMANTS
+
+    assert len(APPROXIMANTS) == 54
+    for key, coeffs in APPROXIMANTS.items():
+        odd = (key if isinstance(key, str) else key[1]) in ("q1", "q")
+        parity = "odd" if odd else "even"
+        got = _eval_half_series(coeffs, parity, FINE_GRID)
+        want = support.half_series_one_transform(coeffs, parity, FINE_GRID)
+        assert np.max(np.abs(got - want)) < 1e-14, key
 
 
 def test_certify_same_with_direct_series_sum(cheap_report, monkeypatch, small_grid):

@@ -19,11 +19,10 @@ from acbott.linalg import make_pair, operator_norm
 from acbott.logmethod import build_BL, kappa2_log
 from acbott.selfdual import (
     dual,
-    dual_tensor,
     make_selfdual_pair,
     pfaffian_bott_index,
 )
-from support import haar_unitary, principal_log
+from support import dual_tensor, haar_unitary, principal_log
 
 
 def reconstruct(K):

@@ -78,7 +78,7 @@ TEST_ONLY = {
     bott: ("fourier_coefficients_h",),
     linalg: ("unitary_eig", "apply_periodic", "apply_trigpoly", "TrigPoly"),
     logmethod: ("principal_log", "PrincipalLog"),
-    selfdual: ("check_kramers",),
+    selfdual: ("check_kramers", "dual_tensor"),
     bounds: (
         "eta_lines",
         "_eta_f_rows",

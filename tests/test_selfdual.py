@@ -45,7 +45,6 @@ from acbott.selfdual import (
     _pfaffian_sign,
     _real_pfaffian_sign_log,
     dual,
-    dual_tensor,
     make_selfdual_pair,
     pfaffian_bott_index,
     selfdual_distance_bounds,
@@ -56,6 +55,7 @@ from support import (
     OddDimension,
     _pfaffian_sign_log,
     check_kramers,
+    dual_tensor,
     haar_unitary,
     horner_B,
     modified_pfaffian,
