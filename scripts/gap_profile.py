@@ -5,6 +5,9 @@ gap of the index matrix, both gap guarantees, and the certified indices.
 With --doubled it uses the self-dual doubling instead, adding the sign
 index column.
 
+An --n-min below 2, where the cyclic pair is undefined, is refused before
+anything is written.
+
     python scripts/gap_profile.py --n-max 64 --out gaps.csv
     python scripts/gap_profile.py --doubled --n-max 64 --out gaps_doubled.csv
 """
@@ -26,6 +29,9 @@ def main(argv=None):
     ap.add_argument("--doubled", action="store_true")
     ap.add_argument("--out", default=None, help="CSV path (default stdout)")
     args = ap.parse_args(argv)
+    # checked before the output opens, so a rejected range writes nothing
+    if args.n_min < 2:
+        ap.error(f"--n-min must be at least 2, got {args.n_min}")
 
     fh = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(fh)

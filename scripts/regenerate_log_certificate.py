@@ -9,7 +9,9 @@ adjoined (one exchange step) and keeps the vector that certifies the smaller
 eta.  The search is the coefficient source of the library's own
 ``bounds._certify``, so every candidate is certified by the code that
 certifies the store; it samples stage 2 of the path from that code's own
-triple, ``bounds._stage2_triple``.  The search makes 108 LPs and takes about
+triple, ``bounds._stage2_triple``, with f clamped to +-1 past pi/2 by this
+script's ``_clamped_f`` (on the fine grid ``_certify`` reads the same values
+off its samples of f).  The search makes 108 LPs and takes about
 18 s on a 2-CPU machine, 16 s of it in the LP solver.  Run it after any
 change to the search or to the certification: the test suite requires the
 committed module to equal this script's output byte for byte.
@@ -53,6 +55,11 @@ its own: a wrong one gives a looser bound, never a false one.
 '''
 
 
+def _clamped_f(x):
+    # f pinned to +-1 outside [-pi/2, pi/2]
+    return np.where(np.abs(x) <= np.pi / 2, eval_f(x), np.sign(x))
+
+
 def _path_function(key):
     """The function the eta of this store key approximates."""
     if key == "h1":
@@ -64,7 +71,7 @@ def _path_function(key):
     t, name = key
 
     def stage2(u):
-        ft, _, ht = bounds._stage2_triple(t, u, bounds._clamped_f(u))
+        ft, ht = bounds._stage2_triple(t, u, _clamped_f(u))
         return {"h": ht, "hsq": 1 - ft**2, "q": ft * ht}[name]
 
     return stage2

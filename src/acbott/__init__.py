@@ -27,7 +27,6 @@ from .errors import (
 )
 from .linalg import (
     UnitaryPair,
-    commutator_norm,
     hermitian_eig,
     make_pair,
     operator_norm,
@@ -39,7 +38,6 @@ from .winding import (
     distance_bound_commuting,
     distance_bound_index_change,
     winding_number,
-    winding_via_path,
 )
 from .bott import (
     BottMatrix,

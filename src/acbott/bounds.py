@@ -15,7 +15,10 @@ The same machinery certifies the homotopy connecting the trigonometric block
 matrix to its log-method variant: along the two-stage path of function
 triples, each eta is certified from one stored coefficient vector, summed on
 the fine grid by a cascade of half-length DCT-IIIs or DST-IIIs, and the
-resulting bound must stay below the certification threshold.  A fixed
+resulting bound must stay below the certification threshold.  Each stage
+walks the mesh once, holding only the previous triple, and checks the step
+rule at every step of the walk; stage 1 moves f and g only past pi/2, so it
+is sampled there alone.  A fixed
 vector's eta is valid at every delta, so the vectors in ``log_certificate``
 certify any delta; a mesh point off the stored mesh takes the vectors of its
 nearest stored point.  The certification solves no LP.
@@ -177,11 +180,6 @@ def variation_bound(dU: float, dV: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _clamped_f(x: np.ndarray) -> np.ndarray:
-    # f pinned to +-1 outside [-pi/2, pi/2]
-    return np.where(np.abs(x) <= np.pi / 2, eval_f(x), np.sign(x))
-
-
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on the first call.
 
@@ -259,48 +257,29 @@ class CertificationReport:
         return out
 
 
-def _stage1_triple(s, x, f_std, h_std, outside):
-    fs = np.where(outside, (1 - s) * f_std + s * np.sign(x), f_std)
-    gs = np.where(outside, np.sqrt(np.maximum(1 - fs**2, 0.0)), 0.0)
-    return fs, gs, h_std
-
-
 def _stage2_triple(t, x, f_clamped):
     ft = (1 - t) * f_clamped + t * x / np.pi
     ht = np.sqrt(np.maximum(1 - ft**2, 0.0))
-    return ft, 0.0, ht
+    return ft, ht
 
 
-def _sup_step(c, p, scratch):
-    """sup |c - p| for one component of two triples, formed in scratch."""
-    if c is p:
-        # a component the stage keeps fixed steps by exactly 0
+def _step_sum(prev, cur):
+    """sup |a - a'| + sup |b - b'| between consecutive samples (a, b) and
+    (a', b') of the two components a stage moves, both differences formed in
+    one buffer; 0 at the first mesh point.  A step sum above STEP_BUDGET
+    breaks the step rule."""
+    if prev is None:
         return 0.0
-    np.subtract(c, p, out=scratch)
-    np.abs(scratch, out=scratch)
-    return float(scratch.max())
-
-
-def _step_sums(ts, make_triple):
-    """Largest step sum ||df|| + ||dg|| + ||dh|| over consecutive mesh
-    points, and the sup of g at every point.
-
-    Only the previous triple is held while the next one is made, and one
-    scratch array while the two are compared.
-    """
-    worst = 0.0
-    gsups = []
-    prev = None
-    for t in ts:
-        cur = make_triple(t)
-        gsups.append(float(np.max(cur[1])))
-        if prev is not None:
-            scratch = np.empty_like(cur[0])
-            step = sum(_sup_step(c, p, scratch) for c, p in zip(cur, prev))
-            worst = max(worst, step)
-            del scratch
-        prev = cur
-    return worst, gsups
+    step = 0.0
+    diff = np.empty_like(cur[0])
+    for c, p in zip(cur, prev):
+        np.subtract(c, p, out=diff)
+        step += float(np.abs(diff, out=diff).max())
+    if step > STEP_BUDGET:
+        raise MeshViolation(
+            f"mesh step sum {step:.4f} exceeds budget {STEP_BUDGET:.4f}"
+        )
+    return step
 
 
 def certify_log_path(
@@ -314,8 +293,10 @@ def certify_log_path(
     the clamped f to x/pi with h = sqrt(1 - f^2) and g = 0.  Every mesh point
     must give a squared-deviation bound below CERTIFY_THRESHOLD, and
     consecutive triples must obey the step rule (step sums at most
-    STEP_BUDGET), or the mesh is rejected.  The default mesh is the stored
-    one: 17 Chebyshev-Lobatto points.
+    STEP_BUDGET).  Each stage walks the mesh once and checks the rule at
+    every step, stage 1 only past pi/2, where its f and g move; a mesh that
+    breaks it raises MeshViolation with no report, whatever its bounds.  The
+    default mesh is the stored one: 17 Chebyshev-Lobatto points.
 
     Each eta is certified from one stored coefficient vector
     (``log_certificate``), summed on the fine grid by one cascade of
@@ -355,6 +336,14 @@ def _certify(delta, mesh, approximant):
     c_1, c_2, ....  ``certified(coeffs)`` returns the eta a vector certifies
     and the fine-grid residual it was measured on; the vector returned is
     certified by the same function.
+
+    Each stage is one walk over the sorted mesh that holds only the previous
+    triple and checks the step rule at every step.  Stage 1 samples f_s and
+    g_s past pi/2 only: inside, and for h everywhere, each step is exactly 0
+    and g is 0, so the step sums and the sups of g are those of the whole
+    grid.  Stage 2 makes each triple once and steps it before its etas; the
+    walk raises MeshViolation at the first step over STEP_BUDGET, and a
+    failed bound is raised only after both walks.
     """
     ts = np.asarray(sorted(float(t) for t in mesh))
     # a NaN would pass the step rule, since max ignores it
@@ -368,22 +357,21 @@ def _certify(delta, mesh, approximant):
     f_std = eval_f(x)
     h_std = eval_h(x)
     outside = x > np.pi / 2
-    f_clamped = _clamped_f(x)
 
-    def triple1(s):
-        return _stage1_triple(s, x, f_std, h_std, outside)
-
-    def triple2(t):
-        return _stage2_triple(t, x, f_clamped)
-
-    step1, gnorms = _step_sums(ts, triple1)
-    step2, _ = _step_sums(ts, triple2)
-    if max(step1, step2) > STEP_BUDGET:
-        raise MeshViolation(
-            f"mesh step sum {max(step1, step2):.4f} exceeds budget "
-            f"{STEP_BUDGET:.4f}"
-        )
-    del triple1, outside
+    # stage 1: f_s and g_s move only past pi/2; inside, and for h
+    # everywhere, every step is exactly 0 and g is 0
+    f_out = f_std[outside]
+    step1, gnorms, prev = 0.0, [], None
+    for s in ts:
+        fs = (1 - s) * f_out + s
+        gs = np.sqrt(np.maximum(1 - fs**2, 0.0))
+        gnorms.append(float(gs.max()))
+        step1 = max(step1, _step_sum(prev, (fs, gs)))
+        prev = fs, gs
+    del f_out, fs, gs, prev
+    # f pinned to 1 past pi/2, where stage 1 leaves it
+    f_clamped = np.where(outside, 1.0, f_std)
+    del outside
 
     def eta(key, vals, parity, dev_fn):
         """One eta: its residual is formed in the buffer its series was
@@ -413,20 +401,24 @@ def _certify(delta, mesh, approximant):
         for gnorm in gnorms
     ])
 
-    # stage 2: its own approximants at every mesh point
-    stage2_bounds = []
+    # stage 2: its own approximants at every mesh point.  f_t h_t and
+    # 1 - f_t^2 go to a buffer of their own, so that f_t and h_t are the
+    # next step's previous triple
+    step2, stage2_bounds, prev = 0.0, [], None
     for t in ts:
-        ft, _, ht = triple2(t)
+        ft, ht = _stage2_triple(t, x, f_clamped)
+        step2 = max(step2, _step_sum(prev, (ft, ht)))
+        prev = ft, ht
         lf_t = (1 - t) * F_LIPSCHITZ + t / np.pi
         l2_t = 2 * lf_t
         dev_sqrt = float(np.sqrt(l2_t * spacing / 2))
         eta_h = eta((float(t), "h"), ht, "even", dev_sqrt)
-        # the samples of f_t h_t and 1 - f_t^2 overwrite those of h_t and f_t
-        np.multiply(ft, ht, out=ht)
-        np.square(ft, out=ft)
-        np.subtract(1, ft, out=ft)
-        eta_hsq = eta((float(t), "hsq"), ft, "even", l2_t * spacing / 2)
-        eta_q = eta((float(t), "q"), ht, "odd", dev_sqrt + lf_t * spacing / 2)
+        buf = np.square(ft)
+        np.subtract(1, buf, out=buf)
+        eta_hsq = eta((float(t), "hsq"), buf, "even", l2_t * spacing / 2)
+        np.multiply(ft, ht, out=buf)
+        eta_q = eta((float(t), "q"), buf, "odd", dev_sqrt + lf_t * spacing / 2)
+        del buf
         stage2_bounds.append(eta_h + 0.25 * eta_h**2 + 0.5 * eta_hsq + eta_q)
     stage2_bounds = np.asarray(stage2_bounds)
 

@@ -42,10 +42,6 @@ class NumericalInconsistency(AlmostCommutingError):
     """An exact identity failed by far more than roundoff allows."""
 
 
-class MeshTooCoarse(AlmostCommutingError):
-    """Path discretization too coarse to unwrap phases reliably."""
-
-
 class NoObstruction(AlmostCommutingError):
     """A distance bound was requested but the indices carry no obstruction."""
 

@@ -80,13 +80,6 @@ def gate_relative(X: np.ndarray, A: np.ndarray, tol: float) -> Optional[float]:
     return err if err > tol * max(1.0, operator_norm(A)) else None
 
 
-def commutator_norm(U, V) -> float:
-    """Operator norm of the commutator UV - VU."""
-    A, B = as_matrix(U), as_matrix(V)
-    require_same_dim(A, B)
-    return operator_norm(A @ B - B @ A)
-
-
 def eig_residual(A: np.ndarray, angles: np.ndarray, Q: np.ndarray) -> Optional[float]:
     """||AQ - Q e^{i Theta}||_F of a unitary's factorization when it exceeds
     1e-8 * sqrt(n), else None.

@@ -4,8 +4,8 @@ The multiplicative commutator W = VUV*U* of a pair with ||[U,V]|| < 2 has
 spectrum bounded away from -1, so the principal logarithm of W is defined and
 omega = Tr((1/2pi i) log W) is an integer.  Only the eigenangles of W enter
 omega and the distance bounds; the pair factorizes W once and caches them.
-A determinant-path method serves as an independent oracle for the same
-number.
+The test suite's determinant-path winding (``tests/support.py``) is an
+independent oracle for the same number.
 """
 
 from __future__ import annotations
@@ -15,13 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import (
-    InvariantUndefined,
-    MeshTooCoarse,
-    NoObstruction,
-    NumericalInconsistency,
-)
-from .linalg import UnitaryPair, _schur_angles
+from .errors import InvariantUndefined, NoObstruction, NumericalInconsistency
+from .linalg import UnitaryPair
 
 # delta must stay strictly below 2; at 2 the spectrum of W can touch -1
 DELTA_GATE = 2.0 - 1e-9
@@ -70,40 +65,6 @@ def winding_number(pair: UnitaryPair) -> WindingResult:
             f"winding trace {raw:.6f} is {abs(raw - nearest):.2e} from an integer"
         )
     return WindingResult(int(nearest), pair.delta, margin, raw)
-
-
-def winding_via_path(pair: UnitaryPair) -> int:
-    """Winding of t -> det(W^t) by stepwise phase unwrapping.
-
-    Determinants are computed by LU factorization at each step, and W gets
-    its own factorization here, not the pair's cached one, so the only
-    shared ingredient with :func:`winding_number` is the matrix W itself.
-    arg det(W^t) moves at rate |sum theta| <= dim * pi, so the path starts
-    at the smallest power of two >= 2 dim steps, each within pi/2; the steps
-    double until every per-step phase change is below pi/2.  The W^t of up
-    to 64 steps are formed as one stack (at most about 8 MB) and go to one
-    batched determinant call.
-    """
-    _require_gate(pair.delta)
-    steps = 1 << (2 * pair.dim - 1).bit_length()
-    angles, Q = _schur_angles(pair.multiplicative_commutator())
-    Qstar = Q.conj().T
-    chunk = max(1, min(64, 2**19 // Q.size))
-    for _ in range(8):
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        args = np.empty(steps + 1)
-        for i in range(0, steps + 1, chunk):
-            phases = np.exp(1j * np.outer(ts[i : i + chunk], angles))
-            # the rows of the stacked Q diag(e^{it theta}) times Q*: one product
-            Wt = Q * phases[:, None, :]
-            Wt = (Wt.reshape(-1, Q.shape[0]) @ Qstar).reshape(Wt.shape)
-            args[i : i + chunk] = np.angle(np.linalg.det(Wt))
-        jumps = np.angle(np.exp(1j * np.diff(args)))  # wrapped to (-pi, pi]
-        if np.max(np.abs(jumps)) < np.pi / 2:
-            total = float(np.sum(jumps))
-            return int(round(total / (2 * np.pi)))
-        steps *= 2
-    raise MeshTooCoarse("phase steps stayed >= pi/2 after repeated refinement")
 
 
 def distance_bound_commuting(pair: UnitaryPair) -> float:

@@ -5,7 +5,8 @@ that module have something to check against.  The oracles integrate the
 cosine coefficients of h by quadrature, derive the eta envelope rows from
 the triple's trigonometric approximants, sum a half-range series by one
 full-grid transform, evaluate functions at a unitary by its Schur form or by
-Horner accumulation, take the principal logarithm, check Kramers pairing,
+Horner accumulation, take the commutator's norm, wind det(W^t) along the
+path t -> W^t, take the principal logarithm, check Kramers pairing,
 take the block dual K X^T K, assemble B in the standard basis and take
 Pfaffians of general complex skew matrices by Householder congruences and by
 pivoted LTL^T elimination; the library's request paths use none of them.
@@ -48,8 +49,11 @@ from acbott.linalg import (
     as_matrix,
     gate_norm,
     gate_relative,
+    operator_norm,
+    require_same_dim,
 )
 from acbott.selfdual import _reversed_transpose, dual
+from acbott.winding import _require_gate
 
 
 def fresh_process(code: str, *args: str) -> str:
@@ -374,6 +378,56 @@ def half_series_one_transform(coeffs, parity, n):
     out = np.zeros(n + 1)
     out[1:-1] = dst(padded, type=1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The commutator's norm and the determinant-path winding
+# ---------------------------------------------------------------------------
+
+
+class MeshTooCoarse(AlmostCommutingError):
+    """Path discretization too coarse to unwrap phases reliably."""
+
+
+def commutator_norm(U, V) -> float:
+    """Operator norm of the commutator UV - VU."""
+    A, B = as_matrix(U), as_matrix(V)
+    require_same_dim(A, B)
+    return operator_norm(A @ B - B @ A)
+
+
+def winding_via_path(pair) -> int:
+    """Winding of t -> det(W^t) by stepwise phase unwrapping.
+
+    Determinants are computed by LU factorization at each step, and W gets
+    its own factorization here, not the pair's cached one, so the only
+    shared ingredient with ``winding.winding_number`` is the matrix W itself.
+    arg det(W^t) moves at rate |sum theta| <= dim * pi, so the path starts
+    at the smallest power of two >= 2 dim steps, each within pi/2; the steps
+    double until every per-step phase change is below pi/2.  The W^t of up
+    to 64 steps are formed as one stack (at most about 8 MB) and go to one
+    batched determinant call.
+    """
+    _require_gate(pair.delta)
+    steps = 1 << (2 * pair.dim - 1).bit_length()
+    angles, Q = _schur_angles(pair.multiplicative_commutator())
+    Qstar = Q.conj().T
+    chunk = max(1, min(64, 2**19 // Q.size))
+    for _ in range(8):
+        ts = np.linspace(0.0, 1.0, steps + 1)
+        args = np.empty(steps + 1)
+        for i in range(0, steps + 1, chunk):
+            phases = np.exp(1j * np.outer(ts[i : i + chunk], angles))
+            # the rows of the stacked Q diag(e^{it theta}) times Q*: one product
+            Wt = Q * phases[:, None, :]
+            Wt = (Wt.reshape(-1, Q.shape[0]) @ Qstar).reshape(Wt.shape)
+            args[i : i + chunk] = np.angle(np.linalg.det(Wt))
+        jumps = np.angle(np.exp(1j * np.diff(args)))  # wrapped to (-pi, pi]
+        if np.max(np.abs(jumps)) < np.pi / 2:
+            total = float(np.sum(jumps))
+            return int(round(total / (2 * np.pi)))
+        steps *= 2
+    raise MeshTooCoarse("phase steps stayed >= pi/2 after repeated refinement")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from acbott.selfdual import (
     make_selfdual_pair,
     pfaffian_bott_index,
 )
-from acbott.winding import winding_number, winding_via_path
+from acbott.winding import winding_number
 
 from support import (
     apply_periodic,
@@ -40,6 +40,7 @@ from support import (
     pfaffian_cofactor,
     principal_log,
     random_hermitian,
+    winding_via_path,
 )
 
 

@@ -231,7 +231,8 @@ def test_certify_rejects_nonfinite_mesh_point(bad, monkeypatch, small_grid):
     def no_work(*args, **kwargs):
         raise AssertionError("the certification ran on a non-finite point")
 
-    monkeypatch.setattr(bounds, "_step_sums", no_work)
+    # the first fine-grid work
+    monkeypatch.setattr(bounds, "eval_f", no_work)
     mesh = np.linspace(0.0, 1.0, 65)
     mesh[30] = bad
     with pytest.raises(MeshViolation, match="finite"):
@@ -241,9 +242,11 @@ def test_certify_rejects_nonfinite_mesh_point(bad, monkeypatch, small_grid):
 def test_certify_working_set_stays_small(cheap_report, monkeypatch):
     # at 2**16 + 1 samples the fine-grid arrays dominate what the
     # certification allocates.  The bound is 9.5 of them: this code peaks at
-    # 9.1, in the step-rule check; holding two whole triples and two
-    # temporaries there peaked at 10.1, and allocating fresh arrays for every
-    # residual, transform and sample set at 13.3
+    # 7.1, in eval_h's temporaries at the set-up, and 7.1 again at each
+    # stage-2 step, which holds two triples and one difference; checking the
+    # step rule in a separate walk before the etas peaked at 9.1, holding
+    # two whole triples and two temporaries there at 10.1, and allocating
+    # fresh arrays for every residual, transform and sample set at 13.3
     import tracemalloc
 
     import acbott.bounds as bounds
@@ -266,6 +269,37 @@ def test_certify_rejects_coarse_user_mesh(small_grid):
         certify_log_path(0.02, mesh=[0.0, 1.0])
 
 
+def test_certify_step_rule_precedes_a_failed_bound(small_grid):
+    # at 0.2 the bounds fail too, but a mesh that breaks the step rule gives
+    # no report
+    with pytest.raises(MeshViolation):
+        certify_log_path(0.2, mesh=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("points", [None, 65], ids=["stored", "uniform-65"])
+def test_certify_walks_its_mesh_once(points, monkeypatch, small_grid):
+    # one sampling of f on the fine grid, and one stage-2 triple per mesh point
+    import acbott.bounds as bounds
+
+    calls = {"eval_f": 0, "_stage2_triple": 0}
+
+    def counted(name):
+        fn = getattr(bounds, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(bounds, name, wrapper)
+
+    counted("eval_f")
+    counted("_stage2_triple")
+    mesh = None if points is None else np.linspace(0.0, 1.0, points)
+    report = certify_log_path(0.02, mesh=mesh)
+    assert len(report.stage2_t) == (17 if points is None else points)
+    assert calls == {"eval_f": 1, "_stage2_triple": len(report.stage2_t)}
+
+
 def test_certify_accepts_fine_user_mesh(small_grid):
     mesh = np.linspace(0.0, 1.0, 65)
     report = certify_log_path(0.02, mesh=mesh)
@@ -285,7 +319,8 @@ def test_certify_rejects_nonfinite_delta(bad, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the certification ran on a non-finite delta")
 
-    monkeypatch.setattr(bounds, "_step_sums", no_work)
+    # the first fine-grid work
+    monkeypatch.setattr(bounds, "eval_f", no_work)
     with pytest.raises(ValueError, match="finite"):
         certify_log_path(bad)
 

@@ -15,10 +15,10 @@ from acbott.generators import (
     powered_pair,
     selfdual_doubling,
 )
-from acbott.linalg import commutator_norm, make_pair, operator_norm
+from acbott.linalg import make_pair, operator_norm
 from acbott.selfdual import SelfDualPair, dual
 from acbott.winding import winding_number
-from support import fresh_process
+from support import commutator_norm, fresh_process
 
 
 def test_cyclic_pair_matrices():

@@ -22,7 +22,6 @@ from acbott.linalg import (
     _cayley_angles,
     _schur_angles,
     as_matrix,
-    commutator_norm,
     gate_norm,
     hermitian_eig,
     make_pair,
@@ -41,18 +40,20 @@ from acbott.selfdual import (
     make_selfdual_pair,
     pfaffian_bott_index,
 )
-from acbott.winding import distance_bound_commuting, winding_number, winding_via_path
+from acbott.winding import distance_bound_commuting, winding_number
 from support import (
     TrigPoly,
     apply_periodic,
     apply_trigpoly,
     check_kramers,
+    commutator_norm,
     haar_unitary,
     pfaffian,
     random_hermitian,
     random_skew,
     shift_matrix,
     unitary_eig,
+    winding_via_path,
 )
 
 

@@ -59,7 +59,7 @@ RETIRED = [
     (support.apply_periodic, {"tol"}),
     (support.apply_trigpoly, {"tol"}),
     (support.TrigPoly.is_real_valued, {"tol"}),
-    (winding.winding_via_path, {"steps"}),
+    (support.winding_via_path, {"steps"}),
     (analysis.analyze, {"self_dual"}),
     (bounds.certify_log_path, {"config", "fine_grid"}),
     (bounds._certify, {"fine_grid"}),
@@ -76,9 +76,16 @@ def test_retired_keyword_is_not_a_parameter(fn, names):
 # routes only the tests call: oracles in tests/support.py, not the package's
 TEST_ONLY = {
     bott: ("fourier_coefficients_h",),
-    linalg: ("unitary_eig", "apply_periodic", "apply_trigpoly", "TrigPoly"),
+    linalg: (
+        "unitary_eig",
+        "apply_periodic",
+        "apply_trigpoly",
+        "TrigPoly",
+        "commutator_norm",
+    ),
     logmethod: ("principal_log", "PrincipalLog"),
     selfdual: ("check_kramers", "dual_tensor"),
+    winding: ("winding_via_path",),
     bounds: (
         "eta_lines",
         "_eta_f_rows",
@@ -88,7 +95,12 @@ TEST_ONLY = {
         "_REFERENCE_H",
         "_HPRIME_MASS_CAP",
     ),
-    errors: ("OddDimension", "NotSkewSymmetric", "AccuracyNotCertified"),
+    errors: (
+        "OddDimension",
+        "NotSkewSymmetric",
+        "AccuracyNotCertified",
+        "MeshTooCoarse",
+    ),
     config: ("ENVELOPE_GRID",),
 }
 

@@ -46,3 +46,23 @@ def test_certification_sweep_runs():
     lines = done.stdout.splitlines()
     assert lines[0] == "delta,passed,max_bound,mesh_points,step_sum_1,step_sum_2"
     assert len(lines) == 1 + 2
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("certification_sweep.py", ("--points", "-1")),
+        ("certification_sweep.py", ("--points", "0")),
+        ("certification_sweep.py", ("--to", "nan")),
+        ("certification_sweep.py", ("--from", "-0.1")),
+        ("gap_profile.py", ("--n-min", "1")),
+    ],
+    ids=["points-negative", "points-zero", "to-nan", "from-negative", "n-min-1"],
+)
+def test_script_refuses_a_bad_range_before_writing(name, args, tmp_path):
+    out = tmp_path / "out.csv"
+    done = run_script(name, *args, "--out", str(out))
+    assert done.returncode != 0
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert not out.exists()

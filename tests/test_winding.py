@@ -13,9 +13,8 @@ from acbott.winding import (
     distance_bound_commuting,
     distance_bound_index_change,
     winding_number,
-    winding_via_path,
 )
-from support import haar_unitary
+from support import haar_unitary, winding_via_path
 
 
 # at n = 100 winding_via_path stacks 52 path steps per determinant call
