@@ -27,7 +27,6 @@ from .errors import (
 )
 from .linalg import (
     UnitaryPair,
-    hermitian_eig,
     make_pair,
     operator_norm,
     unitary_part,

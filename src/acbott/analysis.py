@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .bott import _spectrum_in_eigenbasis, _trig_values
+from .bott import _eigenbasis_B, _trig_values
 from .bounds import guaranteed_gap
 from .config import certified_threshold
 from .errors import GapClosed, NoGuarantee, NumericalInconsistency
@@ -88,7 +88,7 @@ def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:
         spectrum = _pfaffian_sign(pair, values)
         report.kappa2 = spectrum.sign
     else:
-        spectrum = _spectrum_in_eigenbasis(pair, values)
+        spectrum = _eigenbasis_B(pair, values)
     report.gap_measured = spectrum.gap
     try:
         report.kappa = spectrum.signature() // 2

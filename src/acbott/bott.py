@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOL, certified_threshold
-from .errors import GapClosed, ThresholdExceeded
-from .linalg import UnitaryPair, hermitian_eig
+from .errors import GapClosed, NotHermitian, ThresholdExceeded
+from .linalg import UnitaryPair, as_matrix, gate_relative
 
 # sine amplitudes of f: (150 sin x + 25 sin 3x + 3 sin 5x) / 128
 F_AMPLITUDES = (150.0 / 128.0, 0.0, 25.0 / 128.0, 0.0, 3.0 / 128.0)
@@ -145,8 +145,8 @@ def _corner(pair: UnitaryPair, values):
     return fvals, L
 
 
-def _eigenbasis_B(pair: UnitaryPair, values) -> np.ndarray:
-    """The block matrix of a triple and U in V's eigenbasis.
+def _eigenbasis_B(pair: UnitaryPair, values) -> BottMatrix:
+    """The block matrix of a triple and U in V's eigenbasis, and its spectrum.
 
     diag(Q, Q)* B diag(Q, Q) has diagonal blocks +-diag(f), lower corner L
     of :func:`_corner` and upper corner its adjoint.  The corners are
@@ -155,7 +155,9 @@ def _eigenbasis_B(pair: UnitaryPair, values) -> np.ndarray:
     pair; the commuting anchors (diagonal blocks +-f(V), corners h(V) at
     U = I) are insensitive to this choice.  The matrix is unitarily similar
     to the standard-basis B, so its spectrum is B's; for a ``SelfDualPair``,
-    Q^# = Q* and its modified Pfaffian has B's sign too.
+    Q^# = Q* and its modified Pfaffian has B's sign too.  A self-dual
+    request reads B's spectrum from :func:`selfdual._pfaffian_sign`, which
+    takes the same arguments, instead.
     """
     fvals, lower = _corner(pair, values)
     n = len(fvals)
@@ -165,37 +167,24 @@ def _eigenbasis_B(pair: UnitaryPair, values) -> np.ndarray:
     B[d + n, d + n] = -fvals
     B[n:, :n] = lower
     B[:n, n:] = lower.conj().T
-    return B
-
-
-def _spectrum_in_eigenbasis(pair: UnitaryPair, values) -> BottMatrix:
-    """:func:`_eigenbasis_B` and its hermitian spectrum.  A self-dual request
-    reads B's spectrum from :func:`selfdual._pfaffian_sign`, which takes the
-    same arguments, instead."""
-    return BottMatrix.of(_eigenbasis_B(pair, values))
+    return BottMatrix.of(B)
 
 
 def _in_standard_basis(pair: UnitaryPair, values) -> BottMatrix:
-    """The eigenbasis matrix conjugated in place by diag(Q, Q), and its spectrum.
+    """The eigenbasis matrix conjugated once by diag(Q, Q), and its spectrum.
 
-    Diagonal blocks +-(F + F*)/2 with F = Q diag(f) Q*, lower corner Q L Q*
-    for the eigenbasis corner L and upper corner its adjoint: exactly
-    hermitian, and similar to the eigenbasis matrix, whose spectrum it keeps.
+    The product's hermitian part is kept, with the lower-right block set to
+    the negated upper-left one, Q diag(f) Q*: the matrix is exactly
+    hermitian and similar to the eigenbasis matrix, whose spectrum ``eigs``
+    it keeps.
     """
-    bm = _spectrum_in_eigenbasis(pair, values)
-    Q = pair.v_eig[1]
-    Qh = Q.conj().T
-    n = Q.shape[0]
-    B = bm.B
-    F = (Q * B.diagonal()[:n]) @ Qh
-    lower = Q @ B[n:, :n] @ Qh
-    B[:n, :n] = F
-    B[:n, :n] += F.conj().T
-    B[:n, :n] *= 0.5
+    bm = _eigenbasis_B(pair, values)
+    Q2 = np.kron(np.eye(2), pair.v_eig[1])
+    B = Q2 @ bm.B @ Q2.conj().T
+    B = (B + B.conj().T) / 2
+    n = pair.dim
     np.negative(B[:n, :n], out=B[n:, n:])
-    B[n:, :n] = lower
-    B[:n, n:] = lower.conj().T
-    return bm
+    return BottMatrix(B, bm.eigs)
 
 
 def build_B(pair: UnitaryPair) -> BottMatrix:
@@ -213,8 +202,18 @@ def _count_signature(eigs: np.ndarray) -> int:
 
 
 def signature(H) -> int:
-    """Number of positive minus number of negative eigenvalues."""
-    return _count_signature(hermitian_eig(H))
+    """Number of positive minus number of negative eigenvalues of a hermitian H.
+
+    H is refused with NotHermitian when ||H - H*|| exceeds
+    ``DEFAULT_TOL.hermitian`` * max(1, ||H||), decided by
+    :func:`linalg.gate_relative`, and with GapClosed when an eigenvalue
+    lies inside the gap tolerance.
+    """
+    A = as_matrix(H)
+    err = gate_relative(A - A.conj().T, A, DEFAULT_TOL.hermitian)
+    if err is not None:
+        raise NotHermitian(f"||H - H*|| = {err:.3e} exceeds tolerance")
+    return _count_signature(np.linalg.eigvalsh(A))
 
 
 def require_certified(delta: float, method: str) -> None:
@@ -234,4 +233,4 @@ def bott_index(pair: UnitaryPair) -> int:
     whether it is certified.
     """
     require_certified(pair.delta, "trig")
-    return _spectrum_in_eigenbasis(pair, _trig_values).signature() // 2
+    return _eigenbasis_B(pair, _trig_values).signature() // 2

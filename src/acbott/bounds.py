@@ -141,10 +141,18 @@ def beta(delta: float) -> float:
 
 @functools.lru_cache(maxsize=1)
 def beta_root() -> float:
-    """The delta at which beta reaches 1 (the index loses its guarantee)."""
-    from scipy.optimize import brentq
+    """The delta at which beta reaches 1 (the index loses its guarantee).
 
-    return float(brentq(lambda d: beta(d) - 1.0, 0.05, 0.5, xtol=1e-12))
+    beta is the minimum of the affine pieces 2 h_i + f_j over the rows of
+    the two envelopes, and no piece decreases, so beta reaches 1 where the
+    last rising piece does: in closed form, with no root search.
+    """
+    return max(
+        (1.0 - 2 * h.b - f.b) / (2 * h.m + f.m)
+        for h in eta_envelope_h().lines
+        for f in eta_envelope_f().lines
+        if 2 * h.m + f.m > 0
+    )
 
 
 def guaranteed_gap(delta: float) -> float:

@@ -34,7 +34,7 @@ from .errors import (
     NoGuarantee,
     NumericalInconsistency,
 )
-from .generators import PairSpec, build_pair
+from .generators import KINDS, PairSpec, build_pair
 from .linalg import make_pair, unitary_part
 from .matrixio import (
     read_matrix,
@@ -228,17 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ix.set_defaults(func=cmd_index)
 
     gen = sub.add_parser("generate", help="write an example pair to files")
-    gen.add_argument(
-        "--kind",
-        choices=(
-            "cyclic_shift",
-            "commuting_random",
-            "perturbed",
-            "direct_sum",
-            "selfdual_doubling",
-        ),
-        required=True,
-    )
+    gen.add_argument("--kind", choices=tuple(KINDS), required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--k", type=int, default=-1)
     gen.add_argument("--seed", type=int, default=0)

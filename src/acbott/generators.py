@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import UnitaryPair, make_pair, operator_norm
-from .selfdual import SelfDualPair, _hermitian_part, make_selfdual_pair, selfdual_part
+from .selfdual import SelfDualPair, make_selfdual_pair, selfdual_part
 
 
 def cyclic_shift_pair(n: int) -> UnitaryPair:
@@ -89,9 +89,10 @@ def _random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     return H / operator_norm(H)
 
 
-def _unit_rotation(H: np.ndarray, amount: float) -> np.ndarray:
-    # e^{i amount H} for unit-norm hermitian H, unitary to machine precision
-    lam, W = np.linalg.eigh(H)
+def _unit_rotation(eig, amount: float) -> np.ndarray:
+    # e^{i amount H} from the eigh (lam, W) of a unit-norm hermitian H,
+    # unitary to machine precision
+    lam, W = eig
     return (W * np.exp(1j * amount * lam)) @ W.conj().T
 
 
@@ -109,8 +110,8 @@ def perturb(pair: UnitaryPair, r: float, seed: int = 0) -> UnitaryPair:
         raise ValueError("perturbation size too large to realize")
     rng = np.random.default_rng(seed)
     amount = 2 * np.arcsin(r / 4)
-    U1 = pair.U @ _unit_rotation(_random_hermitian(pair.dim, rng), amount)
-    V1 = pair.V @ _unit_rotation(_random_hermitian(pair.dim, rng), amount)
+    U1 = pair.U @ _unit_rotation(np.linalg.eigh(_random_hermitian(pair.dim, rng)), amount)
+    V1 = pair.V @ _unit_rotation(np.linalg.eigh(_random_hermitian(pair.dim, rng)), amount)
     return make_pair(U1, V1)
 
 
@@ -130,7 +131,7 @@ def _selfdual_hermitian(sd_dim: int, rng: np.random.Generator):
     G = rng.standard_normal((sd_dim, sd_dim)) + 1j * rng.standard_normal(
         (sd_dim, sd_dim)
     )
-    H = selfdual_part(_hermitian_part(G))
+    H = selfdual_part((G + G.conj().T) / 2)
     return H / operator_norm(H)
 
 
@@ -141,27 +142,27 @@ def perturb_selfdual(sd: SelfDualPair, r: float, seed: int = 0) -> SelfDualPair:
     H, since the dual reverses products; the two-sided move
     e^{iH/2} U e^{iH/2} is self-dual whenever H is.  The rotation amount is
     tuned by a few secant steps so the realized distance matches r within 1%;
-    a size the steps cannot reach raises ValueError.
+    a size the steps cannot reach raises ValueError.  Each H is factorized
+    once, and every step rotates by its eigenvalues.
     """
     if not 0 <= r < np.inf:
         raise ValueError(f"perturbation size must be finite and nonnegative, got {r!r}")
     if r == 0:
         return sd
     rng = np.random.default_rng(seed)
-    dim = sd.dim
-    HU = _selfdual_hermitian(dim, rng)
-    HV = _selfdual_hermitian(dim, rng)
 
-    def moved(M, H, amount):
-        half = _unit_rotation(H, amount / 2)
+    def moved(M, eig, amount):
+        half = _unit_rotation(eig, amount / 2)
         return half @ M @ half
 
     out = []
-    for M, H in ((sd.U, HU), (sd.V, HV)):
+    for M in (sd.U, sd.V):
+        # U's generator is drawn first, so the draws keep their order
+        eig = np.linalg.eigh(_selfdual_hermitian(sd.dim, rng))
         target = r / 2
         amount = 2 * np.arcsin(min(target / 4, 1.0))
         for _ in range(25):
-            M1 = moved(M, H, amount)
+            M1 = moved(M, eig, amount)
             got = operator_norm(M - M1)
             if abs(got - target) <= 0.005 * target:
                 break
@@ -179,20 +180,29 @@ def perturb_selfdual(sd: SelfDualPair, r: float, seed: int = 0) -> SelfDualPair:
 class PairSpec:
     """Deterministic recipe for a pair; equal specs give identical matrices."""
 
-    kind: str  # cyclic_shift | commuting_random | perturbed | direct_sum | selfdual_doubling
+    kind: str  # a key of KINDS
     n: int
     seed: int = 0
     noise: float = 0.0
     k: int = -1  # multiplicity/sign for direct_sum
 
 
-# the optional PairSpec fields that each kind reads; every kind reads n
-_READS = {
-    "cyclic_shift": (),
-    "commuting_random": ("seed",),
-    "perturbed": ("seed", "noise"),
-    "direct_sum": ("k",),
-    "selfdual_doubling": ("seed", "noise"),
+# each kind's optional PairSpec fields that it reads (every kind reads n) and
+# its builder; the command line offers these kinds in this order
+KINDS = {
+    "cyclic_shift": ((), lambda s: cyclic_shift_pair(s.n)),
+    "commuting_random": (("seed",), lambda s: commuting_random(s.n, s.seed)),
+    "perturbed": (
+        ("seed", "noise"),
+        lambda s: perturb(cyclic_shift_pair(s.n), s.noise, s.seed),
+    ),
+    "direct_sum": (("k",), lambda s: powered_pair(s.n, s.k)),
+    "selfdual_doubling": (
+        ("seed", "noise"),
+        lambda s: perturb_selfdual(
+            selfdual_doubling(cyclic_shift_pair(s.n)), s.noise, s.seed
+        ),
+    ),
 }
 
 
@@ -202,21 +212,11 @@ def build_pair(spec: PairSpec) -> UnitaryPair:
     A field that the kind never reads must keep its default: ValueError,
     naming the kind and the field, is raised before any matrix is made.
     """
-    reads = _READS.get(spec.kind)
-    if reads is None:
+    if spec.kind not in KINDS:
         raise ValueError(f"unknown pair kind {spec.kind!r}")
+    reads, build = KINDS[spec.kind]
     for name in ("seed", "noise", "k"):
         value = getattr(spec, name)
         if name not in reads and value != getattr(PairSpec, name):
             raise ValueError(f"kind {spec.kind} does not read {name}, got {name} = {value}")
-    if spec.kind == "cyclic_shift":
-        return cyclic_shift_pair(spec.n)
-    if spec.kind == "commuting_random":
-        return commuting_random(spec.n, spec.seed)
-    if spec.kind == "perturbed":
-        return perturb(cyclic_shift_pair(spec.n), spec.noise, spec.seed)
-    if spec.kind == "direct_sum":
-        return powered_pair(spec.n, spec.k)
-    sd = selfdual_doubling(cyclic_shift_pair(spec.n))
-    return perturb_selfdual(sd, spec.noise, spec.seed)
-
+    return build(spec)

@@ -24,7 +24,6 @@ from .config import DEFAULT_TOL
 from .errors import (
     DimensionMismatch,
     InvalidMatrix,
-    NotHermitian,
     NotUnitary,
     SingularMatrix,
 )
@@ -177,15 +176,6 @@ def unitary_part(A) -> np.ndarray:
             f"smallest singular value {s[-1]:.3e} below gate; polar part unreliable"
         )
     return P @ Qh
-
-
-def hermitian_eig(H) -> np.ndarray:
-    """Real spectrum of a hermitian matrix, ascending."""
-    A = as_matrix(H)
-    err = gate_relative(A - A.conj().T, A, DEFAULT_TOL.hermitian)
-    if err is not None:
-        raise NotHermitian(f"||H - H*|| = {err:.3e} exceeds tolerance")
-    return np.linalg.eigvalsh(A)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

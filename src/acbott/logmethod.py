@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bott import BottMatrix, _in_standard_basis, require_certified
+from .bott import BottMatrix, _in_standard_basis
 from .linalg import UnitaryPair
-from .selfdual import SelfDualPair, _pfaffian_sign
+from .selfdual import SelfDualPair, _pfaffian_sign, require_selfdual
 
 
 def _log_values(angles):
@@ -34,6 +34,7 @@ def build_BL(pair: UnitaryPair) -> BottMatrix:
 def kappa2_log(sd: SelfDualPair) -> int:
     """Sign index from B_L; certified to agree with the trig method for
     delta <= 1/8, refused beyond it with ThresholdExceeded
-    (``analysis.analyze(sd, method="log")`` computes it at any delta)."""
-    require_certified(sd.delta, "log")
+    (``analysis.analyze(sd, method="log")`` computes it at any delta).  A
+    pair that is not a ``SelfDualPair`` raises NotSelfDual."""
+    require_selfdual(sd, "log")
     return _pfaffian_sign(sd, _log_values).sign

@@ -82,11 +82,6 @@ def selfdual_part(X) -> np.ndarray:
     return (as_matrix(X) + dual(X)) / 2
 
 
-def _hermitian_part(X: np.ndarray) -> np.ndarray:
-    """(X + X*)/2."""
-    return (X + X.conj().T) / 2
-
-
 def _partner(A: np.ndarray) -> np.ndarray:
     """-Z conj(A): the Kramers partner of each column, orthogonal to it."""
     perm, sign = _block_reversal(len(A), _Z)
@@ -270,11 +265,12 @@ def _pfaffian_sign(pair: SelfDualPair, values) -> PfaffianSign:
     """Sign of the modified Pfaffian of B, with B's spectrum, from one real reduction.
 
     B = ((F, L*), (L, -F)) is the block matrix of a triple's ``values`` at
-    V's angles (:func:`bott._eigenbasis_B`), read from its corner: F = diag(f)
-    and L of :func:`bott._corner`.  B itself is never formed.  V's Kramers
-    basis tiles its angles, so F^# = F and B + B^# = ((0, D*), (D, 0)) for
-    D = L - L^#: ||B + B^#|| = ||L - L^#||, gated against
-    1e-7 * max(1, ||L||) through ``gate_relative`` (NotAntiSelfDual).  B's
+    V's angles (the ``B`` of :func:`bott._eigenbasis_B`), read from its
+    corner: F = diag(f) and L of :func:`bott._corner`.  B itself is never
+    formed.  V's Kramers basis tiles its angles, so F^# = F and
+    B + B^# = ((0, D*), (D, 0)) for D = L - L^#: ||B + B^#|| = ||L - L^#||,
+    gated against 1e-7 * max(1, ||L||) through ``gate_relative``
+    (NotAntiSelfDual).  B's
     anti-self-dual part B_s = (B - B^#)/2 = ((F, L_s*), (L_s, -F)), with L's
     self-dual part L_s = (L + L^#)/2 = L_r + i L_i, is hermitian by
     construction, so S = Q* B_s Q = iR with R = Im B_s + Re(B_s) K real and
@@ -338,14 +334,24 @@ def _pfaffian_sign(pair: SelfDualPair, values) -> PfaffianSign:
     return record
 
 
+def require_selfdual(sd: UnitaryPair, method: str) -> None:
+    """Refuse a pair that is not a ``SelfDualPair`` (NotSelfDual), then a
+    delta above ``certified_threshold(method)``; the sign functions check
+    here before any work."""
+    if not isinstance(sd, SelfDualPair):
+        raise NotSelfDual("kappa2 needs a SelfDualPair; make one with make_selfdual_pair")
+    require_certified(sd.delta, method)
+
+
 def pfaffian_bott_index(sd: SelfDualPair) -> int:
     """Sign of the modified Pfaffian of the block matrix of the pair.
 
-    Certified for delta <= KAPPA_THRESHOLD; beyond that ThresholdExceeded is
-    raised.  ``analysis.analyze`` computes kappa2 at any delta and reports
-    whether it is certified.
+    A pair that is not a ``SelfDualPair`` raises NotSelfDual.  Certified for
+    delta <= KAPPA_THRESHOLD; beyond that ThresholdExceeded is raised.
+    ``analysis.analyze`` computes kappa2 at any delta and reports whether it
+    is certified.
     """
-    require_certified(sd.delta, "trig")
+    require_selfdual(sd, "trig")
     return _pfaffian_sign(sd, _trig_values).sign
 
 
@@ -356,7 +362,7 @@ def selfdual_distance_bounds(sdA: SelfDualPair, sdB: SelfDualPair) -> float:
     commuting-target form 1/5 + (1/5) sqrt(1 - 5 delta^2).
     """
     for sd in (sdA, sdB):
-        require_certified(sd.delta, "trig")
+        require_selfdual(sd, "trig")
     if pfaffian_bott_index(sdA) == pfaffian_bott_index(sdB):
         raise NoObstruction("equal signs carry no distance obstruction")
     return (

@@ -510,7 +510,7 @@ def check_kramers(H) -> bool:
     if drift is not None:
         raise NotSelfDual(f"self-duality violated by {drift:.3e}")
     # the hermiticity gate above, scaled by max |h_ij| <= ||H||, is stricter
-    # than hermitian_eig's, which is therefore not run again
+    # than bott.signature's, which is therefore not run again
     eigs = np.linalg.eigvalsh(H)
     scale = max(1.0, float(np.max(np.abs(eigs))))
     gaps = eigs[1::2] - eigs[0::2]

@@ -128,11 +128,30 @@ def test_beta_monotone():
 
 
 def test_beta_root_value():
+    from scipy.optimize import brentq
+
     root = beta_root()
     assert root == pytest.approx(0.2046976, abs=1e-6)
     assert beta(root) == pytest.approx(1.0, abs=1e-10)
+    # the closed form is the root a search of beta - 1 finds
+    assert abs(root - brentq(lambda d: beta(d) - 1.0, 0.05, 0.5, xtol=1e-12)) <= 1e-12
     # the certified threshold stays the published constant, not the root
     assert KAPPA_THRESHOLD == 0.206007
+
+
+_ROOT_FREE = """
+import sys
+from acbott.bounds import beta_root
+
+print(repr(beta_root()))
+print("scipy.optimize loaded:", "scipy.optimize" in sys.modules)
+"""
+
+
+def test_beta_root_runs_no_root_search_in_a_fresh_process():
+    out = support.fresh_process(_ROOT_FREE).splitlines()
+    assert float(out[0]) == pytest.approx(0.2046976, abs=1e-6)
+    assert out[1] == "scipy.optimize loaded: False"
 
 
 def test_guaranteed_gap():

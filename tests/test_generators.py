@@ -160,6 +160,22 @@ def test_perturb_selfdual_stays_selfdual_at_distance():
         perturb_selfdual(sd, -1.0)
 
 
+def test_perturb_selfdual_factorizes_each_generator_once(monkeypatch):
+    # at the benchmark's R = 0.004 each factor takes two secant steps, and
+    # both rotate by the one eigh of the factor's generator
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    sd = selfdual_doubling(cyclic_shift_pair(56))
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    perturb_selfdual(sd, 0.004, seed=1)
+    assert len(calls) == 2
+
+
 def test_perturb_selfdual_refuses_a_distance_it_cannot_reach():
     # the secant steps stall at 3.3862 on this pair; 3.0 is still reached
     sd = selfdual_doubling(cyclic_shift_pair(8))

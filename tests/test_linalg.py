@@ -11,19 +11,19 @@ from acbott.analysis import analyze
 from acbott.config import DEFAULT_TOL
 from acbott.errors import (
     DimensionMismatch,
+    GapClosed,
     InvalidMatrix,
     NotHermitian,
     NotUnitary,
     SingularMatrix,
 )
-from acbott.bott import bott_index, standard_triple
+from acbott.bott import bott_index, signature, standard_triple
 from acbott.linalg import (
     UnitaryPair,
     _cayley_angles,
     _schur_angles,
     as_matrix,
     gate_norm,
-    hermitian_eig,
     make_pair,
     operator_norm,
     unitary_part,
@@ -103,7 +103,7 @@ def test_operator_norm_exact_where_power_iteration_reads_low():
     assert operator_norm(A) == pytest.approx(2.1e-8, rel=1e-9)
     # ||H - H*|| = 4.2e-8 is above the 1e-8 hermiticity gate
     with pytest.raises(NotHermitian):
-        hermitian_eig(np.eye(d) + 1j * A)
+        signature(np.eye(d) + 1j * A)
 
 
 def test_operator_norm_zero():
@@ -178,12 +178,12 @@ def test_unitary_part_singular_gate():
         unitary_part(A)
 
 
-def test_hermitian_eig_gate(rng):
+def test_signature_gate(rng):
     H = random_hermitian(5, rng)
-    eigs = hermitian_eig(H)
-    assert np.all(np.diff(eigs) >= 0)
+    eigs = np.linalg.eigvalsh(H)
+    assert signature(H) == np.sum(eigs > 0) - np.sum(eigs < 0)
     with pytest.raises(NotHermitian):
-        hermitian_eig(H + 0.01j * np.eye(5))
+        signature(H + 0.01j * np.eye(5))
 
 
 def test_structure_gates_take_an_svd_only_when_the_bounds_do_not_decide(
@@ -195,18 +195,21 @@ def test_structure_gates_take_an_svd_only_when_the_bounds_do_not_decide(
     A = 2.0 * np.ones((d, d), dtype=complex)
     svds = _count_svds(monkeypatch)
     H = random_hermitian(d, rng)
-    assert np.array_equal(hermitian_eig(H), np.linalg.eigvalsh(H))
+    eigs = np.linalg.eigvalsh(H)
+    assert signature(H) == np.sum(eigs > 0) - np.sum(eigs < 0)
     K = (H + dual(H)) / 2
     assert check_kramers((K + K.conj().T) / 2)
     pfaffian(random_skew(d, rng))
     assert svds == []  # the parent took 2, 5 and 1
-    # 1e-7 is above 1e-8 * max|a_ij| but not above 1e-8 * ||A||: passes
-    hermitian_eig(A + 5e-8j * np.eye(d))
+    # 1e-7 is above 1e-8 * max|a_ij| but not above 1e-8 * ||A||: passes, and
+    # A's null space then closes the gap
+    with pytest.raises(GapClosed):
+        signature(A + 5e-8j * np.eye(d))
     assert len(svds) == 2  # the exact defect, then ||A||
     svds.clear()
     # 4e-7 is above 1e-8 * ||A||_F: fails without an SVD of A
     with pytest.raises(NotHermitian, match="4.000e-07"):
-        hermitian_eig(A + 2e-7j * np.eye(d))
+        signature(A + 2e-7j * np.eye(d))
     assert len(svds) == 1
 
 

@@ -25,6 +25,7 @@ from acbott import (
     cli,
     config,
     errors,
+    generators,
     linalg,
     logmethod,
     selfdual,
@@ -35,7 +36,7 @@ RETIRED = [
     (bott.build_B, {"use_trigpoly"}),
     (bott.bott_index, {"use_trigpoly", "allow_uncertified"}),
     (bott.require_certified, {"allow_uncertified"}),
-    (bott.signature, {"gap_tol"}),
+    (bott.signature, {"gap_tol", "tol"}),  # once hermitian_eig's
     (bott._count_signature, {"gap_tol"}),
     (bott._in_standard_basis, {"h_part"}),
     (support.fourier_coefficients_h, {"series_K"}),
@@ -47,7 +48,6 @@ RETIRED = [
     (support.pfaffian, {"tol"}),  # test oracles now, as they moved
     (support.modified_pfaffian, {"tol"}),
     (support.check_kramers, {"pair_tol"}),
-    (selfdual._hermitian_part, {"self_dual"}),
     (logmethod.kappa2_log, {"allow_uncertified"}),
     (support.principal_log, {"tol", "self_dual"}),
     (logmethod.build_BL, {"self_dual"}),
@@ -55,7 +55,6 @@ RETIRED = [
     (support.unitary_eig, {"tol"}),
     (linalg._cayley_angles, {"tol"}),
     (linalg.unitary_part, {"singular_tol"}),
-    (linalg.hermitian_eig, {"tol"}),
     (support.apply_periodic, {"tol"}),
     (support.apply_trigpoly, {"tol"}),
     (support.TrigPoly.is_real_valued, {"tol"}),
@@ -115,8 +114,25 @@ def test_test_only_routes_live_in_the_tests():
     for name in ("TableDrift", "InvalidPolynomial"):
         assert not hasattr(acbott, name) and not hasattr(errors, name), name
         assert not hasattr(support, name), name
+    # wrappers folded into their one caller: signature gates its matrix
+    # itself, _eigenbasis_B returns its spectrum, the pair kinds live in KINDS
+    for module, name in (
+        (acbott, "hermitian_eig"),
+        (linalg, "hermitian_eig"),
+        (bott, "_spectrum_in_eigenbasis"),
+        (selfdual, "_hermitian_part"),
+        (generators, "_READS"),
+    ):
+        assert not hasattr(module, name) and not hasattr(support, name), name
     # the degree-5 approximants are the oracle's, not the standard triple's
     assert [f.name for f in fields(bott.StandardTriple)] == ["f", "g", "h", "coefficients16"]
+
+
+def test_the_command_line_offers_the_generator_kinds():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (kind,) = [a for a in commands.choices["generate"]._actions if a.dest == "kind"]
+    assert kind.choices == tuple(generators.KINDS)
 
 
 def test_certify_config_holds_only_the_search_sizes():

@@ -15,7 +15,6 @@ import acbott.selfdual as selfdual
 from acbott.analysis import analyze
 from acbott.bott import (
     _eigenbasis_B,
-    _spectrum_in_eigenbasis,
     _trig_values,
     bott_index,
     build_B,
@@ -410,6 +409,22 @@ def test_selfdual_pair_with_a_non_selfdual_U_is_refused():
             analyze(sd, method=method)
 
 
+def test_sign_functions_refuse_a_plain_pair_before_any_work():
+    # exactly self-dual matrices, but not a SelfDualPair: the type decides,
+    # before V is factorized (v_eig is cached on first use)
+    sd = selfdual_doubling(cyclic_shift_pair(64))
+    pair = make_pair(sd.U, sd.V)
+    for call in (
+        lambda: pfaffian_bott_index(pair),
+        lambda: kappa2_log(pair),
+        lambda: selfdual_distance_bounds(pair, sd),
+        lambda: selfdual_distance_bounds(sd, pair),
+    ):
+        with pytest.raises(NotSelfDual, match="make_selfdual_pair"):
+            call()
+        assert "v_eig" not in vars(pair)
+
+
 def test_no_selfdual_path_assembles_B(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("complex B assembled on a self-dual path")
@@ -580,7 +595,7 @@ def test_kramers_route_matches_the_schur_basis_oracle(method):
         built = build(pair)
         assert np.max(np.abs(built.B - B)) <= 1e-12
         assert np.max(np.abs(built.eigs - eigs)) <= 1e-12
-        assert np.array_equal(built.eigs, _spectrum_in_eigenbasis(pair, values).eigs)
+        assert np.array_equal(built.eigs, _eigenbasis_B(pair, values).eigs)
         if isinstance(pair, SelfDualPair):
             pf = modified_pfaffian(B)
             assert abs(pf.imag) <= 1e-9 * abs(pf)
@@ -623,7 +638,7 @@ def test_tridiagonal_spectrum_is_B_within_eta(method):
     # of its eigenvalues lies within eta of the tridiagonal's
     values = _log_values if method == "log" else _trig_values
     for sd in _selfdual_test_pairs():
-        eigs = np.linalg.eigvalsh(_eigenbasis_B(sd, values))
+        eigs = _eigenbasis_B(sd, values).eigs
         record = _pfaffian_sign(sd, values)
         assert record.reliable
         assert np.max(np.abs(record.eigs - eigs)) <= record.eta
