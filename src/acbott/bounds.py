@@ -14,11 +14,11 @@ guaranteed spectral gap and the certified threshold.
 The same machinery certifies the homotopy connecting the trigonometric block
 matrix to its log-method variant: along the two-stage path of function
 triples, each eta is certified from one stored coefficient vector, summed on
-the fine grid by a cascade of half-length DCT-IIIs or DST-IIIs, and the
-resulting bound must stay below the certification threshold.  Each stage
-walks the mesh once, holding only the previous triple, and checks the step
-rule at every step of the walk; stage 1 moves f and g only past pi/2, so it
-is sampled there alone.  A fixed
+the fine grid by a cascade of half-length DCT-IIIs or DST-IIIs, each run as
+one numpy real inverse FFT, and the resulting bound must stay below the
+certification threshold.  Each stage walks the mesh once, holding only the
+previous triple, and checks the step rule at every step of the walk; stage 1
+moves f and g only past pi/2, so it is sampled there alone.  A fixed
 vector's eta is valid at every delta, so the vectors in ``log_certificate``
 certify any delta; a mesh point off the stored mesh takes the vectors of its
 nearest stored point.  The certification solves no LP.
@@ -29,8 +29,8 @@ match a fresh search byte for byte.
 The envelope rows and the cosine coefficients of h are fixed constants of the
 construction, so they are stored as exact float literals and a process only
 reads them; ``tests/support.py`` re-derives both, and the test suite requires
-the stored values to match bit for bit.  scipy.fft and the stored
-certificate are imported when a certification first runs.
+the stored values to match bit for bit.  The stored certificate is imported
+when a certification first runs, and no certification imports scipy.
 """
 
 from __future__ import annotations
@@ -204,44 +204,61 @@ def _eval_half_series(coeffs, parity, n):
     """Half-range series on the uniform grid x_j = j pi / n, j = 0..n.
 
     Even parity sums c_k cos(k x) over k = 0..len(coeffs)-1, odd parity
-    c_k sin(k x) over k = 1..len(coeffs); every transform below takes the
-    coefficients zero-padded, k >= 1 halved (the transforms double each term
-    but the constant one).  The odd-indexed points of a grid of m intervals
-    are the nodes of one DCT-III (odd parity: DST-III) of length m/2, and its
-    even-indexed points are the grid of m/2 intervals; so while m is even and
-    len(coeffs) < m/2, one half-length transform fills the odd points and m
-    halves.  One DCT-I (DST-I on the interior; both endpoints are exactly 0)
-    takes the grid left.  The transform lengths add up to under n, where a
-    single DCT-I of n + 1 points runs as a real FFT of 2n.
+    c_k sin(k x) over k = 1..len(coeffs).  The odd-indexed points of a grid
+    of m intervals are the nodes of one DCT-III (odd parity: DST-III) of
+    length M = m/2, and its even-indexed points are the grid of m/2
+    intervals; so while m is even and len(coeffs) < M, one transform of
+    length M fills the odd points and m halves.  Each transform is one real
+    inverse FFT of length M (Makhoul's reordering): bin k of its half
+    spectrum holds z_k = c_k e^{i pi k / (2M)} / 2 (c_0 whole; for sines
+    times -i), a degree k >= M/2 adds conj(z_k) to bin M - k, and the output
+    y' gives y_{2j} = y'_j and y_{2j+1} = +-y'_{M-1-j} (minus for sines).
+    One real inverse FFT of length 2m takes the grid left; the odd series'
+    endpoints are exactly 0.  The level lengths add up to under n, where a
+    single full-grid transform runs as a real FFT of 2n.
     The grid has n + 1 points and must resolve every degree: the largest k
-    must stay below n, or the transform aliases it onto a lower one.  Every
-    transform runs in place in its points of the returned array.
+    must stay below n, or the transform aliases it onto a lower one.  One
+    half-spectrum buffer, sized for the first level, serves every level.
     """
-    from scipy.fft import dct, dst
-
     coeffs = np.asarray(coeffs, dtype=float)
     k = len(coeffs)
     even = parity == "even"
-    halved = coeffs / 2
+    first = 0 if even else 1
+    degrees = np.arange(first, first + k)
+    halved = coeffs / 2 if even else coeffs * -0.5j
     if even:
         halved[0] = coeffs[0]
     out = np.zeros(n + 1)
-    # each transform returns the view it was given, and assigning a view to
-    # itself copies nothing
+    spectrum = np.zeros(n // 4 + 1, dtype=complex)
     m, step = n, 1
     while m % 2 == 0 and k < m // 2:
+        M = m // 2
+        bins = spectrum[: M // 2 + 1]
+        z = halved * np.exp(1j * np.pi / (2 * M) * degrees)
+        # degrees up to M/2 sit in their own bin, degrees from M/2 up fold
+        # onto M - k; M/2 itself does both, since the inverse FFT counts
+        # that bin once
+        low, high = 2 * degrees <= M, 2 * degrees >= M
+        bins[degrees[low]] = z[low]
+        bins[M - degrees[high]] += np.conj(z[high])
+        y = np.fft.irfft(bins, M, norm="forward")
+        # every bin written lies at or below the top degree
+        bins[: first + k] = 0
         odd = out[step :: 2 * step]
-        odd[:k] = halved
-        odd[:] = (dct if even else dst)(odd, type=3, overwrite_x=True)
+        half = (M + 1) // 2
+        odd[::2] = y[:half]
+        if even:
+            odd[1::2] = y[half:][::-1]
+        else:
+            np.negative(y[half:][::-1], out=odd[1::2])
         m //= 2
         step *= 2
+    last = np.zeros(m + 1, dtype=complex)
+    last[first : first + k] = halved
     grid = out[::step]
-    if even:
-        grid[:k] = halved
-        grid[:] = dct(grid, type=1, overwrite_x=True)
-    else:
-        grid[1 : k + 1] = halved
-        grid[1:-1] = dst(grid[1:-1], type=1, overwrite_x=True)
+    grid[:] = np.fft.irfft(last, 2 * m, norm="forward")[: m + 1]
+    if not even:
+        grid[0] = grid[-1] = 0.0
     return out
 
 

@@ -261,8 +261,11 @@ def test_certify_rejects_nonfinite_mesh_point(bad, monkeypatch, small_grid):
 def test_certify_working_set_stays_small(cheap_report, monkeypatch):
     # at 2**16 + 1 samples the fine-grid arrays dominate what the
     # certification allocates.  The bound is 9.5 of them: this code peaks at
-    # 7.1, in eval_h's temporaries at the set-up, and 7.1 again at each
-    # stage-2 step, which holds two triples and one difference; checking the
+    # 7.3, in the first cascade level of a stage-2 series sum, which adds the
+    # series' output and half an array each for the level's half spectrum
+    # and inverse FFT to the 5 held there (scipy's in-place DCT-IIIs peaked
+    # at 7.1, in eval_h's temporaries at the set-up and at each stage-2
+    # step, which holds two triples and one difference); checking the
     # step rule in a separate walk before the etas peaked at 9.1, holding
     # two whole triples and two temporaries there at 10.1, and allocating
     # fresh arrays for every residual, transform and sample set at 13.3
@@ -272,7 +275,7 @@ def test_certify_working_set_stays_small(cheap_report, monkeypatch):
 
     grid = 2**16
     monkeypatch.setattr(bounds, "FINE_GRID", grid)
-    # cheap_report has imported scipy and the store outside the trace
+    # cheap_report has imported numpy.fft and the store outside the trace
     tracemalloc.start()
     try:
         certify_log_path(0.02)
@@ -358,24 +361,40 @@ def _half_series_loop(coeffs, parity, n):
 
 
 def _half_series_fresh(coeffs, parity, n):
-    # the same cascade, each transform on its own freshly allocated
-    # zero-padded copy of the halved coefficients
-    from scipy.fft import dct, dst
-
+    # the same cascade, each level's half spectrum and output freshly
+    # allocated, its bins filled one degree at a time
     coeffs = np.asarray(coeffs, dtype=float)
     k = len(coeffs)
-    halved = coeffs / 2
+    first = 0 if parity == "even" else 1
+    sign = 1 if parity == "even" else -1
+    degrees = np.arange(first, first + k)
+    halved = coeffs / 2 if parity == "even" else coeffs * -0.5j
     if parity == "even":
         halved[0] = coeffs[0]
     out = np.zeros(n + 1)
     m, step = n, 1
     while m % 2 == 0 and k < m // 2:
-        padded = np.zeros(m // 2)
-        padded[:k] = halved
-        out[step :: 2 * step] = (dct if parity == "even" else dst)(padded, type=3)
+        M = m // 2
+        bins = np.zeros(M // 2 + 1, dtype=complex)
+        z = halved * np.exp(1j * np.pi / (2 * M) * degrees)
+        for d, zd in zip(degrees, z):
+            if 2 * d <= M:
+                bins[d] += zd
+            if 2 * d >= M:
+                bins[M - d] += np.conj(zd)
+        y = np.fft.irfft(bins, M, norm="forward")
+        level = np.empty(M)
+        level[0::2] = y[: (M + 1) // 2]
+        level[1::2] = sign * y[::-1][: M // 2]
+        out[step :: 2 * step] = level
         m //= 2
         step *= 2
-    out[::step] = support.half_series_one_transform(coeffs, parity, m)
+    last = np.zeros(m + 1, dtype=complex)
+    last[first : first + k] = halved
+    grid = np.fft.irfft(last, 2 * m, norm="forward")[: m + 1]
+    if parity == "odd":
+        grid[0] = grid[-1] = 0.0
+    out[::step] = grid
     return out
 
 
@@ -389,13 +408,15 @@ def _unit_mass_coeffs(parity, n, top):
 
 
 # 2**13 with one coefficient halves the grid 12 times and 2**16 15 times;
-# 3000 halves it 3 times and stops at an odd count of intervals; the largest
-# degree fills the grid, so no level halves it
+# 3000 halves it 3 times, through a level of odd length 375, and stops at an
+# odd count of intervals; 3002's first level has odd length 1501 and is its
+# only one; the largest degree fills the grid, so no level halves it
 _SERIES_CASES = [
     ("largest", 2**13),
     ("lowest", 2**13),
     ("largest", 3000),
     ("lowest", 3000),
+    ("lowest", 3002),
     ("lowest", 2**16),
 ]
 
@@ -417,7 +438,8 @@ def test_half_series_transform_matches_direct_sum(parity, n, top):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 @pytest.mark.parametrize("top", ["lowest", "largest"])
 def test_half_series_in_place_equals_fresh_transform(parity, top):
-    # working in the output array changes no bit of the cascade
+    # one shared half-spectrum buffer and writing each level into the output
+    # array change no bit of the cascade
     n = 2**13
     coeffs = _unit_mass_coeffs(parity, n, top)
     got = _eval_half_series(coeffs, parity, n)
@@ -579,6 +601,7 @@ for delta in (0.02, 0.125, 0.2):
         report = exc.report
     print(delta, "passed:", report.passed)
 print("scipy.optimize loaded:", "scipy.optimize" in sys.modules)
+print("scipy loaded:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
@@ -588,3 +611,4 @@ def test_stored_certificate_runs_no_lp_in_a_fresh_process():
     assert "0.125 passed: True" in out
     assert "0.2 passed: False" in out
     assert "scipy.optimize loaded: False" in out
+    assert out.splitlines()[-1] == "scipy loaded: []"
