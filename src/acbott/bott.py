@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, certified_threshold
 from .errors import GapClosed, NotHermitian, ThresholdExceeded
-from .linalg import UnitaryPair, as_matrix, gate_relative
+from .linalg import UnitaryPair, _serial_blas, as_matrix, gate_relative
 
 # sine amplitudes of f: (150 sin x + 25 sin 3x + 3 sin 5x) / 128
 F_AMPLITUDES = (150.0 / 128.0, 0.0, 25.0 / 128.0, 0.0, 3.0 / 128.0)
@@ -159,15 +159,16 @@ def _eigenbasis_B(pair: UnitaryPair, values) -> BottMatrix:
     request reads B's spectrum from :func:`selfdual._pfaffian_sign`, which
     takes the same arguments, instead.
     """
-    fvals, lower = _corner(pair, values)
-    n = len(fvals)
-    B = np.zeros((2 * n, 2 * n), dtype=complex)
-    d = np.arange(n)
-    B[d, d] = fvals
-    B[d + n, d + n] = -fvals
-    B[n:, :n] = lower
-    B[:n, n:] = lower.conj().T
-    return BottMatrix.of(B)
+    with _serial_blas(pair.dim):
+        fvals, lower = _corner(pair, values)
+        n = len(fvals)
+        B = np.zeros((2 * n, 2 * n), dtype=complex)
+        d = np.arange(n)
+        B[d, d] = fvals
+        B[d + n, d + n] = -fvals
+        B[n:, :n] = lower
+        B[:n, n:] = lower.conj().T
+        return BottMatrix.of(B)
 
 
 def _in_standard_basis(pair: UnitaryPair, values) -> BottMatrix:
@@ -210,8 +211,8 @@ def signature(H) -> int:
     lies inside the gap tolerance.
     """
     A = as_matrix(H)
-    err = gate_relative(A - A.conj().T, A, DEFAULT_TOL.hermitian)
-    if err is not None:
+    err, failed = gate_relative(A - A.conj().T, A, DEFAULT_TOL.hermitian)
+    if failed:
         raise NotHermitian(f"||H - H*|| = {err:.3e} exceeds tolerance")
     return _count_signature(np.linalg.eigvalsh(A))
 

@@ -10,13 +10,21 @@ Schur form as its fallback.
 Matrices are plain ``numpy.ndarray`` objects with complex entries; helpers
 here validate shape and finiteness at the boundary so the index modules can
 assume well-formed input.
+
+A pair's O(n^3) work runs inside :func:`_serial_blas`, which puts every
+OpenBLAS in the process on one thread for pairs up to dim
+``_SERIAL_BLAS_MAX_DIM``: at those sizes a second thread gains nothing or
+costs time.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -62,21 +70,24 @@ def gate_norm(X: np.ndarray, limit: float) -> float:
     return bound if bound <= limit else operator_norm(X)
 
 
-def gate_relative(X: np.ndarray, A: np.ndarray, tol: float) -> Optional[float]:
-    """The exact ||X||_2 when it exceeds tol * max(1, ||A||_2), else None.
+def gate_relative(X: np.ndarray, A: np.ndarray, tol: float) -> Tuple[float, bool]:
+    """(norm, failed): whether ||X||_2 exceeds tol * max(1, ||A||_2), and
+    the :func:`gate_norm` of X that decided it.
 
     Decided as the exact norms would, with the cheap bounds first: ||X||
     through :func:`gate_norm` against the scale's lower bound max|a_ij|;
     a failure there against the upper bound ||A||_F; only in between does
-    ||A|| take an SVD.  A valid input costs no SVD.
+    ||A|| take an SVD.  A valid input costs no SVD.  norm bounds ||X||_2
+    from above: it is ||X||_F when that clears the lower bound, and the
+    exact ||X||_2 otherwise, so always when failed.
     """
     low = tol * max(1.0, float(np.max(np.abs(A))))
     err = gate_norm(X, low)
     if err <= low:
-        return None
+        return err, False
     if err > tol * max(1.0, float(np.linalg.norm(A))):
-        return err
-    return err if err > tol * max(1.0, operator_norm(A)) else None
+        return err, True
+    return err, err > tol * max(1.0, operator_norm(A))
 
 
 def eig_residual(A: np.ndarray, angles: np.ndarray, Q: np.ndarray) -> Optional[float]:
@@ -91,6 +102,102 @@ def eig_residual(A: np.ndarray, angles: np.ndarray, Q: np.ndarray) -> Optional[f
     residual -= Q * np.exp(1j * angles)
     norm = float(np.linalg.norm(residual))
     return norm if norm > DEFAULT_TOL.unitary * np.sqrt(A.shape[0]) else None
+
+
+# Pairs up to this dim factorize at least as fast on one OpenBLAS thread as
+# on two, and larger ones slower.  ``analyze`` on 2 CPUs, best of 3 in each
+# of 3-4 runs, one thread against two: plain n = 384 0.41-0.44 s against
+# 0.51-0.64 s, self-dual dim 512 1.03-1.07 s against 1.16-1.25 s, plain
+# n = 512 1.01-1.12 s against 0.88-1.27 s; plain n = 768 3.13-3.23 s
+# against 2.21-2.36 s (BENCH_31.json).
+_SERIAL_BLAS_MAX_DIM = 512
+
+# (set, get) of OpenBLAS's thread count: numpy's ILP64 build, scipy's LP64
+# build and a plain build of either width
+_OPENBLAS_THREAD_API = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_apis() -> Dict[str, tuple]:
+    """{path: (set, get)} of every OpenBLAS mapped into this process, read
+    from /proc/self/maps; empty where there is none or no such file."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return {}
+    apis = {}
+    for path in sorted(p for p in paths if p.startswith("/")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for names in _OPENBLAS_THREAD_API:
+            setter, getter = (getattr(lib, name, None) for name in names)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                apis[path] = setter, getter
+                break
+    return apis
+
+
+# module state, as the thread counts it mirrors are the process's
+_blas_apis: Dict[str, tuple] = {}
+_blas_modules = -1  # len(sys.modules) when _blas_apis was read
+_blas_held: Optional[Dict[str, tuple]] = None  # {path: (set, count before)} in a scope
+
+
+def _hold_new_blas() -> None:
+    """Inside a :func:`_serial_blas` scope, put every OpenBLAS not yet held
+    on one thread.
+
+    The libraries are looked for again only when ``sys.modules`` has
+    changed since the last look, so that a library loaded by a lazy import
+    (scipy's own, on the first ``scipy.linalg`` import) is found, while an
+    entry with nothing new costs a comparison and no scan.
+    """
+    global _blas_apis, _blas_modules
+    if len(sys.modules) != _blas_modules:
+        _blas_modules = len(sys.modules)
+        _blas_apis = _openblas_apis()
+    if _blas_held is None:
+        return
+    for path, (setter, getter) in _blas_apis.items():
+        if path not in _blas_held:
+            _blas_held[path] = setter, getter()
+            setter(1)
+
+
+@contextlib.contextmanager
+def _serial_blas(dim: int):
+    """Run the block with every OpenBLAS on one thread when dim is at most
+    ``_SERIAL_BLAS_MAX_DIM``, and give each library its own count back on
+    exit, also on an exception.
+
+    An entry inside a scope keeps the outer one's state, and only holds the
+    libraries loaded since (:func:`_hold_new_blas`); above the cutoff the
+    counts are left alone.  The count is process-wide, so calls from
+    several Python threads at once can race on it.  Without an OpenBLAS
+    thread API (another BLAS, no /proc) the scope does nothing.
+    """
+    global _blas_held
+    if _blas_held is not None or dim > _SERIAL_BLAS_MAX_DIM:
+        _hold_new_blas()
+        yield
+        return
+    _blas_held = held = {}
+    try:
+        _hold_new_blas()
+        yield
+    finally:
+        _blas_held = None
+        for setter, count in held.values():
+            setter(count)
 
 
 def _check_unitary(V: np.ndarray, tol: float) -> None:
@@ -110,6 +217,7 @@ def _schur_angles(A: np.ndarray):
     """
     from scipy.linalg import schur
 
+    _hold_new_blas()  # the first scipy import loads scipy's own OpenBLAS
     T, Q = schur(A, output="complex")
     lam = np.diag(T)
     angles = np.angle(lam)
@@ -135,6 +243,7 @@ def _cayley_angles(A: np.ndarray):
     """
     from scipy.linalg.lapack import zgesv
 
+    _hold_new_blas()  # the first scipy import when V is factorized before W
     d = A.shape[0]
     half = np.arccos(np.clip(np.linalg.eigvalsh((A + A.conj().T) / 2), -1.0, 1.0))
     points = np.sort(np.concatenate((-half, half)))
@@ -223,13 +332,15 @@ class UnitaryPair:
         form when that leaves a residual above 1e-8 * sqrt(dim); a
         ``SelfDualPair`` regroups it into a Kramers basis.
         """
-        angles, Q = _cayley_angles(self.V)
+        with _serial_blas(self.dim):
+            angles, Q = _cayley_angles(self.V)
         return _read_only(angles), _read_only(Q)
 
     @functools.cached_property
     def w_angles(self) -> np.ndarray:
         """W's eigenangles with :func:`_schur_angles`'s branch rule."""
-        angles, _ = _schur_angles(self.multiplicative_commutator())
+        with _serial_blas(self.dim):
+            angles, _ = _schur_angles(self.multiplicative_commutator())
         return _read_only(angles)
 
 
@@ -238,6 +349,7 @@ def make_pair(U, V) -> UnitaryPair:
     unitary input takes its polar parts first (:func:`unitary_part`)."""
     A, B = as_matrix(U), as_matrix(V)
     require_same_dim(A, B)
-    _check_unitary(A, DEFAULT_TOL.unitary)
-    _check_unitary(B, DEFAULT_TOL.unitary)
-    return UnitaryPair(A, B, operator_norm(A @ B - B @ A))
+    with _serial_blas(A.shape[0]):
+        _check_unitary(A, DEFAULT_TOL.unitary)
+        _check_unitary(B, DEFAULT_TOL.unitary)
+        return UnitaryPair(A, B, operator_norm(A @ B - B @ A))

@@ -42,6 +42,7 @@ from .errors import (
 from .linalg import (
     UnitaryPair,
     _read_only,
+    _serial_blas,
     as_matrix,
     eig_residual,
     gate_norm,
@@ -173,7 +174,8 @@ class SelfDualPair(UnitaryPair):
     @functools.cached_property
     def v_eig(self):
         """V's factorization in a Kramers basis, see :func:`_kramers_basis`."""
-        return _kramers_basis(self.V, *UnitaryPair.v_eig.func(self))
+        with _serial_blas(self.dim):
+            return _kramers_basis(self.V, *UnitaryPair.v_eig.func(self))
 
     @property
     def N(self) -> int:
@@ -188,10 +190,11 @@ class SelfDualPair(UnitaryPair):
 def make_selfdual_pair(U, V) -> SelfDualPair:
     pair = make_pair(U, V)
     tol = DEFAULT_TOL.selfdual
-    for name, M in (("U", pair.U), ("V", pair.V)):
-        drift = gate_norm(M - dual(M), tol)
-        if drift > tol:
-            raise NotSelfDual(f"{name} fails self-duality by {drift:.3e}")
+    with _serial_blas(pair.dim):
+        for name, M in (("U", pair.U), ("V", pair.V)):
+            drift = gate_norm(M - dual(M), tol)
+            if drift > tol:
+                raise NotSelfDual(f"{name} fails self-duality by {drift:.3e}")
     return SelfDualPair(pair.U, pair.V, pair.delta)
 
 
@@ -282,7 +285,9 @@ def _pfaffian_sign(pair: SelfDualPair, values) -> PfaffianSign:
     R' = O T O^T is exactly skew, and ||Q* B Q - iR'|| is at most
     ||B - B_s|| + ||H - T|| plus the rounding of the two reductions, where
     ||B - B_s||_F = ||L - L^#||_F / sqrt(2).  eta adds these Frobenius norms,
-    each an upper bound, and counts the rounding as dim * 1e-13 * scale,
+    each an upper bound, taking ||L - L^#||_F from the gate's one pass (where
+    it does not clear the gate's lower bar the gate's exact ||L - L^#||_2,
+    no larger, serves), and counts the rounding as dim * 1e-13 * scale,
     where scale = max|lambda_T| + eta, solved for, bounds ||B|| from above.
     By Weyl's inequality each eigenvalue of B lies within eta of one of T's,
     and so does each one of every skew matrix on the straight path from R'
@@ -290,33 +295,34 @@ def _pfaffian_sign(pair: SelfDualPair, values) -> PfaffianSign:
     Pf(R) has the sign of Pf(R') = det(O) Pf(T).  Otherwise
     IllConditionedSign is warned: the sign may be unreliable.
     """
-    fvals, L = _corner(pair, values)
-    n = len(fvals)
-    dim = 2 * n
-    Ls = dual(L)
-    D = L - Ls
-    failed = gate_relative(D, L, 1e-7)
-    if failed is not None:
-        raise NotAntiSelfDual(f"anti-self-duality violated by {failed:.3e}")
-    drift = float(np.linalg.norm(D)) / math.sqrt(2)
-    del D
-    Ls += L
-    Ls /= 2
-    del L
-    # Z X = z[:, None] * X[perm], and X Z = X[:, perm] * z[perm]
-    perm, z = _block_reversal(n, _Z)
-    R = np.empty((dim, dim), order="F")
-    np.multiply(Ls.real.T[:, perm], z[perm], out=R[:n, :n])
-    np.multiply(Ls.real[:, perm], -z[perm], out=R[n:, n:])
-    np.negative(Ls.imag.T, out=R[:n, n:])
-    R[n:, :n] = Ls.imag
-    del Ls  # the reduction needs R only
-    # FZ = ZF, with f_i z_i at (i, perm_i): the Kramers basis tiles the angles
-    d = np.arange(n)
-    fz = fvals * z
-    R[d, n + perm] -= fz
-    R[n + d, perm] -= fz
-    sign, log_mag, eigs, residual = _real_pfaffian_sign_log(R)
+    with _serial_blas(len(pair.U)):
+        fvals, L = _corner(pair, values)
+        n = len(fvals)
+        dim = 2 * n
+        Ls = dual(L)
+        D = L - Ls
+        err, failed = gate_relative(D, L, 1e-7)
+        if failed:
+            raise NotAntiSelfDual(f"anti-self-duality violated by {err:.3e}")
+        drift = err / math.sqrt(2)
+        del D
+        Ls += L
+        Ls /= 2
+        del L
+        # Z X = z[:, None] * X[perm], and X Z = X[:, perm] * z[perm]
+        perm, z = _block_reversal(n, _Z)
+        R = np.empty((dim, dim), order="F")
+        np.multiply(Ls.real.T[:, perm], z[perm], out=R[:n, :n])
+        np.multiply(Ls.real[:, perm], -z[perm], out=R[n:, n:])
+        np.negative(Ls.imag.T, out=R[:n, n:])
+        R[n:, :n] = Ls.imag
+        del Ls  # the reduction needs R only
+        # FZ = ZF, with f_i z_i at (i, perm_i): the Kramers basis tiles the angles
+        d = np.arange(n)
+        fz = fvals * z
+        R[d, n + perm] -= fz
+        R[n + d, perm] -= fz
+        sign, log_mag, eigs, residual = _real_pfaffian_sign_log(R)
     eta = drift + residual
     rounding = dim * 1e-13
     scale = max(1.0, (float(np.max(np.abs(eigs))) + eta) / (1.0 - rounding))

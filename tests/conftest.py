@@ -1,8 +1,10 @@
-from collections import Counter
+import importlib
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from support import FACTORIZATIONS, Factorizations
 
 settings.register_profile(
     "suite",
@@ -22,27 +24,12 @@ def rng():
 def factorizations(monkeypatch):
     """Counter of the dense factorizations made while the test runs.
 
-    Every route the package could take to a spectrum is counted: the Schur
-    form, general eigenvalues, hermitian eigenvalues with or without
-    vectors, and the real Hessenberg reduction and tridiagonal spectrum of
-    the self-dual route.  ``clear()`` starts the count again.
+    Every route in ``support.FACTORIZATIONS`` is counted, and ``threads``
+    records the thread count of each mapped OpenBLAS at every counted call.
+    ``clear()`` starts the count again.
     """
-    import scipy.linalg
-    import scipy.linalg.lapack
-
-    counts = Counter()
-    for module, name in (
-        (scipy.linalg, "schur"),
-        (scipy.linalg.lapack, "dgehrd"),
-        (scipy.linalg.lapack, "dsterf"),
-        (scipy.linalg, "eigvals"),
-        (np.linalg, "eigvals"),
-        (np.linalg, "eigvalsh"),
-        (np.linalg, "eigh"),
-    ):
-        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
+    counts = Factorizations()
+    for modname, name in FACTORIZATIONS:
+        module = importlib.import_module(modname)
+        monkeypatch.setattr(module, name, counts.counted(name, getattr(module, name)))
     return counts

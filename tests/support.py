@@ -11,7 +11,8 @@ take the block dual K X^T K, assemble B in the standard basis and take
 Pfaffians of general complex skew matrices by Householder congruences and by
 pivoted LTL^T elimination; the library's request paths use none of them.
 ``fresh_process`` runs a snippet in a new interpreter, for the tests of
-what a cold process imports.
+what a cold process imports, and ``Factorizations`` counts the dense
+factorizations a call makes, with the BLAS thread counts each one ran on.
 """
 
 import math
@@ -19,6 +20,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +47,7 @@ from acbott.errors import (
 )
 from acbott.linalg import (
     _check_unitary,
+    _openblas_apis,
     _schur_angles,
     as_matrix,
     gate_norm,
@@ -70,6 +73,49 @@ def fresh_process(code: str, *args: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+# (module, function) of every route the package could take to a spectrum: the
+# Schur form, general eigenvalues, hermitian eigenvalues with or without
+# vectors, and the self-dual route's real Hessenberg reduction and
+# tridiagonal spectrum
+FACTORIZATIONS = (
+    ("scipy.linalg", "schur"),
+    ("scipy.linalg.lapack", "dgehrd"),
+    ("scipy.linalg.lapack", "dsterf"),
+    ("scipy.linalg", "eigvals"),
+    ("numpy.linalg", "eigvals"),
+    ("numpy.linalg", "eigvalsh"),
+    ("numpy.linalg", "eigh"),
+)
+
+
+def openblas_threads() -> dict:
+    """{library file: thread count} of every OpenBLAS mapped into the
+    process now, read afresh from /proc/self/maps."""
+    return {os.path.basename(p): get() for p, (_, get) in _openblas_apis().items()}
+
+
+class Factorizations(Counter):
+    """Calls counted by function name; ``threads`` holds, for each call in
+    order, the name and the :func:`openblas_threads` it ran on.
+    ``clear()`` starts both again."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.threads = []
+
+    def clear(self):
+        super().clear()
+        self.threads.clear()
+
+    def counted(self, name, fn):
+        def call(*args, **kwargs):
+            self[name] += 1
+            self.threads.append((name, openblas_threads()))
+            return fn(*args, **kwargs)
+
+        return call
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -506,8 +552,8 @@ def check_kramers(H) -> bool:
     limit = DEFAULT_TOL.hermitian * max(1.0, float(np.max(np.abs(H))))
     if gate_norm(H - H.conj().T, limit) > limit:
         raise NotHermitian("Kramers check needs a hermitian matrix")
-    drift = gate_relative(H - dual(H), H, 1e-7)
-    if drift is not None:
+    drift, failed = gate_relative(H - dual(H), H, 1e-7)
+    if failed:
         raise NotSelfDual(f"self-duality violated by {drift:.3e}")
     # the hermiticity gate above, scaled by max |h_ij| <= ||H||, is stricter
     # than bott.signature's, which is therefore not run again
@@ -685,9 +731,9 @@ def modified_pfaffian(X) -> complex:
     module's own.
     """
     X = as_matrix(X)
-    failed = gate_relative(X + dual_tensor(X), X, 1e-7)
-    if failed is not None:
-        raise NotAntiSelfDual(f"anti-self-duality violated by {failed:.3e}")
+    err, failed = gate_relative(X + dual_tensor(X), X, 1e-7)
+    if failed:
+        raise NotAntiSelfDual(f"anti-self-duality violated by {err:.3e}")
     phase, log_mag = _pfaffian_sign_log(rotated(X))
     if log_mag == -math.inf:
         return 0j

@@ -1,6 +1,8 @@
 """End-to-end command line tests: round trips, formats, exit codes."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +139,74 @@ def test_index_factorizes_V_and_W_once(tmp_path, capsys, factorizations, kind, f
         assert factorizations == Counter(schur=1, eigh=1, eigvalsh=1, dgehrd=1, dsterf=1)
     else:
         assert factorizations == Counter(schur=1, eigh=1, eigvalsh=2)
+    # a pair of dim 31 runs each on one thread in every OpenBLAS
+    assert {n for _, seen in factorizations.threads for n in seen.values()} <= {1}
+
+
+_ONE_THREAD = """
+import builtins
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import acbott.cli
+from support import FACTORIZATIONS, Factorizations, openblas_threads
+
+# scipy is first imported inside the request; each route is counted as soon
+# as its module has loaded, so that scipy's own OpenBLAS is seen from its
+# first factorization on
+counts, patched = Factorizations(), set()
+
+
+def patch_loaded():
+    for modname, name in FACTORIZATIONS:
+        fn = getattr(sys.modules.get(modname), name, None)
+        if fn is not None and (modname, name) not in patched:
+            patched.add((modname, name))
+            setattr(sys.modules[modname], name, counts.counted(name, fn))
+
+
+real_import = builtins.__import__
+
+
+def importing(*args, **kwargs):
+    module = real_import(*args, **kwargs)
+    patch_loaded()
+    return module
+
+
+before = openblas_threads()
+print("scipy loaded:", "scipy" in sys.modules)
+patch_loaded()
+builtins.__import__ = importing
+assert acbott.cli.main(sys.argv[2:]) == 0
+builtins.__import__ = real_import
+after = openblas_threads()
+print("restored:", all(after[lib] == count for lib, count in before.items()))
+print("libraries:", len(after))
+print("threads:", sorted({(name, count) for name, seen in counts.threads
+                          for count in seen.values()}))
+"""
+
+
+@pytest.mark.parametrize("kind, flags", [("cyclic_shift", ()),
+                                         ("selfdual_doubling", ("--self-dual",))])
+def test_index_factorizes_on_one_blas_thread(tmp_path, capsys, kind, flags):
+    # a cold request below the cutoff runs every factorization on one thread
+    # in every OpenBLAS, scipy's too, though scipy is first imported for W's
+    # Schur form inside the request; afterwards each count is restored
+    prefix = str(tmp_path / "p31")
+    run(capsys, "generate", "--kind", kind, "--n", "31", "--out", prefix)
+    tests = str(Path(__file__).resolve().parent)
+    out = fresh_process(_ONE_THREAD, tests, "index", f"{prefix}_U.txt",
+                        f"{prefix}_V.txt", "--format", "kv", *flags).splitlines()
+    assert "scipy loaded: False" in out
+    libraries = int(out[-2].split(": ")[1])
+    if libraries == 0:
+        pytest.skip("no OpenBLAS thread API in this process")
+    assert out[-3] == "restored: True"
+    seen = ast.literal_eval(out[-1].split(": ", 1)[1])
+    assert {name for name, _ in seen} >= {"schur", "eigh", "eigvalsh"}
+    assert {count for _, count in seen} == {1}
 
 
 def test_index_answers_split_kramers_pair_on_the_log_route(tmp_path, capsys):

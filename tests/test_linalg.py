@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from acbott import linalg
 from acbott.analysis import analyze
 from acbott.config import DEFAULT_TOL
 from acbott.errors import (
@@ -48,6 +49,7 @@ from support import (
     check_kramers,
     commutator_norm,
     haar_unitary,
+    openblas_threads,
     pfaffian,
     random_hermitian,
     random_skew,
@@ -501,3 +503,100 @@ def test_w_angles_follow_the_branch_rule_at_minus_one(rotate):
     result = winding_number(pair)
     assert result.omega == winding_via_path(pair) == 0
     assert result.min_angle_gap_at_pi <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the one-thread BLAS scope
+# ---------------------------------------------------------------------------
+
+
+class _FakeBlas:
+    """A thread API that only remembers its count."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def set(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """Two fake libraries, at 2 and 3 threads, found in place of the real
+    ones; adding to the dict and setting ``linalg._blas_modules`` to -1
+    stands for a library loaded by an import."""
+    libs = {"/lib/a.so": _FakeBlas(2), "/lib/b.so": _FakeBlas(3)}
+    monkeypatch.setattr(
+        linalg, "_openblas_apis", lambda: {p: (b.set, b.get) for p, b in libs.items()}
+    )
+    monkeypatch.setattr(linalg, "_blas_apis", {})
+    monkeypatch.setattr(linalg, "_blas_modules", -1)
+    return libs
+
+
+def _counts(libs):
+    return [lib.count for lib in libs.values()]
+
+
+def test_serial_blas_restores_each_count_on_exit(fake_blas):
+    with linalg._serial_blas(64):
+        assert _counts(fake_blas) == [1, 1]
+    assert _counts(fake_blas) == [2, 3]
+    with pytest.raises(ZeroDivisionError):
+        with linalg._serial_blas(64):
+            assert _counts(fake_blas) == [1, 1]
+            1 / 0
+    assert _counts(fake_blas) == [2, 3]
+    assert linalg._blas_held is None
+
+
+def test_nested_serial_blas_keeps_the_outer_state(fake_blas):
+    with linalg._serial_blas(64):
+        fake_blas["/lib/b.so"].set(1)
+        with linalg._serial_blas(64):
+            pass
+        # the inner exit restores nothing, so b's count before the outer
+        # entry, not the 1 it had at the inner one, comes back at the end
+        assert _counts(fake_blas) == [1, 1]
+        fake_blas["/lib/c.so"] = _FakeBlas(4)
+        linalg._blas_modules = -1
+        with linalg._serial_blas(64):
+            assert _counts(fake_blas) == [1, 1, 1]
+        assert _counts(fake_blas) == [1, 1, 1]
+    assert _counts(fake_blas) == [2, 3, 4]
+
+
+def test_serial_blas_leaves_counts_above_the_cutoff(fake_blas, monkeypatch):
+    monkeypatch.setattr(linalg, "_SERIAL_BLAS_MAX_DIM", 8)
+    with linalg._serial_blas(9):
+        assert _counts(fake_blas) == [2, 3]
+    with linalg._serial_blas(8):
+        assert _counts(fake_blas) == [1, 1]
+    # make_pair's gates and W's, each inside a scope at dim 9
+    base = cyclic_shift_pair(9)
+    seen = []
+    monkeypatch.setattr(linalg, "_check_unitary", lambda *a: seen.append(_counts(fake_blas)))
+    make_pair(base.U, base.V).w_angles
+    assert seen == [[2, 3]] * 3
+
+
+def test_serial_blas_does_nothing_without_a_thread_api(monkeypatch):
+    real = linalg._openblas_apis
+    before = {path: get() for path, (_, get) in real().items()}
+    monkeypatch.setattr(linalg, "_openblas_apis", dict)
+    monkeypatch.setattr(linalg, "_blas_apis", {})
+    monkeypatch.setattr(linalg, "_blas_modules", -1)
+    with linalg._serial_blas(64):
+        assert {path: get() for path, (_, get) in real().items()} == before
+        assert bott_index(cyclic_shift_pair(31)) == -1
+    assert linalg._blas_held is None
+
+
+def test_serial_blas_holds_the_real_libraries_and_gives_them_back():
+    before = openblas_threads()
+    with linalg._serial_blas(64):
+        assert set(openblas_threads().values()) <= {1}
+    assert openblas_threads() == before
