@@ -3,7 +3,7 @@
 For each delta on the grid, certify the two-stage path with the stored
 coefficient vectors and record whether it passes, the worst mesh bound, the
 mesh size and the step sums.  No LP is solved and no scipy is imported, so
-each delta takes about 0.4 s on a 2-CPU machine.  A range that is not finite
+each delta takes about 0.2 s on a 2-CPU machine.  A range that is not finite
 and nonnegative, or fewer than one point, is refused before anything is
 written.
 

@@ -12,7 +12,7 @@ certifies the store; it samples stage 2 of the path from that code's own
 triple, ``bounds._stage2_triple``, with f clamped to +-1 past pi/2 by this
 script's ``_clamped_f`` (on the fine grid ``_certify`` reads the same values
 off its samples of f).  The search makes 108 LPs and takes about
-18 s on a 2-CPU machine, 16 s of it in the LP solver.  Run it after any
+11 s on a 2-CPU machine, 10 s of it in the LP solver.  Run it after any
 change to the search or to the certification: the test suite requires the
 committed module to equal this script's output byte for byte.
 

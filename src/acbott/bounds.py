@@ -14,14 +14,14 @@ guaranteed spectral gap and the certified threshold.
 The same machinery certifies the homotopy connecting the trigonometric block
 matrix to its log-method variant: along the two-stage path of function
 triples, each eta is certified from one stored coefficient vector, summed on
-the fine grid by a cascade of half-length DCT-IIIs or DST-IIIs, each run as
-one numpy real inverse FFT, and the resulting bound must stay below the
-certification threshold.  Each stage walks the mesh once, holding only the
-previous triple, and checks the step rule at every step of the walk; stage 1
-moves f and g only past pi/2, so it is sampled there alone.  A fixed
-vector's eta is valid at every delta, so the vectors in ``log_certificate``
-certify any delta; a mesh point off the stored mesh takes the vectors of its
-nearest stored point.  The certification solves no LP.
+the fine grid as one real product of two small trig tables, and the
+resulting bound must stay below the certification threshold.  Each stage
+walks the mesh once, holding only the previous triple, and checks the step
+rule at every step of the walk; stage 1 moves f and g only past pi/2, so it
+is sampled there alone.  A fixed vector's eta is valid at every delta, so
+the vectors in ``log_certificate`` certify any delta; a mesh point off the
+stored mesh takes the vectors of its nearest stored point.  The
+certification solves no LP.
 ``scripts/regenerate_log_certificate.py`` searches the vectors by LP at
 delta = 1/8 and rewrites the store, and the test suite requires the store to
 match a fresh search byte for byte.
@@ -203,62 +203,38 @@ def linprog(*args, **kwargs):
 def _eval_half_series(coeffs, parity, n):
     """Half-range series on the uniform grid x_j = j pi / n, j = 0..n.
 
-    Even parity sums c_k cos(k x) over k = 0..len(coeffs)-1, odd parity
-    c_k sin(k x) over k = 1..len(coeffs).  The odd-indexed points of a grid
-    of m intervals are the nodes of one DCT-III (odd parity: DST-III) of
-    length M = m/2, and its even-indexed points are the grid of m/2
-    intervals; so while m is even and len(coeffs) < M, one transform of
-    length M fills the odd points and m halves.  Each transform is one real
-    inverse FFT of length M (Makhoul's reordering): bin k of its half
-    spectrum holds z_k = c_k e^{i pi k / (2M)} / 2 (c_0 whole; for sines
-    times -i), a degree k >= M/2 adds conj(z_k) to bin M - k, and the output
-    y' gives y_{2j} = y'_j and y_{2j+1} = +-y'_{M-1-j} (minus for sines).
-    One real inverse FFT of length 2m takes the grid left; the odd series'
-    endpoints are exactly 0.  The level lengths add up to under n, where a
-    single full-grid transform runs as a real FFT of 2n.
-    The grid has n + 1 points and must resolve every degree: the largest k
-    must stay below n, or the transform aliases it onto a lower one.  One
-    half-spectrum buffer, sized for the first level, serves every level.
+    Even parity sums the K = len(coeffs) terms c_k cos(k x), k = 0..K-1, odd
+    parity c_k sin(k x), k = 1..K.  The grid is laid out in rows of
+    b = isqrt(n) + 1 points, j = q b + r, and with h = pi / n angle addition
+    splits each term, cos(k x_j) = cos(k q b h) cos(k r h) - sin(k q b h)
+    sin(k r h) (sines likewise), so the whole grid is one real product of a
+    (rows x 2K) table, which carries the coefficients, and a (b x 2K) one.
+    Every angle k j h is reduced modulo 2 pi in integers first.  The product
+    fills rows * b >= n + 1 points, of which the first n + 1 are returned;
+    the odd series' endpoints are exactly 0.  Direct evaluation does not
+    alias, so any degree is summed.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    k = len(coeffs)
     even = parity == "even"
-    first = 0 if even else 1
-    degrees = np.arange(first, first + k)
-    halved = coeffs / 2 if even else coeffs * -0.5j
+    degrees = np.arange(len(coeffs)) + (not even)
+    b = math.isqrt(n) + 1
+    rows = -(-(n + 1) // b)
+
+    def trig(j):
+        angle = np.multiply.outer(j, degrees) % (2 * n) * (np.pi / n)
+        return np.cos(angle), np.sin(angle)
+
+    cos_q, sin_q = trig(np.arange(rows) * b)
+    cos_r, sin_r = trig(np.arange(b))
     if even:
-        halved[0] = coeffs[0]
-    out = np.zeros(n + 1)
-    spectrum = np.zeros(n // 4 + 1, dtype=complex)
-    m, step = n, 1
-    while m % 2 == 0 and k < m // 2:
-        M = m // 2
-        bins = spectrum[: M // 2 + 1]
-        z = halved * np.exp(1j * np.pi / (2 * M) * degrees)
-        # degrees up to M/2 sit in their own bin, degrees from M/2 up fold
-        # onto M - k; M/2 itself does both, since the inverse FFT counts
-        # that bin once
-        low, high = 2 * degrees <= M, 2 * degrees >= M
-        bins[degrees[low]] = z[low]
-        bins[M - degrees[high]] += np.conj(z[high])
-        y = np.fft.irfft(bins, M, norm="forward")
-        # every bin written lies at or below the top degree
-        bins[: first + k] = 0
-        odd = out[step :: 2 * step]
-        half = (M + 1) // 2
-        odd[::2] = y[:half]
-        if even:
-            odd[1::2] = y[half:][::-1]
-        else:
-            np.negative(y[half:][::-1], out=odd[1::2])
-        m //= 2
-        step *= 2
-    last = np.zeros(m + 1, dtype=complex)
-    last[first : first + k] = halved
-    grid = out[::step]
-    grid[:] = np.fft.irfft(last, 2 * m, norm="forward")[: m + 1]
+        left = np.hstack((cos_q * coeffs, -sin_q * coeffs))
+    else:
+        left = np.hstack((sin_q * coeffs, cos_q * coeffs))
+    out = np.empty(rows * b)
+    np.matmul(left, np.hstack((cos_r, sin_r)).T, out=out.reshape(rows, b))
+    out = out[: n + 1]
     if not even:
-        grid[0] = grid[-1] = 0.0
+        out[0] = out[-1] = 0.0
     return out
 
 
@@ -324,8 +300,8 @@ def certify_log_path(
     default mesh is the stored one: 17 Chebyshev-Lobatto points.
 
     Each eta is certified from one stored coefficient vector
-    (``log_certificate``), summed on the fine grid by one cascade of
-    half-length transforms (``_eval_half_series``), and no LP is solved.  A
+    (``log_certificate``), summed on the fine grid by one blocked product of
+    trig tables (``_eval_half_series``), and no LP is solved.  A
     fixed vector's eta is affine in delta and valid at every delta, so the
     vectors searched at 1/8 certify any delta.  A mesh point off the stored
     mesh takes the vectors of its nearest stored point: a valid bound, looser

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .linalg import (
     UnitaryPair,
+    _cayley_angles,
     _read_only,
     _serial_blas,
     as_matrix,
@@ -175,7 +176,7 @@ class SelfDualPair(UnitaryPair):
     def v_eig(self):
         """V's factorization in a Kramers basis, see :func:`_kramers_basis`."""
         with _serial_blas(self.dim):
-            return _kramers_basis(self.V, *UnitaryPair.v_eig.func(self))
+            return _kramers_basis(self.V, *_cayley_angles(self.V))
 
     @property
     def N(self) -> int:
@@ -190,11 +191,10 @@ class SelfDualPair(UnitaryPair):
 def make_selfdual_pair(U, V) -> SelfDualPair:
     pair = make_pair(U, V)
     tol = DEFAULT_TOL.selfdual
-    with _serial_blas(pair.dim):
-        for name, M in (("U", pair.U), ("V", pair.V)):
-            drift = gate_norm(M - dual(M), tol)
-            if drift > tol:
-                raise NotSelfDual(f"{name} fails self-duality by {drift:.3e}")
+    for name, M in (("U", pair.U), ("V", pair.V)):
+        drift = gate_norm(M - dual(M), tol)
+        if drift > tol:
+            raise NotSelfDual(f"{name} fails self-duality by {drift:.3e}")
     return SelfDualPair(pair.U, pair.V, pair.delta)
 
 

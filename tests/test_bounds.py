@@ -261,21 +261,21 @@ def test_certify_rejects_nonfinite_mesh_point(bad, monkeypatch, small_grid):
 def test_certify_working_set_stays_small(cheap_report, monkeypatch):
     # at 2**16 + 1 samples the fine-grid arrays dominate what the
     # certification allocates.  The bound is 9.5 of them: this code peaks at
-    # 7.3, in the first cascade level of a stage-2 series sum, which adds the
-    # series' output and half an array each for the level's half spectrum
-    # and inverse FFT to the 5 held there (scipy's in-place DCT-IIIs peaked
-    # at 7.1, in eval_h's temporaries at the set-up and at each stage-2
-    # step, which holds two triples and one difference); checking the
-    # step rule in a separate walk before the etas peaked at 9.1, holding
-    # two whole triples and two temporaries there at 10.1, and allocating
-    # fresh arrays for every residual, transform and sample set at 13.3
+    # 7.1, in eval_h's temporaries at the set-up, and a series sum adds only
+    # its output and tables of a few hundred rows to the 5 held at a stage-2
+    # step, 6.5 (a cascade of half-length inverse FFTs peaked at 7.3, in
+    # its first level, and scipy's in-place DCT-IIIs at 7.1);
+    # checking the step rule in a separate walk before the etas peaked at
+    # 9.1, holding two whole triples and two temporaries there at 10.1, and
+    # allocating fresh arrays for every residual, transform and sample set
+    # at 13.3
     import tracemalloc
 
     import acbott.bounds as bounds
 
     grid = 2**16
     monkeypatch.setattr(bounds, "FINE_GRID", grid)
-    # cheap_report has imported numpy.fft and the store outside the trace
+    # cheap_report has imported the store outside the trace
     tracemalloc.start()
     try:
         certify_log_path(0.02)
@@ -360,57 +360,25 @@ def _half_series_loop(coeffs, parity, n):
     return out
 
 
-def _half_series_fresh(coeffs, parity, n):
-    # the same cascade, each level's half spectrum and output freshly
-    # allocated, its bins filled one degree at a time
-    coeffs = np.asarray(coeffs, dtype=float)
-    k = len(coeffs)
-    first = 0 if parity == "even" else 1
-    sign = 1 if parity == "even" else -1
-    degrees = np.arange(first, first + k)
-    halved = coeffs / 2 if parity == "even" else coeffs * -0.5j
-    if parity == "even":
-        halved[0] = coeffs[0]
-    out = np.zeros(n + 1)
-    m, step = n, 1
-    while m % 2 == 0 and k < m // 2:
-        M = m // 2
-        bins = np.zeros(M // 2 + 1, dtype=complex)
-        z = halved * np.exp(1j * np.pi / (2 * M) * degrees)
-        for d, zd in zip(degrees, z):
-            if 2 * d <= M:
-                bins[d] += zd
-            if 2 * d >= M:
-                bins[M - d] += np.conj(zd)
-        y = np.fft.irfft(bins, M, norm="forward")
-        level = np.empty(M)
-        level[0::2] = y[: (M + 1) // 2]
-        level[1::2] = sign * y[::-1][: M // 2]
-        out[step :: 2 * step] = level
-        m //= 2
-        step *= 2
-    last = np.zeros(m + 1, dtype=complex)
-    last[first : first + k] = halved
-    grid = np.fft.irfft(last, 2 * m, norm="forward")[: m + 1]
-    if parity == "odd":
-        grid[0] = grid[-1] = 0.0
-    out[::step] = grid
-    return out
-
-
 def _unit_mass_coeffs(parity, n, top):
-    # lowest: degree 0 alone (odd: degree 1); largest: degree n - 1
-    count = 1 if top == "lowest" else (n if parity == "even" else n - 1)
+    # lowest: degree 0 alone (odd: degree 1); largest: degree n - 1;
+    # beyond: degree 2n, past what a transform of the grid resolves
+    if top == "lowest":
+        count = 1
+    elif top == "largest":
+        count = n if parity == "even" else n - 1
+    else:
+        count = 2 * n + 1 if parity == "even" else 2 * n
     rng = np.random.default_rng(n + count)
     coeffs = rng.standard_normal(count)
     # unit coefficient mass, so 1e-13 is relative to the size of the sum
     return coeffs / np.abs(coeffs).sum()
 
 
-# 2**13 with one coefficient halves the grid 12 times and 2**16 15 times;
-# 3000 halves it 3 times, through a level of odd length 375, and stops at an
-# odd count of intervals; 3002's first level has odd length 1501 and is its
-# only one; the largest degree fills the grid, so no level halves it
+# the grid's n + 1 points lie in rows of isqrt(n) + 1: 4095's 4096 points
+# fill 64 rows of 64, so the last row is full; 2**13, 2**16, 3000 and 3002
+# each end in a partial row; 1's two points are a single row; degrees run
+# from the lowest up to 2n, twice what the grid resolves
 _SERIES_CASES = [
     ("largest", 2**13),
     ("lowest", 2**13),
@@ -418,6 +386,9 @@ _SERIES_CASES = [
     ("lowest", 3000),
     ("lowest", 3002),
     ("lowest", 2**16),
+    ("largest", 4095),
+    ("beyond", 3000),
+    ("beyond", 1),
 ]
 
 
@@ -435,20 +406,9 @@ def test_half_series_transform_matches_direct_sum(parity, n, top):
         assert got[0] == 0.0 and got[-1] == 0.0
 
 
-@pytest.mark.parametrize("parity", ["even", "odd"])
-@pytest.mark.parametrize("top", ["lowest", "largest"])
-def test_half_series_in_place_equals_fresh_transform(parity, top):
-    # one shared half-spectrum buffer and writing each level into the output
-    # array change no bit of the cascade
-    n = 2**13
-    coeffs = _unit_mass_coeffs(parity, n, top)
-    got = _eval_half_series(coeffs, parity, n)
-    assert np.array_equal(got, _half_series_fresh(coeffs, parity, n))
-
-
 def test_half_series_matches_one_transform_on_stored_vectors():
-    # every stored vector on the certification's own grid: the cascade
-    # agrees with a single full-grid DCT-I or DST-I to rounding
+    # every stored vector on the certification's own grid: the blocked
+    # product agrees with a single full-grid DCT-I or DST-I to rounding
     from acbott.log_certificate import APPROXIMANTS
 
     assert len(APPROXIMANTS) == 54
