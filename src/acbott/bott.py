@@ -159,6 +159,7 @@ def _eigenbasis_B(pair: UnitaryPair, values) -> BottMatrix:
     request reads B's spectrum from :func:`selfdual._pfaffian_sign`, which
     takes the same arguments, instead.
     """
+    pair.v_eig  # loads scipy's OpenBLAS before the scope reads the libraries
     with _serial_blas(pair.dim):
         fvals, lower = _corner(pair, values)
         n = len(fvals)

@@ -14,7 +14,11 @@ assume well-formed input.
 A pair's O(n^3) work runs inside :func:`_serial_blas`, which puts every
 OpenBLAS in the process on one thread for pairs up to dim
 ``_SERIAL_BLAS_MAX_DIM``: at those sizes a second thread gains nothing or
-costs time.
+costs time.  A scope holds the libraries that are loaded when it is
+entered, and gives each the count it saved back on exit, so nested scopes
+restore in stack order.  Code that loads scipy therefore opens its scope
+after the import, as the Schur and Cayley kernels do, or factorizes V
+first, as ``selfdual._pfaffian_sign`` does.
 """
 
 from __future__ import annotations
@@ -146,57 +150,36 @@ def _openblas_apis() -> Dict[str, tuple]:
     return apis
 
 
-# module state, as the thread counts it mirrors are the process's
-_blas_apis: Dict[str, tuple] = {}
-_blas_modules = -1  # len(sys.modules) when _blas_apis was read
-_blas_held: Optional[Dict[str, tuple]] = None  # {path: (set, count before)} in a scope
-
-
-def _hold_new_blas() -> None:
-    """Inside a :func:`_serial_blas` scope, put every OpenBLAS not yet held
-    on one thread.
-
-    The libraries are looked for again only when ``sys.modules`` has
-    changed since the last look, so that a library loaded by a lazy import
-    (scipy's own, on the first ``scipy.linalg`` import) is found, while an
-    entry with nothing new costs a comparison and no scan.
-    """
-    global _blas_apis, _blas_modules
-    if len(sys.modules) != _blas_modules:
-        _blas_modules = len(sys.modules)
-        _blas_apis = _openblas_apis()
-    if _blas_held is None:
-        return
-    for path, (setter, getter) in _blas_apis.items():
-        if path not in _blas_held:
-            _blas_held[path] = setter, getter()
-            setter(1)
+@functools.lru_cache(maxsize=1)
+def _loaded_blas(modules: int) -> Dict[str, tuple]:
+    """:func:`_openblas_apis` while ``len(sys.modules)`` is ``modules``: the
+    libraries are looked for again only after an import, which is how a
+    library loaded by a lazy import (scipy's own, on the first
+    ``scipy.linalg`` import) is found."""
+    return _openblas_apis()
 
 
 @contextlib.contextmanager
 def _serial_blas(dim: int):
-    """Run the block with every OpenBLAS on one thread when dim is at most
-    ``_SERIAL_BLAS_MAX_DIM``, and give each library its own count back on
-    exit, also on an exception.
+    """Run the block with every OpenBLAS loaded at entry on one thread when
+    dim is at most ``_SERIAL_BLAS_MAX_DIM``, and give each library the count
+    it had at entry back on exit, also on an exception.
 
-    An entry inside a scope keeps the outer one's state, and only holds the
-    libraries loaded since (:func:`_hold_new_blas`); above the cutoff the
-    counts are left alone.  The count is process-wide, so calls from
-    several Python threads at once can race on it.  Without an OpenBLAS
-    thread API (another BLAS, no /proc) the scope does nothing.
+    Nested scopes therefore restore in stack order.  A library loaded inside
+    the block is not held, so code that loads scipy opens its scope after
+    the import.  Above the cutoff the counts are left alone.  The count is
+    process-wide, so calls from several Python threads at once can race on
+    it.  Without an OpenBLAS thread API (another BLAS, no /proc) the scope
+    does nothing.
     """
-    global _blas_held
-    if _blas_held is not None or dim > _SERIAL_BLAS_MAX_DIM:
-        _hold_new_blas()
-        yield
-        return
-    _blas_held = held = {}
+    apis = _loaded_blas(len(sys.modules)) if dim <= _SERIAL_BLAS_MAX_DIM else {}
+    saved = [(setter, getter()) for setter, getter in apis.values()]
     try:
-        _hold_new_blas()
+        for setter, _ in saved:
+            setter(1)
         yield
     finally:
-        _blas_held = None
-        for setter, count in held.values():
+        for setter, count in saved:
             setter(count)
 
 
@@ -217,8 +200,8 @@ def _schur_angles(A: np.ndarray):
     """
     from scipy.linalg import schur
 
-    _hold_new_blas()  # the first scipy import loads scipy's own OpenBLAS
-    T, Q = schur(A, output="complex")
+    with _serial_blas(len(A)):
+        T, Q = schur(A, output="complex")
     lam = np.diag(T)
     angles = np.angle(lam)
     # at the cut: -1 (from either side) goes to +pi
@@ -243,37 +226,37 @@ def _cayley_angles(A: np.ndarray):
     """
     from scipy.linalg.lapack import zgesv
 
-    _hold_new_blas()  # the first scipy import when V is factorized before W
-    d = A.shape[0]
-    half = np.arccos(np.clip(np.linalg.eigvalsh((A + A.conj().T) / 2), -1.0, 1.0))
-    points = np.sort(np.concatenate((-half, half)))
-    gaps = np.diff(points, append=points[0] + 2.0 * np.pi)
-    widest = int(np.argmax(gaps))
-    phi = points[widest] + gaps[widest] / 2.0 - np.pi
-    # M = I + A_phi and R = i(I - A_phi) = i(2I - M); R M^{-1} = H as the two
-    # commute, and solving M^T X = R^T on the transposed (Fortran-ordered)
-    # views overwrites R with X = H^T
-    M = A * np.exp(-1j * phi)
-    M[np.diag_indices(d)] += 1.0
-    R = M * -1j
-    R[np.diag_indices(d)] += 2j
-    _, _, X, info = zgesv(M.T, R.T, overwrite_a=1, overwrite_b=1)
-    del M
-    if info != 0:
-        return _schur_angles(A)
-    H = X.T + X.conj()
-    del X, R
-    H *= 0.5
-    lam, Q = np.linalg.eigh(H)
-    del H
-    angles = phi + 2.0 * np.arctan(lam)
-    angles[angles > np.pi] -= 2.0 * np.pi
-    angles[angles <= -np.pi] += 2.0 * np.pi
-    # |e^{i theta} + 1| = 2 |cos(theta / 2)|, the Schur route's distance to -1
-    angles[2.0 * np.abs(np.cos(angles / 2.0)) <= DEFAULT_TOL.branch] = np.pi
-    if eig_residual(A, angles, Q) is not None:
-        return _schur_angles(A)
-    return angles, Q
+    with _serial_blas(len(A)):
+        d = A.shape[0]
+        half = np.arccos(np.clip(np.linalg.eigvalsh((A + A.conj().T) / 2), -1.0, 1.0))
+        points = np.sort(np.concatenate((-half, half)))
+        gaps = np.diff(points, append=points[0] + 2.0 * np.pi)
+        widest = int(np.argmax(gaps))
+        phi = points[widest] + gaps[widest] / 2.0 - np.pi
+        # M = I + A_phi and R = i(I - A_phi) = i(2I - M); R M^{-1} = H as the two
+        # commute, and solving M^T X = R^T on the transposed (Fortran-ordered)
+        # views overwrites R with X = H^T
+        M = A * np.exp(-1j * phi)
+        M[np.diag_indices(d)] += 1.0
+        R = M * -1j
+        R[np.diag_indices(d)] += 2j
+        _, _, X, info = zgesv(M.T, R.T, overwrite_a=1, overwrite_b=1)
+        del M
+        if info != 0:
+            return _schur_angles(A)
+        H = X.T + X.conj()
+        del X, R
+        H *= 0.5
+        lam, Q = np.linalg.eigh(H)
+        del H
+        angles = phi + 2.0 * np.arctan(lam)
+        angles[angles > np.pi] -= 2.0 * np.pi
+        angles[angles <= -np.pi] += 2.0 * np.pi
+        # |e^{i theta} + 1| = 2 |cos(theta / 2)|, the Schur route's distance to -1
+        angles[2.0 * np.abs(np.cos(angles / 2.0)) <= DEFAULT_TOL.branch] = np.pi
+        if eig_residual(A, angles, Q) is not None:
+            return _schur_angles(A)
+        return angles, Q
 
 
 def unitary_part(A) -> np.ndarray:
@@ -332,8 +315,7 @@ class UnitaryPair:
         form when that leaves a residual above 1e-8 * sqrt(dim); a
         ``SelfDualPair`` regroups it into a Kramers basis.
         """
-        with _serial_blas(self.dim):
-            angles, Q = _cayley_angles(self.V)
+        angles, Q = _cayley_angles(self.V)
         return _read_only(angles), _read_only(Q)
 
     @functools.cached_property

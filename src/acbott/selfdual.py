@@ -295,6 +295,7 @@ def _pfaffian_sign(pair: SelfDualPair, values) -> PfaffianSign:
     Pf(R) has the sign of Pf(R') = det(O) Pf(T).  Otherwise
     IllConditionedSign is warned: the sign may be unreliable.
     """
+    pair.v_eig  # loads scipy's OpenBLAS before the scope reads the libraries
     with _serial_blas(len(pair.U)):
         fvals, L = _corner(pair, values)
         n = len(fvals)
@@ -369,7 +370,8 @@ def selfdual_distance_bounds(sdA: SelfDualPair, sdB: SelfDualPair) -> float:
     """
     for sd in (sdA, sdB):
         require_selfdual(sd, "trig")
-    if pfaffian_bott_index(sdA) == pfaffian_bott_index(sdB):
+    a, b = (_pfaffian_sign(sd, _trig_values).sign for sd in (sdA, sdB))
+    if a == b:
         raise NoObstruction("equal signs carry no distance obstruction")
     return (
         math.sqrt(1 - 5 * sdA.delta**2) + math.sqrt(1 - 5 * sdB.delta**2)

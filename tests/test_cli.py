@@ -151,7 +151,8 @@ sys.path.insert(0, sys.argv[1])
 import acbott.cli
 from support import FACTORIZATIONS, Factorizations, openblas_threads
 
-# scipy is first imported inside the request; each route is counted as soon
+# argv: the tests directory, then the request as Python code.  scipy is
+# first imported inside the request; each route is counted as soon
 # as its module has loaded, so that scipy's own OpenBLAS is seen from its
 # first factorization on
 counts, patched = Factorizations(), set()
@@ -178,7 +179,7 @@ before = openblas_threads()
 print("scipy loaded:", "scipy" in sys.modules)
 patch_loaded()
 builtins.__import__ = importing
-assert acbott.cli.main(sys.argv[2:]) == 0
+exec(sys.argv[2])
 builtins.__import__ = real_import
 after = openblas_threads()
 print("restored:", all(after[lib] == count for lib, count in before.items()))
@@ -186,6 +187,22 @@ print("libraries:", len(after))
 print("threads:", sorted({(name, count) for name, seen in counts.threads
                           for count in seen.values()}))
 """
+
+
+def _one_thread(call, names):
+    """Run ``call`` in a fresh process through ``_ONE_THREAD``: it calls every
+    route in ``names`` and runs each factorization on one thread in every
+    OpenBLAS, and afterwards each count is back."""
+    tests = str(Path(__file__).resolve().parent)
+    out = fresh_process(_ONE_THREAD, tests, call).splitlines()
+    assert "scipy loaded: False" in out
+    libraries = int(out[-2].split(": ")[1])
+    if libraries == 0:
+        pytest.skip("no OpenBLAS thread API in this process")
+    assert out[-3] == "restored: True"
+    seen = ast.literal_eval(out[-1].split(": ", 1)[1])
+    assert {name for name, _ in seen} >= names
+    assert {count for _, count in seen} == {1}
 
 
 @pytest.mark.parametrize("kind, flags", [("cyclic_shift", ()),
@@ -196,17 +213,21 @@ def test_index_factorizes_on_one_blas_thread(tmp_path, capsys, kind, flags):
     # Schur form inside the request; afterwards each count is restored
     prefix = str(tmp_path / "p31")
     run(capsys, "generate", "--kind", kind, "--n", "31", "--out", prefix)
-    tests = str(Path(__file__).resolve().parent)
-    out = fresh_process(_ONE_THREAD, tests, "index", f"{prefix}_U.txt",
-                        f"{prefix}_V.txt", "--format", "kv", *flags).splitlines()
-    assert "scipy loaded: False" in out
-    libraries = int(out[-2].split(": ")[1])
-    if libraries == 0:
-        pytest.skip("no OpenBLAS thread API in this process")
-    assert out[-3] == "restored: True"
-    seen = ast.literal_eval(out[-1].split(": ", 1)[1])
-    assert {name for name, _ in seen} >= {"schur", "eigh", "eigvalsh"}
-    assert {count for _, count in seen} == {1}
+    argv = ["index", f"{prefix}_U.txt", f"{prefix}_V.txt", "--format", "kv", *flags]
+    _one_thread(f"assert acbott.cli.main({argv!r}) == 0", {"schur", "eigh", "eigvalsh"})
+
+
+@pytest.mark.parametrize("call, names", [
+    ("acbott.pfaffian_bott_index(acbott.selfdual_doubling(acbott.cyclic_shift_pair(160)))",
+     {"dgehrd", "dsterf", "eigh", "eigvalsh"}),
+    ("acbott.bott_index(acbott.cyclic_shift_pair(320))", {"eigh", "eigvalsh"}),
+], ids=["pfaffian_bott_index-dim320", "bott_index-dim320"])
+def test_first_call_factorizes_on_one_blas_thread(call, names):
+    # as the first call of a process, on a pair of dim 320, each index
+    # imports scipy when it factorizes V, which it does before its own scope
+    # reads the libraries; the self-dual R has dim 640, above the cutoff, so
+    # its reduction runs on one thread only inside the pair's scope
+    _one_thread(call, names)
 
 
 def test_index_answers_split_kramers_pair_on_the_log_route(tmp_path, capsys):

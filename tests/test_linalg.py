@@ -526,15 +526,16 @@ class _FakeBlas:
 @pytest.fixture
 def fake_blas(monkeypatch):
     """Two fake libraries, at 2 and 3 threads, found in place of the real
-    ones; adding to the dict and setting ``linalg._blas_modules`` to -1
-    stands for a library loaded by an import."""
+    ones; adding to the dict and clearing ``linalg._loaded_blas``'s cache
+    stands for a library loaded by an import.  The cache is cleared again
+    afterwards, so that no later scope finds the fakes."""
     libs = {"/lib/a.so": _FakeBlas(2), "/lib/b.so": _FakeBlas(3)}
     monkeypatch.setattr(
         linalg, "_openblas_apis", lambda: {p: (b.set, b.get) for p, b in libs.items()}
     )
-    monkeypatch.setattr(linalg, "_blas_apis", {})
-    monkeypatch.setattr(linalg, "_blas_modules", -1)
-    return libs
+    linalg._loaded_blas.cache_clear()
+    yield libs
+    linalg._loaded_blas.cache_clear()
 
 
 def _counts(libs):
@@ -550,22 +551,21 @@ def test_serial_blas_restores_each_count_on_exit(fake_blas):
             assert _counts(fake_blas) == [1, 1]
             1 / 0
     assert _counts(fake_blas) == [2, 3]
-    assert linalg._blas_held is None
 
 
-def test_nested_serial_blas_keeps_the_outer_state(fake_blas):
+def test_nested_serial_blas_restores_in_stack_order(fake_blas):
     with linalg._serial_blas(64):
-        fake_blas["/lib/b.so"].set(1)
+        fake_blas["/lib/b.so"].set(5)
         with linalg._serial_blas(64):
-            pass
-        # the inner exit restores nothing, so b's count before the outer
-        # entry, not the 1 it had at the inner one, comes back at the end
-        assert _counts(fake_blas) == [1, 1]
+            assert _counts(fake_blas) == [1, 1]
+        # the inner exit gives back what the inner entry saw
+        assert _counts(fake_blas) == [1, 5]
         fake_blas["/lib/c.so"] = _FakeBlas(4)
-        linalg._blas_modules = -1
+        linalg._loaded_blas.cache_clear()
         with linalg._serial_blas(64):
             assert _counts(fake_blas) == [1, 1, 1]
-        assert _counts(fake_blas) == [1, 1, 1]
+        # a library loaded inside a scope is held only by scopes entered since
+        assert _counts(fake_blas) == [1, 5, 4]
     assert _counts(fake_blas) == [2, 3, 4]
 
 
@@ -575,24 +575,35 @@ def test_serial_blas_leaves_counts_above_the_cutoff(fake_blas, monkeypatch):
         assert _counts(fake_blas) == [2, 3]
     with linalg._serial_blas(8):
         assert _counts(fake_blas) == [1, 1]
-    # make_pair's gates and W's, each inside a scope at dim 9
+    # make_pair's gates and W's, each inside a scope at dim 9, and V's
+    # residual inside the Cayley kernel's own scope
     base = cyclic_shift_pair(9)
     seen = []
     monkeypatch.setattr(linalg, "_check_unitary", lambda *a: seen.append(_counts(fake_blas)))
-    make_pair(base.U, base.V).w_angles
-    assert seen == [[2, 3]] * 3
+    residual = linalg.eig_residual
+
+    def spy(*args):
+        seen.append(_counts(fake_blas))
+        return residual(*args)
+
+    monkeypatch.setattr(linalg, "eig_residual", spy)
+    pair = make_pair(base.U, base.V)
+    pair.w_angles
+    pair.v_eig
+    assert seen == [[2, 3]] * 4
 
 
 def test_serial_blas_does_nothing_without_a_thread_api(monkeypatch):
     real = linalg._openblas_apis
     before = {path: get() for path, (_, get) in real().items()}
     monkeypatch.setattr(linalg, "_openblas_apis", dict)
-    monkeypatch.setattr(linalg, "_blas_apis", {})
-    monkeypatch.setattr(linalg, "_blas_modules", -1)
-    with linalg._serial_blas(64):
-        assert {path: get() for path, (_, get) in real().items()} == before
-        assert bott_index(cyclic_shift_pair(31)) == -1
-    assert linalg._blas_held is None
+    linalg._loaded_blas.cache_clear()
+    try:
+        with linalg._serial_blas(64):
+            assert {path: get() for path, (_, get) in real().items()} == before
+            assert bott_index(cyclic_shift_pair(31)) == -1
+    finally:
+        linalg._loaded_blas.cache_clear()
 
 
 def test_serial_blas_holds_the_real_libraries_and_gives_them_back():

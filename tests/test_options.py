@@ -115,13 +115,18 @@ def test_test_only_routes_live_in_the_tests():
         assert not hasattr(acbott, name) and not hasattr(errors, name), name
         assert not hasattr(support, name), name
     # wrappers folded into their one caller: signature gates its matrix
-    # itself, _eigenbasis_B returns its spectrum, the pair kinds live in KINDS
+    # itself, _eigenbasis_B returns its spectrum, the pair kinds live in KINDS,
+    # and the one-thread BLAS scope saves and restores its own counts
     for module, name in (
         (acbott, "hermitian_eig"),
         (linalg, "hermitian_eig"),
         (bott, "_spectrum_in_eigenbasis"),
         (selfdual, "_hermitian_part"),
         (generators, "_READS"),
+        (linalg, "_hold_new_blas"),
+        (linalg, "_blas_held"),
+        (linalg, "_blas_apis"),
+        (linalg, "_blas_modules"),
     ):
         assert not hasattr(module, name) and not hasattr(support, name), name
     # the degree-5 approximants are the oracle's, not the standard triple's
