@@ -8,13 +8,12 @@ coarse set, then re-solves once with up to 64 fine-grid residual extrema
 adjoined (one exchange step) and keeps the vector that certifies the smaller
 eta.  The search is the coefficient source of the library's own
 ``bounds._certify``, so every candidate is certified by the code that
-certifies the store; it samples stage 2 of the path from that code's own
-triple, ``bounds._stage2_triple``, with f clamped to +-1 past pi/2 by this
-script's ``_clamped_f`` (on the fine grid ``_certify`` reads the same values
-off its samples of f).  The search makes 108 LPs and takes about
-11 s on a 2-CPU machine, 10 s of it in the LP solver.  Run it after any
-change to the search or to the certification: the test suite requires the
-committed module to equal this script's output byte for byte.
+certifies the store; it samples each eta's function off the path's own
+triple, ``bounds.path_values``, which the test suite holds bit for bit to
+the triples ``_certify`` walks on its fine grid.  The search makes 108 LPs
+and takes about 11 s on a 2-CPU machine, 10 s of it in the LP solver.  Run
+it after any change to the search or to the certification: the test suite
+requires the committed module to equal this script's output byte for byte.
 
     PYTHONPATH=src python scripts/regenerate_log_certificate.py
 """
@@ -25,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from acbott import bounds
-from acbott.bott import eval_f, eval_h
 from acbott.config import FINE_GRID, LOG_THRESHOLD
 from acbott.errors import NumericalInconsistency
 
@@ -55,26 +53,24 @@ its own: a wrong one gives a looser bound, never a false one.
 '''
 
 
-def _clamped_f(x):
-    # f pinned to +-1 outside [-pi/2, pi/2]
-    return np.where(np.abs(x) <= np.pi / 2, eval_f(x), np.sign(x))
-
-
 def _path_function(key):
-    """The function the eta of this store key approximates."""
-    if key == "h1":
-        return eval_h
-    if key == "h1sq":
-        return lambda u: eval_h(u) ** 2
-    if key == "q1":
-        return lambda u: eval_f(u) * eval_h(u)
-    t, name = key
+    """The function the eta of this store key approximates, read off the
+    path's triple: the bump triple's h, h^2 and f h in stage 1 (which holds
+    them fixed), and h_t, 1 - f_t^2 and f_t h_t at stage-2 mesh point t."""
+    stage, t, name = (1, 0.0, key) if isinstance(key, str) else (2, *key)
+    values = bounds.path_values(stage, t)
 
-    def stage2(u):
-        ft, ht = bounds._stage2_triple(t, u, _clamped_f(u))
-        return {"h": ht, "hsq": 1 - ft**2, "q": ft * ht}[name]
+    def target(u):
+        f, _, h = values(u)
+        if name in ("h1", "h"):
+            return h
+        if name == "h1sq":
+            return h**2
+        if name == "hsq":
+            return 1 - f**2
+        return f * h
 
-    return stage2
+    return target
 
 
 def _lp_line(vals, xs, parity):

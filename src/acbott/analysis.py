@@ -68,7 +68,11 @@ def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:
     ``method`` is "trig" for B(U, V) or "log" for B_L(U, V), and any other
     raises ValueError before any work; kappa is certified up to
     ``certified_threshold(method)``.  ``gap_guaranteed`` bounds B's gap, so
-    it is left empty for "log", whose measured gap is B_L's.  For a
+    it is left empty for "log", whose measured gap is B_L's.  The trig
+    threshold is the published 0.206007, past ``bounds.beta_root()`` =
+    0.20469759: for delta between the two, ``kappa_certified`` is true on
+    the published constant alone and ``gap_guaranteed`` is empty, since
+    ``guaranteed_gap`` raises NoGuarantee there.  For a
     ``SelfDualPair`` kappa2 is filled in, certified exactly when kappa is.
     Above the winding gate DELTA_GATE omega is left empty and
     ``omega_valid`` is false.  A closed gap leaves kappa empty; a certified

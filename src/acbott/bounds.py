@@ -12,16 +12,17 @@ beta(delta), the guaranteed bound on ||B(U,V)^2 - I||, and from it the
 guaranteed spectral gap and the certified threshold.
 
 The same machinery certifies the homotopy connecting the trigonometric block
-matrix to its log-method variant: along the two-stage path of function
-triples, each eta is certified from one stored coefficient vector, summed on
-the fine grid as one real product of two small trig tables, and the
-resulting bound must stay below the certification threshold.  Each stage
-walks the mesh once, holding only the previous triple, and checks the step
-rule at every step of the walk; stage 1 moves f and g only past pi/2, so it
-is sampled there alone.  A fixed vector's eta is valid at every delta, so
-the vectors in ``log_certificate`` certify any delta; a mesh point off the
-stored mesh takes the vectors of its nearest stored point.  The
-certification solves no LP.
+matrix to its log-method variant.  The two-stage path of function triples is
+written once, as ``path_values(stage, t)``; its end is the log method's
+triple.  Along the path each eta is certified from one stored coefficient
+vector, summed on the fine grid as one real product of two small trig
+tables, and the resulting bound must stay below the certification
+threshold.  Each stage walks the mesh once, holding only the previous
+triple, and checks the step rule at every step of the walk; stage 1 moves f
+and g only past pi/2, so it is sampled there alone.  A fixed vector's eta is
+valid at every delta, so the vectors in ``log_certificate`` certify any
+delta; a mesh point off the stored mesh takes the vectors of its nearest
+stored point.  The certification solves no LP.
 ``scripts/regenerate_log_certificate.py`` searches the vectors by LP at
 delta = 1/8 and rewrites the store, and the test suite requires the store to
 match a fresh search byte for byte.
@@ -258,10 +259,51 @@ class CertificationReport:
         return out
 
 
+def _stage1_pair(s, f_out, sign):
+    """Stage 1's (f_s, g_s) past pi/2, from the bump triple's f there and
+    the sign of the angle."""
+    fs = (1 - s) * f_out + s * sign
+    gs = np.sqrt(np.maximum(1 - fs**2, 0.0))
+    return fs, gs
+
+
 def _stage2_triple(t, x, f_clamped):
     ft = (1 - t) * f_clamped + t * x / np.pi
     ht = np.sqrt(np.maximum(1 - ft**2, 0.0))
     return ft, ht
+
+
+def path_values(stage, t):
+    """The certified path's triple at point t of a stage, as a function of
+    angles: ``values(x)`` returns (f, g, h) at angles x in [-pi, pi].
+
+    Stage 1 runs from the bump triple (t = 0) and moves f to sign(x) past
+    pi/2, where g = sqrt(1 - f^2) and h = 0; inside, the triple stays the
+    bump triple with g = 0.  Stage 2 moves that clamped f to x/pi, with
+    g = 0 and h = sqrt(1 - f^2); its end, t = 1, is the log triple
+    (``logmethod._log_values``).  ``_certify`` walks the same path on its
+    fine grid from buffers of its own, and the test suite holds the two
+    equal bit for bit.  At the start g is formed as sqrt(1 - f^2), which
+    misses ``eval_g``'s closed form by up to 2.4e-8, so the bump triple of a
+    request is ``bott._trig_values``.  A stage other than 1 or 2, or a t
+    outside [0, 1] (NaN included), raises ValueError before any work.
+    """
+    if stage not in (1, 2):
+        raise ValueError(f"stage must be 1 or 2, got {stage!r}")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must be in [0, 1], got {t!r}")
+
+    def values(x):
+        x = np.asarray(x, dtype=float)
+        f = eval_f(x)
+        outside = np.abs(x) > np.pi / 2
+        if stage == 1:
+            fs, gs = _stage1_pair(t, f, np.sign(x))
+            return np.where(outside, fs, f), np.where(outside, gs, 0.0), eval_h(x)
+        ft, ht = _stage2_triple(t, x, np.where(outside, np.sign(x), f))
+        return ft, np.zeros_like(ft), ht
+
+    return values
 
 
 def _step_sum(prev, cur):
@@ -288,10 +330,13 @@ def certify_log_path(
 ) -> CertificationReport:
     """Certify the two-stage homotopy from the bump triple to the log triple.
 
-    Stage 1 straightens f toward +-1 outside the bump window while g shrinks
-    to keep f^2 + g^2 = 1 there; h does not move, so its etas are certified
-    once and only the sup of g varies along the stage.  Stage 2 interpolates
-    the clamped f to x/pi with h = sqrt(1 - f^2) and g = 0.  Every mesh point
+    The path is ``path_values``.  Stage 1 straightens f toward +-1 outside
+    the bump window while g shrinks to keep f^2 + g^2 = 1 there; h does not
+    move, so its etas are certified once and only the sup of g varies along
+    the stage.  Stage 2 interpolates the clamped f to x/pi with
+    h = sqrt(1 - f^2) and g = 0, ending at the log triple.  The walk samples
+    these triples on the fine grid from buffers of its own, equal to
+    ``path_values``' bit for bit.  Every mesh point
     must give a squared-deviation bound below CERTIFY_THRESHOLD, and
     consecutive triples must obey the step rule (step sums at most
     STEP_BUDGET).  Each stage walks the mesh once and checks the rule at
@@ -364,8 +409,7 @@ def _certify(delta, mesh, approximant):
     f_out = f_std[outside]
     step1, gnorms, prev = 0.0, [], None
     for s in ts:
-        fs = (1 - s) * f_out + s
-        gs = np.sqrt(np.maximum(1 - fs**2, 0.0))
+        fs, gs = _stage1_pair(s, f_out, 1.0)
         gnorms.append(float(gs.max()))
         step1 = max(step1, _step_sum(prev, (fs, gs)))
         prev = fs, gs
@@ -384,6 +428,9 @@ def _certify(delta, mesh, approximant):
             resid = _eval_half_series(coeffs, parity, FINE_GRID)
             np.subtract(vals, resid, out=resid)
             m = float(np.sum(ks * np.abs(coeffs)))
+            # known defect, kept until the store is searched again: the lemma
+            # needs the range on the whole circle, which for odd parity is
+            # 2 max|r|, not this range on [0, pi]
             diam = float(resid.max() - resid.min())
             return m * delta + diam + 2 * (dev_fn + m * spacing / 2), resid
 

@@ -22,6 +22,10 @@ from dataclasses import dataclass
 
 # Certified validity thresholds for the indices.  KAPPA_THRESHOLD gates the
 # signature-based index, LOG_THRESHOLD the logarithm-based route.
+# KAPPA_THRESHOLD is the published constant; the package's own beta reaches 1
+# at bounds.beta_root() = 0.20469759, so for delta in (0.20469759, 0.206007]
+# kappa is certified by this constant alone while guaranteed_gap raises
+# NoGuarantee.
 KAPPA_THRESHOLD = 0.206007
 LOG_THRESHOLD = 0.125
 

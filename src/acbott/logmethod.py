@@ -2,27 +2,24 @@
 
 Instead of the bump-function triple, take iK to be the principal logarithm
 of V, whose angles lie in (-pi, pi] by ``linalg._schur_angles``'s branch
-rule, and use f1(x) = x/pi, g1 = 0, h1(x) = sqrt(1 - x^2/pi^2).  These are
-merely Borel functions of V; B_L is assembled exactly as B is, in V's
-eigenbasis from the triple's values at V's angles, and its sign index
-provably agrees with the trigonometric one for delta <= 1/8:
-``config.certified_threshold("log")``, which ``kappa2_log`` refuses above
-and ``analysis.analyze`` reports against.
+rule, and use f1(x) = x/pi, g1 = 0, h1(x) = sqrt(1 - x^2/pi^2).  This log
+triple is the end of the certified path, ``bounds.path_values(2, 1.0)``,
+and is read from there.  These are merely Borel functions of V; B_L is
+assembled exactly as B is, in V's eigenbasis from the triple's values at V's
+angles, and its sign index provably agrees with the trigonometric one for
+delta <= 1/8: ``config.certified_threshold("log")``, which ``kappa2_log``
+refuses above and ``analysis.analyze`` reports against.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .bott import BottMatrix, _in_standard_basis
+from .bounds import path_values
 from .linalg import UnitaryPair
 from .selfdual import SelfDualPair, _pfaffian_sign, require_selfdual
 
-
-def _log_values(angles):
-    """The log triple's (f1, g1, h1) at V's angles."""
-    x = angles / np.pi
-    return x, np.zeros_like(x), np.sqrt(1.0 - x**2)
+# the log triple's (f1, g1, h1) at V's angles: the certified path's end
+_log_values = path_values(2, 1.0)
 
 
 def build_BL(pair: UnitaryPair) -> BottMatrix:

@@ -24,11 +24,7 @@ from acbott.generators import (
 )
 from acbott.linalg import make_pair, operator_norm
 from acbott.logmethod import build_BL, kappa2_log
-from acbott.selfdual import (
-    dual,
-    make_selfdual_pair,
-    pfaffian_bott_index,
-)
+from acbott.selfdual import dual, pfaffian_bott_index
 from acbott.winding import winding_number
 
 from support import (

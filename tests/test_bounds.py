@@ -17,9 +17,16 @@ from acbott.bounds import (
     eta_envelope_f,
     eta_envelope_h,
     guaranteed_gap,
+    path_values,
     variation_bound,
 )
-from acbott.config import CERTIFY_THRESHOLD, FINE_GRID, KAPPA_THRESHOLD, STEP_BUDGET
+from acbott.config import (
+    CERTIFY_THRESHOLD,
+    FINE_GRID,
+    KAPPA_THRESHOLD,
+    STEP_BUDGET,
+    certified_threshold,
+)
 from acbott.errors import CertificationFailed, MeshViolation, NoGuarantee
 import support
 
@@ -160,6 +167,15 @@ def test_guaranteed_gap():
     assert guaranteed_gap(0.1) == pytest.approx(np.sqrt(1 - beta(0.1)))
     with pytest.raises(NoGuarantee):
         guaranteed_gap(0.21)
+
+
+def test_trig_threshold_rests_on_the_published_constant_past_the_root():
+    # for delta in (beta_root(), KAPPA_THRESHOLD] kappa is reported certified
+    # while the package's own beta guarantees no gap
+    threshold = certified_threshold("trig")
+    assert beta_root() < threshold
+    with pytest.raises(NoGuarantee):
+        guaranteed_gap(threshold)
 
 
 def test_coarse_gap():
@@ -320,6 +336,101 @@ def test_certify_walks_its_mesh_once(points, monkeypatch, small_grid):
     report = certify_log_path(0.02, mesh=mesh)
     assert len(report.stage2_t) == (17 if points is None else points)
     assert calls == {"eval_f": 1, "_stage2_triple": len(report.stage2_t)}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_path_runs_from_the_bump_triple_to_the_log_triple():
+    theta = np.concatenate((
+        np.linspace(-np.pi, np.pi, 2**16 + 1),
+        [np.pi, -np.pi, np.pi / 2, -np.pi / 2, 0.0, -0.0],
+    ))
+    # the start: f and h are the request's bump triple; g is formed as
+    # sqrt(1 - f^2), which the closed form eval_g misses by up to 2.4e-8
+    f, g, h = path_values(1, 0.0)(theta)
+    trig_f, trig_g, trig_h = bott._trig_values(theta)
+    assert _same_bits(f, trig_f) and _same_bits(h, trig_h)
+    assert np.max(np.abs(g - trig_g)) < 3e-8
+    # the stages meet
+    assert _same_bits(path_values(1, 1.0)(theta)[0], path_values(2, 0.0)(theta)[0])
+    # the end is the log triple
+    f, g, h = path_values(2, 1.0)(theta)
+    x = theta / np.pi
+    assert _same_bits(f, x)
+    assert _same_bits(g, np.zeros_like(x))
+    assert _same_bits(h, np.sqrt(1.0 - x**2))
+
+
+@pytest.mark.parametrize(
+    "stage, t",
+    [(0, 0.5), (3, 0.5), (1.5, 0.5), (1, -0.1), (2, 1.1), (1, np.nan), (2, np.nan)],
+)
+def test_path_values_refuses_a_point_off_the_path(stage, t):
+    with pytest.raises(ValueError):
+        path_values(stage, t)
+
+
+def _lobatto(points):
+    ts = (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, points))) / 2.0
+    ts[0], ts[-1] = 0.0, 1.0
+    return ts
+
+
+@pytest.mark.parametrize(
+    "mesh, grid",
+    [(None, FINE_GRID), (np.linspace(0.0, 1.0, 65), 1024), (_lobatto(15), 1001)],
+    ids=["stored", "uniform-65", "lobatto-15"],
+)
+def test_certify_walks_path_values(mesh, grid, monkeypatch):
+    # every triple _certify walks and every function its etas approximate
+    # are path_values' bit for bit; a zero series leaves each residual
+    # equal to its target
+    import acbott.bounds as bounds
+
+    monkeypatch.setattr(bounds, "FINE_GRID", grid)
+    monkeypatch.setattr(bounds, "_eval_half_series", lambda c, parity, n: np.zeros(n + 1))
+    walk, targets = [], {}
+    step_sum = bounds._step_sum
+
+    def recorded(prev, cur):
+        walk.append(cur)
+        return step_sum(prev, cur)
+
+    def approximant(key, parity, certified):
+        targets[key] = certified([0.0])[1]
+        return [0.0]
+
+    monkeypatch.setattr(bounds, "_step_sum", recorded)
+    if mesh is None:
+        from acbott.log_certificate import APPROXIMANTS
+
+        mesh = sorted({key[0] for key in APPROXIMANTS if isinstance(key, tuple)})
+    with pytest.raises(CertificationFailed):
+        bounds._certify(0.02, mesh, approximant)
+
+    ts = sorted(float(t) for t in mesh)
+    assert len(walk) == 2 * len(ts) and len(targets) == 3 + 3 * len(ts)
+    x = np.linspace(0.0, np.pi, grid + 1)
+    outside = x > np.pi / 2
+    f0, _, h0 = path_values(1, 0.0)(x)
+    assert _same_bits(targets["h1"], h0)
+    assert _same_bits(targets["h1sq"], h0**2)
+    assert _same_bits(targets["q1"], f0 * h0)
+    for s, (fs, gs) in zip(ts, walk):
+        f, g, h = path_values(1, s)(x)
+        assert _same_bits(fs, f[outside]) and _same_bits(gs, g[outside])
+        # inside pi/2 stage 1 does not move and g is 0; h never moves
+        assert _same_bits(f[~outside], f0[~outside]) and not g[~outside].any()
+        assert _same_bits(h, h0)
+    for t, (ft, ht) in zip(ts, walk[len(ts):]):
+        f, g, h = path_values(2, t)(x)
+        assert _same_bits(ft, f) and _same_bits(ht, h) and not g.any()
+        assert _same_bits(targets[(t, "h")], h)
+        assert _same_bits(targets[(t, "hsq")], 1 - f**2)
+        assert _same_bits(targets[(t, "q")], f * h)
 
 
 def test_certify_accepts_fine_user_mesh(small_grid):
