@@ -159,7 +159,6 @@ def _eigenbasis_B(pair: UnitaryPair, values) -> BottMatrix:
     request reads B's spectrum from :func:`selfdual._pfaffian_sign`, which
     takes the same arguments, instead.
     """
-    pair.v_eig  # loads scipy's OpenBLAS before the scope reads the libraries
     with _serial_blas(pair.dim):
         fvals, lower = _corner(pair, values)
         n = len(fvals)
@@ -172,26 +171,10 @@ def _eigenbasis_B(pair: UnitaryPair, values) -> BottMatrix:
         return BottMatrix.of(B)
 
 
-def _in_standard_basis(pair: UnitaryPair, values) -> BottMatrix:
-    """The eigenbasis matrix conjugated once by diag(Q, Q), and its spectrum.
-
-    The product's hermitian part is kept, with the lower-right block set to
-    the negated upper-left one, Q diag(f) Q*: the matrix is exactly
-    hermitian and similar to the eigenbasis matrix, whose spectrum ``eigs``
-    it keeps.
-    """
-    bm = _eigenbasis_B(pair, values)
-    Q2 = np.kron(np.eye(2), pair.v_eig[1])
-    B = Q2 @ bm.B @ Q2.conj().T
-    B = (B + B.conj().T) / 2
-    n = pair.dim
-    np.negative(B[:n, :n], out=B[n:, n:])
-    return BottMatrix(B, bm.eigs)
-
-
 def build_B(pair: UnitaryPair) -> BottMatrix:
-    """Assemble B(U, V) in the standard basis, and its spectrum."""
-    return _in_standard_basis(pair, _trig_values)
+    """B(U, V) in V's eigenbasis, and its spectrum: :func:`_eigenbasis_B`
+    of the bump triple."""
+    return _eigenbasis_B(pair, _trig_values)
 
 
 def _count_signature(eigs: np.ndarray) -> int:

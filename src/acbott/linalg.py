@@ -16,9 +16,9 @@ OpenBLAS in the process on one thread for pairs up to dim
 ``_SERIAL_BLAS_MAX_DIM``: at those sizes a second thread gains nothing or
 costs time.  A scope holds the libraries that are loaded when it is
 entered, and gives each the count it saved back on exit, so nested scopes
-restore in stack order.  Code that loads scipy therefore opens its scope
-after the import, as the Schur and Cayley kernels do, or factorizes V
-first, as ``selfdual._pfaffian_sign`` does.
+restore in stack order.  A function therefore opens its scope after the
+imports its block needs: the Schur kernel and the self-dual sign's
+reduction import scipy first, and V's Cayley kernel needs numpy only.
 """
 
 from __future__ import annotations
@@ -166,10 +166,10 @@ def _serial_blas(dim: int):
     it had at entry back on exit, also on an exception.
 
     Nested scopes therefore restore in stack order.  A library loaded inside
-    the block is not held, so code that loads scipy opens its scope after
-    the import.  Above the cutoff the counts are left alone.  The count is
-    process-wide, so calls from several Python threads at once can race on
-    it.  Without an OpenBLAS thread API (another BLAS, no /proc) the scope
+    the block is not held, so a function opens its scope after the imports
+    its block needs.  Above the cutoff the counts are left alone.  The count
+    is process-wide, so calls from several Python threads at once can race
+    on it.  Without an OpenBLAS thread API (another BLAS, no /proc) the scope
     does nothing.
     """
     apis = _loaded_blas(len(sys.modules)) if dim <= _SERIAL_BLAS_MAX_DIM else {}
@@ -218,14 +218,13 @@ def _cayley_angles(A: np.ndarray):
     the widest gap between these 2n points, at least pi/(2n) from every
     eigenvalue.  With phi = psi - pi the rotated A_phi = e^{-i phi} A has -1
     at the cut, and its Cayley transform H = i(I + A_phi)^{-1}(I - A_phi) is
-    hermitian with eigenvalues tan((theta - phi)/2) (one LU solve, made in
-    place).  The angles follow as phi + 2 arctan(lambda), wrapped to
-    (-pi, pi] with the branch rule of :func:`_schur_angles`.  When
-    :func:`eig_residual` finds the residual above its bound, the Schur route
-    is taken instead.
+    hermitian with eigenvalues tan((theta - phi)/2).  It takes one
+    ``numpy.linalg.solve``, which copies its operands; a LinAlgError there
+    takes the Schur route.  The angles follow as phi + 2 arctan(lambda),
+    wrapped to (-pi, pi] with the branch rule of :func:`_schur_angles`.
+    When :func:`eig_residual` finds the residual above its bound, the Schur
+    route is taken instead.
     """
-    from scipy.linalg.lapack import zgesv
-
     with _serial_blas(len(A)):
         d = A.shape[0]
         half = np.arccos(np.clip(np.linalg.eigvalsh((A + A.conj().T) / 2), -1.0, 1.0))
@@ -233,19 +232,19 @@ def _cayley_angles(A: np.ndarray):
         gaps = np.diff(points, append=points[0] + 2.0 * np.pi)
         widest = int(np.argmax(gaps))
         phi = points[widest] + gaps[widest] / 2.0 - np.pi
-        # M = I + A_phi and R = i(I - A_phi) = i(2I - M); R M^{-1} = H as the two
-        # commute, and solving M^T X = R^T on the transposed (Fortran-ordered)
-        # views overwrites R with X = H^T
+        # M = I + A_phi and R = i(I - A_phi) = i(2I - M) commute, so the
+        # solution X of M X = R is H
         M = A * np.exp(-1j * phi)
         M[np.diag_indices(d)] += 1.0
         R = M * -1j
         R[np.diag_indices(d)] += 2j
-        _, _, X, info = zgesv(M.T, R.T, overwrite_a=1, overwrite_b=1)
-        del M
-        if info != 0:
+        try:
+            X = np.linalg.solve(M, R)
+        except np.linalg.LinAlgError:
             return _schur_angles(A)
-        H = X.T + X.conj()
-        del X, R
+        del M, R
+        H = X + X.conj().T
+        del X
         H *= 0.5
         lam, Q = np.linalg.eigh(H)
         del H

@@ -13,7 +13,7 @@ refuses above and ``analysis.analyze`` reports against.
 
 from __future__ import annotations
 
-from .bott import BottMatrix, _in_standard_basis
+from .bott import BottMatrix, _eigenbasis_B
 from .bounds import path_values
 from .linalg import UnitaryPair
 from .selfdual import SelfDualPair, _pfaffian_sign, require_selfdual
@@ -23,9 +23,10 @@ _log_values = path_values(2, 1.0)
 
 
 def build_BL(pair: UnitaryPair) -> BottMatrix:
-    """Assemble B_L(U, V) in the standard basis; diagonal blocks are +-K/pi.
-    A ``SelfDualPair``'s Kramers pairs share one angle, so h1(V) is self-dual."""
-    return _in_standard_basis(pair, _log_values)
+    """B_L(U, V) in V's eigenbasis, and its spectrum: :func:`bott._eigenbasis_B`
+    of the log triple, so the diagonal blocks are +-diag(angles)/pi.  A
+    ``SelfDualPair``'s Kramers pairs share one angle, so h1(V) is self-dual."""
+    return _eigenbasis_B(pair, _log_values)
 
 
 def kappa2_log(sd: SelfDualPair) -> int:

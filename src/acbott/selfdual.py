@@ -49,6 +49,7 @@ from .linalg import (
     gate_norm,
     gate_relative,
     make_pair,
+    require_same_dim,
 )
 
 
@@ -220,23 +221,25 @@ def _real_pfaffian_sign_log(R: np.ndarray) -> Tuple[int, float, np.ndarray, floa
     from scipy.linalg.lapack import dgehrd, dgehrd_lwork, dlantr, dsterf
 
     n = R.shape[0]
-    work, info = dgehrd_lwork(n)
-    if info != 0:
-        raise NumericalInconsistency(f"dgehrd workspace query failed: info {info}")
-    H, tau, info = dgehrd(
-        np.asfortranarray(R, dtype=float), lwork=int(work), overwrite_a=True
-    )
-    if info != 0:
-        raise NumericalInconsistency(f"dgehrd failed: info {info}")
-    b = np.diagonal(H, 1).copy()
-    band = float(np.linalg.norm(np.diagonal(H, -1) + b))
-    # zeroing T's superdiagonal leaves H - T in H's upper triangle; below it
-    # dgehrd keeps its reflectors, which dlantr does not read
-    H[np.arange(n - 1), np.arange(1, n)] = 0.0
-    residual = math.hypot(band, dlantr("F", H))
-    eigs, info = dsterf(np.zeros(n), np.abs(b))
-    if info != 0:
-        raise NumericalInconsistency(f"dsterf failed: info {info}")
+    # R has twice its pair's dim, and the scope's cutoff counts pair dims
+    with _serial_blas(n // 2):
+        work, info = dgehrd_lwork(n)
+        if info != 0:
+            raise NumericalInconsistency(f"dgehrd workspace query failed: info {info}")
+        H, tau, info = dgehrd(
+            np.asfortranarray(R, dtype=float), lwork=int(work), overwrite_a=True
+        )
+        if info != 0:
+            raise NumericalInconsistency(f"dgehrd failed: info {info}")
+        b = np.diagonal(H, 1).copy()
+        band = float(np.linalg.norm(np.diagonal(H, -1) + b))
+        # zeroing T's superdiagonal leaves H - T in H's upper triangle; below it
+        # dgehrd keeps its reflectors, which dlantr does not read
+        H[np.arange(n - 1), np.arange(1, n)] = 0.0
+        residual = math.hypot(band, dlantr("F", H))
+        eigs, info = dsterf(np.zeros(n), np.abs(b))
+        if info != 0:
+            raise NumericalInconsistency(f"dsterf failed: info {info}")
     pivots = b[::2]
     if np.any(pivots == 0.0):
         return 0, -math.inf, eigs, residual
@@ -295,7 +298,6 @@ def _pfaffian_sign(pair: SelfDualPair, values) -> PfaffianSign:
     Pf(R) has the sign of Pf(R') = det(O) Pf(T).  Otherwise
     IllConditionedSign is warned: the sign may be unreliable.
     """
-    pair.v_eig  # loads scipy's OpenBLAS before the scope reads the libraries
     with _serial_blas(len(pair.U)):
         fvals, L = _corner(pair, values)
         n = len(fvals)
@@ -323,7 +325,7 @@ def _pfaffian_sign(pair: SelfDualPair, values) -> PfaffianSign:
         fz = fvals * z
         R[d, n + perm] -= fz
         R[n + d, perm] -= fz
-        sign, log_mag, eigs, residual = _real_pfaffian_sign_log(R)
+    sign, log_mag, eigs, residual = _real_pfaffian_sign_log(R)
     eta = drift + residual
     rounding = dim * 1e-13
     scale = max(1.0, (float(np.max(np.abs(eigs))) + eta) / (1.0 - rounding))
@@ -366,10 +368,13 @@ def selfdual_distance_bounds(sdA: SelfDualPair, sdB: SelfDualPair) -> float:
     """Lower bound on ||U_A - U_B|| + ||V_A - V_B|| when the signs differ.
 
     A commuting second pair always carries sign +1, which recovers the
-    commuting-target form 1/5 + (1/5) sqrt(1 - 5 delta^2).
+    commuting-target form 1/5 + (1/5) sqrt(1 - 5 delta^2).  Pairs of
+    different dims are refused with DimensionMismatch after the refusals of
+    :func:`require_selfdual`.
     """
     for sd in (sdA, sdB):
         require_selfdual(sd, "trig")
+    require_same_dim(sdA.U, sdB.U)
     a, b = (_pfaffian_sign(sd, _trig_values).sign for sd in (sdA, sdB))
     if a == b:
         raise NoObstruction("equal signs carry no distance obstruction")

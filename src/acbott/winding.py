@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import InvariantUndefined, NoObstruction, NumericalInconsistency
-from .linalg import UnitaryPair
+from .linalg import UnitaryPair, require_same_dim
 
 # delta must stay strictly below 2; at 2 the spectrum of W can touch -1
 DELTA_GATE = 2.0 - 1e-9
@@ -73,7 +73,11 @@ def distance_bound_commuting(pair: UnitaryPair) -> float:
 
 
 def distance_bound_index_change(pairA: UnitaryPair, pairB: UnitaryPair) -> float:
-    """Lower bound on the distance between two pairs with different invariants."""
+    """Lower bound on the distance between two pairs with different invariants.
+
+    Pairs of different dims are refused with DimensionMismatch.
+    """
+    require_same_dim(pairA.U, pairB.U)
     ra, rb = winding_number(pairA), winding_number(pairB)
     if ra.omega == rb.omega:
         raise NoObstruction("equal winding invariants; no distance bound claimed")

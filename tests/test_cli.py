@@ -181,6 +181,7 @@ patch_loaded()
 builtins.__import__ = importing
 exec(sys.argv[2])
 builtins.__import__ = real_import
+print("scipy.linalg loaded:", "scipy.linalg" in sys.modules)
 after = openblas_threads()
 print("restored:", all(after[lib] == count for lib, count in before.items()))
 print("libraries:", len(after))
@@ -189,13 +190,15 @@ print("threads:", sorted({(name, count) for name, seen in counts.threads
 """
 
 
-def _one_thread(call, names):
-    """Run ``call`` in a fresh process through ``_ONE_THREAD``: it calls every
-    route in ``names`` and runs each factorization on one thread in every
+def _one_thread(call, names, scipy_linalg):
+    """Run ``call`` in a fresh process through ``_ONE_THREAD``: it imports
+    ``scipy.linalg`` exactly when ``scipy_linalg`` is true, calls every route
+    in ``names`` and runs each factorization on one thread in every
     OpenBLAS, and afterwards each count is back."""
     tests = str(Path(__file__).resolve().parent)
     out = fresh_process(_ONE_THREAD, tests, call).splitlines()
     assert "scipy loaded: False" in out
+    assert f"scipy.linalg loaded: {scipy_linalg}" in out
     libraries = int(out[-2].split(": ")[1])
     if libraries == 0:
         pytest.skip("no OpenBLAS thread API in this process")
@@ -214,20 +217,22 @@ def test_index_factorizes_on_one_blas_thread(tmp_path, capsys, kind, flags):
     prefix = str(tmp_path / "p31")
     run(capsys, "generate", "--kind", kind, "--n", "31", "--out", prefix)
     argv = ["index", f"{prefix}_U.txt", f"{prefix}_V.txt", "--format", "kv", *flags]
-    _one_thread(f"assert acbott.cli.main({argv!r}) == 0", {"schur", "eigh", "eigvalsh"})
+    _one_thread(f"assert acbott.cli.main({argv!r}) == 0", {"schur", "eigh", "eigvalsh"},
+                True)
 
 
-@pytest.mark.parametrize("call, names", [
+@pytest.mark.parametrize("call, names, scipy_linalg", [
     ("acbott.pfaffian_bott_index(acbott.selfdual_doubling(acbott.cyclic_shift_pair(160)))",
-     {"dgehrd", "dsterf", "eigh", "eigvalsh"}),
-    ("acbott.bott_index(acbott.cyclic_shift_pair(320))", {"eigh", "eigvalsh"}),
+     {"dgehrd", "dsterf", "eigh", "eigvalsh"}, True),
+    ("acbott.bott_index(acbott.cyclic_shift_pair(320))", {"eigh", "eigvalsh"}, False),
 ], ids=["pfaffian_bott_index-dim320", "bott_index-dim320"])
-def test_first_call_factorizes_on_one_blas_thread(call, names):
-    # as the first call of a process, on a pair of dim 320, each index
-    # imports scipy when it factorizes V, which it does before its own scope
-    # reads the libraries; the self-dual R has dim 640, above the cutoff, so
-    # its reduction runs on one thread only inside the pair's scope
-    _one_thread(call, names)
+def test_first_call_factorizes_on_one_blas_thread(call, names, scipy_linalg):
+    # as the first call of a process, on a pair of dim 320: V's Cayley
+    # kernel and B's spectrum use numpy alone, so bott_index never imports
+    # scipy.linalg.  The self-dual sign first imports it in its reduction,
+    # whose scope opens after that import; R has dim 640, and the scope,
+    # sized by the pair's dim 320, still holds every library on one thread
+    _one_thread(call, names, scipy_linalg)
 
 
 def test_index_answers_split_kramers_pair_on_the_log_route(tmp_path, capsys):

@@ -85,16 +85,17 @@ def test_operator_norm_matches_svd(rng):
         assert operator_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
 
 
-def test_operator_norm_large_power_iteration(rng):
+def test_operator_norm_of_a_large_matrix_is_the_svd_norm(rng):
     # a large input still gets the exact dense-SVD norm
     d = 600
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     assert operator_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-6)
 
 
-def test_operator_norm_exact_where_power_iteration_reads_low():
-    # the top singular vector u is orthogonal to the start vector of a power
-    # iteration seeded with default_rng(0), which would stall at 1e-9
+def test_operator_norm_exact_when_top_direction_is_orthogonal_to_a_random_vector():
+    # the rank-one top direction u is orthogonal to a fixed random vector
+    # from default_rng(0): an iteration started there would stall at the
+    # 1e-9 floor, and the norm must still come out exact
     d = 600
     rng = np.random.default_rng(0)
     start = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -408,6 +409,28 @@ def test_v_eig_falls_back_to_the_schur_form(factorizations, monkeypatch):
     angles, Q = _schur_angles(pair.V)
     assert np.array_equal(pair.v_eig[0], angles)
     assert np.array_equal(pair.v_eig[1], Q)
+    report = vars(analyze(pair))
+    assert report.pop("gap_measured") == pytest.approx(expected.gap_measured, abs=1e-12)
+    assert report == {k: v for k, v in vars(expected).items() if k != "gap_measured"}
+
+
+def test_singular_cayley_solve_falls_back_to_the_schur_form(factorizations, monkeypatch):
+    # a LinAlgError from the Cayley transform's solve takes V's Schur form
+    # before any eigh, and every answer stays right
+    base = perturb(cyclic_shift_pair(40), 0.002, seed=5)
+    expected = analyze(make_pair(base.U, base.V))
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    pair = make_pair(base.U, base.V)
+    factorizations.clear()
+    angles, Q = pair.v_eig
+    assert factorizations == Counter(eigvalsh=1, schur=1)
+    ref_angles, ref_Q = _schur_angles(pair.V)
+    assert np.array_equal(angles, ref_angles)
+    assert np.array_equal(Q, ref_Q)
     report = vars(analyze(pair))
     assert report.pop("gap_measured") == pytest.approx(expected.gap_measured, abs=1e-12)
     assert report == {k: v for k, v in vars(expected).items() if k != "gap_measured"}

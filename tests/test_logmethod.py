@@ -103,12 +103,14 @@ def test_BL_at_minus_identity():
 
 
 def test_BL_diagonal_blocks_are_scaled_log():
+    # build_BL's matrix is in V's eigenbasis; diag(Q, Q) takes it to the standard one
     pair = cyclic_shift_pair(9)
     plog = principal_log(pair.V)
-    bm = build_BL(pair)
+    Q2 = np.kron(np.eye(2), pair.v_eig[1])
+    B = Q2 @ build_BL(pair).B @ Q2.conj().T
     d = pair.dim
-    assert np.allclose(bm.B[:d, :d], plog.K / np.pi, atol=1e-12)
-    assert np.allclose(bm.B[d:, d:], -plog.K / np.pi, atol=1e-12)
+    assert np.allclose(B[:d, :d], plog.K / np.pi, atol=1e-12)
+    assert np.allclose(B[d:, d:], -plog.K / np.pi, atol=1e-12)
 
 
 def test_BL_hermitian_and_anti_selfdual():

@@ -38,7 +38,6 @@ RETIRED = [
     (bott.require_certified, {"allow_uncertified"}),
     (bott.signature, {"gap_tol", "tol"}),  # once hermitian_eig's
     (bott._count_signature, {"gap_tol"}),
-    (bott._in_standard_basis, {"h_part"}),
     (support.fourier_coefficients_h, {"series_K"}),
     (selfdual.pfaffian_bott_index, {"use_trigpoly", "allow_uncertified"}),
     (selfdual.selfdual_distance_bounds, {"kappa2_a", "kappa2_b"}),
@@ -116,11 +115,13 @@ def test_test_only_routes_live_in_the_tests():
         assert not hasattr(support, name), name
     # wrappers folded into their one caller: signature gates its matrix
     # itself, _eigenbasis_B returns its spectrum, the pair kinds live in KINDS,
-    # and the one-thread BLAS scope saves and restores its own counts
+    # and the one-thread BLAS scope saves and restores its own counts; B's
+    # standard-basis conjugation is the oracle tests' own
     for module, name in (
         (acbott, "hermitian_eig"),
         (linalg, "hermitian_eig"),
         (bott, "_spectrum_in_eigenbasis"),
+        (bott, "_in_standard_basis"),
         (selfdual, "_hermitian_part"),
         (generators, "_READS"),
         (linalg, "_hold_new_blas"),

@@ -303,7 +303,7 @@ def test_kappa2_stable_under_selfdual_perturbation():
 
 
 def test_selfdual_distance_bound_value():
-    a = selfdual_doubling(commuting_random(8, seed=1))
+    a = selfdual_doubling(commuting_random(64, seed=1))
     b = selfdual_doubling(cyclic_shift_pair(64))
     got = selfdual_distance_bounds(a, b)
     expected = (np.sqrt(1 - 5 * a.delta**2) + np.sqrt(1 - 5 * b.delta**2)) / 5
@@ -317,6 +317,20 @@ def test_selfdual_distance_bound_threshold_gate():
     b = selfdual_doubling(commuting_random(8, seed=0))
     with pytest.raises(ThresholdExceeded):
         selfdual_distance_bounds(a, b)
+
+
+def test_selfdual_distance_bound_refuses_pairs_of_different_dims():
+    # refused before V is factorized, after the type and threshold refusals
+    a = selfdual_doubling(cyclic_shift_pair(32))
+    b = selfdual_doubling(commuting_random(3, seed=0))
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(DimensionMismatch):
+            selfdual_distance_bounds(first, second)
+    assert "v_eig" not in vars(a) and "v_eig" not in vars(b)
+    with pytest.raises(NotSelfDual):
+        selfdual_distance_bounds(make_pair(a.U, a.V), b)
+    with pytest.raises(ThresholdExceeded):
+        selfdual_distance_bounds(selfdual_doubling(cyclic_shift_pair(8)), b)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +607,9 @@ def test_kramers_route_matches_the_schur_basis_oracle(method):
         report = analyze(pair, method=method)
         assert report.gap_measured == pytest.approx(np.min(np.abs(eigs)), abs=1e-12)
         built = build(pair)
-        assert np.max(np.abs(built.B - B)) <= 1e-12
+        # built.B is in V's (Kramers) eigenbasis Q; the oracle's in the standard one
+        Q2 = np.kron(np.eye(2), pair.v_eig[1])
+        assert np.max(np.abs(Q2 @ built.B @ Q2.conj().T - B)) <= 1e-12
         assert np.max(np.abs(built.eigs - eigs)) <= 1e-12
         assert np.array_equal(built.eigs, _eigenbasis_B(pair, values).eigs)
         if isinstance(pair, SelfDualPair):
@@ -652,7 +668,7 @@ def test_no_request_path_assembles_in_the_standard_basis(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name.startswith("acbott"):
-            for attr in ("build_B", "build_BL", "_in_standard_basis"):
+            for attr in ("build_B", "build_BL"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     plain = cyclic_shift_pair(32)

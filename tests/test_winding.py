@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from acbott.errors import InvariantUndefined, NoObstruction
+from acbott.errors import DimensionMismatch, InvariantUndefined, NoObstruction
 from acbott.generators import commuting_random, cyclic_shift_pair, powered_pair
 from acbott.linalg import make_pair
 from acbott.winding import (
@@ -82,6 +82,16 @@ def test_distance_bound_between_different_indices():
     assert got == pytest.approx(expected)
     with pytest.raises(NoObstruction):
         distance_bound_index_change(a, a)
+
+
+def test_distance_bound_refuses_pairs_of_different_dims():
+    # ||U_A - U_B|| is undefined across dims: refused before W is factorized
+    a = cyclic_shift_pair(31)
+    b = commuting_random(5, seed=0)
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(DimensionMismatch):
+            distance_bound_index_change(first, second)
+    assert "w_angles" not in vars(a) and "w_angles" not in vars(b)
 
 
 def test_delta_two_is_out_of_range():
