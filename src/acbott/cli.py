@@ -31,8 +31,8 @@ from .bounds import (
 from .errors import (
     AlmostCommutingError,
     CertificationFailed,
+    DimensionMismatch,
     NoGuarantee,
-    NumericalInconsistency,
 )
 from .generators import KINDS, PairSpec, build_pair
 from .linalg import make_pair, unitary_part
@@ -89,7 +89,7 @@ def cmd_index(args) -> int:
         if args.header:
             n_declared = read_selfdual_header(args.header)
             if 2 * n_declared != U.shape[0]:
-                raise NumericalInconsistency(
+                raise DimensionMismatch(
                     f"header says N = {n_declared}, matrices have dim {U.shape[0]}"
                 )
         pair = make_selfdual_pair(U, V)

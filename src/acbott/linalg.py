@@ -183,7 +183,8 @@ def _serial_blas(dim: int):
             setter(count)
 
 
-def _check_unitary(V: np.ndarray, tol: float) -> None:
+def _check_unitary(V: np.ndarray) -> None:
+    tol = DEFAULT_TOL.unitary
     d = V.shape[0]
     err = gate_norm(V.conj().T @ V - np.eye(d), tol)
     if err > tol:
@@ -283,7 +284,9 @@ class UnitaryPair:
     (one ``eigvalsh`` to place a cut and one ``eigh`` of a Cayley transform,
     see :func:`_cayley_angles`; ``make_pair`` has already checked V's
     unitarity) and ``w_angles`` the eigenangles of W = VUV*U* from its
-    Schur form.
+    Schur form.  W is not gated: it inherits ||W*W - I||_2 <= 2 e_U + 2 e_V
+    plus product rounding from the gates of U and V
+    (:meth:`multiplicative_commutator`).
     Every library call on the pair reads these, so a pair pays one
     factorization of each matrix however many invariants are asked of it.
     U and V must therefore not be mutated after ``make_pair``, which delta
@@ -299,12 +302,16 @@ class UnitaryPair:
         return self.U.shape[0]
 
     def multiplicative_commutator(self) -> np.ndarray:
-        """W = VUV*U*, gated for unitarity at 10 * ``DEFAULT_TOL.unitary``:
-        the products compound U's and V's defects."""
+        """W = VUV*U*, not gated: its defect is inherited from U's and V's.
+
+        To first order ||W*W - I||_2 <= 2 e_U + 2 e_V, with e = ||A*A - I||_2,
+        plus the rounding of the three products (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, ch. 3).  For a pair that
+        ``make_pair`` admits that is about 4e-8, so the gates of U and V
+        check W too.
+        """
         U, V = self.U, self.V
-        W = V @ U @ V.conj().T @ U.conj().T
-        _check_unitary(W, 10 * DEFAULT_TOL.unitary)
-        return W
+        return V @ U @ V.conj().T @ U.conj().T
 
     @functools.cached_property
     def v_eig(self):
@@ -331,6 +338,6 @@ def make_pair(U, V) -> UnitaryPair:
     A, B = as_matrix(U), as_matrix(V)
     require_same_dim(A, B)
     with _serial_blas(A.shape[0]):
-        _check_unitary(A, DEFAULT_TOL.unitary)
-        _check_unitary(B, DEFAULT_TOL.unitary)
+        _check_unitary(A)
+        _check_unitary(B)
         return UnitaryPair(A, B, operator_norm(A @ B - B @ A))

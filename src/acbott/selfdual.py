@@ -216,7 +216,9 @@ def _real_pfaffian_sign_log(R: np.ndarray) -> Tuple[int, float, np.ndarray, floa
     whose ascending spectrum ``dsterf`` gives in O(n^2) (Ward & Gray, ACM
     TOMS 4 (1978)).  residual = ||H - T||_F counts what the reduction leaves
     outside T: the diagonal, the skew defect of the band and everything above
-    the superdiagonal.  A Fortran-ordered float R is overwritten.
+    the superdiagonal.  A Fortran-ordered float R is overwritten.  A zero
+    pivot of T, where Pf(R) = 0, raises NumericalInconsistency("modified
+    Pfaffian vanished").
     """
     from scipy.linalg.lapack import dgehrd, dgehrd_lwork, dlantr, dsterf
 
@@ -242,7 +244,7 @@ def _real_pfaffian_sign_log(R: np.ndarray) -> Tuple[int, float, np.ndarray, floa
             raise NumericalInconsistency(f"dsterf failed: info {info}")
     pivots = b[::2]
     if np.any(pivots == 0.0):
-        return 0, -math.inf, eigs, residual
+        raise NumericalInconsistency("modified Pfaffian vanished")
     flips = np.count_nonzero(tau) + np.count_nonzero(pivots < 0.0)
     sign = -1 if flips % 2 else 1
     return sign, float(np.sum(np.log(np.abs(pivots)))), eigs, residual
@@ -329,8 +331,6 @@ def _pfaffian_sign(pair: SelfDualPair, values) -> PfaffianSign:
     eta = drift + residual
     rounding = dim * 1e-13
     scale = max(1.0, (float(np.max(np.abs(eigs))) + eta) / (1.0 - rounding))
-    if log_mag == -math.inf:
-        raise NumericalInconsistency("modified Pfaffian vanished")
     if (dim // 4) % 2:
         sign = -sign
     record = PfaffianSign(sign, log_mag, eta + rounding * scale, eigs)

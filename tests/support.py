@@ -490,7 +490,7 @@ def unitary_eig(V):
     eigenvalue numerically at -1 maps to +pi.  V must pass the unitarity gate.
     """
     A = as_matrix(V)
-    _check_unitary(A, DEFAULT_TOL.unitary)
+    _check_unitary(A)
     return _schur_angles(A)
 
 
@@ -509,7 +509,7 @@ def apply_trigpoly(p, V) -> np.ndarray:
     independent route to the functional calculus.
     """
     A = as_matrix(V)
-    _check_unitary(A, DEFAULT_TOL.unitary)
+    _check_unitary(A)
     d = A.shape[0]
     n = p.degree
     I = np.eye(d, dtype=complex)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import acbott
+from acbott.bounds import beta_root
 from acbott.cli import main
 from acbott.generators import cyclic_shift_pair, selfdual_doubling
 from acbott.linalg import make_pair
@@ -319,7 +320,20 @@ def test_index_header_mismatch(tmp_path, capsys):
     rc, _, err = run(capsys, "index", f"{prefix}_U.txt", f"{prefix}_V.txt",
                      "--self-dual", "--header", str(bad))
     assert rc == 1
-    assert "NumericalInconsistency" in err
+    assert "DimensionMismatch" in err
+
+
+@pytest.mark.parametrize("text", ["N=7\n", "0\n"])
+def test_index_header_that_names_no_n_is_refused(tmp_path, capsys, text):
+    prefix = str(tmp_path / "d31")
+    run(capsys, "generate", "--kind", "selfdual_doubling", "--n", "31",
+        "--out", prefix)
+    bad = tmp_path / "bad_N.txt"
+    bad.write_text(text)
+    rc, out, err = run(capsys, "index", f"{prefix}_U.txt", f"{prefix}_V.txt",
+                       "--self-dual", "--header", str(bad))
+    assert (rc, out) == (1, "")
+    assert "InvalidMatrix" in err
 
 
 @pytest.mark.parametrize("header", ["N999", "missing"])
@@ -394,6 +408,20 @@ def test_bounds_beta_csv(tmp_path, capsys):
     assert float(first[1]) == 0.0
     assert float(first[2]) == 1.0
     assert float(first[3]) == pytest.approx(0.95)
+
+
+def test_bounds_beta_past_its_root_leaves_cells_empty(capsys):
+    # gap_guaranteed holds up to beta_root() = 0.20469759 and gap_coarse up
+    # to 0.2; past them the cells are empty and no row is dropped
+    rc, out, _ = run(capsys, "bounds", "--curve", "beta", "--from", "0.2",
+                     "--to", "0.21", "--points", "3")
+    assert rc == 0
+    assert 0.2 < beta_root() < 0.205
+    assert out.splitlines()[1:] == [
+        "0.2,0.977240432,0.150862746,0",
+        "0.205,1.00146516,,",
+        "0.21,1.02568989,,",
+    ]
 
 
 @pytest.mark.parametrize("bound", ["--from=nan", "--from=-0.1", "--to=inf"])

@@ -38,6 +38,11 @@ def test_cyclic_pair_needs_two_dimensions():
         cyclic_shift_pair(1)
 
 
+def test_commuting_random_needs_a_positive_dimension():
+    with pytest.raises(DimensionMismatch, match="dimension must be positive"):
+        commuting_random(0)
+
+
 def test_powered_pair_windings():
     assert winding_number(powered_pair(31, -1)).omega == -1
     assert winding_number(powered_pair(31, 2)).omega == 2

@@ -309,17 +309,17 @@ def test_valid_request_takes_one_svd(monkeypatch):
 @pytest.mark.parametrize("self_dual", [False, True])
 @pytest.mark.parametrize("method", ["trig", "log"])
 def test_request_checks_each_unitarity_once(monkeypatch, self_dual, method):
-    # make_pair checks U and V and W is checked where it is factorized; the
-    # pair's factorization of V does not check V again
+    # make_pair checks U and V; neither the pair's factorization of V nor W,
+    # whose defect U's and V's gates bound, is checked again
     import acbott.linalg as linalg
 
     base = selfdual_doubling(cyclic_shift_pair(12))
     checked = []
     check = linalg._check_unitary
 
-    def counted(A, tol):
+    def counted(A):
         checked.append(A.shape)
-        check(A, tol)
+        check(A)
 
     monkeypatch.setattr(linalg, "_check_unitary", counted)
     if self_dual:
@@ -327,7 +327,7 @@ def test_request_checks_each_unitarity_once(monkeypatch, self_dual, method):
     else:
         pair = make_pair(base.U, base.V)
     analyze(pair, method=method)
-    assert len(checked) == 3
+    assert len(checked) == 2
 
 
 def test_unitarity_gate_decides_by_the_exact_norm(rng, monkeypatch):
@@ -341,6 +341,21 @@ def test_unitarity_gate_decides_by_the_exact_norm(rng, monkeypatch):
     assert len(svds) == 2  # the exact norm of the defect, then delta
     with pytest.raises(NotUnitary, match="1.500e-08"):
         make_pair(U, (1 + 0.75e-8) * U)
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_w_inherits_its_defect_from_the_gates_of_u_and_v(n):
+    # U and V scaled to the edge of the gate: (1 + a)^2 - 1 = 9.99e-9
+    base = perturb(cyclic_shift_pair(n), 0.004, seed=3)
+    scale = np.sqrt(1 + 9.99e-9)
+    pair = make_pair(scale * base.U, scale * base.V)
+    I = np.eye(n)
+    e_u, e_v = (operator_norm(A.conj().T @ A - I) for A in (pair.U, pair.V))
+    assert all(9.98e-9 < e < DEFAULT_TOL.unitary for e in (e_u, e_v))
+    W = pair.multiplicative_commutator()
+    defect = operator_norm(W.conj().T @ W - I)
+    assert defect <= 2 * e_u + 2 * e_v + 1e-12
+    assert defect < 1e-7
 
 
 def test_gate_norm_is_exact_unless_frobenius_clears(rng):
@@ -598,18 +613,24 @@ def test_serial_blas_leaves_counts_above_the_cutoff(fake_blas, monkeypatch):
         assert _counts(fake_blas) == [2, 3]
     with linalg._serial_blas(8):
         assert _counts(fake_blas) == [1, 1]
-    # make_pair's gates and W's, each inside a scope at dim 9, and V's
-    # residual inside the Cayley kernel's own scope
+    # make_pair's gates and W's product, each inside a scope at dim 9, and
+    # V's residual inside the Cayley kernel's own scope
     base = cyclic_shift_pair(9)
     seen = []
     monkeypatch.setattr(linalg, "_check_unitary", lambda *a: seen.append(_counts(fake_blas)))
     residual = linalg.eig_residual
+    commutator = UnitaryPair.multiplicative_commutator
 
     def spy(*args):
         seen.append(_counts(fake_blas))
         return residual(*args)
 
+    def spy_w(self):
+        seen.append(_counts(fake_blas))
+        return commutator(self)
+
     monkeypatch.setattr(linalg, "eig_residual", spy)
+    monkeypatch.setattr(UnitaryPair, "multiplicative_commutator", spy_w)
     pair = make_pair(base.U, base.V)
     pair.w_angles
     pair.v_eig

@@ -58,6 +58,13 @@ def test_malformed_text_raises(text):
         parse_matrix(text)
 
 
+@pytest.mark.parametrize("text", ["0\n", "-2\n1 2\n3 4\n"])
+def test_nonpositive_dimension_raises(text):
+    # the row count or the shape would refuse these too, with another message
+    with pytest.raises(InvalidMatrix, match="dimension must be positive"):
+        parse_matrix(text)
+
+
 @pytest.mark.parametrize("text", ["2\n1 2\n3 4x\n", "2\n1 2\n3\t4 5\n"])
 def test_malformed_row_is_named(text):
     with pytest.raises(InvalidMatrix, match="^row 2: "):

@@ -51,6 +51,7 @@ RETIRED = [
     (support.principal_log, {"tol", "self_dual"}),
     (logmethod.build_BL, {"self_dual"}),
     (linalg.make_pair, {"unitary_tol"}),
+    (linalg._check_unitary, {"tol"}),
     (support.unitary_eig, {"tol"}),
     (linalg._cayley_angles, {"tol"}),
     (linalg.unitary_part, {"singular_tol"}),

@@ -27,6 +27,7 @@ from acbott.errors import (
     NotAntiSelfDual,
     NotHermitian,
     NotSelfDual,
+    NumericalInconsistency,
     ThresholdExceeded,
 )
 from acbott.generators import (
@@ -397,6 +398,15 @@ def test_real_route_standard_blocks():
         sd = make_selfdual_pair(np.eye(2 * N), np.eye(2 * N))
         for values in (_trig_values, _log_values):
             assert _pfaffian_sign(sd, values).sign == 1
+
+
+@pytest.mark.parametrize("corner", [0.0, 1.0])
+def test_real_route_raises_at_a_zero_pivot(corner):
+    # R = corner * J (+) 0 is exactly singular, so T has a zero pivot
+    R = np.zeros((4, 4), order="F")
+    R[0, 1], R[1, 0] = corner, -corner
+    with pytest.raises(NumericalInconsistency, match="modified Pfaffian vanished"):
+        _real_pfaffian_sign_log(R)
 
 
 def test_kappa2_selfdual_N256():
