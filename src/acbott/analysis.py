@@ -1,9 +1,12 @@
-"""Every invariant of a pair from one W and one block matrix.
+"""Every invariant of a pair from one block matrix and, for a plain pair, one W.
 
-``analyze`` reads the eigenangles of W = VUV*U* (one Schur form), which
-give omega and the distance bound, and the eigendecomposition of V (one
-hermitian ``eigh`` of a Cayley transform); both are made once per pair and
-cached on it, so library calls on the same pair share them.  B(U, V) or
+``analyze`` reads the eigendecomposition of V (one hermitian ``eigh`` of a
+Cayley transform) and, for a plain pair, the eigenangles of W = VUV*U* (one
+Schur form), which give omega and the distance bound; both are made once
+per pair and cached on it, so library calls on the same pair share them.
+A self-dual pair's omega is 0 and is read from delta with no Schur form
+(:func:`winding.winding_number`).  B's spectrum is read before omega, so a
+plain request frees B before W is factorized.  B(U, V) or
 B_L(U, V) is assembled once; the two differ only in the triple's values at
 V's angles (the bump triple or the log triple), and either is read in V's
 eigenbasis, which needs no product with Q beyond Q*UQ.  For a plain pair
@@ -83,10 +86,6 @@ def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:
     report.log_certified = pair.delta <= certified_threshold("log")
     report.kappa_certified = pair.delta <= certified_threshold(method)
 
-    winding = winding_number(pair) if report.omega_valid else None
-    if winding is not None:
-        report.omega = winding.omega
-
     values = _log_values if method == "log" else _trig_values
     if isinstance(pair, SelfDualPair):
         spectrum = _pfaffian_sign(pair, values)
@@ -98,6 +97,10 @@ def analyze(pair: UnitaryPair, method: str = "trig") -> IndexReport:
         report.kappa = spectrum.signature() // 2
     except GapClosed:
         pass
+    del spectrum  # a plain request frees B before W's Schur form
+    winding = winding_number(pair) if report.omega_valid else None
+    if winding is not None:
+        report.omega = winding.omega
     if method == "trig":  # beta bounds ||B^2 - I|| for the bump triple only
         try:
             report.gap_guaranteed = guaranteed_gap(pair.delta)

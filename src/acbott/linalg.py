@@ -287,8 +287,10 @@ class UnitaryPair:
     Schur form.  W is not gated: it inherits ||W*W - I||_2 <= 2 e_U + 2 e_V
     plus product rounding from the gates of U and V
     (:meth:`multiplicative_commutator`).
-    Every library call on the pair reads these, so a pair pays one
-    factorization of each matrix however many invariants are asked of it.
+    Every library call on the pair reads these, so a pair pays at most one
+    factorization of each matrix however many invariants are asked of it; a
+    ``SelfDualPair`` reads omega from delta and takes W's Schur form only
+    for delta above ``winding.SELFDUAL_DELTA_MAX``.
     U and V must therefore not be mutated after ``make_pair``, which delta
     already relies on; the cached arrays are read-only.
     """

@@ -170,7 +170,9 @@ class SelfDualPair(UnitaryPair):
     """A pair that passed :func:`make_selfdual_pair`: U^# = U and V^# = V.
 
     The type is the one place where self-duality is decided: kappa2 is
-    computed exactly for this class, and V is factorized in a Kramers basis.
+    computed exactly for this class, V is factorized in a Kramers basis,
+    and omega is read from delta (:func:`winding.winding_number`, which runs
+    the self-duality gate again first, since the type can be built by hand).
     """
 
     @functools.cached_property
@@ -189,13 +191,19 @@ class SelfDualPair(UnitaryPair):
         return self
 
 
-def make_selfdual_pair(U, V) -> SelfDualPair:
-    pair = make_pair(U, V)
+def _check_selfdual(pair: UnitaryPair) -> None:
+    """The self-duality gate: ||M - M^#||_2 <= ``DEFAULT_TOL.selfdual`` for
+    M = U and M = V, else NotSelfDual.  O(dim^2) for an admitted pair."""
     tol = DEFAULT_TOL.selfdual
     for name, M in (("U", pair.U), ("V", pair.V)):
         drift = gate_norm(M - dual(M), tol)
         if drift > tol:
             raise NotSelfDual(f"{name} fails self-duality by {drift:.3e}")
+
+
+def make_selfdual_pair(U, V) -> SelfDualPair:
+    pair = make_pair(U, V)
+    _check_selfdual(pair)
     return SelfDualPair(pair.U, pair.V, pair.delta)
 
 

@@ -398,9 +398,10 @@ def test_selfdual_calls_share_one_factorization_per_matrix(factorizations):
     )
     results = [call(sd) for call in calls]
     assert results[1:] == [-1, -1]
-    # one Schur of W; V's cut eigvalsh and Cayley eigh, shared by B and B_L;
-    # one real reduction each of B and B_L, with its tridiagonal spectrum
-    assert factorizations == Counter(schur=1, eigh=1, eigvalsh=1, dgehrd=2, dsterf=2)
+    # no Schur of W, whose omega is read from delta; V's cut eigvalsh and
+    # Cayley eigh, shared by B and B_L; one real reduction each of B and
+    # B_L, with its tridiagonal spectrum
+    assert factorizations == Counter(eigh=1, eigvalsh=1, dgehrd=2, dsterf=2)
     for call, result in zip(calls, results):
         assert call(make_selfdual_pair(base.U, base.V)) == result
 
