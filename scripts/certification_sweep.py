@@ -2,10 +2,11 @@
 
 For each delta on the grid, certify the two-stage path with the stored
 coefficient vectors and record whether it passes, the worst mesh bound, the
-mesh size and the step sums.  No LP is solved and no scipy is imported, so
-each delta takes about 0.2 s on a 2-CPU machine.  A range that is not finite
-and nonnegative, or fewer than one point, is refused before anything is
-written.
+mesh size and the step sums.  No LP is solved and no scipy is imported: on a
+2-CPU machine the first delta takes about 0.2 s, as it also samples the fine
+grid and builds the trig tables, and each later one about 0.15 s.  A range
+that is not finite and nonnegative, or fewer than one point, is refused
+before anything is written.
 
     python scripts/certification_sweep.py --to 0.21 --points 9 --out sweep.csv
 """

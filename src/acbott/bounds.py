@@ -27,6 +27,14 @@ stored point.  The certification solves no LP.
 delta = 1/8 and rewrites the store, and the test suite requires the store to
 match a fresh search byte for byte.
 
+What a certification reads that depends on neither delta nor the mesh is
+computed once per process and grid, on the first certification rather than
+at import, and held read-only: the bump triple's samples on the fine grid
+(x, h, f past pi/2 and f clamped to 1 there) and the series' coefficient-free
+trig tables, one set per grid sized for the largest degree asked for.  A
+certification itself makes only the path's triples, the step sums and the
+series products, and reuses its own buffers from step to step.
+
 The envelope rows and the cosine coefficients of h are fixed constants of the
 construction, so they are stored as exact float literals and a process only
 reads them; ``tests/support.py`` re-derives both, and the test suite requires
@@ -201,6 +209,35 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
+# grid n -> (cos, sin) of k x_j at the row starts j = q b and at the in-row
+# offsets j = r of ``_eval_half_series``' layout, for degrees k = 0..K
+_TRIG_TABLES = {}
+
+
+def _trig_tables(n, degrees):
+    """The coefficient-free trig tables of the grid of n intervals, for at
+    least ``degrees`` degrees 0, 1, ....  One read-only set is kept per grid:
+    a call that needs a higher degree than the set holds replaces it by one
+    of that degree, so the set is sized for the largest degree asked for so
+    far and each call slices it.  Each entry depends on its angle alone, so a
+    slice has the bits a table of its own width would."""
+    tables = _TRIG_TABLES.get(n)
+    if tables is None or tables[0].shape[1] < degrees:
+        b = math.isqrt(n) + 1
+        rows = -(-(n + 1) // b)
+        k = np.arange(degrees)
+
+        def trig(j):
+            angle = np.multiply.outer(j, k) % (2 * n) * (np.pi / n)
+            return np.cos(angle), np.sin(angle)
+
+        tables = trig(np.arange(rows) * b) + trig(np.arange(b))
+        for table in tables:
+            table.flags.writeable = False
+        _TRIG_TABLES[n] = tables
+    return tables
+
+
 def _eval_half_series(coeffs, parity, n):
     """Half-range series on the uniform grid x_j = j pi / n, j = 0..n.
 
@@ -210,33 +247,47 @@ def _eval_half_series(coeffs, parity, n):
     splits each term, cos(k x_j) = cos(k q b h) cos(k r h) - sin(k q b h)
     sin(k r h) (sines likewise), so the whole grid is one real product of a
     (rows x 2K) table, which carries the coefficients, and a (b x 2K) one.
-    Every angle k j h is reduced modulo 2 pi in integers first.  The product
-    fills rows * b >= n + 1 points, of which the first n + 1 are returned;
-    the odd series' endpoints are exactly 0.  Direct evaluation does not
-    alias, so any degree is summed.
+    Every angle k j h is reduced modulo 2 pi in integers first, and the
+    coefficient-free tables are the grid's cached set (``_trig_tables``).
+    The product fills rows * b >= n + 1 points, of which the first n + 1 are
+    returned; the odd series' endpoints are exactly 0.  Direct evaluation
+    does not alias, so any degree is summed.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     even = parity == "even"
-    degrees = np.arange(len(coeffs)) + (not even)
-    b = math.isqrt(n) + 1
-    rows = -(-(n + 1) // b)
-
-    def trig(j):
-        angle = np.multiply.outer(j, degrees) % (2 * n) * (np.pi / n)
-        return np.cos(angle), np.sin(angle)
-
-    cos_q, sin_q = trig(np.arange(rows) * b)
-    cos_r, sin_r = trig(np.arange(b))
+    degrees = slice(not even, len(coeffs) + (not even))
+    cos_q, sin_q, cos_r, sin_r = (
+        table[:, degrees] for table in _trig_tables(n, degrees.stop)
+    )
     if even:
         left = np.hstack((cos_q * coeffs, -sin_q * coeffs))
     else:
         left = np.hstack((sin_q * coeffs, cos_q * coeffs))
+    rows, b = len(cos_q), len(cos_r)
     out = np.empty(rows * b)
     np.matmul(left, np.hstack((cos_r, sin_r)).T, out=out.reshape(rows, b))
     out = out[: n + 1]
     if not even:
         out[0] = out[-1] = 0.0
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _fine_samples(n):
+    """(x, h, f_out, f_clamped): the grid x_j = j pi / n, j = 0..n, and the
+    bump triple's samples that the certification's walk reads there, h, f
+    past pi/2, and f with its values past pi/2 set to 1.  Computed on a
+    process's first certification on the grid, not at import, and held
+    read-only."""
+    x = np.linspace(0.0, np.pi, n + 1)
+    f = eval_f(x)
+    outside = x > np.pi / 2
+    f_out = f[outside]
+    f[outside] = 1.0
+    samples = x, eval_h(x), f_out, f
+    for a in samples:
+        a.flags.writeable = False
+    return samples
 
 
 @dataclass(frozen=True)
@@ -259,18 +310,33 @@ class CertificationReport:
         return out
 
 
-def _stage1_pair(s, f_out, sign):
+def _unit_complement(f, out):
+    """sqrt(max(1 - f^2, 0)), written into ``out``."""
+    np.square(f, out=out)
+    np.subtract(1, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
+
+
+def _stage1_pair(s, f_out, sign, out=None):
     """Stage 1's (f_s, g_s) past pi/2, from the bump triple's f there and
-    the sign of the angle."""
-    fs = (1 - s) * f_out + s * sign
-    gs = np.sqrt(np.maximum(1 - fs**2, 0.0))
-    return fs, gs
+    the sign of the angle, written into ``out`` (two arrays shaped like
+    f_out) when given."""
+    fs, gs = (np.empty_like(f_out), np.empty_like(f_out)) if out is None else out
+    np.multiply(1 - s, f_out, out=fs)
+    np.add(fs, s * sign, out=fs)
+    return fs, _unit_complement(fs, gs)
 
 
-def _stage2_triple(t, x, f_clamped):
-    ft = (1 - t) * f_clamped + t * x / np.pi
-    ht = np.sqrt(np.maximum(1 - ft**2, 0.0))
-    return ft, ht
+def _stage2_triple(t, x, f_clamped, out=None):
+    """Stage 2's (f_t, h_t), written into ``out`` (two arrays shaped like x)
+    when given; h_t serves as the scratch of t x / pi first."""
+    ft, ht = (np.empty_like(x), np.empty_like(x)) if out is None else out
+    np.multiply(1 - t, f_clamped, out=ft)
+    np.multiply(t, x, out=ht)
+    np.divide(ht, np.pi, out=ht)
+    np.add(ft, ht, out=ft)
+    return ft, _unit_complement(ft, ht)
 
 
 def path_values(stage, t):
@@ -281,12 +347,14 @@ def path_values(stage, t):
     pi/2, where g = sqrt(1 - f^2) and h = 0; inside, the triple stays the
     bump triple with g = 0.  Stage 2 moves that clamped f to x/pi, with
     g = 0 and h = sqrt(1 - f^2); its end, t = 1, is the log triple
-    (``logmethod._log_values``).  ``_certify`` walks the same path on its
-    fine grid from buffers of its own, and the test suite holds the two
-    equal bit for bit.  At the start g is formed as sqrt(1 - f^2), which
-    misses ``eval_g``'s closed form by up to 2.4e-8, so the bump triple of a
-    request is ``bott._trig_values``.  A stage other than 1 or 2, or a t
-    outside [0, 1] (NaN included), raises ValueError before any work.
+    (``logmethod._log_values``), where the clamped f is weighted by exactly
+    0, so f is x/pi bit for bit and no f is evaluated.  ``_certify`` walks
+    the same path on its fine grid from buffers of its own, and the test
+    suite holds the two equal bit for bit.  At the start g is formed as
+    sqrt(1 - f^2), which misses ``eval_g``'s closed form by up to 2.4e-8, so
+    the bump triple of a request is ``bott._trig_values``.  A stage other
+    than 1 or 2, or a t outside [0, 1] (NaN included), raises ValueError
+    before any work.
     """
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage!r}")
@@ -295,6 +363,9 @@ def path_values(stage, t):
 
     def values(x):
         x = np.asarray(x, dtype=float)
+        if stage == 2 and t == 1.0:
+            ft = x / np.pi
+            return ft, np.zeros_like(ft), _unit_complement(ft, np.empty_like(ft))
         f = eval_f(x)
         outside = np.abs(x) > np.pi / 2
         if stage == 1:
@@ -308,16 +379,15 @@ def path_values(stage, t):
 
 def _step_sum(prev, cur):
     """sup |a - a'| + sup |b - b'| between consecutive samples (a, b) and
-    (a', b') of the two components a stage moves, both differences formed in
-    one buffer; 0 at the first mesh point.  A step sum above STEP_BUDGET
-    breaks the step rule."""
+    (a', b') of the two components a stage moves, each difference formed in
+    the previous sample's buffer, which the walk no longer reads; 0 at the
+    first mesh point.  A step sum above STEP_BUDGET breaks the step rule."""
     if prev is None:
         return 0.0
     step = 0.0
-    diff = np.empty_like(cur[0])
     for c, p in zip(cur, prev):
-        np.subtract(c, p, out=diff)
-        step += float(np.abs(diff, out=diff).max())
+        np.subtract(c, p, out=p)
+        step += float(np.abs(p, out=p).max())
     if step > STEP_BUDGET:
         raise MeshViolation(
             f"mesh step sum {step:.4f} exceeds budget {STEP_BUDGET:.4f}"
@@ -389,7 +459,10 @@ def _certify(delta, mesh, approximant):
     and g is 0, so the step sums and the sups of g are those of the whole
     grid.  Stage 2 makes each triple once and steps it before its etas; the
     walk raises MeshViolation at the first step over STEP_BUDGET, and a
-    failed bound is raised only after both walks.
+    failed bound is raised only after both walks.  The walk reads the
+    grid's cached samples (``_fine_samples``) and writes each triple into
+    one of two buffer pairs of its own, alternately; a step's differences
+    are formed in the previous pair, which then holds each eta's target.
     """
     ts = np.asarray(sorted(float(t) for t in mesh))
     # a NaN would pass the step rule, since max ignores it
@@ -398,25 +471,21 @@ def _certify(delta, mesh, approximant):
     if len(ts) < 2 or abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
         raise MeshViolation("mesh must run from 0 to 1")
 
-    x = np.linspace(0.0, np.pi, FINE_GRID + 1)
+    x, h, f_out, f_clamped = _fine_samples(FINE_GRID)
     spacing = np.pi / FINE_GRID
-    f_std = eval_f(x)
-    h_std = eval_h(x)
-    outside = x > np.pi / 2
+    # two buffer pairs for the walk: one holds the current triple, the other
+    # the previous one until it is stepped, and then serves as scratch
+    pairs = [(np.empty_like(x), np.empty_like(x)) for _ in range(2)]
 
     # stage 1: f_s and g_s move only past pi/2; inside, and for h
-    # everywhere, every step is exactly 0 and g is 0
-    f_out = f_std[outside]
+    # everywhere, every step is exactly 0 and g is 0.  They are walked in
+    # the heads of the buffers
     step1, gnorms, prev = 0.0, [], None
-    for s in ts:
-        fs, gs = _stage1_pair(s, f_out, 1.0)
-        gnorms.append(float(gs.max()))
-        step1 = max(step1, _step_sum(prev, (fs, gs)))
-        prev = fs, gs
-    del f_out, fs, gs, prev
-    # f pinned to 1 past pi/2, where stage 1 leaves it
-    f_clamped = np.where(outside, 1.0, f_std)
-    del outside
+    for i, s in enumerate(ts):
+        cur = _stage1_pair(s, f_out, 1.0, out=[a[: len(f_out)] for a in pairs[i % 2]])
+        gnorms.append(float(cur[1].max()))
+        step1 = max(step1, _step_sum(prev, cur))
+        prev = cur
 
     def eta(key, vals, parity, dev_fn):
         """One eta: its residual is formed in the buffer its series was
@@ -436,37 +505,37 @@ def _certify(delta, mesh, approximant):
 
         return certified(approximant(key, parity, certified))[0]
 
-    # stage 1: h, h^2 and q = f h are constant along the stage
-    eta_h1 = eta("h1", h_std, "even", H_LIPSCHITZ * spacing / 2)
-    # the samples of f h and h^2 overwrite those of f and h
-    np.multiply(f_std, h_std, out=f_std)
-    np.square(h_std, out=h_std)
-    eta_h1sq = eta("h1sq", h_std, "even", _HSQ_LIPSCHITZ * spacing / 2)
-    eta_q1 = eta("q1", f_std, "odd", _Q_LIPSCHITZ * spacing / 2)
-    del f_std, h_std
+    # stage 1: h, h^2 and q = f h are constant along the stage.  Past pi/2,
+    # h is +0 and f is positive, so f h there is (f clamped to 1) h, bit
+    # for bit
+    eta_h1 = eta("h1", h, "even", H_LIPSCHITZ * spacing / 2)
+    # the samples of h^2 and then f h go to a walk buffer
+    buf = pairs[0][0]
+    eta_h1sq = eta("h1sq", np.square(h, out=buf), "even", _HSQ_LIPSCHITZ * spacing / 2)
+    eta_q1 = eta("q1", np.multiply(f_clamped, h, out=buf), "odd", _Q_LIPSCHITZ * spacing / 2)
     stage1_bounds = np.asarray([
         (gnorm + 1) * eta_h1 + 0.25 * eta_h1**2 + 0.5 * eta_h1sq + eta_q1
         for gnorm in gnorms
     ])
 
-    # stage 2: its own approximants at every mesh point.  f_t h_t and
-    # 1 - f_t^2 go to a buffer of their own, so that f_t and h_t are the
-    # next step's previous triple
+    # stage 2: its own approximants at every mesh point.  Once stepped, the
+    # previous triple's f buffer holds 1 - f_t^2 and then f_t h_t, so that
+    # f_t and h_t are the next step's previous triple
     step2, stage2_bounds, prev = 0.0, [], None
-    for t in ts:
-        ft, ht = _stage2_triple(t, x, f_clamped)
-        step2 = max(step2, _step_sum(prev, (ft, ht)))
-        prev = ft, ht
+    for i, t in enumerate(ts):
+        ft, ht = cur = _stage2_triple(t, x, f_clamped, out=pairs[i % 2])
+        step2 = max(step2, _step_sum(prev, cur))
+        prev = cur
+        buf = pairs[(i + 1) % 2][0]
         lf_t = (1 - t) * F_LIPSCHITZ + t / np.pi
         l2_t = 2 * lf_t
         dev_sqrt = float(np.sqrt(l2_t * spacing / 2))
         eta_h = eta((float(t), "h"), ht, "even", dev_sqrt)
-        buf = np.square(ft)
+        np.square(ft, out=buf)
         np.subtract(1, buf, out=buf)
         eta_hsq = eta((float(t), "hsq"), buf, "even", l2_t * spacing / 2)
         np.multiply(ft, ht, out=buf)
         eta_q = eta((float(t), "q"), buf, "odd", dev_sqrt + lf_t * spacing / 2)
-        del buf
         stage2_bounds.append(eta_h + 0.25 * eta_h**2 + 0.5 * eta_hsq + eta_q)
     stage2_bounds = np.asarray(stage2_bounds)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,14 @@ def small_grid(monkeypatch):
     import acbott.bounds as bounds
 
     monkeypatch.setattr(bounds, "FINE_GRID", SMALL_GRID)
+
+
+def _clear_caches():
+    # the fine-grid samples and the trig tables a process keeps
+    import acbott.bounds as bounds
+
+    bounds._fine_samples.cache_clear()
+    bounds._TRIG_TABLES.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +275,8 @@ def test_certify_rejects_nonfinite_mesh_point(bad, monkeypatch, small_grid):
     def no_work(*args, **kwargs):
         raise AssertionError("the certification ran on a non-finite point")
 
-    # the first fine-grid work
-    monkeypatch.setattr(bounds, "eval_f", no_work)
+    # the first fine-grid work, whether the grid's samples are cached or not
+    monkeypatch.setattr(bounds, "_fine_samples", no_work)
     mesh = np.linspace(0.0, 1.0, 65)
     mesh[30] = bad
     with pytest.raises(MeshViolation, match="finite"):
@@ -276,15 +285,18 @@ def test_certify_rejects_nonfinite_mesh_point(bad, monkeypatch, small_grid):
 
 def test_certify_working_set_stays_small(cheap_report, monkeypatch):
     # at 2**16 + 1 samples the fine-grid arrays dominate what the
-    # certification allocates.  The bound is 9.5 of them: this code peaks at
-    # 7.1, in eval_h's temporaries at the set-up, and a series sum adds only
-    # its output and tables of a few hundred rows to the 5 held at a stage-2
-    # step, 6.5 (a cascade of half-length inverse FFTs peaked at 7.3, in
-    # its first level, and scipy's in-place DCT-IIIs at 7.1);
-    # checking the step rule in a separate walk before the etas peaked at
-    # 9.1, holding two whole triples and two temporaries there at 10.1, and
-    # allocating fresh arrays for every residual, transform and sample set
-    # at 13.3
+    # certification allocates.  The bound is 9.5 of them, with the grid's
+    # samples and trig tables made in the call (cold) and with them cached
+    # (warm).  Cold, this code peaks at 9.0: the 3.5 cached sample arrays,
+    # the walk's 4 buffers and a series sum's output and tables of a few
+    # hundred rows; warm at 5.3.  The walk before the caches peaked at 7.1,
+    # in eval_h's temporaries at the set-up; caching raw x, f and h with a
+    # table set per degree and parity peaked at 10.9 cold; a cascade of
+    # half-length inverse FFTs peaked at 7.3 and scipy's in-place DCT-IIIs at
+    # 7.1; checking the step rule in a separate walk before the etas peaked
+    # at 9.1, holding two whole triples and two temporaries there at 10.1,
+    # and allocating fresh arrays for every residual, transform and sample
+    # set at 13.3
     import tracemalloc
 
     import acbott.bounds as bounds
@@ -292,13 +304,16 @@ def test_certify_working_set_stays_small(cheap_report, monkeypatch):
     grid = 2**16
     monkeypatch.setattr(bounds, "FINE_GRID", grid)
     # cheap_report has imported the store outside the trace
-    tracemalloc.start()
-    try:
-        certify_log_path(0.02)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 9.5 * 8 * (grid + 1)
+    _clear_caches()
+    peaks = []
+    for _ in ("cold", "warm"):
+        tracemalloc.start()
+        try:
+            certify_log_path(0.02)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 9.5 * 8 * (grid + 1)
 
 
 def test_certify_rejects_coarse_user_mesh(small_grid):
@@ -316,26 +331,29 @@ def test_certify_step_rule_precedes_a_failed_bound(small_grid):
 
 @pytest.mark.parametrize("points", [None, 65], ids=["stored", "uniform-65"])
 def test_certify_walks_its_mesh_once(points, monkeypatch, small_grid):
-    # one sampling of f on the fine grid, and one stage-2 triple per mesh point
+    # one sampling of f and of h per process and grid, and one stage-2
+    # triple per mesh point of each certification
     import acbott.bounds as bounds
 
-    calls = {"eval_f": 0, "_stage2_triple": 0}
+    calls = {"eval_f": 0, "eval_h": 0, "_stage2_triple": 0}
 
     def counted(name):
         fn = getattr(bounds, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(bounds, name, wrapper)
 
-    counted("eval_f")
-    counted("_stage2_triple")
+    for name in calls:
+        counted(name)
+    _clear_caches()
     mesh = None if points is None else np.linspace(0.0, 1.0, points)
-    report = certify_log_path(0.02, mesh=mesh)
+    for _ in range(2):
+        report = certify_log_path(0.02, mesh=mesh)
     assert len(report.stage2_t) == (17 if points is None else points)
-    assert calls == {"eval_f": 1, "_stage2_triple": len(report.stage2_t)}
+    assert calls == {"eval_f": 1, "eval_h": 1, "_stage2_triple": 2 * len(report.stage2_t)}
 
 
 def _same_bits(a, b):
@@ -396,7 +414,8 @@ def test_certify_walks_path_values(mesh, grid, monkeypatch):
     step_sum = bounds._step_sum
 
     def recorded(prev, cur):
-        walk.append(cur)
+        # the walk reuses its buffers, so each triple is copied as it is stepped
+        walk.append(tuple(a.copy() for a in cur))
         return step_sum(prev, cur)
 
     def approximant(key, parity, certified):
@@ -433,6 +452,70 @@ def test_certify_walks_path_values(mesh, grid, monkeypatch):
         assert _same_bits(targets[(t, "q")], f * h)
 
 
+def test_log_triple_evaluates_no_f(monkeypatch):
+    # at t = 1 the clamped f is weighted by exactly 0: path_values(2, 1.0)
+    # evaluates no f and returns the walk's triple at t = 1 bit for bit,
+    # (x/pi, 0, sqrt(1 - (x/pi)^2)), at the ends, at +-pi/2 and at +-0 too
+    import acbott.bounds as bounds
+
+    theta = np.concatenate((
+        np.linspace(-np.pi, np.pi, 4097),
+        [np.pi, -np.pi, np.pi / 2, -np.pi / 2, 0.0, -0.0],
+    ))
+    clamped = np.where(np.abs(theta) > np.pi / 2, np.sign(theta), bounds.eval_f(theta))
+    walk_f, walk_h = bounds._stage2_triple(1.0, theta, clamped)
+
+    def no_f(x):
+        raise AssertionError("the log triple evaluated f")
+
+    monkeypatch.setattr(bounds, "eval_f", no_f)
+    f, g, h = path_values(2, 1.0)(theta)
+    assert _same_bits(f, walk_f) and _same_bits(h, walk_h)
+    assert _same_bits(f, theta / np.pi) and _same_bits(g, np.zeros_like(theta))
+    assert _same_bits(h, np.sqrt(1.0 - (theta / np.pi) ** 2))
+    assert np.signbit(f[-1]) and not np.signbit(f[-2])
+
+
+@pytest.mark.parametrize("mesh", [None, _lobatto(15)], ids=["stored", "lobatto-15"])
+def test_warm_certification_matches_cold(mesh):
+    # a certification that reads the cached samples and tables reports, bit
+    # for bit, what one that makes them reports
+    for delta in (0.02, 0.125, 0.155):
+        _clear_caches()
+        cold = certify_log_path(delta, mesh=mesh)
+        warm = certify_log_path(delta, mesh=mesh)
+        assert _report_bits(warm) == _report_bits(cold)
+
+
+def test_certify_after_the_full_grid_uses_the_small_grid(monkeypatch):
+    # the caches are keyed by grid: the full grid's samples and tables do
+    # not leak into a certification on another grid
+    import acbott.bounds as bounds
+
+    _clear_caches()
+    monkeypatch.setattr(bounds, "FINE_GRID", SMALL_GRID)
+    alone = certify_log_path(0.02)
+    monkeypatch.setattr(bounds, "FINE_GRID", FINE_GRID)
+    full = certify_log_path(0.02)
+    monkeypatch.setattr(bounds, "FINE_GRID", SMALL_GRID)
+    after = certify_log_path(0.02)
+    assert _report_bits(after) == _report_bits(alone)
+    assert after.stage1_etas != full.stage1_etas
+    assert len(bounds._fine_samples(SMALL_GRID)[0]) == SMALL_GRID + 1
+    assert len(bounds._fine_samples(FINE_GRID)[0]) == FINE_GRID + 1
+
+
+def test_cached_arrays_are_read_only(small_grid):
+    import acbott.bounds as bounds
+
+    certify_log_path(0.02)
+    cached = [*bounds._fine_samples(SMALL_GRID), *bounds._TRIG_TABLES[SMALL_GRID]]
+    assert len(cached) == 8
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_certify_accepts_fine_user_mesh(small_grid):
     mesh = np.linspace(0.0, 1.0, 65)
     report = certify_log_path(0.02, mesh=mesh)
@@ -452,8 +535,8 @@ def test_certify_rejects_nonfinite_delta(bad, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the certification ran on a non-finite delta")
 
-    # the first fine-grid work
-    monkeypatch.setattr(bounds, "eval_f", no_work)
+    # the first fine-grid work, whether the grid's samples are cached or not
+    monkeypatch.setattr(bounds, "_fine_samples", no_work)
     with pytest.raises(ValueError, match="finite"):
         certify_log_path(bad)
 
@@ -515,6 +598,49 @@ def test_half_series_transform_matches_direct_sum(parity, n, top):
     assert np.max(np.abs(got - want)) < 1e-13
     if parity == "odd":
         assert got[0] == 0.0 and got[-1] == 0.0
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("n", [3000, 2**13])
+def test_half_series_same_with_cold_and_warm_tables(parity, n):
+    # a sum that slices a wider table set has the bits of one made on a set
+    # of its own width, and still matches the direct sum
+    import acbott.bounds as bounds
+
+    rng = np.random.default_rng(n)
+    vectors = [rng.standard_normal(k) for k in (1, 9, 16, 48)]
+    vectors = [c / np.abs(c).sum() for c in vectors]
+    cold = []
+    for coeffs in vectors:
+        bounds._TRIG_TABLES.clear()
+        cold.append(_eval_half_series(coeffs, parity, n))
+    # the widest set first, so that every sum below slices it
+    _eval_half_series(vectors[-1], "odd", n)
+    for coeffs, want in zip(vectors, cold):
+        got = _eval_half_series(coeffs, parity, n)
+        assert _same_bits(got, want)
+        assert np.max(np.abs(got - _half_series_loop(coeffs, parity, n))) < 1e-13
+
+
+def test_trig_tables_do_not_grow_with_the_number_of_degrees():
+    # one table set per grid, sized for the largest degree asked for: a
+    # higher degree replaces the set, and a lower one slices it
+    import acbott.bounds as bounds
+
+    n = 3000
+    bounds._TRIG_TABLES.clear()
+    coeffs = np.full(48, 1.0 / 48)
+    for k in range(1, 49):
+        for parity in ("even", "odd"):
+            _eval_half_series(coeffs[:k], parity, n)
+    assert list(bounds._TRIG_TABLES) == [n]
+    tables = bounds._TRIG_TABLES[n]
+    b = math.isqrt(n) + 1
+    rows = -(-(n + 1) // b)
+    assert [t.shape for t in tables] == [(rows, 49)] * 2 + [(b, 49)] * 2
+    for k in range(1, 49):
+        _eval_half_series(coeffs[:k], "even", n)
+    assert bounds._TRIG_TABLES[n] is tables
 
 
 def test_half_series_matches_one_transform_on_stored_vectors():
