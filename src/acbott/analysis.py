@@ -11,14 +11,14 @@ B_L(U, V) is assembled once; the two differ only in the triple's values at
 V's angles (the bump triple or the log triple), and either is read in V's
 eigenbasis, which needs no product with Q beyond Q*UQ.  For a plain pair
 the single hermitian spectrum of that matrix gives kappa and the measured
-gap.  A ``SelfDualPair``, which only ``make_selfdual_pair`` makes after its
-self-duality gates, has V's eigenbasis in Kramers form, Q^# = Q*, so the
-same matrix is anti-self-dual and is not formed: a real skew matrix is
-written from its corner, and one real reduction of that gives kappa2, the
-sign of its modified Pfaffian, and a spectrum within a stated eta of B's,
-which gives kappa and the measured gap.  Every index of a method
-is certified up to ``config.certified_threshold(method)``, the threshold
-that the index functions refuse above.
+gap.  A ``SelfDualPair``, gated for self-duality when it is made, has V's
+eigenbasis in Kramers form, Q^# = Q*, so the same matrix is anti-self-dual
+and is not formed: a real skew matrix is written from its corner, and one
+real reduction of that gives kappa2, the sign of its modified Pfaffian, and
+a spectrum within a stated eta of B's, which gives kappa and the measured
+gap.  Every index of a method is certified up to
+``config.certified_threshold(method)``, the threshold that the index
+functions refuse above.
 """
 
 from __future__ import annotations

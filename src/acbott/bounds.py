@@ -348,7 +348,7 @@ def path_values(stage, t):
     bump triple with g = 0.  Stage 2 moves that clamped f to x/pi, with
     g = 0 and h = sqrt(1 - f^2); its end, t = 1, is the log triple
     (``logmethod._log_values``), where the clamped f is weighted by exactly
-    0, so f is x/pi bit for bit and no f is evaluated.  ``_certify`` walks
+    0, so f is x/pi bit for bit, signed zeros included.  ``_certify`` walks
     the same path on its fine grid from buffers of its own, and the test
     suite holds the two equal bit for bit.  At the start g is formed as
     sqrt(1 - f^2), which misses ``eval_g``'s closed form by up to 2.4e-8, so
@@ -363,9 +363,6 @@ def path_values(stage, t):
 
     def values(x):
         x = np.asarray(x, dtype=float)
-        if stage == 2 and t == 1.0:
-            ft = x / np.pi
-            return ft, np.zeros_like(ft), _unit_complement(ft, np.empty_like(ft))
         f = eval_f(x)
         outside = np.abs(x) > np.pi / 2
         if stage == 1:

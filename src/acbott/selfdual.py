@@ -167,13 +167,16 @@ def _kramers_basis(V: np.ndarray, angles: np.ndarray, vectors: np.ndarray):
 
 @dataclass(frozen=True)
 class SelfDualPair(UnitaryPair):
-    """A pair that passed :func:`make_selfdual_pair`: U^# = U and V^# = V.
+    """A pair with U^# = U and V^# = V, gated when it is made.
 
-    The type is the one place where self-duality is decided: kappa2 is
-    computed exactly for this class, V is factorized in a Kramers basis,
-    and omega is read from delta (:func:`winding.winding_number`, which runs
-    the self-duality gate again first, since the type can be built by hand).
+    The type is the one place where self-duality is decided: its
+    constructor runs :func:`_check_selfdual`, and nothing after it does.
+    kappa2 is computed exactly for this class, V is factorized in a Kramers
+    basis, and omega is read from delta (:func:`winding.winding_number`).
     """
+
+    def __post_init__(self):
+        _check_selfdual(self)
 
     @functools.cached_property
     def v_eig(self):
@@ -202,8 +205,9 @@ def _check_selfdual(pair: UnitaryPair) -> None:
 
 
 def make_selfdual_pair(U, V) -> SelfDualPair:
+    """The ``SelfDualPair`` of U and V: :func:`linalg.make_pair`'s unitarity
+    gates and delta, then the type's self-duality gate (NotSelfDual)."""
     pair = make_pair(U, V)
-    _check_selfdual(pair)
     return SelfDualPair(pair.U, pair.V, pair.delta)
 
 

@@ -4,12 +4,12 @@ The multiplicative commutator W = VUV*U* of a pair with ||[U,V]|| < 2 has
 spectrum bounded away from -1, so the principal logarithm of W is defined and
 omega = Tr((1/2pi i) log W) is an integer.  Only the eigenangles of W enter
 omega and the distance bounds; a plain pair factorizes W once and caches
-them.  A self-dual pair takes no factorization of W: W^# = U*V*UV is similar
-to W^T, since the dual is a similarity of the transpose, and to
-W^{-1} = (UV)(VU)^{-1}, so W's spectrum is closed under conjugation and
-omega = 0.  Its margin to -1 is read from delta, since W is normal and
-||W - I|| = ||(VU - UV)(UV)*|| = delta.  The test suite's determinant-path
-winding (``tests/support.py``) is an independent oracle for the same number.
+them.  A ``SelfDualPair``, gated when made, takes no factorization of W:
+W^# = U*V*UV is similar to W^T, since the dual is a similarity of the
+transpose, and to W^{-1} = (UV)(VU)^{-1}, so W's spectrum is closed under
+conjugation and omega = 0.  Its margin to -1 is read from delta, since W is
+normal and ||W - I|| = ||(VU - UV)(UV)*|| = delta.  The test suite's
+determinant-path winding (``tests/support.py``) is an independent oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import InvariantUndefined, NoObstruction, NumericalInconsistency
 from .linalg import UnitaryPair, require_same_dim
-from .selfdual import SelfDualPair, _check_selfdual
+from .selfdual import SelfDualPair
 
 # delta must stay strictly below 2; at 2 the spectrum of W can touch -1
 DELTA_GATE = 2.0 - 1e-9
@@ -65,9 +65,8 @@ def winding_number(pair: UnitaryPair) -> WindingResult:
     ``linalg._schur_angles``'s branch rule, so repeated calls on one pair,
     and the distance bounds built on them, factorize W once.
 
-    A ``SelfDualPair`` with delta <= ``SELFDUAL_DELTA_MAX`` = 2 - c first
-    passes the self-duality gate of ``make_selfdual_pair`` again (a pair
-    built by hand raises NotSelfDual), then gets (0, delta,
+    A ``SelfDualPair``, which passed the self-duality gate when it was
+    made, with delta <= ``SELFDUAL_DELTA_MAX`` = 2 - c gets (0, delta,
     sqrt(4 - delta^2), 0.0) with no factorization.  For exact unitaries the
     margin is exact: |lambda - 1|^2 + |lambda + 1|^2 = 4 on the circle, and
     max |lambda - 1| = ||W - I|| = delta.  c = 1e-7 covers the gates' 1e-8
@@ -85,7 +84,6 @@ def winding_number(pair: UnitaryPair) -> WindingResult:
     """
     _require_gate(pair.delta)
     if isinstance(pair, SelfDualPair) and pair.delta <= SELFDUAL_DELTA_MAX:
-        _check_selfdual(pair)
         return WindingResult(0, pair.delta, math.sqrt(4.0 - pair.delta ** 2), 0.0)
     angles = pair.w_angles
     margin = float(np.min(np.abs(np.exp(1j * angles) + 1.0)))

@@ -145,11 +145,6 @@ def shift_matrix(n: int) -> np.ndarray:
     return U
 
 
-def clock_matrix(n: int) -> np.ndarray:
-    # descending clock, k = 1..n
-    return np.diag(np.exp(-2j * np.pi * np.arange(1, n + 1) / n))
-
-
 def pfaffian_cofactor(X: np.ndarray) -> complex:
     """Recursive first-row cofactor expansion; exponential, keep dim <= 10."""
     d = X.shape[0]

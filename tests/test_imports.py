@@ -1,4 +1,5 @@
-"""Import hygiene: every name a module imports is used in it.
+"""Import hygiene: every name a module imports is used in it, and every
+helper ``tests/support.py`` defines is used somewhere.
 
 No linter runs on the repository, so this is its unused-import rule (F401)
 over ``src/``, ``scripts/`` and ``tests/``.  A package's ``__init__.py``
@@ -43,3 +44,44 @@ def test_every_imported_name_is_used():
     assert len(paths) > 20
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _read_names(tree):
+    """Names a tree reads: loaded names, attributes and names imported from."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _defined_names(stmt):
+    """Top-level names a statement defines: a function, a class or an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def test_every_support_helper_is_used():
+    support = ROOT / "tests" / "support.py"
+    used = {
+        name
+        for top in ("src", "scripts", "tests", "perfbench")
+        for path in (ROOT / top).rglob("*.py")
+        if path != support
+        for name in _read_names(ast.parse(path.read_text()))
+    }
+    defined = set()
+    for stmt in ast.parse(support.read_text()).body:
+        own = _defined_names(stmt)
+        defined |= own
+        used |= _read_names(stmt) - own
+    assert len(defined) > 30
+    assert sorted(defined - used) == []

@@ -1,5 +1,6 @@
 """Dual operation, Pfaffians, and the sign index kappa_2."""
 
+import dataclasses
 import sys
 import tracemalloc
 import warnings
@@ -19,6 +20,7 @@ from acbott.bott import (
     bott_index,
     build_B,
 )
+from acbott.cli import main
 from acbott.config import DEFAULT_TOL
 from acbott.errors import (
     DimensionMismatch,
@@ -38,8 +40,9 @@ from acbott.generators import (
     powered_pair,
     selfdual_doubling,
 )
-from acbott.linalg import make_pair
+from acbott.linalg import _cayley_angles, make_pair
 from acbott.logmethod import _log_values, build_BL, kappa2_log
+from acbott.matrixio import write_matrix
 from acbott.selfdual import (
     SelfDualPair,
     _pfaffian_sign,
@@ -50,6 +53,7 @@ from acbott.selfdual import (
     selfdual_distance_bounds,
     selfdual_part,
 )
+from acbott.winding import winding_number
 from support import (
     NotSkewSymmetric,
     OddDimension,
@@ -409,6 +413,29 @@ def test_real_route_raises_at_a_zero_pivot(corner):
         _real_pfaffian_sign_log(R)
 
 
+@pytest.mark.parametrize(
+    "routine, message",
+    [
+        ("dgehrd_lwork", "dgehrd workspace query failed"),
+        ("dgehrd", "dgehrd failed"),
+        ("dsterf", "dsterf failed"),
+    ],
+)
+def test_real_route_raises_when_lapack_reports_failure(monkeypatch, routine, message):
+    import scipy.linalg.lapack as lapack
+
+    real = getattr(lapack, routine)
+
+    def failing(*args, **kwargs):
+        return (*real(*args, **kwargs)[:-1], -1)  # info is the last output
+
+    monkeypatch.setattr(lapack, routine, failing)
+    R = np.zeros((4, 4), order="F")
+    R[0, 1], R[1, 0], R[2, 3], R[3, 2] = 1.0, -1.0, 1.0, -1.0
+    with pytest.raises(NumericalInconsistency, match=message):
+        _real_pfaffian_sign_log(R)
+
+
 def test_kappa2_selfdual_N256():
     # B has dim 1024; the magnitude cross-check must pass without warning
     sd = selfdual_doubling(cyclic_shift_pair(256))
@@ -421,16 +448,75 @@ def test_kappa2_selfdual_N256():
 
 
 def test_selfdual_pair_with_a_non_selfdual_U_is_refused():
-    # a SelfDualPair made without make_selfdual_pair's gates: U is off
-    # self-duality by about 1e-6, and so is the corner L of B
+    # a SelfDualPair made without make_selfdual_pair, with U off
+    # self-duality by about 1e-6: its constructor runs the gate
     base = selfdual_doubling(cyclic_shift_pair(32))
     U = base.U @ expm(1e-6j * random_hermitian(base.dim, _rand(3)))
     assert 5e-7 <= np.linalg.norm(U - dual(U), 2) <= 5e-6
     pair = make_pair(U, base.V)
-    sd = SelfDualPair(pair.U, pair.V, pair.delta)
+    for build in (
+        lambda: SelfDualPair(pair.U, pair.V, pair.delta),
+        lambda: dataclasses.replace(base, U=pair.U, delta=pair.delta),
+    ):
+        with pytest.raises(NotSelfDual, match="U fails self-duality"):
+            build()
+
+
+@pytest.mark.parametrize("method", ["trig", "log"])
+def test_corner_off_anti_selfduality_is_refused(monkeypatch, method):
+    # B's anti-self-duality is gated on its corner L: a corner moved off it
+    # by about 1e-6 is refused before the real reduction, on either route
+    sd = selfdual_doubling(cyclic_shift_pair(32))
+    real = selfdual._corner
+
+    def moved(pair, values):
+        fvals, L = real(pair, values)
+        return fvals, L + 1e-6 * random_hermitian(len(L), _rand(3))
+
+    monkeypatch.setattr(selfdual, "_corner", moved)
+    with pytest.raises(NotAntiSelfDual, match="anti-self-duality violated"):
+        analyze(sd, method=method)
+
+
+def test_every_selfdual_request_runs_the_selfduality_gate_once(
+    tmp_path, capsys, monkeypatch
+):
+    # every acbott binding of the gate is counted, as perfbench's tracer
+    # wraps them; a plain request runs it never
+    real, calls = selfdual._check_selfdual, []
+
+    def counted(pair):
+        calls.append(pair.dim)
+        real(pair)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("acbott"):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    sd, plain = selfdual_doubling(cyclic_shift_pair(64)), cyclic_shift_pair(64)
+
+    def gates(request, *args):
+        calls.clear()
+        request(*args)
+        return len(calls)
+
+    def sweep():
+        s = make_selfdual_pair(sd.U, sd.V)
+        winding_number(s), pfaffian_bott_index(s), kappa2_log(s)
+
     for method in ("trig", "log"):
-        with pytest.raises(NotAntiSelfDual):
-            analyze(sd, method=method)
+        assert gates(lambda: analyze(make_selfdual_pair(sd.U, sd.V), method=method)) == 1
+        assert gates(lambda: analyze(make_pair(plain.U, plain.V), method=method)) == 0
+    assert gates(sweep) == 1
+    files = {}
+    for name, p in (("sd", sd), ("plain", plain)):
+        files[name] = [str(tmp_path / f"{name}_{m}.txt") for m in "UV"]
+        for path, M in zip(files[name], (p.U, p.V)):
+            write_matrix(path, M)
+    assert gates(main, ["index", *files["sd"], "--self-dual"]) == 1
+    assert gates(main, ["index", *files["plain"]]) == 0
+    capsys.readouterr()
 
 
 def test_sign_functions_refuse_a_plain_pair_before_any_work():
@@ -586,6 +672,31 @@ def test_v_eig_of_a_selfdual_pair_is_a_kramers_basis(make):
     assert np.array_equal(angles[:N], angles[N:])
     residual = np.linalg.norm(sd.V @ Q - Q * np.exp(1j * angles))
     assert residual <= DEFAULT_TOL.unitary * np.sqrt(sd.dim)
+
+
+def test_kramers_half_refuses_an_odd_cluster():
+    # a cluster of 3 columns cannot be split into Kramers pairs
+    with pytest.raises(NumericalInconsistency, match="not Kramers-paired"):
+        selfdual._kramers_half(np.eye(4, dtype=complex)[:, :3])
+
+
+def test_kramers_basis_refuses_a_half_newton_schulz_cannot_reach(monkeypatch):
+    # Newton-Schulz grows a tiny singular value s by about 3/2 a step, so a
+    # half scaled by 1e-6 is still far from unitary after its 8 steps
+    sd = selfdual_doubling(cyclic_shift_pair(5))
+    real = selfdual._kramers_half
+    monkeypatch.setattr(selfdual, "_kramers_half", lambda C: 1e-6 * real(C))
+    with pytest.raises(NumericalInconsistency, match="no Kramers basis near them"):
+        sd.v_eig
+
+
+def test_kramers_basis_refuses_angles_off_its_vectors():
+    # every angle moved by 1e-6 leaves a residual of about 1e-6 sqrt(dim),
+    # a hundred times the bound
+    sd = selfdual_doubling(cyclic_shift_pair(5))
+    angles, Q = _cayley_angles(sd.V)
+    with pytest.raises(NumericalInconsistency, match="Kramers basis leaves a residual"):
+        selfdual._kramers_basis(sd.V, angles + 1e-6, Q)
 
 
 def _schur_basis_B(pair, values):

@@ -13,6 +13,7 @@ from acbott.errors import (
     InvariantUndefined,
     NoObstruction,
     NotSelfDual,
+    NumericalInconsistency,
 )
 from acbott.generators import (
     commuting_random,
@@ -196,15 +197,26 @@ def test_selfdual_winding_takes_no_factorization(factorizations):
 
 
 def test_hand_built_selfdual_pair_is_refused_before_its_zero():
-    # a SelfDualPair made without make_selfdual_pair's gates: U is off
-    # self-duality by about 1e-6, so no omega is read from the symmetry
+    # a SelfDualPair made without make_selfdual_pair, with U off
+    # self-duality by about 1e-6, is refused when it is made, so no omega
+    # is ever read from the symmetry it lacks
     base = selfdual_doubling(cyclic_shift_pair(32))
     U = base.U @ expm(1e-6j * random_hermitian(base.dim, np.random.default_rng(3)))
     assert 5e-7 <= np.linalg.norm(U - dual(U), 2) <= 5e-6
     pair = make_pair(U, base.V)
-    sd = SelfDualPair(pair.U, pair.V, pair.delta)
     with pytest.raises(NotSelfDual, match="U fails self-duality"):
-        winding_number(sd)
+        SelfDualPair(pair.U, pair.V, pair.delta)
+
+
+def test_winding_trace_off_an_integer_is_refused(monkeypatch):
+    # W's angles sum to 2 pi omega; a Schur route whose angles are each 0.1
+    # off puts the trace 4 * 0.1 / (2 pi) = 0.064 from an integer
+    import acbott.linalg as linalg
+
+    real = linalg._schur_angles
+    monkeypatch.setattr(linalg, "_schur_angles", lambda A: (real(A)[0] + 0.1, None))
+    with pytest.raises(NumericalInconsistency, match="from an integer"):
+        winding_number(cyclic_shift_pair(4))
 
 
 def test_selfdual_pair_near_delta_two_takes_the_schur_route(factorizations):
